@@ -38,8 +38,8 @@ from .fdsolver import (FDGrid, UPPER_BOUNDARIES, default_grid, fd_price_at,
                        fd_solve)
 from .genpoly import to_text
 from .model import CIRParams, parse_model_config
-from .series import (LOGPRICE, MAX_ORDER, PRICE, eval_partial_sum, log_coeffs,
-                     partial_sums, price_coeffs, yield_from_price)
+from .series import (eval_partial_sum, log_coeffs, partial_sums, price_coeffs,
+                     yield_curve, yield_from_price)
 from .tables import TABLE_IDS, build_table
 
 
@@ -79,16 +79,9 @@ def _parse_taus(text: str) -> list[float]:
     return taus
 
 
-def _check_order(order: int) -> int:
-    if not 0 <= order <= MAX_ORDER:
-        raise ConfigError(f"--order must be in [0, {MAX_ORDER}], got {order}")
-    return order
-
-
 def _series_for(args, model):
-    target = PRICE if args.target == "price" else LOGPRICE
-    build = price_coeffs if target == PRICE else log_coeffs
-    return build(model, _check_order(args.order))
+    build = price_coeffs if args.target == "price" else log_coeffs
+    return build(model, args.order)
 
 
 def _maturities(args) -> list[float]:
@@ -128,34 +121,27 @@ def cmd_price(args) -> tuple[str, int]:
 
 def cmd_yield(args) -> tuple[str, int]:
     model = parse_model_config(args.model)
-    order = _check_order(args.order)
     taus = _parse_taus(args.taus)
     if args.from_price:
-        series = price_coeffs(model, order)
+        series = price_coeffs(model, args.order)
         pcts = [100.0 * yield_from_price(eval_partial_sum(series, tau, args.r), tau)
                 for tau in taus]
     else:
-        series = log_coeffs(model, order)
-        pcts = []
-        for tau in taus:
-            if tau <= 0.0:
-                raise DomainError(f"yield needs tau > 0, got {tau}")
-            pcts.append(-100.0 * eval_partial_sum(series, tau, args.r) / tau)
+        pcts = [100.0 * y for _, y in yield_curve(model, args.order, args.r, taus)]
     rows = [[f"{tau:g}", f"{pct:.5f}"] for tau, pct in zip(taus, pcts)]
     return _render(["tau", "yield_pct"], rows, args.format), 0
 
 
-def cmd_exact_cir(args) -> tuple[str, int]:
-    try:
-        params = CIRParams(args.alpha, args.beta, args.sigma)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    price = cir_exact_price(params, args.tau, args.r)
+def _render_price(args, price: float) -> str:
     if args.format == "csv":
         return _render(["tau", "r", "price"],
-                       [[f"{args.tau:g}", f"{args.r:g}", f"{price:.6f}"]],
-                       "csv"), 0
-    return f"{price:.6f}\n", 0
+                       [[f"{args.tau:g}", f"{args.r:g}", f"{price:.6f}"]], "csv")
+    return f"{price:.6f}\n"
+
+
+def cmd_exact_cir(args) -> tuple[str, int]:
+    params = CIRParams(args.alpha, args.beta, args.sigma)
+    return _render_price(args, cir_exact_price(params, args.tau, args.r)), 0
 
 
 def _fd_grid(args) -> FDGrid:
@@ -170,21 +156,13 @@ def _fd_grid(args) -> FDGrid:
 
 def cmd_fd(args) -> tuple[str, int]:
     model = parse_model_config(args.model)
-    try:
-        grid = _fd_grid(args)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    grid = _fd_grid(args)
     sol = fd_solve(model, args.tau, grid, args.upper_boundary)
     if args.profile:
         rows = [[repr(j * grid.h), repr(float(v))]
                 for j, v in enumerate(sol.values)]
         return _render(["r", "price"], rows, args.format), 0
-    price = fd_price_at(sol, args.r)
-    if args.format == "csv":
-        return _render(["tau", "r", "price"],
-                       [[f"{args.tau:g}", f"{args.r:g}", f"{price:.6f}"]],
-                       "csv"), 0
-    return f"{price:.6f}\n", 0
+    return _render_price(args, fd_price_at(sol, args.r)), 0
 
 
 def cmd_table(args) -> tuple[str, int]:
@@ -289,15 +267,9 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 1
     try:
         text, code = args.handler(args)
-    except ConfigError as exc:
+    except ValueError as exc:  # DomainError is a ValueError, ConfigError too
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, DomainError) else 1
     if args.out is not None:
         try:
             Path(args.out).write_text(text, encoding="utf-8")

@@ -15,7 +15,9 @@ Boundaries:
     (s2(0) = 0, mu(0) >= 0, and the reaction term -r P vanishes), so the row
     imposes the PDE's own limit -P_tau + mu(0) P_r = 0 with a first-order
     one-sided difference.  When mu(0) = 0 the node decouples and P(tau, 0)
-    stays at 1, which is the exact degenerate solution.
+    stays at 1, which is the exact degenerate solution.  Both assumptions
+    are enforced: a model with s2(0) > 0 or mu(0) < 0 (Vasicek, say) raises
+    DomainError, as does one whose s2 is negative on any grid node.
   * r = r_max.  Truncation boundary.  Default is the linearity condition
     P_rr = 0 with a one-sided first derivative; "dirichlet0" clamps P to 0
     instead, for cross-checking the truncation error.
@@ -31,7 +33,7 @@ from scipy.linalg import solve_banded
 
 from .errors import DomainError
 from .genpoly import GenPoly
-from .model import ShortRateModel
+from .model import _VOL2_SLACK, ShortRateModel
 
 UPPER_BOUNDARIES = ("linearity", "dirichlet0")
 
@@ -91,6 +93,12 @@ def _operator_bands(model: ShortRateModel, grid: FDGrid, upper_boundary: str):
     r_nodes = np.linspace(0.0, grid.r_max, n)
     mu = _eval_profile(model.drift, r_nodes)
     s2 = _eval_profile(model.vol2, r_nodes)
+    negative = np.flatnonzero(s2 < _VOL2_SLACK)
+    if negative.size:
+        raise DomainError(f"vol2 is negative at r={r_nodes[negative[0]]:.6g} on the FD grid")
+    if s2[0] > 0.0 or mu[0] < 0.0:
+        raise DomainError(f"the r=0 boundary row needs vol2(0) = 0 and drift(0) >= 0, "
+                          f"got vol2(0)={s2[0]:g}, drift(0)={mu[0]:g}")
 
     sub = np.zeros(n - 1)
     dia = np.zeros(n)
@@ -112,15 +120,15 @@ def _operator_bands(model: ShortRateModel, grid: FDGrid, upper_boundary: str):
         dia[-1] = mu[-1] / h - r_nodes[-1]
     elif upper_boundary == "dirichlet0":
         sub[n - 2] = 0.0
-        dia[-1] = 0.0  # row handled explicitly in the march
+        dia[-1] = 0.0  # the march zeroes this row's right-hand side
     else:
         raise ValueError(f"unknown upper boundary {upper_boundary!r}; expected one of {UPPER_BOUNDARIES}")
     return sub, dia, sup
 
 
 def _march(model: ShortRateModel, tau_final: float, grid: FDGrid, upper_boundary: str,
-           checkpoints: dict[int, float] | None = None):
-    """Run the time march; optionally record profiles at given step indices."""
+           record: set[int]) -> dict[int, np.ndarray]:
+    """Run the time march and return the profiles after the steps in `record`."""
     n = grid.n_r + 1
     dtau = tau_final / grid.n_t
     sub, dia, sup = _operator_bands(model, grid, upper_boundary)
@@ -135,28 +143,24 @@ def _march(model: ShortRateModel, tau_final: float, grid: FDGrid, upper_boundary
     ex_sub = (1.0 - th) * dtau * sub
     ex_dia = 1.0 + (1.0 - th) * dtau * dia
     ex_sup = (1.0 - th) * dtau * sup
+    if upper_boundary == "dirichlet0":
+        ex_dia[-1] = 0.0  # with the zero row of L, clamps P(r_max) to 0
 
-    clamp_top = upper_boundary == "dirichlet0"
     values = np.ones(n)
     recorded: dict[int, np.ndarray] = {}
-    if checkpoints and 0 in checkpoints:
-        recorded[0] = values.copy()
     for step in range(1, grid.n_t + 1):
         rhs = ex_dia * values
         rhs[:-1] += ex_sup * values[1:]
         rhs[1:] += ex_sub * values[:-1]
-        if clamp_top:
-            rhs[-1] = 0.0
-            ab[1, -1] = 1.0
         try:
             values = solve_banded((1, 1), ab, rhs, check_finite=False)
         except np.linalg.LinAlgError as exc:
             raise DomainError(f"tridiagonal solve failed at step {step}: {exc}") from None
         if not np.isfinite(values).all():
             raise DomainError(f"non-finite values at step {step} of {grid.n_t}")
-        if checkpoints and step in checkpoints:
-            recorded[step] = values.copy()
-    return values, recorded
+        if step in record:
+            recorded[step] = values
+    return recorded
 
 
 def fd_solve(model: ShortRateModel, tau_final: float, grid: FDGrid,
@@ -166,7 +170,7 @@ def fd_solve(model: ShortRateModel, tau_final: float, grid: FDGrid,
         raise DomainError(f"tau_final must be nonnegative and finite, got {tau_final!r}")
     if tau_final == 0.0:
         return FDSolution(grid, 0.0, np.ones(grid.n_r + 1))
-    values, _ = _march(model, tau_final, grid, upper_boundary)
+    values = _march(model, tau_final, grid, upper_boundary, {grid.n_t})[grid.n_t]
     return FDSolution(grid, tau_final, values)
 
 
@@ -174,9 +178,9 @@ def fd_solve_path(model: ShortRateModel, taus, grid: FDGrid,
                   upper_boundary: str = "linearity") -> dict[float, FDSolution]:
     """One march to max(taus), recording profiles at each requested maturity.
 
-    Each tau must land on a step boundary (tau / dtau within 1e-9 of an
-    integer), so the recorded profiles equal what single solves with the same
-    dtau would produce.
+    Each tau must land on a step boundary (tau / dtau within 1e-9 of a
+    positive integer), so the recorded profiles equal what single solves with
+    the same dtau would produce.
     """
     taus = sorted(set(float(t) for t in taus))
     if not taus:
@@ -189,10 +193,10 @@ def fd_solve_path(model: ShortRateModel, taus, grid: FDGrid,
     for tau in taus:
         steps = tau / dtau
         step = round(steps)
-        if abs(steps - step) > 1e-9:
+        if step < 1 or abs(steps - step) > 1e-9:
             raise DomainError(f"tau={tau} does not align with dtau={dtau}")
         checkpoints[step] = tau
-    _, recorded = _march(model, tau_final, grid, upper_boundary, checkpoints)
+    recorded = _march(model, tau_final, grid, upper_boundary, set(checkpoints))
     return {checkpoints[step]: FDSolution(grid, checkpoints[step], profile)
             for step, profile in recorded.items()}
 
@@ -250,7 +254,7 @@ def convergence_study(model: ShortRateModel, tau: float, r: float, base: FDGrid,
     p_ref = next((p for p in reversed(orders) if math.isfinite(p) and p > 0.1), None)
     if p_ref is None:
         p_ref = 2.0 if base.theta == 0.5 else 1.0
-    if levels >= 2 and diffs[-1] > 0.0:
+    if diffs[-1] > 0.0:
         reference = values[-1] + (values[-1] - values[-2]) / (2.0 ** p_ref - 1.0)
     else:
         reference = values[-1]

@@ -161,27 +161,16 @@ def parse_model_text(text: str) -> ShortRateModel:
     for key in sorted(set(entries) - set(needed)):
         raise ConfigError(f"line {entries[key][1]}: unknown key {key!r} for model {kind!r}")
 
-    if kind == "cir":
-        alpha = _parse_float("alpha", *entries["alpha"])
-        beta = _parse_float("beta", *entries["beta"])
-        sigma = _parse_float("sigma", *entries["sigma"])
-        if sigma < 0.0:
-            raise ConfigError(f"line {entries['sigma'][1]}: sigma must be nonnegative")
-        return make_cir(CIRParams(alpha, beta, sigma))
-    if kind == "dothan":
-        mu = _parse_float("mu", *entries["mu"])
-        sigma2 = _parse_float("sigma2", *entries["sigma2"])
-        if sigma2 < 0.0:
-            raise ConfigError(f"line {entries['sigma2'][1]}: sigma2 must be nonnegative")
-        return make_dothan(DothanParams(mu, math.sqrt(sigma2)))
-    if kind == "ckls":
-        alpha = _parse_float("alpha", *entries["alpha"])
-        beta = _parse_float("beta", *entries["beta"])
-        sigma = _parse_float("sigma", *entries["sigma"])
-        gamma = _parse_float("gamma", *entries["gamma"])
-        if sigma < 0.0:
-            raise ConfigError(f"line {entries['sigma'][1]}: sigma must be nonnegative")
-        return make_ckls(alpha, beta, sigma, gamma)
+    if kind != "custom":
+        v = {key: _parse_float(key, *entries[key]) for key in needed}
+        for key in ("sigma", "sigma2"):
+            if key in v and v[key] < 0.0:
+                raise ConfigError(f"line {entries[key][1]}: {key} must be nonnegative")
+        if kind == "cir":
+            return make_cir(CIRParams(v["alpha"], v["beta"], v["sigma"]))
+        if kind == "dothan":
+            return make_dothan(DothanParams(v["mu"], math.sqrt(v["sigma2"])))
+        return make_ckls(v["alpha"], v["beta"], v["sigma"], v["gamma"])
 
     # custom
     def _terms(key: str) -> GenPoly:

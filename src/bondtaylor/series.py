@@ -59,19 +59,23 @@ def _check_order(order: int) -> None:
         raise ValueError(f"order must be in [0, {MAX_ORDER}], got {order}")
 
 
+def _apply_operator(model: ShortRateModel, c: GenPoly) -> GenPoly:
+    """The pricing operator mu c' + (1/2) s2 c'' - r c."""
+    d1 = gp.derivative(c)
+    d2 = gp.derivative(d1)
+    return gp.add(
+        gp.add(gp.mul(model.drift, d1), gp.scale(gp.mul(model.vol2, d2), 0.5)),
+        gp.scale(gp.mul(_R, c), -1.0),
+    )
+
+
 def price_coeffs(model: ShortRateModel, order: int) -> TaylorSeries:
     """Coefficients c_0..c_order of the bond-price series."""
     _check_order(order)
     coeffs = [gp.const(1.0)]
     for k in range(order):
-        ck = coeffs[k]
-        d1 = gp.derivative(ck)
-        d2 = gp.derivative(d1)
         try:
-            raw = gp.add(
-                gp.add(gp.mul(model.drift, d1), gp.scale(gp.mul(model.vol2, d2), 0.5)),
-                gp.scale(gp.mul(_R, ck), -1.0),
-            )
+            raw = _apply_operator(model, coeffs[k])
         except TermLimitError as exc:
             raise TermLimitError(f"price series order {k + 1}: {exc}") from None
         coeffs.append(gp.scale(raw, 1.0 / (k + 1)))
@@ -175,16 +179,9 @@ def pde_residual_coeffs(s: TaylorSeries) -> list[GenPoly]:
     """
     if s.target != PRICE:
         raise ValueError(f"pde_residual_coeffs expects a {PRICE} series, got {s.target!r}")
-    model = s.model
     res = []
     for k in range(s.order + 1):
-        ck = s.coeffs[k]
-        d1 = gp.derivative(ck)
-        d2 = gp.derivative(d1)
-        coeff = gp.add(
-            gp.add(gp.mul(model.drift, d1), gp.scale(gp.mul(model.vol2, d2), 0.5)),
-            gp.scale(gp.mul(_R, ck), -1.0),
-        )
+        coeff = _apply_operator(s.model, s.coeffs[k])
         if k < s.order:
             coeff = gp.add(coeff, gp.scale(s.coeffs[k + 1], -(k + 1.0)))
         res.append(coeff)

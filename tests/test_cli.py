@@ -11,6 +11,10 @@ CIR_CFG = "model = cir\nalpha = 0.00315\nbeta = -0.0555\nsigma = 0.0894\n"
 DOTHAN01_CFG = "model = dothan\nmu = 0.005\nsigma2 = 0.01\n"
 DOTHAN02_CFG = "model = dothan\nmu = 0.005\nsigma2 = 0.02\n"
 ZERO_CFG = "model = custom\ndrift_terms = 0\nvol2_terms = 0\n"
+VASICEK_CFG = "model = custom\ndrift_terms = 0.01:0, -0.1:1\nvol2_terms = 0.0001:0\n"
+# nonnegative on the (0, 1] that parsing checks, negative beyond r = 10/9
+NEG_VOL2_CFG = ("model = custom\ndrift_terms = 0.01:0, -0.1:1\n"
+                "vol2_terms = 0.01:1, -0.009:2\n")
 
 
 @pytest.fixture
@@ -175,6 +179,22 @@ def test_fd_negative_tau_is_domain_error(cfg, capsys):
     assert code == 2 and "error" in err
 
 
+def test_fd_refuses_vol2_at_zero_rate(cfg, capsys):
+    # the r=0 row assumes vol2(0) = 0; this used to print 0.688825 against
+    # the exact Vasicek price 0.689273
+    code, out, err = run(capsys, ["fd", "--model", cfg(VASICEK_CFG),
+                                  "--r", "0.002", "--tau", "10"])
+    assert code == 2 and out == ""
+    assert "vol2(0)=0.0001" in err and "drift(0)=0.01" in err
+
+
+def test_fd_refuses_negative_vol2_on_grid(cfg, capsys):
+    code, out, err = run(capsys, ["fd", "--model", cfg(NEG_VOL2_CFG),
+                                  "--r", "0.2", "--tau", "1"])
+    assert code == 2 and out == ""
+    assert "vol2 is negative at r=1.112" in err
+
+
 @pytest.mark.parametrize("table_id", ["cir-price", "cir-yield", "cir-converge",
                                       "dothan-converge"])
 def test_table_command_passes(capsys, table_id):
@@ -304,6 +324,13 @@ def test_yield_tau_zero_is_domain_error(cfg, capsys):
     code, _, _ = run(capsys, ["yield", "--model", cfg(CIR_CFG), "--r", "0.05",
                               "--taus", "0"])
     assert code == 2
+
+
+@pytest.mark.parametrize("route", [[], ["--from-price"]], ids=["log", "from-price"])
+def test_yield_nonpositive_tau_in_list_exits_2(cfg, capsys, route):
+    code, out, err = run(capsys, ["yield", "--model", cfg(CIR_CFG), "--r",
+                                  "0.05", "--taus", "1,0"] + route)
+    assert code == 2 and out == "" and "tau > 0" in err
 
 
 def test_exact_cir_negative_sigma_exits_1(capsys):

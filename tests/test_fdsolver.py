@@ -6,9 +6,9 @@ import pytest
 from bondtaylor import fdsolver
 from bondtaylor.closedform import cir_exact_price
 from bondtaylor.errors import DomainError
-from bondtaylor.fdsolver import (FDGrid, FDSolution, convergence_study,
-                                 default_grid, fd_price_at, fd_solve,
-                                 fd_solve_path)
+from bondtaylor.fdsolver import (UPPER_BOUNDARIES, FDGrid, FDSolution,
+                                 convergence_study, default_grid, fd_price_at,
+                                 fd_solve, fd_solve_path)
 from bondtaylor.model import (CIRParams, DothanParams, make_cir, make_custom,
                               make_dothan)
 
@@ -100,14 +100,18 @@ def test_upper_boundary_options(cir_model, cir_params):
         fd_solve(cir_model, 1.0, grid, "reflecting")
 
 
-def test_fd_solve_path_matches_single_solves(zero_model):
+@pytest.mark.parametrize("upper_boundary", UPPER_BOUNDARIES)
+def test_fd_solve_path_matches_single_solves(zero_model, upper_boundary):
     grid = FDGrid(r_max=0.5, n_r=10, n_t=40)
-    sols = fd_solve_path(zero_model, [1.0, 2.0, 4.0], grid)
+    sols = fd_solve_path(zero_model, [1.0, 2.0, 4.0], grid, upper_boundary)
     assert sorted(sols) == [1.0, 2.0, 4.0]
     for tau, sol in sols.items():
         # same dtau=0.1 march, so values agree bit for bit
-        single = fd_solve(zero_model, tau, FDGrid(0.5, 10, int(10 * tau)))
+        single = fd_solve(zero_model, tau, FDGrid(0.5, 10, int(10 * tau)),
+                          upper_boundary)
         assert np.array_equal(sol.values, single.values)
+        if upper_boundary == "dirichlet0":
+            assert sol.values[-1] == 0.0
 
 
 def test_fd_solve_path_alignment_guard(zero_model):
@@ -116,6 +120,8 @@ def test_fd_solve_path_alignment_guard(zero_model):
         fd_solve_path(zero_model, [0.71, 1.0], grid)
     with pytest.raises(DomainError):
         fd_solve_path(zero_model, [0.0, 1.0], grid)
+    with pytest.raises(DomainError, match="align"):   # rounds to step 0
+        fd_solve_path(zero_model, [1e-12, 1.0], grid)
     assert fd_solve_path(zero_model, [], grid) == {}
 
 
