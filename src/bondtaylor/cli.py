@@ -30,6 +30,7 @@ import argparse
 import csv
 import io
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .errors import ConfigError, DomainError
@@ -145,13 +146,9 @@ def cmd_exact_cir(args) -> tuple[str, int]:
 
 
 def _fd_grid(args) -> FDGrid:
-    base = default_grid(args.r, args.tau, args.theta)
-    if args.rmax is None and args.nr is None and args.nt is None:
-        return base
-    return FDGrid(args.rmax if args.rmax is not None else base.r_max,
-                  args.nr if args.nr is not None else base.n_r,
-                  args.nt if args.nt is not None else base.n_t,
-                  args.theta)
+    flags = dict(r_max=args.rmax, n_r=args.nr, n_t=args.nt)
+    given = {field: v for field, v in flags.items() if v is not None}
+    return replace(default_grid(args.r, args.tau, args.theta), **given)
 
 
 def cmd_fd(args) -> tuple[str, int]:

@@ -7,8 +7,10 @@ dtau = tau_final / n_t:
     (I - theta dtau L) P^{n+1} = (I + (1 - theta) dtau L) P^n.
 
 theta = 0.5 is Crank-Nicolson, theta = 1 implicit Euler.  The operator is
-frozen in time, so both band matrices are assembled once and each step is one
-tridiagonal solve.
+frozen in time and stored once, as one 3 x (n_r + 1) array L in solve_banded
+layout; both step matrices are derived from it, and each step is one banded
+matvec and one tridiagonal solve.  One march serves a single solve and a
+checkpointed path alike, and returns its profiles keyed by maturity.
 
 Boundaries:
   * r = 0.  The equation degenerates there for the models of interest
@@ -67,10 +69,18 @@ class FDSolution:
     values: np.ndarray  # P(tau_final, r_j), j = 0..n_r
 
 
+def _check_maturity(tau_final: float) -> None:
+    if not 0.0 <= tau_final < math.inf:
+        raise DomainError(f"tau_final must be nonnegative and finite, got {tau_final!r}")
+
+
 def default_grid(r_query: float, tau_final: float, theta: float = 0.5) -> FDGrid:
     """Grid sized so desk-scale problems resolve to ~1e-5: r_max covers 10x the
     query rate (at least 0.5), 2000 space cells, 1000 steps per unit maturity
     capped at 20000."""
+    _check_maturity(tau_final)
+    if not math.isfinite(r_query):
+        raise DomainError(f"the query rate must be finite, got {r_query!r}")
     r_max = max(10.0 * r_query, 0.5)
     n_t = max(1, min(int(round(1000.0 * tau_final)), 20000))
     return FDGrid(r_max=r_max, n_r=2000, n_t=n_t, theta=theta)
@@ -86,8 +96,10 @@ def _eval_profile(poly: GenPoly, r_nodes: np.ndarray) -> np.ndarray:
     return out
 
 
-def _operator_bands(model: ShortRateModel, grid: FDGrid, upper_boundary: str):
-    """Bands (sub, dia, sup) of the spatial operator L."""
+def _operator(model: ShortRateModel, grid: FDGrid, upper_boundary: str) -> np.ndarray:
+    """The spatial operator L in solve_banded layout: row 0 couples node j to
+    j+1 (column j+1), row 1 is the diagonal, row 2 couples node j to j-1
+    (column j-1)."""
     n = grid.n_r + 1
     h = grid.h
     r_nodes = np.linspace(0.0, grid.r_max, n)
@@ -100,54 +112,52 @@ def _operator_bands(model: ShortRateModel, grid: FDGrid, upper_boundary: str):
         raise DomainError(f"the r=0 boundary row needs vol2(0) = 0 and drift(0) >= 0, "
                           f"got vol2(0)={s2[0]:g}, drift(0)={mu[0]:g}")
 
-    sub = np.zeros(n - 1)
-    dia = np.zeros(n)
-    sup = np.zeros(n - 1)
-
+    L = np.zeros((3, n))
     diff = 0.5 * s2[1:-1] / (h * h)
     adv = mu[1:-1] / (2.0 * h)
-    sub[: n - 2] = diff - adv          # couples node j to j-1
-    dia[1:-1] = -2.0 * diff - r_nodes[1:-1]
-    sup[1:] = diff + adv               # couples node j to j+1
+    L[0, 2:] = diff + adv
+    L[1, 1:-1] = -2.0 * diff - r_nodes[1:-1]
+    L[2, :-2] = diff - adv
 
     # r = 0: degenerate row, one-sided first derivative, no reaction term
-    dia[0] = -mu[0] / h
-    sup[0] = mu[0] / h
+    L[1, 0] = -mu[0] / h
+    L[0, 1] = mu[0] / h
 
     if upper_boundary == "linearity":
         # r = r_max: P_rr = 0, one-sided first derivative
-        sub[n - 2] = -mu[-1] / h
-        dia[-1] = mu[-1] / h - r_nodes[-1]
-    elif upper_boundary == "dirichlet0":
-        sub[n - 2] = 0.0
-        dia[-1] = 0.0  # the march zeroes this row's right-hand side
-    else:
+        L[2, -2] = -mu[-1] / h
+        L[1, -1] = mu[-1] / h - r_nodes[-1]
+    elif upper_boundary != "dirichlet0":  # dirichlet0 keeps the top row zero
         raise ValueError(f"unknown upper boundary {upper_boundary!r}; expected one of {UPPER_BOUNDARIES}")
-    return sub, dia, sup
+    return L
 
 
-def _march(model: ShortRateModel, tau_final: float, grid: FDGrid, upper_boundary: str,
-           record: set[int]) -> dict[int, np.ndarray]:
-    """Run the time march and return the profiles after the steps in `record`."""
-    n = grid.n_r + 1
-    dtau = tau_final / grid.n_t
-    sub, dia, sup = _operator_bands(model, grid, upper_boundary)
+def _march(model: ShortRateModel, taus: list[float], grid: FDGrid,
+           upper_boundary: str) -> dict[float, FDSolution]:
+    """One march to taus[-1], step n_t, returning the profile at each of the
+    ascending, positive maturities taus (alignment as in fd_solve_path)."""
+    dtau = taus[-1] / grid.n_t
+    wanted: dict[int, list[float]] = {}
+    for tau in taus[:-1]:
+        steps = tau / dtau
+        step = round(steps)
+        if step < 1 or abs(steps - step) > 1e-9:
+            raise DomainError(f"tau={tau} does not align with dtau={dtau}")
+        wanted.setdefault(step, []).append(tau)
+    wanted.setdefault(grid.n_t, []).append(taus[-1])
 
+    L = _operator(model, grid, upper_boundary)
     th = grid.theta
-    # implicit matrix I - theta dtau L in solve_banded layout
-    ab = np.zeros((3, n))
-    ab[0, 1:] = -th * dtau * sup
-    ab[1, :] = 1.0 - th * dtau * dia
-    ab[2, :-1] = -th * dtau * sub
-    # explicit bands I + (1-theta) dtau L
-    ex_sub = (1.0 - th) * dtau * sub
-    ex_dia = 1.0 + (1.0 - th) * dtau * dia
-    ex_sup = (1.0 - th) * dtau * sup
+    ab = -th * dtau * L  # implicit matrix I - theta dtau L
+    ab[1] += 1.0
+    ex = (1.0 - th) * dtau * L  # explicit matrix I + (1 - theta) dtau L
+    ex[1] += 1.0
     if upper_boundary == "dirichlet0":
-        ex_dia[-1] = 0.0  # with the zero row of L, clamps P(r_max) to 0
+        ex[1, -1] = 0.0  # with the zero row of L, clamps P(r_max) to 0
+    ex_sup, ex_dia, ex_sub = ex[0, 1:], ex[1], ex[2, :-1]
 
-    values = np.ones(n)
-    recorded: dict[int, np.ndarray] = {}
+    values = np.ones(grid.n_r + 1)
+    out: dict[float, FDSolution] = {}
     for step in range(1, grid.n_t + 1):
         rhs = ex_dia * values
         rhs[:-1] += ex_sup * values[1:]
@@ -158,20 +168,18 @@ def _march(model: ShortRateModel, tau_final: float, grid: FDGrid, upper_boundary
             raise DomainError(f"tridiagonal solve failed at step {step}: {exc}") from None
         if not np.isfinite(values).all():
             raise DomainError(f"non-finite values at step {step} of {grid.n_t}")
-        if step in record:
-            recorded[step] = values
-    return recorded
+        for tau in wanted.get(step, ()):
+            out[tau] = FDSolution(grid, tau, values)
+    return out
 
 
 def fd_solve(model: ShortRateModel, tau_final: float, grid: FDGrid,
              upper_boundary: str = "linearity") -> FDSolution:
     """Solve up to tau_final and return the final profile."""
-    if not (math.isfinite(tau_final) and tau_final >= 0.0):
-        raise DomainError(f"tau_final must be nonnegative and finite, got {tau_final!r}")
+    _check_maturity(tau_final)
     if tau_final == 0.0:
         return FDSolution(grid, 0.0, np.ones(grid.n_r + 1))
-    values = _march(model, tau_final, grid, upper_boundary, {grid.n_t})[grid.n_t]
-    return FDSolution(grid, tau_final, values)
+    return _march(model, [tau_final], grid, upper_boundary)[tau_final]
 
 
 def fd_solve_path(model: ShortRateModel, taus, grid: FDGrid,
@@ -180,25 +188,14 @@ def fd_solve_path(model: ShortRateModel, taus, grid: FDGrid,
 
     Each tau must land on a step boundary (tau / dtau within 1e-9 of a
     positive integer), so the recorded profiles equal what single solves with
-    the same dtau would produce.
+    the same dtau would produce.  Maturities on one step share its profile.
     """
     taus = sorted(set(float(t) for t in taus))
     if not taus:
         return {}
-    if taus[0] <= 0.0:
-        raise DomainError(f"checkpoint maturities must be positive, got {taus[0]}")
-    tau_final = taus[-1]
-    dtau = tau_final / grid.n_t
-    checkpoints: dict[int, float] = {}
-    for tau in taus:
-        steps = tau / dtau
-        step = round(steps)
-        if step < 1 or abs(steps - step) > 1e-9:
-            raise DomainError(f"tau={tau} does not align with dtau={dtau}")
-        checkpoints[step] = tau
-    recorded = _march(model, tau_final, grid, upper_boundary, set(checkpoints))
-    return {checkpoints[step]: FDSolution(grid, checkpoints[step], profile)
-            for step, profile in recorded.items()}
+    if not all(0.0 < t < math.inf for t in taus):
+        raise DomainError(f"checkpoint maturities must be positive and finite, got {taus}")
+    return _march(model, taus, grid, upper_boundary)
 
 
 def fd_price_at(sol: FDSolution, r: float) -> float:
@@ -238,28 +235,19 @@ def convergence_study(model: ShortRateModel, tau: float, r: float, base: FDGrid,
     """
     if levels < 2:
         raise ValueError(f"need at least 2 levels, got {levels}")
-    values, hs, dts = [], [], []
-    for i in range(levels):
-        grid = FDGrid(base.r_max, base.n_r * 2 ** i, base.n_t * 2 ** i, base.theta)
-        sol = fd_solve(model, tau, grid)
-        values.append(fd_price_at(sol, r))
-        hs.append(grid.h)
-        dts.append(tau / grid.n_t)
+    grids = [FDGrid(base.r_max, base.n_r * 2 ** i, base.n_t * 2 ** i, base.theta)
+             for i in range(levels)]
+    values = [fd_price_at(fd_solve(model, tau, grid), r) for grid in grids]
 
     diffs = tuple(abs(values[i + 1] - values[i]) for i in range(levels - 1))
     orders = tuple(
         math.log2(diffs[i] / diffs[i + 1]) if diffs[i] > 0.0 and diffs[i + 1] > 0.0 else math.nan
         for i in range(levels - 2)
     )
-    p_ref = next((p for p in reversed(orders) if math.isfinite(p) and p > 0.1), None)
-    if p_ref is None:
-        p_ref = 2.0 if base.theta == 0.5 else 1.0
-    if diffs[-1] > 0.0:
-        reference = values[-1] + (values[-1] - values[-2]) / (2.0 ** p_ref - 1.0)
-    else:
-        reference = values[-1]
-    rows = tuple(
-        ConvergenceRow(hs[i], dts[i], values[i], abs(values[i] - reference))
-        for i in range(levels)
-    )
+    p_ref = next((p for p in reversed(orders) if math.isfinite(p) and p > 0.1),
+                 2.0 if base.theta == 0.5 else 1.0)
+    # when the two finest values agree the correction is exactly 0
+    reference = values[-1] + (values[-1] - values[-2]) / (2.0 ** p_ref - 1.0)
+    rows = tuple(ConvergenceRow(grid.h, tau / grid.n_t, value, abs(value - reference))
+                 for grid, value in zip(grids, values))
     return ConvergenceStudy(rows, diffs, orders)

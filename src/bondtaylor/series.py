@@ -27,7 +27,7 @@ approximation made here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import log
+from math import inf, log
 
 from . import genpoly as gp
 from .errors import DomainError, TermLimitError
@@ -110,8 +110,8 @@ def log_coeffs(model: ShortRateModel, order: int) -> TaylorSeries:
 
 def partial_sums(s: TaylorSeries, tau: float, r: float) -> list[float]:
     """Running partial sums sum_{k<=J} c_k(r) tau^k for J = 0..order."""
-    if tau < 0.0:
-        raise DomainError(f"time to maturity must be nonnegative, got {tau}")
+    if not 0.0 <= tau < inf:
+        raise DomainError(f"time to maturity must be nonnegative and finite, got {tau}")
     out = []
     acc = 0.0
     tau_pow = 1.0

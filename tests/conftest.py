@@ -1,8 +1,11 @@
+import functools
+
 import pytest
 
 from bondtaylor import genpoly as gp
 from bondtaylor.model import (CIRParams, DothanParams, make_cir, make_custom,
                               make_dothan)
+from bondtaylor.tables import build_table
 
 # benchmark parameter set used throughout the tests
 ALPHA, BETA, SIGMA = 0.00315, -0.0555, 0.0894
@@ -41,3 +44,10 @@ def random_model_factory():
         vol2 = gp.mul(q, q)
         return make_custom(drift_terms, vol2.terms)
     return make
+
+
+@pytest.fixture(scope="session")
+def built_table():
+    """build_table, building each table once per session; reports are frozen
+    dataclasses of frozen cells, so tests can share them."""
+    return functools.cache(build_table)

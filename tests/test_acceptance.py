@@ -77,8 +77,8 @@ def test_criterion_5_dothan_partial_sum_convergence():
                 "match to 6 decimals", ok, f"counts = {report.counts()}")
 
 
-def test_criterion_6_dothan_grid():
-    report = build_table("dothan-grid")
+def test_criterion_6_dothan_grid(built_table):
+    report = built_table("dothan-grid")
     plain_ok = all(c.status == "PASS" for c in report.cells if not c.flagged)
     # the two misprinted cells carry no reference; the recursion values are
     # frozen here so a regression still trips the check

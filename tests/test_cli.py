@@ -179,6 +179,16 @@ def test_fd_negative_tau_is_domain_error(cfg, capsys):
     assert code == 2 and "error" in err
 
 
+@pytest.mark.parametrize("flags", [["--r", "0.05", "--tau", "inf"],
+                                   ["--r", "0.05", "--tau", "nan"],
+                                   ["--r", "nan", "--tau", "1"]],
+                         ids=["tau-inf", "tau-nan", "r-nan"])
+def test_fd_non_finite_input_is_domain_error(cfg, capsys, flags):
+    # tau=inf used to escape main as an OverflowError from default_grid
+    code, out, err = run(capsys, ["fd", "--model", cfg(CIR_CFG)] + flags)
+    assert code == 2 and out == "" and "must be" in err and "finite" in err
+
+
 def test_fd_refuses_vol2_at_zero_rate(cfg, capsys):
     # the r=0 row assumes vol2(0) = 0; this used to print 0.688825 against
     # the exact Vasicek price 0.689273
@@ -320,6 +330,14 @@ def test_negative_tau_price_is_domain_error(cfg, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("tau", ["inf", "nan"])
+def test_non_finite_tau_price_is_domain_error(cfg, capsys, tau):
+    # these printed "inf  nan" / "nan  nan" with exit 0
+    code, out, err = run(capsys, ["price", "--model", cfg(CIR_CFG), "--r", "0.05",
+                                  "--tau", tau])
+    assert code == 2 and out == "" and "finite" in err
+
+
 def test_yield_tau_zero_is_domain_error(cfg, capsys):
     code, _, _ = run(capsys, ["yield", "--model", cfg(CIR_CFG), "--r", "0.05",
                               "--taus", "0"])
@@ -331,6 +349,13 @@ def test_yield_nonpositive_tau_in_list_exits_2(cfg, capsys, route):
     code, out, err = run(capsys, ["yield", "--model", cfg(CIR_CFG), "--r",
                                   "0.05", "--taus", "1,0"] + route)
     assert code == 2 and out == "" and "tau > 0" in err
+
+
+@pytest.mark.parametrize("route", [[], ["--from-price"]], ids=["log", "from-price"])
+def test_yield_infinite_tau_in_list_exits_2(cfg, capsys, route):
+    code, out, err = run(capsys, ["yield", "--model", cfg(CIR_CFG), "--r",
+                                  "0.05", "--taus", "1,inf"] + route)
+    assert code == 2 and out == "" and "finite" in err
 
 
 def test_exact_cir_negative_sigma_exits_1(capsys):

@@ -9,8 +9,8 @@ from bondtaylor.errors import DomainError
 from bondtaylor.fdsolver import (UPPER_BOUNDARIES, FDGrid, FDSolution,
                                  convergence_study, default_grid, fd_price_at,
                                  fd_solve, fd_solve_path)
-from bondtaylor.model import (CIRParams, DothanParams, make_cir, make_custom,
-                              make_dothan)
+from bondtaylor.model import (CIRParams, DothanParams, make_cir, make_ckls,
+                              make_custom, make_dothan)
 
 
 def test_zero_model_matches_exponential(zero_model):
@@ -100,18 +100,91 @@ def test_upper_boundary_options(cir_model, cir_params):
         fd_solve(cir_model, 1.0, grid, "reflecting")
 
 
-@pytest.mark.parametrize("upper_boundary", UPPER_BOUNDARIES)
-def test_fd_solve_path_matches_single_solves(zero_model, upper_boundary):
+# the zero model has mu = s2 = 0, so only the CKLS model (fractional gamma)
+# puts nonzero entries in the off-diagonal bands
+PATH_MODELS = {"zero": make_custom([], [], name="zero"),
+               "ckls": make_ckls(0.01, -0.2, 0.1, 0.75)}
+
+
+@pytest.mark.parametrize("model_name,upper_boundary",
+                         [pytest.param("zero", ub, id=ub) for ub in UPPER_BOUNDARIES]
+                         + [pytest.param("ckls", ub, id=f"ckls-{ub}")
+                            for ub in UPPER_BOUNDARIES])
+def test_fd_solve_path_matches_single_solves(model_name, upper_boundary):
+    model = PATH_MODELS[model_name]
     grid = FDGrid(r_max=0.5, n_r=10, n_t=40)
-    sols = fd_solve_path(zero_model, [1.0, 2.0, 4.0], grid, upper_boundary)
+    sols = fd_solve_path(model, [1.0, 2.0, 4.0], grid, upper_boundary)
     assert sorted(sols) == [1.0, 2.0, 4.0]
     for tau, sol in sols.items():
         # same dtau=0.1 march, so values agree bit for bit
-        single = fd_solve(zero_model, tau, FDGrid(0.5, 10, int(10 * tau)),
+        single = fd_solve(model, tau, FDGrid(0.5, 10, int(10 * tau)),
                           upper_boundary)
         assert np.array_equal(sol.values, single.values)
         if upper_boundary == "dirichlet0":
             assert sol.values[-1] == 0.0
+    # two maturities on one step both come back, with that step's profile
+    near = fd_solve_path(model, [1.0, 1.0 + 1e-12, 2.0], grid, upper_boundary)
+    assert sorted(near) == [1.0, 1.0 + 1e-12, 2.0]
+    single = fd_solve(model, 1.0, FDGrid(0.5, 10, 20), upper_boundary)
+    assert np.array_equal(near[1.0].values, single.values)
+    assert np.array_equal(near[1.0 + 1e-12].values, single.values)
+    assert near[1.0 + 1e-12].tau_final == 1.0 + 1e-12
+
+
+def _dense_operator(model, grid, upper_boundary):
+    """L written out node by node as a full matrix, from the module docstring."""
+    n = grid.n_r + 1
+    h = grid.h
+    r = [j * h for j in range(n)]
+    mu = [sum(c * x ** p for c, p in model.drift.terms) for x in r]
+    s2 = [sum(c * x ** p for c, p in model.vol2.terms) for x in r]
+    L = np.zeros((n, n))
+    L[0, 0], L[0, 1] = -mu[0] / h, mu[0] / h
+    for j in range(1, n - 1):
+        L[j, j - 1] = s2[j] / (2 * h * h) - mu[j] / (2 * h)
+        L[j, j] = -s2[j] / (h * h) - r[j]
+        L[j, j + 1] = s2[j] / (2 * h * h) + mu[j] / (2 * h)
+    if upper_boundary == "linearity":
+        L[-1, -2], L[-1, -1] = -mu[-1] / h, mu[-1] / h - r[-1]
+    return L
+
+
+@pytest.mark.parametrize("upper_boundary", UPPER_BOUNDARIES)
+@pytest.mark.parametrize("theta", [0.5, 0.7, 1.0])
+def test_march_matches_dense_theta_scheme(upper_boundary, theta):
+    # an independent dense solve catches a band stored in the wrong row or
+    # shifted by one column, which single-vs-path agreement cannot
+    model = PATH_MODELS["ckls"]
+    grid = FDGrid(r_max=0.5, n_r=12, n_t=3, theta=theta)
+    dtau = 0.6 / grid.n_t
+    L = _dense_operator(model, grid, upper_boundary)
+    eye = np.eye(grid.n_r + 1)
+    implicit = eye - theta * dtau * L
+    explicit = eye + (1.0 - theta) * dtau * L
+    if upper_boundary == "dirichlet0":
+        explicit[-1] = 0.0
+    values = np.ones(grid.n_r + 1)
+    for _ in range(grid.n_t):
+        values = np.linalg.solve(implicit, explicit @ values)
+    sol = fd_solve(model, 0.6, grid, upper_boundary)
+    assert np.allclose(sol.values, values, rtol=1e-13, atol=1e-15)
+
+
+@pytest.mark.parametrize("tau", [math.inf, math.nan, -0.5])
+def test_non_finite_maturity_rejected(zero_model, tau):
+    msg = "nonnegative and finite"
+    with pytest.raises(DomainError, match=msg):
+        default_grid(0.05, tau)
+    with pytest.raises(DomainError, match=msg):
+        fd_solve(zero_model, tau, FDGrid(r_max=0.5, n_r=10, n_t=4))
+    with pytest.raises(DomainError, match="positive and finite"):
+        fd_solve_path(zero_model, [1.0, tau], FDGrid(r_max=0.5, n_r=10, n_t=4))
+
+
+@pytest.mark.parametrize("r", [math.inf, -math.inf, math.nan])
+def test_default_grid_rejects_non_finite_rate(r):
+    with pytest.raises(DomainError, match="finite"):
+        default_grid(r, 1.0)
 
 
 def test_fd_solve_path_alignment_guard(zero_model):

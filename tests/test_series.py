@@ -125,6 +125,12 @@ def test_negative_tau_rejected(cir_model):
         eval_partial_sum(price_coeffs(cir_model, 3), -0.5, 0.05)
 
 
+@pytest.mark.parametrize("tau", [math.inf, -math.inf, math.nan])
+def test_non_finite_tau_rejected(cir_model, tau):
+    with pytest.raises(DomainError, match="finite"):
+        partial_sums(price_coeffs(cir_model, 3), tau, 0.05)
+
+
 @pytest.mark.parametrize("order", [-1, 31, 2.5, True])
 def test_order_guard(cir_model, order):
     with pytest.raises(ValueError):

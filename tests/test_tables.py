@@ -37,8 +37,8 @@ def test_unknown_table_id():
     ("dothan-converge", 16, 0),
     ("dothan-grid", 72, 2),
 ])
-def test_reference_tables_reproduce(table_id, n_cells, n_flagged):
-    rep = build_table(table_id)
+def test_reference_tables_reproduce(built_table, table_id, n_cells, n_flagged):
+    rep = built_table(table_id)
     assert rep.table_id == table_id
     assert len(rep.cells) == n_cells
     n_pass, n_flag, n_fail = rep.counts()
@@ -59,8 +59,8 @@ def test_cir_price_flagged_cell_detail():
     assert "0.960691" in cell.note
 
 
-def test_dothan_grid_flagged_cells_detail():
-    rep = build_table("dothan-grid")
+def test_dothan_grid_flagged_cells_detail(built_table):
+    rep = built_table("dothan-grid")
     flagged = {(c.row, c.column): c for c in rep.cells if c.flagged}
     assert set(flagged) == {("sigma2=0.02 tau=5", "taylor_j3"),
                             ("sigma2=0.02 tau=10", "taylor_j3")}
