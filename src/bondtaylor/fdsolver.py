@@ -7,10 +7,12 @@ dtau = tau_final / n_t:
     (I - theta dtau L) P^{n+1} = (I + (1 - theta) dtau L) P^n.
 
 theta = 0.5 is Crank-Nicolson, theta = 1 implicit Euler.  The operator is
-frozen in time and stored once, as one 3 x (n_r + 1) array L in solve_banded
-layout; both step matrices are derived from it, and each step is one banded
-matvec and one tridiagonal solve.  One march serves a single solve and a
-checkpointed path alike, and returns its profiles keyed by maturity.
+frozen in time and stored once, as one 3 x (n_r + 1) banded array L; both step
+matrices are derived from it.  The implicit matrix is constant, so each march
+factors it once with LAPACK dgttrf (LU with partial pivoting), and each step is
+one banded matvec and one dgttrs solve with those factors.  One march serves a
+single solve and a checkpointed path alike, and returns its profiles keyed by
+maturity.
 
 Boundaries:
   * r = 0.  The equation degenerates there for the models of interest
@@ -31,7 +33,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import lapack
 
 from .errors import DomainError
 from .genpoly import GenPoly
@@ -97,7 +99,7 @@ def _eval_profile(poly: GenPoly, r_nodes: np.ndarray) -> np.ndarray:
 
 
 def _operator(model: ShortRateModel, grid: FDGrid, upper_boundary: str) -> np.ndarray:
-    """The spatial operator L in solve_banded layout: row 0 couples node j to
+    """The spatial operator L in LAPACK band layout: row 0 couples node j to
     j+1 (column j+1), row 1 is the diagonal, row 2 couples node j to j-1
     (column j-1)."""
     n = grid.n_r + 1
@@ -155,21 +157,23 @@ def _march(model: ShortRateModel, taus: list[float], grid: FDGrid,
     if upper_boundary == "dirichlet0":
         ex[1, -1] = 0.0  # with the zero row of L, clamps P(r_max) to 0
     ex_sup, ex_dia, ex_sub = ex[0, 1:], ex[1], ex[2, :-1]
+    dl, d, du, du2, ipiv, info = lapack.dgttrf(ab[2, :-1], ab[1], ab[0, 1:])
+    if info > 0:
+        raise DomainError(f"singular tridiagonal matrix: zero pivot at row {info}")
 
     values = np.ones(grid.n_r + 1)
     out: dict[float, FDSolution] = {}
-    for step in range(1, grid.n_t + 1):
-        rhs = ex_dia * values
-        rhs[:-1] += ex_sup * values[1:]
-        rhs[1:] += ex_sub * values[:-1]
-        try:
-            values = solve_banded((1, 1), ab, rhs, check_finite=False)
-        except np.linalg.LinAlgError as exc:
-            raise DomainError(f"tridiagonal solve failed at step {step}: {exc}") from None
-        if not np.isfinite(values).all():
-            raise DomainError(f"non-finite values at step {step} of {grid.n_t}")
-        for tau in wanted.get(step, ()):
-            out[tau] = FDSolution(grid, tau, values)
+    # a march that blows up overflows on the way; the finiteness check names the step
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(1, grid.n_t + 1):
+            rhs = ex_dia * values
+            rhs[:-1] += ex_sup * values[1:]
+            rhs[1:] += ex_sub * values[:-1]
+            values, _ = lapack.dgttrs(dl, d, du, du2, ipiv, rhs)
+            if not np.isfinite(values).all():
+                raise DomainError(f"non-finite values at step {step} of {grid.n_t}")
+            for tau in wanted.get(step, ()):
+                out[tau] = FDSolution(grid, tau, values)
     return out
 
 

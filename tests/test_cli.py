@@ -1,10 +1,12 @@
 import csv
 import io
 import math
+import warnings
 
+import numpy as np
 import pytest
 
-from bondtaylor import tables
+from bondtaylor import fdsolver, tables
 from bondtaylor.cli import main
 
 CIR_CFG = "model = cir\nalpha = 0.00315\nbeta = -0.0555\nsigma = 0.0894\n"
@@ -203,6 +205,26 @@ def test_fd_refuses_negative_vol2_on_grid(cfg, capsys):
                                   "--r", "0.2", "--tau", "1"])
     assert code == 2 and out == ""
     assert "vol2 is negative at r=1.112" in err
+
+
+def test_fd_blow_up_prints_one_error_line(cfg, capsys):
+    # overflow on the way to the non-finite step must not reach the user as
+    # a numpy RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, ["fd", "--model", cfg(ZERO_CFG), "--r", "0.05",
+                                      "--tau", "1e6", "--nt", "100", "--nr", "10",
+                                      "--theta", "0"])
+    assert (code, out, err) == (2, "", "error: non-finite values at step 84 of 100\n")
+
+
+def test_fd_singular_matrix_exits_2(cfg, capsys, monkeypatch):
+    def zero_pivot(dl, d, du):
+        return dl, d, du, du[:-1], np.zeros(len(d), dtype=np.int32), 1
+    monkeypatch.setattr(fdsolver.lapack, "dgttrf", zero_pivot)
+    code, out, err = run(capsys, ["fd", "--model", cfg(CIR_CFG), "--r", "0.05",
+                                  "--tau", "1", "--nr", "10", "--nt", "4"])
+    assert code == 2 and out == "" and "singular tridiagonal matrix" in err
 
 
 @pytest.mark.parametrize("table_id", ["cir-price", "cir-yield", "cir-converge",

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from bondtaylor import fdsolver
 from bondtaylor.closedform import cir_exact_price
@@ -170,6 +171,48 @@ def test_march_matches_dense_theta_scheme(upper_boundary, theta):
     assert np.allclose(sol.values, values, rtol=1e-13, atol=1e-15)
 
 
+def _banded_solve_march(model, taus, grid, upper_boundary):
+    """The march as it was with one scipy solve_banded (LAPACK dgtsv) call per
+    step, which refactors the implicit matrix every time."""
+    dtau = taus[-1] / grid.n_t
+    L = fdsolver._operator(model, grid, upper_boundary)
+    ab = -grid.theta * dtau * L
+    ab[1] += 1.0
+    ex = (1.0 - grid.theta) * dtau * L
+    ex[1] += 1.0
+    if upper_boundary == "dirichlet0":
+        ex[1, -1] = 0.0
+    wanted = {round(tau / dtau): tau for tau in taus}
+    values = np.ones(grid.n_r + 1)
+    out = {}
+    for step in range(1, grid.n_t + 1):
+        rhs = ex[1] * values
+        rhs[:-1] += ex[0, 1:] * values[1:]
+        rhs[1:] += ex[2, :-1] * values[:-1]
+        values = solve_banded((1, 1), ab, rhs, check_finite=False)
+        if step in wanted:
+            out[wanted[step]] = values
+    return out
+
+
+@pytest.mark.parametrize("upper_boundary", UPPER_BOUNDARIES)
+@pytest.mark.parametrize("theta", [0.5, 1.0])
+@pytest.mark.parametrize("model", [make_cir(CIRParams(0.00315, -0.0555, 0.0894)),
+                                   PATH_MODELS["ckls"]], ids=["cir", "ckls"])
+def test_factored_march_is_bit_identical_to_banded_solves(model, theta, upper_boundary):
+    # dgttrf + dgttrs run the same partial-pivot elimination as dgtsv, so
+    # factoring once changes no bit of any profile
+    grid = FDGrid(r_max=0.5, n_r=60, n_t=40, theta=theta)
+    taus = [0.5, 1.25, 2.0]
+    reference = _banded_solve_march(model, taus, grid, upper_boundary)
+    sol = fd_solve(model, 2.0, grid, upper_boundary)
+    assert np.array_equal(sol.values, reference[2.0])
+    path = fd_solve_path(model, taus, grid, upper_boundary)
+    assert sorted(path) == taus
+    for tau in taus:
+        assert np.array_equal(path[tau].values, reference[tau])
+
+
 @pytest.mark.parametrize("tau", [math.inf, math.nan, -0.5])
 def test_non_finite_maturity_rejected(zero_model, tau):
     msg = "nonnegative and finite"
@@ -205,13 +248,18 @@ def test_negative_exponent_model_rejected_on_grid():
         fd_solve(model, 1.0, FDGrid(r_max=0.5, n_r=10, n_t=4))
 
 
-def test_non_finite_march_reports_step(zero_model, monkeypatch):
-    def bad_solve(l_and_u, ab, b, **kwargs):
-        out = np.array(b, dtype=float)
-        out[0] = math.nan
-        return out
-    monkeypatch.setattr(fdsolver, "solve_banded", bad_solve)
-    with pytest.raises(DomainError, match="step 1"):
+def test_non_finite_march_reports_step(zero_model):
+    # the explicit scheme at dtau = 1e4 grows by about 5e3 a step and
+    # overflows part way
+    with pytest.raises(DomainError, match=r"^non-finite values at step 84 of 100$"):
+        fd_solve(zero_model, 1e6, FDGrid(r_max=0.5, n_r=10, n_t=100, theta=0.0))
+
+
+def test_singular_implicit_matrix_is_domain_error(zero_model, monkeypatch):
+    def zero_pivot(dl, d, du):
+        return dl, d, du, du[:-1], np.zeros(len(d), dtype=np.int32), 3
+    monkeypatch.setattr(fdsolver.lapack, "dgttrf", zero_pivot)
+    with pytest.raises(DomainError, match="singular tridiagonal matrix"):
         fd_solve(zero_model, 1.0, FDGrid(r_max=0.5, n_r=10, n_t=4))
 
 
