@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import DomainError
+from .errors import DomainError, check_maturity
 from .model import CIRParams
 
 
@@ -28,12 +28,9 @@ def cir_psi(p: CIRParams) -> float:
 
 def cir_exact_log_price(p: CIRParams, tau: float, r: float) -> float:
     """ln P(tau, r) under the CIR closed form."""
-    if not (math.isfinite(tau) and math.isfinite(r)):
-        raise DomainError(f"tau and r must be finite, got tau={tau!r}, r={r!r}")
-    if tau < 0.0:
-        raise DomainError(f"time to maturity must be nonnegative, got {tau}")
-    if r < 0.0:
-        raise DomainError(f"short rate must be nonnegative, got {r}")
+    check_maturity(tau)
+    if not 0.0 <= r < math.inf:
+        raise DomainError(f"short rate must be nonnegative and finite, got {r}")
     if tau == 0.0:
         return 0.0
 

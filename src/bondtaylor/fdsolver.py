@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lapack
 
-from .errors import DomainError
+from .errors import DomainError, check_maturity
 from .genpoly import GenPoly
 from .model import _VOL2_SLACK, ShortRateModel
 
@@ -71,16 +71,11 @@ class FDSolution:
     values: np.ndarray  # P(tau_final, r_j), j = 0..n_r
 
 
-def _check_maturity(tau_final: float) -> None:
-    if not 0.0 <= tau_final < math.inf:
-        raise DomainError(f"tau_final must be nonnegative and finite, got {tau_final!r}")
-
-
 def default_grid(r_query: float, tau_final: float, theta: float = 0.5) -> FDGrid:
     """Grid sized so desk-scale problems resolve to ~1e-5: r_max covers 10x the
     query rate (at least 0.5), 2000 space cells, 1000 steps per unit maturity
     capped at 20000."""
-    _check_maturity(tau_final)
+    check_maturity(tau_final)
     if not math.isfinite(r_query):
         raise DomainError(f"the query rate must be finite, got {r_query!r}")
     r_max = max(10.0 * r_query, 0.5)
@@ -180,7 +175,7 @@ def _march(model: ShortRateModel, taus: list[float], grid: FDGrid,
 def fd_solve(model: ShortRateModel, tau_final: float, grid: FDGrid,
              upper_boundary: str = "linearity") -> FDSolution:
     """Solve up to tau_final and return the final profile."""
-    _check_maturity(tau_final)
+    check_maturity(tau_final)
     if tau_final == 0.0:
         return FDSolution(grid, 0.0, np.ones(grid.n_r + 1))
     return _march(model, [tau_final], grid, upper_boundary)[tau_final]

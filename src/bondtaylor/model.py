@@ -6,10 +6,11 @@ GenPoly.  Only vol2 is ever kept; no operation needs sigma itself, and storing
 the square keeps constant-elasticity exponents exact (2*gamma instead of a
 rounded sqrt round trip).
 
-Presets:
-    cir     mu = alpha + beta*r      vol2 = sigma^2 * r
-    dothan  mu = mu_d * r            vol2 = sigma^2 * r^2
-    ckls    mu = alpha + beta*r      vol2 = sigma^2 * r^(2*gamma)
+Presets, all CKLS models (Chan, Karolyi, Longstaff & Sanders, J. Finance 47,
+1992) built by one constructor:
+    cir     mu = alpha + beta*r   vol2 = sigma^2 * r            gamma = 1/2
+    dothan  mu = mu_d * r         vol2 = sigma^2 * r^2          alpha = 0, gamma = 1
+    ckls    mu = alpha + beta*r   vol2 = sigma^2 * r^(2*gamma)
 
 Config files are line-based "key = value" with '#' comments, e.g.
 
@@ -80,24 +81,25 @@ def check_vol2_nonnegative(vol2: GenPoly, r_check: float = 1.0) -> None:
             raise DomainError(f"vol2 is negative at r={r:.6g}")
 
 
+def _ckls(name: str, alpha: float, beta: float, s2: float, q: float) -> ShortRateModel:
+    """drift = alpha + beta*r and vol2 = s2 * r^q (q = 2*gamma)."""
+    drift = gp.canonicalize([(alpha, 0.0), (beta, 1.0)])
+    vol2 = gp.canonicalize([(s2, q)])
+    return ShortRateModel(name, drift, vol2)
+
+
 def make_cir(p: CIRParams) -> ShortRateModel:
-    drift = gp.canonicalize([(p.alpha, 0.0), (p.beta, 1.0)])
-    vol2 = gp.canonicalize([(p.sigma * p.sigma, 1.0)])
-    return ShortRateModel("cir", drift, vol2)
+    return _ckls("cir", p.alpha, p.beta, p.sigma * p.sigma, 1.0)
 
 
 def make_dothan(p: DothanParams) -> ShortRateModel:
-    drift = gp.canonicalize([(p.mu, 1.0)])
-    vol2 = gp.canonicalize([(p.sigma * p.sigma, 2.0)])
-    return ShortRateModel("dothan", drift, vol2)
+    return _ckls("dothan", 0.0, p.mu, p.sigma * p.sigma, 2.0)
 
 
 def make_ckls(alpha: float, beta: float, sigma: float, gamma: float) -> ShortRateModel:
     if sigma < 0.0:
         raise ValueError(f"sigma must be nonnegative, got {sigma}")
-    drift = gp.canonicalize([(alpha, 0.0), (beta, 1.0)])
-    vol2 = gp.canonicalize([(sigma * sigma, 2.0 * gamma)])
-    return ShortRateModel("ckls", drift, vol2)
+    return _ckls("ckls", alpha, beta, sigma * sigma, 2.0 * gamma)
 
 
 def make_custom(drift_terms, vol2_terms, name: str = "custom", r_check: float = 1.0) -> ShortRateModel:

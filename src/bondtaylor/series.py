@@ -27,10 +27,10 @@ approximation made here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf, log
+from math import log
 
 from . import genpoly as gp
-from .errors import DomainError, TermLimitError
+from .errors import DomainError, TermLimitError, check_maturity
 from .genpoly import GenPoly
 from .model import ShortRateModel
 
@@ -110,8 +110,7 @@ def log_coeffs(model: ShortRateModel, order: int) -> TaylorSeries:
 
 def partial_sums(s: TaylorSeries, tau: float, r: float) -> list[float]:
     """Running partial sums sum_{k<=J} c_k(r) tau^k for J = 0..order."""
-    if not 0.0 <= tau < inf:
-        raise DomainError(f"time to maturity must be nonnegative and finite, got {tau}")
+    check_maturity(tau)
     out = []
     acc = 0.0
     tau_pow = 1.0
@@ -146,7 +145,7 @@ def yield_curve(model: ShortRateModel, order: int, r: float, taus) -> list[tuple
     out = []
     for tau in taus:
         if tau <= 0.0:
-            raise DomainError(f"yield curve needs tau > 0, got {tau}")
+            raise DomainError(f"yield needs tau > 0, got {tau}")
         f = eval_partial_sum(series, tau, r)
         out.append((tau, -f / tau))
     return out

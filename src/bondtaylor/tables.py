@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 from .closedform import cir_exact_price, cir_exact_yield
 from .errors import ConfigError
@@ -38,14 +39,12 @@ from .fdsolver import default_grid, fd_price_at, fd_solve_path
 from .model import CIRParams, DothanParams, make_cir, make_dothan
 from .series import log_coeffs, partial_sums, price_coeffs
 
-# half an ulp of the last printed decimal, by print format
 _PAD = 1e-12
-TOL_6DP = 5e-7 + _PAD
-TOL_5DP = 5e-6 + _PAD
-TOL_4DP = 5e-5 + _PAD
 
-TABLE_IDS = ("cir-price", "cir-yield", "cir-converge", "dothan-converge",
-             "dothan-grid")
+
+def _tol(decimals: int) -> float:
+    """Half an ulp of the last printed decimal, padded."""
+    return 0.5 * 10.0 ** -decimals + _PAD
 
 
 @dataclass(frozen=True)
@@ -100,6 +99,7 @@ _CIR_PRICE_EXACT = (0.987567, 0.975273, 0.963120, 0.951115, 0.927559,
                     0.904626, 0.882334, 0.860691, 0.819367, 0.780631)
 # tau=3 order-6 reference is the corrected value; the source prints 0.960691,
 # an obvious slip of the leading digit (it would exceed the tau=0.25 price).
+_CIR_PRICE_FLAGS = {(3.0, 6): "printed 0.960691, compared against corrected 0.860691"}
 _CIR_PRICE_TAYLOR = {
     4: (0.987567, 0.975273, 0.963120, 0.951115, 0.927559,
         0.904627, 0.882336, 0.860696, 0.819382, 0.780662),
@@ -155,76 +155,58 @@ _DOTHAN_GRID = {
 _DOTHAN_GRID_FLAGS = {(0.02, 3, 5.0), (0.02, 3, 10.0)}
 
 
-def _build_cir_price() -> TableReport:
-    model = make_cir(_CIR)
-    series = log_coeffs(model, 6)
+def _cir_table(table_id, title, decimals, exact, exact_ref, taylor, taylor_ref,
+               flags) -> TableReport:
+    """Closed form exact(tau) and Taylor columns taylor(f_J, tau) of the
+    order-6 log partial sums f_J, J = 4/5/6, at r = 0.05 on every CIR tau;
+    flags maps (tau, J) to the note of a flagged cell."""
+    series = log_coeffs(make_cir(_CIR), 6)
+    tol = _tol(decimals)
     cells = []
     for i, tau in enumerate(_CIR_TAUS):
         row = f"tau={tau:g}"
-        cells.append(TableCell(row, "exact", cir_exact_price(_CIR, tau, _CIR_R),
-                               _CIR_PRICE_EXACT[i], TOL_6DP))
+        cells.append(TableCell(row, "exact", exact(tau), exact_ref[i], tol))
         sums = partial_sums(series, tau, _CIR_R)
         for order in (4, 5, 6):
-            flagged = tau == 3.0 and order == 6
-            note = ("printed 0.960691, compared against corrected 0.860691"
-                    if flagged else "")
-            cells.append(TableCell(row, f"taylor_j{order}", math.exp(sums[order]),
-                                   _CIR_PRICE_TAYLOR[order][i], TOL_6DP,
-                                   flagged, note))
-    return TableReport("cir-price",
-                       "CIR bond prices, closed form vs exp of log partial "
-                       "sums (r=0.05)", 6, tuple(cells))
+            note = flags.get((tau, order), "")
+            cells.append(TableCell(row, f"taylor_j{order}", taylor(sums[order], tau),
+                                   taylor_ref[order][i], tol, bool(note), note))
+    return TableReport(table_id, title, decimals, tuple(cells))
 
 
-def _build_cir_yield() -> TableReport:
-    model = make_cir(_CIR)
-    series = log_coeffs(model, 6)
-    cells = []
-    for i, tau in enumerate(_CIR_TAUS):
-        row = f"tau={tau:g}"
-        cells.append(TableCell(row, "exact",
-                               100.0 * cir_exact_yield(_CIR, tau, _CIR_R),
-                               _CIR_YIELD_EXACT[i], TOL_5DP))
-        sums = partial_sums(series, tau, _CIR_R)
-        for order in (4, 5, 6):
-            cells.append(TableCell(row, f"taylor_j{order}",
-                                   -100.0 * sums[order] / tau,
-                                   _CIR_YIELD_TAYLOR[order][i], TOL_5DP))
-    return TableReport("cir-yield",
-                       "CIR yields in percent, closed form vs R = -f_J/tau "
-                       "(r=0.05)", 5, tuple(cells))
-
-
-def _converge_cells(model, tau, r, price_ref, log_ref):
+def _converge_table(table_id, title, model, tau, r, price_ref, log_ref) -> TableReport:
     p_sums = partial_sums(price_coeffs(model, 7), tau, r)
     l_sums = partial_sums(log_coeffs(model, 7), tau, r)
+    decimals = 6
+    tol = _tol(decimals)
     cells = []
     for k in range(8):
         row = f"order={k}"
-        cells.append(TableCell(row, "price", p_sums[k], price_ref[k], TOL_6DP))
-        cells.append(TableCell(row, "logprice", l_sums[k], log_ref[k], TOL_6DP))
-    return tuple(cells)
+        cells.append(TableCell(row, "price", p_sums[k], price_ref[k], tol))
+        cells.append(TableCell(row, "logprice", l_sums[k], log_ref[k], tol))
+    return TableReport(table_id, title, decimals, tuple(cells))
 
 
 def _build_cir_converge() -> TableReport:
-    cells = _converge_cells(make_cir(_CIR), 1.0, _CIR_R,
-                            _CIR_CONVERGE_PRICE, _CIR_CONVERGE_LOG)
-    return TableReport("cir-converge",
-                       "CIR partial sums J=0..7, tau=1, r=0.05", 6, cells)
+    return _converge_table("cir-converge", "CIR partial sums J=0..7, tau=1, r=0.05",
+                           make_cir(_CIR), 1.0, _CIR_R,
+                           _CIR_CONVERGE_PRICE, _CIR_CONVERGE_LOG)
 
 
 def _build_dothan_converge() -> TableReport:
-    model = make_dothan(DothanParams(_DOTHAN_MU, math.sqrt(0.02)))
-    cells = _converge_cells(model, 3.0, _DOTHAN_R,
-                            _DOTHAN_CONVERGE_PRICE, _DOTHAN_CONVERGE_LOG)
-    return TableReport("dothan-converge",
-                       "Dothan partial sums J=0..7, tau=3, r=0.035, "
-                       "sigma2=0.02", 6, cells)
+    return _converge_table("dothan-converge",
+                           "Dothan partial sums J=0..7, tau=3, r=0.035, "
+                           "sigma2=0.02",
+                           make_dothan(DothanParams(_DOTHAN_MU, math.sqrt(0.02))),
+                           3.0, _DOTHAN_R,
+                           _DOTHAN_CONVERGE_PRICE, _DOTHAN_CONVERGE_LOG)
 
 
 def _build_dothan_grid() -> TableReport:
     # all checkpoint maturities divide 10, so one march per block suffices
     grid = default_grid(_DOTHAN_R, _DOTHAN_GRID_TAUS[-1])
+    decimals = 4
+    tol = _tol(decimals)
     cells = []
     for sigma2 in (0.01, 0.02, 0.03):
         model = make_dothan(DothanParams(_DOTHAN_MU, math.sqrt(sigma2)))
@@ -238,28 +220,39 @@ def _build_dothan_grid() -> TableReport:
                 if (sigma2, order, tau) in _DOTHAN_GRID_FLAGS:
                     cells.append(TableCell(
                         row, f"taylor_j{order}", 100.0 * sums[order], None,
-                        TOL_4DP, flagged=True,
+                        tol, flagged=True,
                         note=f"printed {printed:.4f} duplicates the "
                              "sigma2=0.03 cell; series value reported"))
                 else:
                     cells.append(TableCell(row, f"taylor_j{order}",
                                            100.0 * sums[order], printed,
-                                           TOL_4DP))
+                                           tol))
             fd_value = 100.0 * fd_price_at(sols[tau], _DOTHAN_R)
             cells.append(TableCell(row, "exact", fd_value,
-                                   _DOTHAN_GRID[sigma2]["exact"][i], TOL_4DP))
+                                   _DOTHAN_GRID[sigma2]["exact"][i], tol))
     return TableReport("dothan-grid",
                        "Dothan bond prices x100, Taylor J=3/5/7 and FD "
-                       "oracle (mu=0.005, r=0.035)", 4, tuple(cells))
+                       "oracle (mu=0.005, r=0.035)", decimals, tuple(cells))
 
 
 _BUILDERS = {
-    "cir-price": _build_cir_price,
-    "cir-yield": _build_cir_yield,
+    "cir-price": partial(_cir_table, "cir-price",
+                         "CIR bond prices, closed form vs exp of log partial "
+                         "sums (r=0.05)", 6,
+                         lambda tau: cir_exact_price(_CIR, tau, _CIR_R), _CIR_PRICE_EXACT,
+                         lambda f, tau: math.exp(f), _CIR_PRICE_TAYLOR,
+                         _CIR_PRICE_FLAGS),
+    "cir-yield": partial(_cir_table, "cir-yield",
+                         "CIR yields in percent, closed form vs R = -f_J/tau "
+                         "(r=0.05)", 5,
+                         lambda tau: 100.0 * cir_exact_yield(_CIR, tau, _CIR_R),
+                         _CIR_YIELD_EXACT,
+                         lambda f, tau: -100.0 * f / tau, _CIR_YIELD_TAYLOR, {}),
     "cir-converge": _build_cir_converge,
     "dothan-converge": _build_dothan_converge,
     "dothan-grid": _build_dothan_grid,
 }
+TABLE_IDS = tuple(_BUILDERS)
 
 
 def build_table(table_id: str) -> TableReport:

@@ -137,6 +137,14 @@ def test_exact_cir_csv_header(capsys):
     assert rows[1] == ["2", "0.05", "0.904626"]
 
 
+def test_exact_cir_nan_tau_names_the_maturity_rule(capsys):
+    code, out, err = run(capsys, ["exact-cir", "--alpha", "0.00315", "--beta",
+                                  "-0.0555", "--sigma", "0.0894", "--r", "0.05",
+                                  "--tau", "nan"])
+    assert (code, out) == (2, "")
+    assert err == "error: time to maturity must be nonnegative and finite, got nan\n"
+
+
 def test_fd_dothan_cell(cfg, capsys):
     code, out, _ = run(capsys, ["fd", "--model", cfg(DOTHAN01_CFG),
                                 "--r", "0.035", "--tau", "10"])

@@ -45,12 +45,12 @@ def test_dothan_params_reject_negative_sigma():
 def test_ckls_reduces_to_presets():
     cir = make_cir(CIRParams(0.00315, -0.0555, 0.0894))
     ckls = make_ckls(0.00315, -0.0555, 0.0894, 0.5)
-    assert gp.approx_equal(ckls.drift, cir.drift, 1e-15)
-    assert gp.approx_equal(ckls.vol2, cir.vol2, 1e-15)
+    assert ckls.drift == cir.drift
+    assert ckls.vol2 == cir.vol2
     dothan = make_dothan(DothanParams(-0.2, 0.3))
     ckls2 = make_ckls(0.0, -0.2, 0.3, 1.0)
-    assert gp.approx_equal(ckls2.drift, dothan.drift, 1e-15)
-    assert gp.approx_equal(ckls2.vol2, dothan.vol2, 1e-15)
+    assert ckls2.drift == dothan.drift
+    assert ckls2.vol2 == dothan.vol2
 
 
 def test_ckls_fractional_elasticity():
