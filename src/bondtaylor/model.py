@@ -171,7 +171,7 @@ def parse_model_text(text: str) -> ShortRateModel:
         if kind == "cir":
             return make_cir(CIRParams(v["alpha"], v["beta"], v["sigma"]))
         if kind == "dothan":
-            return make_dothan(DothanParams(v["mu"], math.sqrt(v["sigma2"])))
+            return _ckls("dothan", 0.0, v["mu"], v["sigma2"], 2.0)
         return make_ckls(v["alpha"], v["beta"], v["sigma"], v["gamma"])
 
     # custom

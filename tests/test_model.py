@@ -37,6 +37,11 @@ def test_make_dothan_examples():
     assert z.drift == GenPoly() and z.vol2 == GenPoly()
 
 
+def test_dothan_config_keeps_sigma2_exact():
+    m = parse_model_text("model = dothan\nmu = 0.005\nsigma2 = 0.01\n")
+    assert m.vol2 == gp.from_text("0.01:2")
+
+
 def test_dothan_params_reject_negative_sigma():
     with pytest.raises(ValueError):
         DothanParams(0.005, -0.1)
