@@ -2,8 +2,8 @@
 
 The CLI maps these onto exit codes: ConfigError -> 1, DomainError -> 2.
 
-A time to maturity tau must be nonnegative and finite; check_maturity is the
-only place that rule is written, and every pricer that takes a tau calls it.
+A time to maturity tau must be nonnegative and finite.  check_maturity is the
+only place that rule is written; series, fdsolver and closedform call it.
 """
 
 from math import inf

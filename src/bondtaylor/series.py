@@ -144,9 +144,9 @@ def yield_curve(model: ShortRateModel, order: int, r: float, taus) -> list[tuple
     series = log_coeffs(model, order)
     out = []
     for tau in taus:
+        f = eval_partial_sum(series, tau, r)  # checks tau first, as the price route does
         if tau <= 0.0:
             raise DomainError(f"yield needs tau > 0, got {tau}")
-        f = eval_partial_sum(series, tau, r)
         out.append((tau, -f / tau))
     return out
 

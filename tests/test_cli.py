@@ -388,6 +388,15 @@ def test_yield_infinite_tau_in_list_exits_2(cfg, capsys, route):
     assert code == 2 and out == "" and "finite" in err
 
 
+@pytest.mark.parametrize("taus", ["1,-1", "1,0", "1,inf", "1,nan"])
+def test_yield_routes_refuse_alike(cfg, capsys, taus):
+    argv = ["yield", "--model", cfg(CIR_CFG), "--r", "0.05", "--taus", taus]
+    log_route = run(capsys, argv)
+    price_route = run(capsys, argv + ["--from-price"])
+    assert log_route == price_route
+    assert log_route[0] == 2
+
+
 def test_exact_cir_negative_sigma_exits_1(capsys):
     code, _, _ = run(capsys, ["exact-cir", "--alpha", "0", "--beta", "0",
                               "--sigma", "-1", "--r", "0.05", "--tau", "1"])
