@@ -5,13 +5,18 @@ generalized polynomials in r, produced by two recursions in `series`.  The
 CIR closed form (`closedform`) and a theta-scheme PDE solver (`fdsolver`)
 serve as independent cross-checks; `tables` rebuilds the embedded benchmark
 tables and `cli` exposes everything on the command line.
+
+Only `fdsolver` needs numpy and scipy, so it is imported on first use: the
+submodule `fdsolver` and its names ConvergenceStudy, FDGrid, FDSolution,
+convergence_study, default_grid, fd_price_at, fd_solve and fd_solve_path
+resolve through the module `__getattr__` (PEP 562).  Series-only work never
+loads numpy or scipy.
 """
+
+import importlib
 
 from .closedform import cir_exact_log_price, cir_exact_price, cir_exact_yield
 from .errors import ConfigError, DomainError, TermLimitError
-from .fdsolver import (ConvergenceStudy, FDGrid, FDSolution,
-                       convergence_study, default_grid, fd_price_at, fd_solve,
-                       fd_solve_path)
 from .genpoly import GenPoly, approx_equal, evaluate, from_text, to_text
 from .model import (CIRParams, DothanParams, ShortRateModel, make_cir,
                     make_ckls, make_custom, make_dothan, parse_model_config,
@@ -37,3 +42,20 @@ __all__ = [
     "partial_sums", "pde_residual_coeffs", "price_coeffs", "to_text",
     "yield_curve", "yield_from_price",
 ]
+
+_FD_NAMES = frozenset({"ConvergenceStudy", "FDGrid", "FDSolution",
+                       "convergence_study", "default_grid", "fd_price_at",
+                       "fd_solve", "fd_solve_path"})
+
+
+def __getattr__(name):
+    if name != "fdsolver" and name not in _FD_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # import_module, not `from . import fdsolver`: the latter asks this
+    # function for the attribute again and recurses
+    fdsolver = importlib.import_module(__name__ + ".fdsolver")
+    return fdsolver if name == "fdsolver" else getattr(fdsolver, name)
+
+
+def __dir__():
+    return sorted(set(globals()) | _FD_NAMES | {"fdsolver"})

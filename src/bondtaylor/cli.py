@@ -35,10 +35,8 @@ from pathlib import Path
 
 from .errors import ConfigError, DomainError
 from .closedform import cir_exact_price
-from .fdsolver import (FDGrid, UPPER_BOUNDARIES, default_grid, fd_price_at,
-                       fd_solve)
 from .genpoly import to_text
-from .model import CIRParams, parse_model_config
+from .model import UPPER_BOUNDARIES, CIRParams, parse_model_config
 from .series import (eval_partial_sum, log_coeffs, partial_sums, price_coeffs,
                      yield_curve, yield_from_price)
 from .tables import TABLE_IDS, build_table
@@ -145,15 +143,14 @@ def cmd_exact_cir(args) -> tuple[str, int]:
     return _render_price(args, cir_exact_price(params, args.tau, args.r)), 0
 
 
-def _fd_grid(args) -> FDGrid:
+def cmd_fd(args) -> tuple[str, int]:
+    # the FD oracle, and with it numpy and scipy, loads only for this command
+    from .fdsolver import default_grid, fd_price_at, fd_solve
+
+    model = parse_model_config(args.model)
     flags = dict(r_max=args.rmax, n_r=args.nr, n_t=args.nt)
     given = {field: v for field, v in flags.items() if v is not None}
-    return replace(default_grid(args.r, args.tau, args.theta), **given)
-
-
-def cmd_fd(args) -> tuple[str, int]:
-    model = parse_model_config(args.model)
-    grid = _fd_grid(args)
+    grid = replace(default_grid(args.r, args.tau, args.theta), **given)
     sol = fd_solve(model, args.tau, grid, args.upper_boundary)
     if args.profile:
         rows = [[repr(j * grid.h), repr(float(v))]

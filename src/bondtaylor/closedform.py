@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import DomainError, check_maturity
+from .errors import DomainError, check_maturity, check_yield_maturity
 from .model import CIRParams
 
 
@@ -64,6 +64,5 @@ def cir_exact_price(p: CIRParams, tau: float, r: float) -> float:
 
 
 def cir_exact_yield(p: CIRParams, tau: float, r: float) -> float:
-    if tau <= 0.0:
-        raise DomainError(f"yield needs tau > 0, got {tau}")
+    check_yield_maturity(tau)
     return -cir_exact_log_price(p, tau, r) / tau

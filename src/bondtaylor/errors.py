@@ -3,7 +3,8 @@
 The CLI maps these onto exit codes: ConfigError -> 1, DomainError -> 2.
 
 A time to maturity tau must be nonnegative and finite.  check_maturity is the
-only place that rule is written; series, fdsolver and closedform call it.
+only place that rule is written; series, fdsolver and closedform call it.  A
+yield -ln(P)/tau needs tau > 0 on top of that: check_yield_maturity.
 """
 
 from math import inf
@@ -26,3 +27,9 @@ def check_maturity(tau: float) -> None:
     """Raise DomainError unless 0 <= tau < inf (NaN fails too)."""
     if not 0.0 <= tau < inf:
         raise DomainError(f"time to maturity must be nonnegative and finite, got {tau}")
+
+
+def check_yield_maturity(tau: float) -> None:
+    """Raise DomainError unless tau > 0; a yield divides by tau."""
+    if tau <= 0.0:
+        raise DomainError(f"yield needs tau > 0, got {tau}")

@@ -37,9 +37,7 @@ from scipy.linalg import lapack
 
 from .errors import DomainError, check_maturity
 from .genpoly import GenPoly
-from .model import _VOL2_SLACK, ShortRateModel
-
-UPPER_BOUNDARIES = ("linearity", "dirichlet0")
+from .model import _VOL2_SLACK, UPPER_BOUNDARIES, ShortRateModel
 
 
 @dataclass(frozen=True)

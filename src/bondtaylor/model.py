@@ -11,6 +11,8 @@ Presets, all CKLS models (Chan, Karolyi, Longstaff & Sanders, J. Finance 47,
     cir     mu = alpha + beta*r   vol2 = sigma^2 * r            gamma = 1/2
     dothan  mu = mu_d * r         vol2 = sigma^2 * r^2          alpha = 0, gamma = 1
     ckls    mu = alpha + beta*r   vol2 = sigma^2 * r^(2*gamma)
+make_dothan_sigma2 builds Dothan from sigma^2 itself, as the config key sigma2
+does and the Dothan tables do.
 
 Config files are line-based "key = value" with '#' comments, e.g.
 
@@ -41,6 +43,14 @@ _VOL2_SAMPLES = 1000
 # slack for float noise when an exactly-nonnegative vol2 is evaluated in
 # expanded form near one of its roots
 _VOL2_SLACK = -1e-12
+# truncation conditions the FD oracle offers at r_max; kept here, away from
+# numpy, so the CLI can list them without loading the solver
+UPPER_BOUNDARIES = ("linearity", "dirichlet0")
+
+
+def _check_nonnegative(name: str, value: float) -> None:
+    if value < 0.0:
+        raise ValueError(f"{name} must be nonnegative, got {value}")
 
 
 @dataclass(frozen=True)
@@ -50,8 +60,7 @@ class CIRParams:
     sigma: float
 
     def __post_init__(self) -> None:
-        if self.sigma < 0.0:
-            raise ValueError(f"sigma must be nonnegative, got {self.sigma}")
+        _check_nonnegative("sigma", self.sigma)
 
 
 @dataclass(frozen=True)
@@ -60,8 +69,7 @@ class DothanParams:
     sigma: float
 
     def __post_init__(self) -> None:
-        if self.sigma < 0.0:
-            raise ValueError(f"sigma must be nonnegative, got {self.sigma}")
+        _check_nonnegative("sigma", self.sigma)
 
 
 @dataclass(frozen=True)
@@ -93,12 +101,18 @@ def make_cir(p: CIRParams) -> ShortRateModel:
 
 
 def make_dothan(p: DothanParams) -> ShortRateModel:
-    return _ckls("dothan", 0.0, p.mu, p.sigma * p.sigma, 2.0)
+    return make_dothan_sigma2(p.mu, p.sigma * p.sigma)
+
+
+def make_dothan_sigma2(mu: float, sigma2: float) -> ShortRateModel:
+    """Dothan from sigma^2 itself, so sigma2 = 0.01 gives vol2 exactly 0.01 r^2
+    (sqrt(0.01)^2 is 0.010000000000000002)."""
+    _check_nonnegative("sigma2", sigma2)
+    return _ckls("dothan", 0.0, mu, sigma2, 2.0)
 
 
 def make_ckls(alpha: float, beta: float, sigma: float, gamma: float) -> ShortRateModel:
-    if sigma < 0.0:
-        raise ValueError(f"sigma must be nonnegative, got {sigma}")
+    _check_nonnegative("sigma", sigma)
     return _ckls("ckls", alpha, beta, sigma * sigma, 2.0 * gamma)
 
 
@@ -171,7 +185,7 @@ def parse_model_text(text: str) -> ShortRateModel:
         if kind == "cir":
             return make_cir(CIRParams(v["alpha"], v["beta"], v["sigma"]))
         if kind == "dothan":
-            return _ckls("dothan", 0.0, v["mu"], v["sigma2"], 2.0)
+            return make_dothan_sigma2(v["mu"], v["sigma2"])
         return make_ckls(v["alpha"], v["beta"], v["sigma"], v["gamma"])
 
     # custom

@@ -30,7 +30,8 @@ from dataclasses import dataclass
 from math import log
 
 from . import genpoly as gp
-from .errors import DomainError, TermLimitError, check_maturity
+from .errors import (DomainError, TermLimitError, check_maturity,
+                     check_yield_maturity)
 from .genpoly import GenPoly
 from .model import ShortRateModel
 
@@ -128,8 +129,7 @@ def eval_partial_sum(s: TaylorSeries, tau: float, r: float) -> float:
 
 def yield_from_price(price: float, tau: float) -> float:
     """Continuously compounded yield R = -ln(price) / tau."""
-    if tau <= 0.0:
-        raise DomainError(f"yield needs tau > 0, got {tau}")
+    check_yield_maturity(tau)
     if price <= 0.0:
         raise DomainError(f"yield needs a positive price, got {price}")
     return -log(price) / tau
@@ -145,8 +145,7 @@ def yield_curve(model: ShortRateModel, order: int, r: float, taus) -> list[tuple
     out = []
     for tau in taus:
         f = eval_partial_sum(series, tau, r)  # checks tau first, as the price route does
-        if tau <= 0.0:
-            raise DomainError(f"yield needs tau > 0, got {tau}")
+        check_yield_maturity(tau)
         out.append((tau, -f / tau))
     return out
 

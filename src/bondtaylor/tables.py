@@ -35,8 +35,7 @@ from functools import partial
 
 from .closedform import cir_exact_price, cir_exact_yield
 from .errors import ConfigError
-from .fdsolver import default_grid, fd_price_at, fd_solve_path
-from .model import CIRParams, DothanParams, make_cir, make_dothan
+from .model import CIRParams, make_cir, make_dothan_sigma2
 from .series import log_coeffs, partial_sums, price_coeffs
 
 _PAD = 1e-12
@@ -197,19 +196,22 @@ def _build_dothan_converge() -> TableReport:
     return _converge_table("dothan-converge",
                            "Dothan partial sums J=0..7, tau=3, r=0.035, "
                            "sigma2=0.02",
-                           make_dothan(DothanParams(_DOTHAN_MU, math.sqrt(0.02))),
+                           make_dothan_sigma2(_DOTHAN_MU, 0.02),
                            3.0, _DOTHAN_R,
                            _DOTHAN_CONVERGE_PRICE, _DOTHAN_CONVERGE_LOG)
 
 
 def _build_dothan_grid() -> TableReport:
+    # the only table that needs the FD oracle, and with it numpy and scipy
+    from .fdsolver import default_grid, fd_price_at, fd_solve_path
+
     # all checkpoint maturities divide 10, so one march per block suffices
     grid = default_grid(_DOTHAN_R, _DOTHAN_GRID_TAUS[-1])
     decimals = 4
     tol = _tol(decimals)
     cells = []
     for sigma2 in (0.01, 0.02, 0.03):
-        model = make_dothan(DothanParams(_DOTHAN_MU, math.sqrt(sigma2)))
+        model = make_dothan_sigma2(_DOTHAN_MU, sigma2)
         series = price_coeffs(model, 7)
         sols = fd_solve_path(model, _DOTHAN_GRID_TAUS, grid)
         for i, tau in enumerate(_DOTHAN_GRID_TAUS):

@@ -2,11 +2,14 @@ import math
 
 import pytest
 
-from bondtaylor.closedform import cir_exact_log_price, cir_exact_price
+from bondtaylor.closedform import (cir_exact_log_price, cir_exact_price,
+                                   cir_exact_yield)
 from bondtaylor.errors import DomainError
 from bondtaylor.fdsolver import FDGrid, default_grid, fd_solve
-from bondtaylor.model import CIRParams, make_cir
-from bondtaylor.series import partial_sums, price_coeffs
+from bondtaylor.model import (CIRParams, DothanParams, make_cir, make_ckls,
+                              make_dothan_sigma2)
+from bondtaylor.series import (partial_sums, price_coeffs, yield_curve,
+                               yield_from_price)
 
 CIR = CIRParams(0.00315, -0.0555, 0.0894)
 GRID = FDGrid(r_max=0.5, n_r=10, n_t=4)
@@ -27,3 +30,37 @@ def test_one_maturity_rule_and_message(name, tau):
     with pytest.raises(DomainError) as exc:
         TAKES_TAU[name](tau)
     assert str(exc.value) == f"time to maturity must be nonnegative and finite, got {tau}"
+
+
+# the entry points that turn a price into a yield, each applied to tau
+TAKES_YIELD_TAU = {
+    "yield_from_price": lambda tau: yield_from_price(0.95, tau),
+    "yield_curve": lambda tau: yield_curve(make_cir(CIR), 3, 0.05, [1.0, tau]),
+    "cir_exact_yield": lambda tau: cir_exact_yield(CIR, tau, 0.05),
+}
+
+
+@pytest.mark.parametrize("tau", [0.0, -0.0])
+@pytest.mark.parametrize("name", sorted(TAKES_YIELD_TAU))
+def test_one_yield_maturity_rule_and_message(name, tau):
+    with pytest.raises(DomainError) as exc:
+        TAKES_YIELD_TAU[name](tau)
+    assert str(exc.value) == f"yield needs tau > 0, got {tau}"
+
+
+# the constructors that take a volatility, each applied to a negative one
+TAKES_SIGMA = {
+    "CIRParams": (lambda s: CIRParams(0.1, 0.0, s), "sigma"),
+    "DothanParams": (lambda s: DothanParams(0.005, s), "sigma"),
+    "make_ckls": (lambda s: make_ckls(0.1, 0.0, s, 0.75), "sigma"),
+    "make_dothan_sigma2": (lambda s: make_dothan_sigma2(0.005, s), "sigma2"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TAKES_SIGMA))
+def test_one_sigma_rule_and_message(name):
+    build, key = TAKES_SIGMA[name]
+    with pytest.raises(ValueError) as exc:
+        build(-0.01)
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == f"{key} must be nonnegative, got -0.01"

@@ -1,7 +1,15 @@
+from pathlib import Path
+
 import pytest
 
+from bondtaylor import fdsolver, tables
 from bondtaylor.errors import ConfigError
+from bondtaylor.fdsolver import FDGrid
+from bondtaylor.model import parse_model_config
+from bondtaylor.series import price_coeffs
 from bondtaylor.tables import TABLE_IDS, TableCell, TableReport, build_table
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_cell_status_logic():
@@ -74,3 +82,24 @@ def test_dothan_grid_flagged_cells_detail(built_table):
 def test_table_ids_exposed():
     assert set(TABLE_IDS) == {"cir-price", "cir-yield", "cir-converge",
                               "dothan-converge", "dothan-grid"}
+
+
+def test_dothan_table_models_match_parsed_configs(monkeypatch):
+    """The Dothan models the tables build are the ones configs/dothan_s2_*.cfg
+    parse to, vol2 bit for bit (sqrt(0.01)^2 would be 0.010000000000000002)."""
+    seen = []
+
+    def spy(model, order):
+        seen.append(model)
+        return price_coeffs(model, order)
+
+    monkeypatch.setattr(tables, "price_coeffs", spy)
+    # only the models matter here, so march a coarse grid (steps at tau = 1..10)
+    monkeypatch.setattr(fdsolver, "default_grid", lambda r, tau: FDGrid(0.5, 10, 10))
+    build_table("dothan-converge")
+    build_table("dothan-grid")
+    parsed = {s2: parse_model_config(ROOT / "configs" / f"dothan_s2_{s2}.cfg")
+              for s2 in ("0.01", "0.02", "0.03")}
+    expected = [parsed[s2] for s2 in ("0.02", "0.01", "0.02", "0.03")]
+    assert [m.vol2 for m in seen] == [m.vol2 for m in expected]
+    assert [m.drift for m in seen] == [m.drift for m in expected]
