@@ -2,16 +2,17 @@
 """Run the benchmark in alternating parent/change pairs and record the medians.
 
     python3 scripts/bench_record.py --parent TREE --change TREE --record N \\
-        --workloads cli,quote --seeds 1-10 [--seconds 10]
+        --workloads cli,quote --seeds 1-10
 
 TREE is the root of a source tree of bondtaylor (a clean checkout: the
 benchmark builds what it runs from the source in it).  For each workload and
 seed the script runs
 
-    python3 perfbench/run.py --workload W --seed S --seconds 10 --trace 0
+    python3 perfbench/run.py --workload W --seed S --seconds T --trace 0
 
-once in each tree, the parent first on odd pairs and the change first on even
-ones, so a slow phase of the host falls on both sides alike.  It writes
+once in each tree, T being run_seconds of BENCHMARK.json: the parent first
+on odd pairs and the change first on even ones, so a slow phase of the host
+falls on both sides alike.  It writes
 BENCH_<N>.json at the root of this repository after every pair: every run's
 metrics and, per workload and end-to-end metric, each side's median and
 quartiles and how many pairs the change won (by the direction BENCHMARK.json
@@ -89,13 +90,11 @@ def main(argv=None) -> int:
     parser.add_argument("--workloads", required=True,
                         help="comma-separated, e.g. cli,quote,deep,oracle")
     parser.add_argument("--seeds", required=True, help="e.g. 1-10 or 1-3,11")
-    parser.add_argument("--seconds", type=int, default=None,
-                        help="run length (default: run_seconds of BENCHMARK.json)")
     args = parser.parse_args(argv)
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
-    seconds = args.seconds or bench["run_seconds"]
+    seconds = bench["run_seconds"]
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     out_path = ROOT / f"BENCH_{args.record}.json"
     record = {"command": f"python3 perfbench/run.py --workload W --seed S "

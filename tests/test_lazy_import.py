@@ -1,6 +1,6 @@
 """The FD oracle, and with it numpy and scipy, is imported on first use only.
 
-Each check runs in a fresh interpreter, since this test session has long
+Each check runs in a fresh interpreter, since the test process has long
 since loaded both.
 """
 
@@ -24,7 +24,6 @@ SERIES_COMMANDS = [
     ["table", "--id", "cir-converge"],
     ["table", "--id", "dothan-converge"],
 ]
-FD_COMMAND = ["fd", "--model", CIR, "--r", "0.05", "--tau", "1", "--nr", "20", "--nt", "10"]
 
 # runs each argv list through main with stdout discarded, then prints the exit
 # codes and which of numpy and scipy are loaded
@@ -41,9 +40,11 @@ print(codes, sorted(m for m in ("numpy", "scipy") if m in sys.modules))
 _API_PROBE = """
 import sys
 import bondtaylor
-assert "bondtaylor.fdsolver" not in sys.modules
+loaded = lambda: [m for m in ("bondtaylor.fdsolver", "numpy", "scipy") if m in sys.modules]
+assert loaded() == [], loaded()
 fdsolver = bondtaylor.fdsolver
 assert fdsolver is sys.modules["bondtaylor.fdsolver"]
+assert loaded() == ["bondtaylor.fdsolver", "numpy", "scipy"], loaded()
 assert bondtaylor.fd_solve is fdsolver.fd_solve
 from bondtaylor import FDGrid
 assert FDGrid is fdsolver.FDGrid
@@ -71,11 +72,6 @@ def _run(code: str) -> str:
 def test_series_commands_load_neither_numpy_nor_scipy():
     out = _run(_CLI_PROBE.format(commands=SERIES_COMMANDS))
     assert out == f"{[0] * len(SERIES_COMMANDS)} []"
-
-
-def test_fd_command_loads_numpy_and_scipy():
-    # the control: the probe does see the solver's imports
-    assert _run(_CLI_PROBE.format(commands=[FD_COMMAND])) == "[0] ['numpy', 'scipy']"
 
 
 def test_fd_names_resolve_on_first_use():
