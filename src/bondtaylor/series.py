@@ -26,7 +26,7 @@ approximation made here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import log
 
 from . import genpoly as gp
@@ -51,6 +51,9 @@ class TaylorSeries:
     order: int
     coeffs: tuple[GenPoly, ...]  # indices 0..order
     model: ShortRateModel
+    # (r, (c_0(r), ..., c_order(r))) for the last rate partial_sums evaluated
+    _at: tuple[float, tuple[float, ...]] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
 
 def _check_order(order: int) -> None:
@@ -110,13 +113,22 @@ def log_coeffs(model: ShortRateModel, order: int) -> TaylorSeries:
 
 
 def partial_sums(s: TaylorSeries, tau: float, r: float) -> list[float]:
-    """Running partial sums sum_{k<=J} c_k(r) tau^k for J = 0..order."""
+    """Running partial sums sum_{k<=J} c_k(r) tau^k for J = 0..order.
+
+    The series keeps c_k(r) for the last r it was evaluated at, so
+    consecutive calls at one r evaluate each coefficient once: evaluate a
+    surface rate-outer, maturity-inner.
+    """
     check_maturity(tau)
+    at = s._at  # one load, so a rate is never paired with another's values
+    if at is None or at[0] != r:  # a NaN r never hits
+        at = (r, tuple(gp.evaluate(c, r) for c in s.coeffs))
+        object.__setattr__(s, "_at", at)  # only after every c_k(r) succeeded
     out = []
     acc = 0.0
     tau_pow = 1.0
-    for c in s.coeffs:
-        acc += gp.evaluate(c, r) * tau_pow
+    for v in at[1]:
+        acc += v * tau_pow
         tau_pow *= tau
         out.append(acc)
     return out
