@@ -16,7 +16,8 @@ falls on both sides alike.  It writes
 BENCH_<N>.json at the root of this repository after every pair: every run's
 metrics and, per workload and end-to-end metric, each side's median and
 quartiles and how many pairs the change won (by the direction BENCHMARK.json
-gives the metric; ties count for neither side).  It reads BENCHMARK.json and
+gives the metric; ties count for neither side), and per workload each side's
+operations attempted and failed and runs not correct.  It reads BENCHMARK.json and
 runs perfbench/run.py as they are; it changes neither.
 """
 
@@ -34,11 +35,19 @@ SIDES = ("parent", "change")
 
 
 def parse_seeds(text: str) -> list[int]:
-    """'1-10' or '1,4,7' or a mix of both: '1-3,9'."""
+    """'1-10' or '1,4,7' or a mix of both: '1-3,9'.  A piece that is empty or
+    not a seed, or a descending range such as '3-1', raises ValueError."""
     seeds = []
     for piece in text.split(","):
-        lo, _, hi = piece.partition("-")
-        seeds += range(int(lo), int(hi or lo) + 1)
+        lo, dash, hi = piece.partition("-")
+        try:
+            first, last = int(lo), int(hi if dash else lo)
+        except ValueError:
+            raise ValueError(f"--seeds {text!r}: {piece!r} is not a seed or a "
+                             f"range of seeds") from None
+        if last < first:
+            raise ValueError(f"--seeds {text!r}: the range {piece!r} descends")
+        seeds += range(first, last + 1)
     return seeds
 
 
@@ -69,9 +78,13 @@ def spread(values: list[float]) -> dict:
 
 
 def summarize(runs: dict, better: dict) -> dict:
-    """Per end-to-end metric: each side's median and quartiles, and the pairs
-    the change won."""
-    out = {}
+    """Per side, under "health": the operations attempted and failed and the
+    runs whose outputs were not all correct.  Per end-to-end metric: each
+    side's median and quartiles, and the pairs the change won."""
+    out = {"health": {side: {"attempted": sum(r["attempted"] for r in rs),
+                             "failed": sum(r["failed"] for r in rs),
+                             "incorrect_runs": sum(not r["correct"] for r in rs)}
+                      for side, rs in runs.items()}}
     for name, direction in better.items():
         sides = {side: [r["metrics"][name] for r in runs[side]] for side in SIDES}
         sign = 1.0 if direction == "higher" else -1.0
@@ -91,6 +104,10 @@ def main(argv=None) -> int:
                         help="comma-separated, e.g. cli,quote,deep,oracle")
     parser.add_argument("--seeds", required=True, help="e.g. 1-10 or 1-3,11")
     args = parser.parse_args(argv)
+    try:
+        seeds = parse_seeds(args.seeds)
+    except ValueError as exc:
+        parser.error(str(exc))  # exits 2
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
@@ -104,7 +121,7 @@ def main(argv=None) -> int:
     for workload in args.workloads.split(","):
         runs = {side: [] for side in SIDES}
         entry = record["workloads"][workload] = {"runs": runs}
-        for k, seed in enumerate(parse_seeds(args.seeds)):
+        for k, seed in enumerate(seeds):
             for side in (SIDES if k % 2 == 0 else SIDES[::-1]):
                 runs[side].append(run_once(trees[side], workload, seed, seconds))
             pair = {side: runs[side][-1]["metrics"] for side in SIDES}

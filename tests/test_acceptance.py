@@ -6,6 +6,7 @@ One test per criterion; each prints a single PASS/FAIL line, so
 
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -13,7 +14,7 @@ from bondtaylor import genpoly as gp
 from bondtaylor.closedform import cir_exact_price
 from bondtaylor.fdsolver import (FDGrid, convergence_study, default_grid,
                                  fd_price_at, fd_solve)
-from bondtaylor.model import CIRParams
+from bondtaylor.model import CIRParams, parse_model_config
 from bondtaylor.series import (eval_partial_sum, exp_compose, log_coeffs,
                                pde_residual_coeffs, price_coeffs)
 from bondtaylor.tables import build_table
@@ -176,3 +177,31 @@ def test_criterion_11_zero_model_exactness(zero_model):
     _verdict(11, "zero model: series coefficients are (-r)^k/k! and fd price "
                  "is e^(-r tau) within 1e-8", ok and fd_err <= 1e-8,
              f"fd error = {fd_err:.3e}")
+
+
+def _vasicek_log_price(a, b, s2, tau, r):
+    """ln P for dr = (a + b r) dt + sqrt(s2) dW, b < 0 (Vasicek, J. Financial
+    Economics 5, 1977): ln P = ln A - B r with B = (1 - e^{-k tau}) / k and
+    ln A = (theta - s2 / (2 k^2)) (B - tau) - s2 B^2 / (4 k), k = -b,
+    theta = a / k."""
+    k = -b
+    theta = a / k
+    big_b = -math.expm1(-k * tau) / k
+    return (theta - s2 / (2 * k * k)) * (big_b - tau) - s2 * big_b * big_b / (4 * k) - big_b * r
+
+
+def test_criterion_12_vasicek_closed_form():
+    cfg = Path(__file__).resolve().parents[1] / "configs" / "vasicek.cfg"
+    model = parse_model_config(cfg)
+    (a, _), (b, _) = model.drift.terms
+    (s2, _), = model.vol2.terms
+    log_s, price_s = log_coeffs(model, 20), price_coeffs(model, 20)
+    log_err = price_err = 0.0
+    for r in (0.005, 0.02, 0.05, 0.1):  # rate-outer, as the series reuses c_k(r)
+        for tau in (0.25, 1.0, 2.0, 3.0, 5.0):
+            want = _vasicek_log_price(a, b, s2, tau, r)
+            log_err = max(log_err, abs(eval_partial_sum(log_s, tau, r) - want))
+            price_err = max(price_err, abs(eval_partial_sum(price_s, tau, r) - math.exp(want)))
+    _verdict(12, "vasicek.cfg: order-20 log and price series match the Vasicek "
+                 "closed form within 1e-12", log_err <= 1e-12 and price_err <= 1e-12,
+             f"log error = {log_err:.2e}, price error = {price_err:.2e}")

@@ -12,6 +12,31 @@ _SPEC.loader.exec_module(bench_record)
 def test_parse_seeds():
     assert bench_record.parse_seeds("1-3,9") == [1, 2, 3, 9]
     assert bench_record.parse_seeds("4") == [4]
+    assert bench_record.parse_seeds("5-5") == [5]
+
+
+@pytest.mark.parametrize("text, message", [
+    ("3-1", "the range '3-1' descends"),
+    ("1,,2", "'' is not a seed"),
+    ("", "'' is not a seed"),
+    ("1-", "'1-' is not a seed"),
+    ("x", "'x' is not a seed"),
+])
+def test_parse_seeds_refuses_with_a_message(text, message):
+    with pytest.raises(ValueError, match=message):
+        bench_record.parse_seeds(text)
+
+
+@pytest.mark.parametrize("seeds", ["3-1", "1,,2", ""])
+def test_main_exits_2_on_bad_seeds_and_writes_nothing(seeds, tmp_path, capsys):
+    record = 10 ** 9  # a record number no real run uses
+    with pytest.raises(SystemExit) as exc:
+        bench_record.main(["--parent", str(tmp_path), "--change", str(tmp_path),
+                           "--record", str(record), "--workloads", "quote",
+                           "--seeds", seeds])
+    assert exc.value.code == 2
+    assert "--seeds" in capsys.readouterr().err
+    assert not (bench_record.ROOT / f"BENCH_{record}.json").exists()
 
 
 def test_spread_is_median_and_quartiles():
@@ -20,8 +45,11 @@ def test_spread_is_median_and_quartiles():
     assert bench_record.spread([7.0]) == {"median": 7.0, "q1": 7.0, "q3": 7.0}
 
 
-def _runs(values):
-    return [{"metrics": {"ops_per_s": v, "p50_ms": 1.0 / v}} for v in values]
+def _runs(values, failed=None, correct=None):
+    n = len(values)
+    return [{"attempted": 10, "failed": f, "correct": c,
+             "metrics": {"ops_per_s": v, "p50_ms": 1.0 / v}}
+            for v, f, c in zip(values, failed or [0] * n, correct or [True] * n)]
 
 
 def test_summarize_counts_wins_by_direction_and_ties_for_neither():
@@ -31,3 +59,12 @@ def test_summarize_counts_wins_by_direction_and_ties_for_neither():
     assert out["p50_ms"]["change_wins"] == 1
     assert out["ops_per_s"]["pairs"] == 3
     assert out["ops_per_s"]["change"]["median"] == pytest.approx(3.0)
+
+
+def test_summarize_records_run_health_per_side():
+    runs = {"parent": _runs([2.0, 2.0, 3.0]),
+            "change": _runs([4.0, 1.0, 3.0], failed=[0, 2, 1], correct=[True, False, True])}
+    out = bench_record.summarize(runs, {"ops_per_s": "higher"})
+    assert out["health"] == {
+        "parent": {"attempted": 30, "failed": 0, "incorrect_runs": 0},
+        "change": {"attempted": 30, "failed": 3, "incorrect_runs": 1}}

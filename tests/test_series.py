@@ -1,11 +1,16 @@
+import dataclasses
 import math
 import random
+import sys
+import threading
+from pathlib import Path
 
 import pytest
 
 from bondtaylor import genpoly as gp
 from bondtaylor.errors import DomainError
 from bondtaylor.genpoly import GenPoly
+from bondtaylor.model import parse_model_config
 from bondtaylor.series import (LOGPRICE, MAX_ORDER, PRICE, eval_partial_sum,
                                exp_compose, log_coeffs, partial_sums,
                                pde_residual_coeffs, price_coeffs, yield_curve,
@@ -256,3 +261,121 @@ def test_fractional_exponent_model_series(cir_model):
     assert 0.9 < val < 1.0
     with pytest.raises(DomainError):
         eval_partial_sum(s, 0.5, 0.0)
+
+
+# --- the per-rate coefficient values partial_sums keeps -------------------
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+R1, R2 = 0.05, 0.031
+CACHE_TAUS = (0.0, 0.25, 1.0, 3.0)
+
+
+def _uncached_sums(s, tau, r):
+    """partial_sums without reuse: every c_k evaluated, same order of sums."""
+    out, acc, tau_pow = [], 0.0, 1.0
+    for c in s.coeffs:
+        acc += gp.evaluate(c, r) * tau_pow
+        tau_pow *= tau
+        out.append(acc)
+    return out
+
+
+@pytest.fixture
+def evaluate_calls(monkeypatch):
+    """Count gp.evaluate calls made from here on."""
+    calls = []
+    real = gp.evaluate
+
+    def counting(a, r):
+        calls.append(r)
+        return real(a, r)
+    monkeypatch.setattr(gp, "evaluate", counting)
+    return calls
+
+
+@pytest.mark.parametrize("build", [price_coeffs, log_coeffs])
+@pytest.mark.parametrize("cfg", ["cir.cfg", "vasicek.cfg", "dothan_s2_0.02.cfg", "ckls.cfg"])
+def test_partial_sums_with_reuse_equal_uncached_loop(cfg, build):
+    s = build(parse_model_config(CONFIGS / cfg), 10)
+    for r in (R1, R1, R2, R1, R2):
+        for tau in CACHE_TAUS:
+            assert partial_sums(s, tau, r) == _uncached_sums(s, tau, r)
+
+
+def test_partial_sums_evaluates_once_per_rate_change(cir_model, evaluate_calls):
+    s = log_coeffs(cir_model, 10)
+    for r in (R1, R1, R2, R1, R2):
+        for tau in CACHE_TAUS:
+            partial_sums(s, tau, r)
+    # four rate changes (r1, r2, r1, r2), eleven coefficients each
+    assert evaluate_calls == [R1] * 11 + [R2] * 11 + [R1] * 11 + [R2] * 11
+
+
+@pytest.mark.parametrize("build", [price_coeffs, log_coeffs])
+def test_domain_error_at_r_zero_is_not_kept(build):
+    s = build(parse_model_config(CONFIGS / "ckls.cfg"), 10)
+    partial_sums(s, 1.0, R1)
+    for _ in range(2):  # a refused rate stays refused
+        with pytest.raises(DomainError, match="cannot evaluate exponent"):
+            partial_sums(s, 1.0, 0.0)
+    assert partial_sums(s, 2.0, R1) == _uncached_sums(s, 2.0, R1)
+    assert partial_sums(s, 2.0, R2) == _uncached_sums(s, 2.0, R2)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_domain_error_at_non_finite_r_is_not_kept(cir_model, bad):
+    s = price_coeffs(cir_model, 10)
+    partial_sums(s, 1.0, R1)
+    for _ in range(2):
+        with pytest.raises(DomainError, match="not finite"):
+            partial_sums(s, 1.0, bad)
+    assert partial_sums(s, 2.0, R2) == _uncached_sums(s, 2.0, R2)
+    assert partial_sums(s, 2.0, R1) == _uncached_sums(s, 2.0, R1)
+
+
+def test_maturity_checked_first_when_rate_is_kept(cir_model):
+    s = price_coeffs(cir_model, 6)
+    partial_sums(s, 1.0, R1)
+    with pytest.raises(DomainError,
+                       match="time to maturity must be nonnegative and finite, got inf"):
+        partial_sums(s, math.inf, R1)
+
+
+def test_evaluated_series_compares_hashes_and_prints_as_fresh(cir_model, evaluate_calls):
+    s = price_coeffs(cir_model, 6)
+    fresh = price_coeffs(cir_model, 6)
+    before = repr(s)
+    partial_sums(s, 1.0, R1)
+    assert s == fresh and hash(s) == hash(fresh)
+    assert repr(s) == before == repr(fresh)
+    copy = dataclasses.replace(s)
+    assert copy == s
+    evaluate_calls.clear()
+    assert partial_sums(copy, 1.0, R1) == partial_sums(s, 1.0, R1)
+    assert len(evaluate_calls) == 7  # the copy evaluated afresh, s reused
+
+
+def test_threads_sharing_a_series_never_mix_rates(cir_model):
+    s = log_coeffs(cir_model, 10)
+    rates = (R1, R2, 0.07)
+    want = {r: _uncached_sums(s, 1.5, r) for r in rates}
+    bad = []
+
+    def work(k):
+        for i in range(8000):
+            r = rates[(i + k) % len(rates)]
+            got = partial_sums(s, 1.5, r)
+            if got != want[r]:
+                bad.append((r, got))
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert bad == []
