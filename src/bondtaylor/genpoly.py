@@ -10,17 +10,21 @@ sigma^2 * r**(2*gamma) for arbitrary gamma, and differentiation only ever
 multiplies a term by its exponent, so nothing pulls exponents back onto the
 integers.
 
-Canonical form: terms sorted by strictly ascending exponent, exponents closer
-than MERGE_TOL treated as equal and merged by summing coefficients, terms with
-coefficient exactly 0.0 dropped.  The zero polynomial is the empty term tuple.
-All operations return canonical polynomials and are deterministic: identical
-inputs give bit-identical term tuples.
+Canonical form: terms sorted by strictly ascending exponent, no two exponents
+within MERGE_TOL, no coefficient exactly 0.0; the zero polynomial is the empty
+term tuple.  Every operation sums the coefficients of each exact exponent in
+input order, then sorts only the distinct exponents, folds each run of them
+within MERGE_TOL of its smallest onto it and drops exact zeros, so identical
+inputs give bit-identical term tuples.  It rejects a non-finite merged term
+(canonicalize also a non-finite input): from finite inputs, an inf or nan
+product or an overflowed sum always leaves one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable
 
 from .errors import DomainError, TermLimitError
@@ -28,8 +32,8 @@ from .errors import DomainError, TermLimitError
 MERGE_TOL = 1e-12
 MAX_TERMS = 100_000
 
-# mul builds the raw pairwise product list before merging; cap the raw size so
-# a runaway product fails fast instead of exhausting memory first.
+# mul forms every pairwise product before merging; cap their number so a
+# runaway product fails before any of that work.
 _MAX_RAW_TERMS = 10 * MAX_TERMS
 
 
@@ -47,32 +51,40 @@ class GenPoly:
         return bool(self.terms)
 
 
+def _merge(terms: Iterable[tuple[float, float]], acc: dict[float, float] | None = None) -> GenPoly:
+    """Add the terms to acc (exact exponent -> coefficient sum), then canonicalize."""
+    acc = {} if acc is None else acc
+    for c, p in terms:
+        acc[p] = acc.get(p, 0.0) + c
+    merged: list[list[float]] = []  # [representative exponent, coefficient sum]
+    for p in sorted(acc):
+        if merged and p - merged[-1][0] < MERGE_TOL:
+            merged[-1][1] += acc[p]
+        else:
+            merged.append([p, acc[p]])
+    for p, c in merged:
+        if not (math.isfinite(c) and math.isfinite(p)):
+            raise DomainError(f"non-finite term (coeff={c!r}, exponent={p!r})")
+    out = tuple((c, p) for p, c in merged if c != 0.0)
+    if len(out) > MAX_TERMS:
+        raise TermLimitError(f"result has {len(out)} terms, over the {MAX_TERMS}-term budget")
+    return GenPoly(out)
+
+
 def canonicalize(raw_terms: Iterable[tuple[float, float]]) -> GenPoly:
     """Sort, merge near-equal exponents, drop exact-zero coefficients.
 
     Exponents within MERGE_TOL of the first exponent of a merge run collapse
     into that run.  Non-finite coefficients or exponents are rejected.
     """
-    keyed: list[tuple[float, float]] = []
+    checked: list[tuple[float, float]] = []
     for coeff, exp in raw_terms:
         c = float(coeff)
         p = float(exp)
         if not (math.isfinite(c) and math.isfinite(p)):
             raise DomainError(f"non-finite term (coeff={coeff!r}, exponent={exp!r})")
-        keyed.append((p, c))
-    keyed.sort(key=lambda t: t[0])
-
-    merged: list[list[float]] = []  # [representative exponent, coefficient sum]
-    for p, c in keyed:
-        if merged and p - merged[-1][0] < MERGE_TOL:
-            merged[-1][1] += c
-        else:
-            merged.append([p, c])
-
-    out = tuple((c, p) for p, c in merged if c != 0.0)
-    if len(out) > MAX_TERMS:
-        raise TermLimitError(f"result has {len(out)} terms, over the {MAX_TERMS}-term budget")
-    return GenPoly(out)
+        checked.append((c, p))
+    return _merge(checked)
 
 
 def const(c: float) -> GenPoly:
@@ -83,8 +95,8 @@ def term(c: float, p: float) -> GenPoly:
     return canonicalize([(c, p)])
 
 
-def add(a: GenPoly, b: GenPoly) -> GenPoly:
-    return canonicalize(a.terms + b.terms)
+def add(*polys: GenPoly) -> GenPoly:
+    return _merge(chain.from_iterable(a.terms for a in polys))
 
 
 def mul(a: GenPoly, b: GenPoly) -> GenPoly:
@@ -93,19 +105,24 @@ def mul(a: GenPoly, b: GenPoly) -> GenPoly:
     n_raw = len(a.terms) * len(b.terms)
     if n_raw > _MAX_RAW_TERMS:
         raise TermLimitError(f"product needs {n_raw} raw terms, over the {MAX_TERMS}-term budget")
-    raw = [(ca * cb, pa + pb) for ca, pa in a.terms for cb, pb in b.terms]
-    return canonicalize(raw)
+    acc: dict[float, float] = {}
+    get = acc.get
+    for ca, pa in a.terms:
+        for cb, pb in b.terms:
+            p = pa + pb
+            acc[p] = get(p, 0.0) + ca * cb
+    return _merge((), acc)
 
 
 def scale(a: GenPoly, s: float) -> GenPoly:
     if s == 0.0:
         return GenPoly()
-    return canonicalize([(c * s, p) for c, p in a.terms])
+    return _merge([(c * s, p) for c, p in a.terms])
 
 
 def derivative(a: GenPoly) -> GenPoly:
     # c * r**p -> c*p * r**(p-1); constant terms get coefficient 0 and drop out
-    return canonicalize([(c * p, p - 1.0) for c, p in a.terms])
+    return _merge([(c * p, p - 1.0) for c, p in a.terms])
 
 
 def evaluate(a: GenPoly, r: float) -> float:

@@ -83,6 +83,12 @@ def check_vol2_nonnegative(vol2: GenPoly, r_check: float = 1.0) -> None:
     """Sample vol2 on (0, r_check] and reject if any value is negative."""
     if r_check <= 0.0:
         raise ValueError(f"r_check must be positive, got {r_check}")
+    if all(c >= 0.0 and p >= 0.0 for c, p in vol2.terms):
+        try:  # nondecreasing on (0, r_check], so all samples pass if the last does
+            gp.evaluate(vol2, r_check * _VOL2_SAMPLES / _VOL2_SAMPLES)
+            return
+        except DomainError:
+            pass  # it overflows: the loop names the first sample that does
     for i in range(1, _VOL2_SAMPLES + 1):
         r = r_check * i / _VOL2_SAMPLES
         if gp.evaluate(vol2, r) < _VOL2_SLACK:

@@ -67,10 +67,8 @@ def _apply_operator(model: ShortRateModel, c: GenPoly) -> GenPoly:
     """The pricing operator mu c' + (1/2) s2 c'' - r c."""
     d1 = gp.derivative(c)
     d2 = gp.derivative(d1)
-    return gp.add(
-        gp.add(gp.mul(model.drift, d1), gp.scale(gp.mul(model.vol2, d2), 0.5)),
-        gp.scale(gp.mul(_R, c), -1.0),
-    )
+    return gp.add(gp.mul(model.drift, d1), gp.scale(gp.mul(model.vol2, d2), 0.5),
+                  gp.scale(gp.mul(_R, c), -1.0))
 
 
 def price_coeffs(model: ShortRateModel, order: int) -> TaylorSeries:
@@ -96,9 +94,8 @@ def log_coeffs(model: ShortRateModel, order: int) -> TaylorSeries:
         coeffs.append(c1)
         derivs.append(gp.derivative(c1))
     for k in range(1, order):
-        conv = GenPoly()
-        for i in range(k + 1):  # full range; the i=0 and i=k ends vanish only when c_0' does
-            conv = gp.add(conv, gp.mul(derivs[i], derivs[k - i]))
+        # full range; the i=0 and i=k ends vanish only when c_0' does
+        conv = gp.add(*(gp.mul(derivs[i], derivs[k - i]) for i in range(k + 1)))
         try:
             raw = gp.add(
                 gp.mul(model.drift, derivs[k]),
@@ -171,9 +168,8 @@ def exp_compose(s: TaylorSeries) -> TaylorSeries:
         raise ValueError(f"exp_compose expects a {LOGPRICE} series, got {s.target!r}")
     b = [gp.const(1.0)]
     for n in range(1, s.order + 1):
-        acc = GenPoly()
-        for k in range(1, n + 1):
-            acc = gp.add(acc, gp.scale(gp.mul(s.coeffs[k], b[n - k]), float(k)))
+        acc = gp.add(*(gp.scale(gp.mul(s.coeffs[k], b[n - k]), float(k))
+                       for k in range(1, n + 1)))
         b.append(gp.scale(acc, 1.0 / n))
     return TaylorSeries(PRICE, s.order, tuple(b), s.model)
 

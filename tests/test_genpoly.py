@@ -1,3 +1,4 @@
+import functools
 import math
 
 import pytest
@@ -74,6 +75,41 @@ def test_mul_raw_pair_budget():
         gp.mul(big, big)
 
 
+def test_mul_raw_pair_budget_checked_before_any_work():
+    class Unread(tuple):  # a term tuple that fails if mul reads a term
+        def __iter__(self):
+            raise AssertionError("mul read the terms before checking the budget")
+    big = GenPoly(Unread((1.0, float(k)) for k in range(1001)))
+    with pytest.raises(TermLimitError, match="1002001 raw terms"):
+        gp.mul(big, big)
+
+
+def test_mul_overflow_rejected():
+    with pytest.raises(DomainError, match="non-finite term"):
+        gp.mul(gp.term(1e200, 0.0), gp.term(1e200, 0.0))
+
+
+@pytest.mark.parametrize("op", [lambda: gp.add(gp.term(1e308, 1.0), gp.term(1e308, 1.0)),
+                                lambda: gp.scale(gp.term(1.0, 2.0), math.inf),
+                                lambda: gp.scale(gp.term(2.0, 2.0), math.nan)])
+def test_non_finite_output_rejected(op):
+    # the inputs are finite; the sum or product is not
+    with pytest.raises(DomainError, match="non-finite term"):
+        op()
+
+
+def test_add_of_nothing_is_zero():
+    assert gp.add() == GenPoly()
+    assert gp.add(GenPoly(), GenPoly()) == GenPoly()
+
+
+def test_add_folds_near_equal_exponents_onto_the_smallest():
+    # distinct exponents within MERGE_TOL, given largest first
+    out = gp.add(gp.term(1.0, 1.0 + 8e-13), gp.term(2.0, 1.0 + 4e-13), gp.term(4.0, 1.0))
+    assert out.terms == ((7.0, 1.0),)
+    assert gp.add(gp.term(1.0, 2.0 + 5e-13), gp.term(1.0, 2.0)).terms == ((2.0, 2.0),)
+
+
 def test_scale_examples():
     p = gp.canonicalize([(1.0, 0.5), (2.0, 2.0)])
     assert gp.scale(p, 1.0) == p
@@ -89,6 +125,16 @@ def test_derivative_examples():
     assert gp.derivative(gp.const(7.0)) == GenPoly()
     half_c2 = gp.canonicalize([(-ALPHA / 2, 0.0), (-BETA / 2, 1.0), (0.5, 2.0)])
     assert gp.derivative(half_c2) == gp.canonicalize([(-BETA / 2, 0.0), (1.0, 1.0)])
+
+
+def test_derivative_sums_exponents_that_round_together():
+    # two exponents 2 ulps apart (over MERGE_TOL) whose p - 1.0 round alike
+    p = -8191.499999999997
+    q = math.nextafter(math.nextafter(p, 0.0), 0.0)
+    assert q - p >= gp.MERGE_TOL and p - 1.0 == q - 1.0
+    a = gp.canonicalize([(1.0, p), (2.0, q)])
+    assert len(a.terms) == 2
+    assert gp.derivative(a).terms == ((p + 2.0 * q, p - 1.0),)
 
 
 def test_evaluate_examples():
@@ -197,3 +243,16 @@ def test_evaluate_is_ring_homomorphism(a, b):
 @given(polys)
 def test_canonicalize_idempotent(a):
     assert gp.canonicalize(a.terms) == a
+
+
+# Integer and half-integer exponents: every merge is of exactly equal
+# exponents, so the n-ary sum must add each exponent's coefficients in the
+# same order as the binary fold, bit for bit.
+half_polys = st.lists(st.tuples(coeffs, st.integers(-8, 16).map(lambda n: n / 2.0)),
+                      max_size=8).map(gp.canonicalize)
+
+
+@given(st.lists(half_polys, max_size=6))
+def test_nary_add_equals_binary_fold(ps):
+    folded = functools.reduce(gp.add, ps, GenPoly())
+    assert repr(gp.add(*ps).terms) == repr(folded.terms)

@@ -82,6 +82,39 @@ def test_make_custom_rejects_negative_vol2():
         make_custom([], [(1.0, 0.0), (-0.5, 1.0)], r_check=3.0)
 
 
+def _custom_text(vol2_terms):
+    return f"model = custom\ndrift_terms = 0.01:0, -0.1:1\nvol2_terms = {vol2_terms}\n"
+
+
+@pytest.mark.parametrize("vol2_terms", ["0.0001:0", "0.00799236:1", "0.01:0, 0.02:0.5, 3:2"])
+def test_nondecreasing_vol2_costs_one_evaluation(monkeypatch, vol2_terms):
+    # no negative coefficient or exponent: vol2 is nonnegative and
+    # nondecreasing on (0, r_check], so the last sample decides
+    rates = []
+    real = gp.evaluate
+
+    def counting(a, r):
+        rates.append(r)
+        return real(a, r)
+    monkeypatch.setattr(gp, "evaluate", counting)
+    parse_model_text(_custom_text(vol2_terms))
+    assert rates == [1.0]
+    make_custom([], gp.from_text(vol2_terms).terms, r_check=0.3)
+    assert rates == [1.0, 0.3]
+
+
+@pytest.mark.parametrize("vol2_terms, message", [
+    ("0.01:1, -0.02:2", "line 3: vol2 is negative at r=0.501"),
+    # nondecreasing, but overflowing: the message names the first sample that overflows
+    ("1e308:0, 1e308:1", "line 3: evaluation overflowed at r=0.798"),
+    ("1e308:0, 1e308:3", "line 3: evaluation overflowed at r=0.928"),
+])
+def test_vol2_rejections_keep_their_messages(vol2_terms, message):
+    with pytest.raises(ConfigError) as info:
+        parse_model_text(_custom_text(vol2_terms))
+    assert str(info.value) == message
+
+
 def test_check_vol2_rejects_bad_interval():
     with pytest.raises(ValueError):
         check_vol2_nonnegative(GenPoly(), r_check=0.0)
