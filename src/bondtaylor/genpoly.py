@@ -100,11 +100,9 @@ def add(*polys: GenPoly) -> GenPoly:
 
 
 def mul(a: GenPoly, b: GenPoly) -> GenPoly:
-    if not a.terms or not b.terms:
-        return GenPoly()
     n_raw = len(a.terms) * len(b.terms)
     if n_raw > _MAX_RAW_TERMS:
-        raise TermLimitError(f"product needs {n_raw} raw terms, over the {MAX_TERMS}-term budget")
+        raise TermLimitError(f"product needs {n_raw} raw terms, over the {_MAX_RAW_TERMS}-term budget")
     acc: dict[float, float] = {}
     get = acc.get
     for ca, pa in a.terms:
@@ -115,8 +113,6 @@ def mul(a: GenPoly, b: GenPoly) -> GenPoly:
 
 
 def scale(a: GenPoly, s: float) -> GenPoly:
-    if s == 0.0:
-        return GenPoly()
     return _merge([(c * s, p) for c, p in a.terms])
 
 

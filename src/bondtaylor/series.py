@@ -42,7 +42,7 @@ LOGPRICE = "logprice"
 # coefficient algebra starts to crawl
 MAX_ORDER = 30
 
-_R = gp.term(1.0, 1.0)  # the polynomial r itself
+_NEG_R = gp.term(-1.0, 1.0)  # the polynomial -r
 
 
 @dataclass(frozen=True)
@@ -67,8 +67,10 @@ def _apply_operator(model: ShortRateModel, c: GenPoly) -> GenPoly:
     """The pricing operator mu c' + (1/2) s2 c'' - r c."""
     d1 = gp.derivative(c)
     d2 = gp.derivative(d1)
-    return gp.add(gp.mul(model.drift, d1), gp.scale(gp.mul(model.vol2, d2), 0.5),
-                  gp.scale(gp.mul(_R, c), -1.0))
+    # halving and negating are exact in binary, so scaling the short factor
+    # gives the bits of scaling the merged product, with one merge less
+    return gp.add(gp.mul(model.drift, d1), gp.mul(gp.scale(model.vol2, 0.5), d2),
+                  gp.mul(_NEG_R, c))
 
 
 def price_coeffs(model: ShortRateModel, order: int) -> TaylorSeries:
@@ -90,17 +92,16 @@ def log_coeffs(model: ShortRateModel, order: int) -> TaylorSeries:
     coeffs = [GenPoly()]
     derivs = [GenPoly()]
     if order >= 1:
-        c1 = gp.term(-1.0, 1.0)
-        coeffs.append(c1)
-        derivs.append(gp.derivative(c1))
+        coeffs.append(_NEG_R)
+        derivs.append(gp.derivative(_NEG_R))
+    half_vol2 = gp.scale(model.vol2, 0.5)  # exact, as in _apply_operator
     for k in range(1, order):
-        # full range; the i=0 and i=k ends vanish only when c_0' does
-        conv = gp.add(*(gp.mul(derivs[i], derivs[k - i]) for i in range(k + 1)))
         try:
-            raw = gp.add(
-                gp.mul(model.drift, derivs[k]),
-                gp.scale(gp.mul(model.vol2, gp.add(conv, gp.derivative(derivs[k]))), 0.5),
-            )
+            # sum_i c_i' c_{k-i}' + c_k'' in one merge; the full range of i,
+            # since the i=0 and i=k ends vanish only when c_0' does
+            inner = gp.add(*(gp.mul(derivs[i], derivs[k - i]) for i in range(k + 1)),
+                           gp.derivative(derivs[k]))
+            raw = gp.add(gp.mul(model.drift, derivs[k]), gp.mul(half_vol2, inner))
         except TermLimitError as exc:
             raise TermLimitError(f"log series order {k + 1}: {exc}") from None
         nxt = gp.scale(raw, 1.0 / (k + 1))

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from bondtaylor import genpoly as gp
-from bondtaylor.errors import DomainError
+from bondtaylor.errors import DomainError, TermLimitError
 from bondtaylor.genpoly import GenPoly
 from bondtaylor.model import parse_model_config
 from bondtaylor.series import (LOGPRICE, MAX_ORDER, PRICE, eval_partial_sum,
@@ -379,3 +379,13 @@ def test_threads_sharing_a_series_never_mix_rates(cir_model):
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
     assert bad == []
+
+
+@pytest.mark.parametrize("build,prefix", [(price_coeffs, "price series order "),
+                                          (log_coeffs, "log series order ")])
+def test_term_limit_names_the_series_order(monkeypatch, build, prefix):
+    # a 40-pair cap trips inside the log convolution, not only in its operator
+    monkeypatch.setattr(gp, "_MAX_RAW_TERMS", 40)
+    with pytest.raises(TermLimitError) as exc:
+        build(parse_model_config(CONFIGS / "ckls.cfg"), 30)
+    assert str(exc.value).startswith(prefix)
