@@ -67,8 +67,8 @@ def _apply_operator(model: ShortRateModel, c: GenPoly) -> GenPoly:
     """The pricing operator mu c' + (1/2) s2 c'' - r c."""
     d1 = gp.derivative(c)
     d2 = gp.derivative(d1)
-    # halving and negating are exact in binary, so scaling the short factor
-    # gives the bits of scaling the merged product, with one merge less
+    # halving and negating are exact in binary (short of underflow), so scaling
+    # the short factor gives the bits of scaling the merged product, one merge less
     return gp.add(gp.mul(model.drift, d1), gp.mul(gp.scale(model.vol2, 0.5), d2),
                   gp.mul(_NEG_R, c))
 
