@@ -2,12 +2,10 @@
 """Rebuild every embedded reference table and print a one-line verdict each.
 
 Exit status is the worst per-table exit code, so a nonzero status means some
-unflagged cell moved outside its print tolerance.
+unflagged cell moved outside its print tolerance.  For the cells of one table,
+run `bondtaylor table --id ID --format csv`.
 """
 
-import sys
-
-from bondtaylor.cli import main as cli_main
 from bondtaylor.tables import TABLE_IDS, build_table
 
 
@@ -24,12 +22,5 @@ def main() -> int:
     return worst
 
 
-def dump(table_id: str) -> int:
-    # full per-cell CSV for one table, same output as the CLI
-    return cli_main(["table", "--id", table_id, "--format", "csv"])
-
-
 if __name__ == "__main__":
-    if len(sys.argv) > 1:
-        raise SystemExit(dump(sys.argv[1]))
     raise SystemExit(main())

@@ -23,8 +23,7 @@ from .model import (CIRParams, DothanParams, ShortRateModel, make_cir,
                     parse_model_text)
 from .series import (LOGPRICE, MAX_ORDER, PRICE, TaylorSeries,
                      eval_partial_sum, exp_compose, log_coeffs, partial_sums,
-                     pde_residual_coeffs, price_coeffs, yield_curve,
-                     yield_from_price)
+                     pde_residual_coeffs, price_coeffs, yield_from_price)
 from .tables import TABLE_IDS, TableCell, TableReport, build_table
 
 __version__ = "0.1.0"
@@ -40,12 +39,11 @@ __all__ = [
     "fd_solve_path", "from_text", "log_coeffs", "make_cir", "make_ckls",
     "make_custom", "make_dothan", "parse_model_config", "parse_model_text",
     "partial_sums", "pde_residual_coeffs", "price_coeffs", "to_text",
-    "yield_curve", "yield_from_price",
+    "yield_from_price",
 ]
 
-_FD_NAMES = frozenset({"ConvergenceStudy", "FDGrid", "FDSolution",
-                       "convergence_study", "default_grid", "fd_price_at",
-                       "fd_solve", "fd_solve_path"})
+# the public names the eager imports above leave undefined: fdsolver's
+_FD_NAMES = frozenset(__all__) - globals().keys()
 
 
 def __getattr__(name):

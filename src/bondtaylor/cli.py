@@ -33,12 +33,12 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, check_yield_maturity
 from .closedform import cir_exact_price
 from .genpoly import to_text
 from .model import UPPER_BOUNDARIES, CIRParams, parse_model_config
 from .series import (eval_partial_sum, log_coeffs, partial_sums, price_coeffs,
-                     yield_curve, yield_from_price)
+                     yield_from_price)
 from .tables import TABLE_IDS, build_table
 
 
@@ -121,13 +121,16 @@ def cmd_price(args) -> tuple[str, int]:
 def cmd_yield(args) -> tuple[str, int]:
     model = parse_model_config(args.model)
     taus = _parse_taus(args.taus)
-    if args.from_price:
-        series = price_coeffs(model, args.order)
-        pcts = [100.0 * yield_from_price(eval_partial_sum(series, tau, args.r), tau)
-                for tau in taus]
-    else:
-        pcts = [100.0 * y for _, y in yield_curve(model, args.order, args.r, taus)]
-    rows = [[f"{tau:g}", f"{pct:.5f}"] for tau, pct in zip(taus, pcts)]
+    series = (price_coeffs if args.from_price else log_coeffs)(model, args.order)
+    rows = []
+    for tau in taus:  # each sum checks tau >= 0 before its yield checks tau > 0
+        value = eval_partial_sum(series, tau, args.r)
+        if args.from_price:
+            y = yield_from_price(value, tau)
+        else:  # R = -f_J / tau skips the exp/log round trip
+            check_yield_maturity(tau)
+            y = -value / tau
+        rows.append([f"{tau:g}", f"{100.0 * y:.5f}"])
     return _render(["tau", "yield_pct"], rows, args.format), 0
 
 
@@ -150,7 +153,7 @@ def cmd_fd(args) -> tuple[str, int]:
     model = parse_model_config(args.model)
     flags = dict(r_max=args.rmax, n_r=args.nr, n_t=args.nt)
     given = {field: v for field, v in flags.items() if v is not None}
-    grid = replace(default_grid(args.r, args.tau, args.theta), **given)
+    grid = replace(default_grid(args.r, args.tau), theta=args.theta, **given)
     sol = fd_solve(model, args.tau, grid, args.upper_boundary)
     if args.profile:
         rows = [[repr(j * grid.h), repr(float(v))]

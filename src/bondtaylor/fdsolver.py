@@ -69,7 +69,7 @@ class FDSolution:
     values: np.ndarray  # P(tau_final, r_j), j = 0..n_r
 
 
-def default_grid(r_query: float, tau_final: float, theta: float = 0.5) -> FDGrid:
+def default_grid(r_query: float, tau_final: float) -> FDGrid:
     """Grid sized so desk-scale problems resolve to ~1e-5: r_max covers 10x the
     query rate (at least 0.5), 2000 space cells, 1000 steps per unit maturity
     capped at 20000."""
@@ -78,7 +78,7 @@ def default_grid(r_query: float, tau_final: float, theta: float = 0.5) -> FDGrid
         raise DomainError(f"the query rate must be finite, got {r_query!r}")
     r_max = max(10.0 * r_query, 0.5)
     n_t = max(1, min(int(round(1000.0 * tau_final)), 20000))
-    return FDGrid(r_max=r_max, n_r=2000, n_t=n_t, theta=theta)
+    return FDGrid(r_max=r_max, n_r=2000, n_t=n_t)
 
 
 def _eval_profile(poly: GenPoly, r_nodes: np.ndarray) -> np.ndarray:
@@ -218,8 +218,7 @@ class ConvergenceRow:
 @dataclass(frozen=True)
 class ConvergenceStudy:
     rows: tuple[ConvergenceRow, ...]
-    diffs: tuple[float, ...]   # |u_{k+1} - u_k|
-    orders: tuple[float, ...]  # log2(d_k / d_{k+1})
+    orders: tuple[float, ...]  # log2(d_k / d_{k+1}), d_k = |u_{k+1} - u_k|
 
 
 def convergence_study(model: ShortRateModel, tau: float, r: float, base: FDGrid,
@@ -247,4 +246,4 @@ def convergence_study(model: ShortRateModel, tau: float, r: float, base: FDGrid,
     reference = values[-1] + (values[-1] - values[-2]) / (2.0 ** p_ref - 1.0)
     rows = tuple(ConvergenceRow(grid.h, tau / grid.n_t, value, abs(value - reference))
                  for grid, value in zip(grids, values))
-    return ConvergenceStudy(rows, diffs, orders)
+    return ConvergenceStudy(rows, orders)

@@ -14,6 +14,10 @@ Presets, all CKLS models (Chan, Karolyi, Longstaff & Sanders, J. Finance 47,
 make_dothan_sigma2 builds Dothan from sigma^2 itself, as the config key sigma2
 does and the Dothan tables do.
 
+vol2 must be nonnegative wherever the model is used.  check_vol2_nonnegative
+samples (0, r_check] when a custom model is built, and check_vol2_at is the
+rule at one rate: the series apply it to every rate they are evaluated at.
+
 Config files are line-based "key = value" with '#' comments, e.g.
 
     model = cir
@@ -74,9 +78,14 @@ class DothanParams:
 
 @dataclass(frozen=True)
 class ShortRateModel:
-    name: str
     drift: GenPoly
     vol2: GenPoly
+
+
+def check_vol2_at(vol2: GenPoly, r: float) -> None:
+    """Reject the rate r if vol2(r) is negative (beyond float noise)."""
+    if gp.evaluate(vol2, r) < _VOL2_SLACK:
+        raise DomainError(f"vol2 is negative at r={r:.6g}")
 
 
 def check_vol2_nonnegative(vol2: GenPoly, r_check: float = 1.0) -> None:
@@ -90,20 +99,18 @@ def check_vol2_nonnegative(vol2: GenPoly, r_check: float = 1.0) -> None:
         except DomainError:
             pass  # it overflows: the loop names the first sample that does
     for i in range(1, _VOL2_SAMPLES + 1):
-        r = r_check * i / _VOL2_SAMPLES
-        if gp.evaluate(vol2, r) < _VOL2_SLACK:
-            raise DomainError(f"vol2 is negative at r={r:.6g}")
+        check_vol2_at(vol2, r_check * i / _VOL2_SAMPLES)
 
 
-def _ckls(name: str, alpha: float, beta: float, s2: float, q: float) -> ShortRateModel:
+def _ckls(alpha: float, beta: float, s2: float, q: float) -> ShortRateModel:
     """drift = alpha + beta*r and vol2 = s2 * r^q (q = 2*gamma)."""
     drift = gp.canonicalize([(alpha, 0.0), (beta, 1.0)])
     vol2 = gp.canonicalize([(s2, q)])
-    return ShortRateModel(name, drift, vol2)
+    return ShortRateModel(drift, vol2)
 
 
 def make_cir(p: CIRParams) -> ShortRateModel:
-    return _ckls("cir", p.alpha, p.beta, p.sigma * p.sigma, 1.0)
+    return _ckls(p.alpha, p.beta, p.sigma * p.sigma, 1.0)
 
 
 def make_dothan(p: DothanParams) -> ShortRateModel:
@@ -114,15 +121,15 @@ def make_dothan_sigma2(mu: float, sigma2: float) -> ShortRateModel:
     """Dothan from sigma^2 itself, so sigma2 = 0.01 gives vol2 exactly 0.01 r^2
     (sqrt(0.01)^2 is 0.010000000000000002)."""
     _check_nonnegative("sigma2", sigma2)
-    return _ckls("dothan", 0.0, mu, sigma2, 2.0)
+    return _ckls(0.0, mu, sigma2, 2.0)
 
 
 def make_ckls(alpha: float, beta: float, sigma: float, gamma: float) -> ShortRateModel:
     _check_nonnegative("sigma", sigma)
-    return _ckls("ckls", alpha, beta, sigma * sigma, 2.0 * gamma)
+    return _ckls(alpha, beta, sigma * sigma, 2.0 * gamma)
 
 
-def make_custom(drift_terms, vol2_terms, name: str = "custom", r_check: float = 1.0) -> ShortRateModel:
+def make_custom(drift_terms, vol2_terms, r_check: float = 1.0) -> ShortRateModel:
     """Build a model from raw (coeff, exponent) term lists.
 
     vol2 must be nonnegative on (0, r_check]; this is enforced by sampling.
@@ -130,7 +137,7 @@ def make_custom(drift_terms, vol2_terms, name: str = "custom", r_check: float = 
     drift = gp.canonicalize(list(drift_terms))
     vol2 = gp.canonicalize(list(vol2_terms))
     check_vol2_nonnegative(vol2, r_check)
-    return ShortRateModel(name, drift, vol2)
+    return ShortRateModel(drift, vol2)
 
 
 _REQUIRED_KEYS = {
@@ -208,7 +215,7 @@ def parse_model_text(text: str) -> ShortRateModel:
         check_vol2_nonnegative(vol2)
     except DomainError as exc:
         raise ConfigError(f"line {entries['vol2_terms'][1]}: {exc}") from None
-    return ShortRateModel("custom", drift, vol2)
+    return ShortRateModel(drift, vol2)
 
 
 def parse_model_config(path) -> ShortRateModel:

@@ -33,7 +33,7 @@ from . import genpoly as gp
 from .errors import (DomainError, TermLimitError, check_maturity,
                      check_yield_maturity)
 from .genpoly import GenPoly
-from .model import ShortRateModel
+from .model import ShortRateModel, check_vol2_at
 
 PRICE = "price"
 LOGPRICE = "logprice"
@@ -48,12 +48,15 @@ _NEG_R = gp.term(-1.0, 1.0)  # the polynomial -r
 @dataclass(frozen=True)
 class TaylorSeries:
     target: str  # PRICE or LOGPRICE
-    order: int
     coeffs: tuple[GenPoly, ...]  # indices 0..order
     model: ShortRateModel
     # (r, (c_0(r), ..., c_order(r))) for the last rate partial_sums evaluated
     _at: tuple[float, tuple[float, ...]] | None = field(
         default=None, init=False, repr=False, compare=False)
+
+    @property
+    def order(self) -> int:
+        return len(self.coeffs) - 1
 
 
 def _check_order(order: int) -> None:
@@ -63,27 +66,28 @@ def _check_order(order: int) -> None:
         raise ValueError(f"order must be in [0, {MAX_ORDER}], got {order}")
 
 
-def _apply_operator(model: ShortRateModel, c: GenPoly) -> GenPoly:
-    """The pricing operator mu c' + (1/2) s2 c'' - r c."""
+def _apply_operator(drift: GenPoly, half_vol2: GenPoly, c: GenPoly) -> GenPoly:
+    """The pricing operator mu c' + (1/2) s2 c'' - r c, given mu and s2/2."""
+    # halving and negating are exact in binary (short of underflow), so scaling
+    # the short factor once per series gives the bits of scaling each merged
+    # product, one merge less
     d1 = gp.derivative(c)
     d2 = gp.derivative(d1)
-    # halving and negating are exact in binary (short of underflow), so scaling
-    # the short factor gives the bits of scaling the merged product, one merge less
-    return gp.add(gp.mul(model.drift, d1), gp.mul(gp.scale(model.vol2, 0.5), d2),
-                  gp.mul(_NEG_R, c))
+    return gp.add(gp.mul(drift, d1), gp.mul(half_vol2, d2), gp.mul(_NEG_R, c))
 
 
 def price_coeffs(model: ShortRateModel, order: int) -> TaylorSeries:
     """Coefficients c_0..c_order of the bond-price series."""
     _check_order(order)
+    half_vol2 = gp.scale(model.vol2, 0.5)
     coeffs = [gp.const(1.0)]
     for k in range(order):
         try:
-            raw = _apply_operator(model, coeffs[k])
+            raw = _apply_operator(model.drift, half_vol2, coeffs[k])
         except TermLimitError as exc:
             raise TermLimitError(f"price series order {k + 1}: {exc}") from None
         coeffs.append(gp.scale(raw, 1.0 / (k + 1)))
-    return TaylorSeries(PRICE, order, tuple(coeffs), model)
+    return TaylorSeries(PRICE, tuple(coeffs), model)
 
 
 def log_coeffs(model: ShortRateModel, order: int) -> TaylorSeries:
@@ -107,21 +111,23 @@ def log_coeffs(model: ShortRateModel, order: int) -> TaylorSeries:
         nxt = gp.scale(raw, 1.0 / (k + 1))
         coeffs.append(nxt)
         derivs.append(gp.derivative(nxt))
-    return TaylorSeries(LOGPRICE, order, tuple(coeffs), model)
+    return TaylorSeries(LOGPRICE, tuple(coeffs), model)
 
 
 def partial_sums(s: TaylorSeries, tau: float, r: float) -> list[float]:
     """Running partial sums sum_{k<=J} c_k(r) tau^k for J = 0..order.
 
-    The series keeps c_k(r) for the last r it was evaluated at, so
-    consecutive calls at one r evaluate each coefficient once: evaluate a
-    surface rate-outer, maturity-inner.
+    A rate where the model's vol2 is negative is refused.  The series keeps
+    c_k(r) for the last r it was evaluated at, so consecutive calls at one r
+    evaluate each coefficient once: evaluate a surface rate-outer,
+    maturity-inner.
     """
     check_maturity(tau)
     at = s._at  # one load, so a rate is never paired with another's values
     if at is None or at[0] != r:  # a NaN r never hits
         at = (r, tuple(gp.evaluate(c, r) for c in s.coeffs))
-        object.__setattr__(s, "_at", at)  # only after every c_k(r) succeeded
+        check_vol2_at(s.model.vol2, r)  # after c_k(r), whose messages come first
+        object.__setattr__(s, "_at", at)  # only after the rate passed every check
     out = []
     acc = 0.0
     tau_pow = 1.0
@@ -145,21 +151,6 @@ def yield_from_price(price: float, tau: float) -> float:
     return -log(price) / tau
 
 
-def yield_curve(model: ShortRateModel, order: int, r: float, taus) -> list[tuple[float, float]]:
-    """Yields from the log-price series: R(tau) = -f_J(tau, r) / tau.
-
-    Working on the log series skips the exp/log round trip; `bondtaylor yield
-    --from-price` exposes the alternative route through the price series.
-    """
-    series = log_coeffs(model, order)
-    out = []
-    for tau in taus:
-        f = eval_partial_sum(series, tau, r)  # checks tau first, as the price route does
-        check_yield_maturity(tau)
-        out.append((tau, -f / tau))
-    return out
-
-
 def exp_compose(s: TaylorSeries) -> TaylorSeries:
     """Exponentiate a log-price series termwise: b = exp(c) as formal series.
 
@@ -172,7 +163,7 @@ def exp_compose(s: TaylorSeries) -> TaylorSeries:
         acc = gp.add(*(gp.scale(gp.mul(s.coeffs[k], b[n - k]), float(k))
                        for k in range(1, n + 1)))
         b.append(gp.scale(acc, 1.0 / n))
-    return TaylorSeries(PRICE, s.order, tuple(b), s.model)
+    return TaylorSeries(PRICE, tuple(b), s.model)
 
 
 def pde_residual_coeffs(s: TaylorSeries) -> list[GenPoly]:
@@ -186,9 +177,10 @@ def pde_residual_coeffs(s: TaylorSeries) -> list[GenPoly]:
     """
     if s.target != PRICE:
         raise ValueError(f"pde_residual_coeffs expects a {PRICE} series, got {s.target!r}")
+    half_vol2 = gp.scale(s.model.vol2, 0.5)
     res = []
     for k in range(s.order + 1):
-        coeff = _apply_operator(s.model, s.coeffs[k])
+        coeff = _apply_operator(s.model.drift, half_vol2, s.coeffs[k])
         if k < s.order:
             coeff = gp.add(coeff, gp.scale(s.coeffs[k + 1], -(k + 1.0)))
         res.append(coeff)

@@ -12,8 +12,9 @@ Five reference tables ship with the package and are rebuilt on demand by
 The reference constants are embedded read-only; every computed cell is
 compared against its reference at half an ulp of the last printed decimal
 (padded by 1e-12 so a value sitting exactly on a rounding boundary cannot
-flip the verdict).  Two cells carry suspected misprints and are FLAGGED:
-they are reported, never failed.
+flip the verdict).  Three cells carry suspected misprints and are FLAGGED:
+each is reported with a note that says why, and never failed.  A cell is
+flagged exactly when it has a note.
 
 Column routes worth knowing before reading the builders:
 
@@ -53,8 +54,11 @@ class TableCell:
     computed: float
     reference: float | None
     tolerance: float
-    flagged: bool = False
-    note: str = ""
+    note: str = ""  # why the cell is flagged; empty on every other cell
+
+    @property
+    def flagged(self) -> bool:
+        return bool(self.note)
 
     @property
     def deviation(self) -> float | None:
@@ -75,7 +79,6 @@ class TableCell:
 @dataclass(frozen=True)
 class TableReport:
     table_id: str
-    title: str
     decimals: int
     cells: tuple[TableCell, ...] = field(default=())
 
@@ -154,7 +157,7 @@ _DOTHAN_GRID = {
 _DOTHAN_GRID_FLAGS = {(0.02, 3, 5.0), (0.02, 3, 10.0)}
 
 
-def _cir_table(table_id, title, decimals, exact, exact_ref, taylor, taylor_ref,
+def _cir_table(table_id, decimals, exact, exact_ref, taylor, taylor_ref,
                flags) -> TableReport:
     """Closed form exact(tau) and Taylor columns taylor(f_J, tau) of the
     order-6 log partial sums f_J, J = 4/5/6, at r = 0.05 on every CIR tau;
@@ -169,11 +172,11 @@ def _cir_table(table_id, title, decimals, exact, exact_ref, taylor, taylor_ref,
         for order in (4, 5, 6):
             note = flags.get((tau, order), "")
             cells.append(TableCell(row, f"taylor_j{order}", taylor(sums[order], tau),
-                                   taylor_ref[order][i], tol, bool(note), note))
-    return TableReport(table_id, title, decimals, tuple(cells))
+                                   taylor_ref[order][i], tol, note))
+    return TableReport(table_id, decimals, tuple(cells))
 
 
-def _converge_table(table_id, title, model, tau, r, price_ref, log_ref) -> TableReport:
+def _converge_table(table_id, model, tau, r, price_ref, log_ref) -> TableReport:
     p_sums = partial_sums(price_coeffs(model, 7), tau, r)
     l_sums = partial_sums(log_coeffs(model, 7), tau, r)
     decimals = 6
@@ -183,20 +186,16 @@ def _converge_table(table_id, title, model, tau, r, price_ref, log_ref) -> Table
         row = f"order={k}"
         cells.append(TableCell(row, "price", p_sums[k], price_ref[k], tol))
         cells.append(TableCell(row, "logprice", l_sums[k], log_ref[k], tol))
-    return TableReport(table_id, title, decimals, tuple(cells))
+    return TableReport(table_id, decimals, tuple(cells))
 
 
 def _build_cir_converge() -> TableReport:
-    return _converge_table("cir-converge", "CIR partial sums J=0..7, tau=1, r=0.05",
-                           make_cir(_CIR), 1.0, _CIR_R,
+    return _converge_table("cir-converge", make_cir(_CIR), 1.0, _CIR_R,
                            _CIR_CONVERGE_PRICE, _CIR_CONVERGE_LOG)
 
 
 def _build_dothan_converge() -> TableReport:
-    return _converge_table("dothan-converge",
-                           "Dothan partial sums J=0..7, tau=3, r=0.035, "
-                           "sigma2=0.02",
-                           make_dothan_sigma2(_DOTHAN_MU, 0.02),
+    return _converge_table("dothan-converge", make_dothan_sigma2(_DOTHAN_MU, 0.02),
                            3.0, _DOTHAN_R,
                            _DOTHAN_CONVERGE_PRICE, _DOTHAN_CONVERGE_LOG)
 
@@ -221,8 +220,7 @@ def _build_dothan_grid() -> TableReport:
                 printed = _DOTHAN_GRID[sigma2][order][i]
                 if (sigma2, order, tau) in _DOTHAN_GRID_FLAGS:
                     cells.append(TableCell(
-                        row, f"taylor_j{order}", 100.0 * sums[order], None,
-                        tol, flagged=True,
+                        row, f"taylor_j{order}", 100.0 * sums[order], None, tol,
                         note=f"printed {printed:.4f} duplicates the "
                              "sigma2=0.03 cell; series value reported"))
                 else:
@@ -232,21 +230,15 @@ def _build_dothan_grid() -> TableReport:
             fd_value = 100.0 * fd_price_at(sols[tau], _DOTHAN_R)
             cells.append(TableCell(row, "exact", fd_value,
                                    _DOTHAN_GRID[sigma2]["exact"][i], tol))
-    return TableReport("dothan-grid",
-                       "Dothan bond prices x100, Taylor J=3/5/7 and FD "
-                       "oracle (mu=0.005, r=0.035)", decimals, tuple(cells))
+    return TableReport("dothan-grid", decimals, tuple(cells))
 
 
 _BUILDERS = {
-    "cir-price": partial(_cir_table, "cir-price",
-                         "CIR bond prices, closed form vs exp of log partial "
-                         "sums (r=0.05)", 6,
+    "cir-price": partial(_cir_table, "cir-price", 6,
                          lambda tau: cir_exact_price(_CIR, tau, _CIR_R), _CIR_PRICE_EXACT,
                          lambda f, tau: math.exp(f), _CIR_PRICE_TAYLOR,
                          _CIR_PRICE_FLAGS),
-    "cir-yield": partial(_cir_table, "cir-yield",
-                         "CIR yields in percent, closed form vs R = -f_J/tau "
-                         "(r=0.05)", 5,
+    "cir-yield": partial(_cir_table, "cir-yield", 5,
                          lambda tau: 100.0 * cir_exact_yield(_CIR, tau, _CIR_R),
                          _CIR_YIELD_EXACT,
                          lambda f, tau: -100.0 * f / tau, _CIR_YIELD_TAYLOR, {}),

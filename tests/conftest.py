@@ -28,7 +28,7 @@ def dothan02_model():
 
 @pytest.fixture
 def zero_model():
-    return make_custom([], [], name="zero")
+    return make_custom([], [])
 
 
 @pytest.fixture

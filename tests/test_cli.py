@@ -6,8 +6,10 @@ import warnings
 import numpy as np
 import pytest
 
-from bondtaylor import fdsolver, tables
+from bondtaylor import cli, fdsolver, tables
 from bondtaylor.cli import main
+from bondtaylor.model import parse_model_text
+from bondtaylor.series import eval_partial_sum, log_coeffs
 
 CIR_CFG = "model = cir\nalpha = 0.00315\nbeta = -0.0555\nsigma = 0.0894\n"
 DOTHAN01_CFG = "model = dothan\nmu = 0.005\nsigma2 = 0.01\n"
@@ -244,7 +246,8 @@ def test_table_command_passes(capsys, table_id):
     assert out.strip().endswith("0 fail")
 
 
-def test_table_dothan_grid_flags_visible(capsys):
+def test_table_dothan_grid_flags_visible(capsys, monkeypatch, built_table):
+    monkeypatch.setattr(cli, "build_table", built_table)
     code, out, _ = run(capsys, ["table", "--id", "dothan-grid", "--format",
                                 "csv"])
     assert code == 0
@@ -395,6 +398,36 @@ def test_yield_routes_refuse_alike(cfg, capsys, taus):
     price_route = run(capsys, argv + ["--from-price"])
     assert log_route == price_route
     assert log_route[0] == 2
+
+
+@pytest.mark.parametrize("route", [[], ["--from-price"]], ids=["log", "from-price"])
+def test_yield_reports_the_first_refused_maturity(cfg, capsys, route):
+    # tau = 0 passes the sum's tau >= 0 and fails the yield's tau > 0 before
+    # tau = -1 is summed
+    code, out, err = run(capsys, ["yield", "--model", cfg(CIR_CFG), "--r",
+                                  "0.05", "--taus", "0,-1"] + route)
+    assert (code, out, err) == (2, "", "error: yield needs tau > 0, got 0.0\n")
+
+
+def test_yield_log_route_prints_minus_the_log_sum_over_tau(cfg, capsys):
+    code, out, _ = run(capsys, ["yield", "--model", cfg(CIR_CFG), "--r", "0.05",
+                                "--taus", "2,0.5", "--order", "6", "--format", "csv"])
+    series = log_coeffs(parse_model_text(CIR_CFG), 6)
+    want = [[f"{tau:g}", f"{-100.0 * eval_partial_sum(series, tau, 0.05) / tau:.5f}"]
+            for tau in (2.0, 0.5)]
+    assert code == 0 and parse_csv(out)[1:] == want
+
+
+@pytest.mark.parametrize("argv", [
+    ["price", "--tau", "1"],
+    ["price", "--tau", "1", "--target", "logprice"],
+    ["yield", "--taus", "1"],
+    ["yield", "--taus", "1", "--from-price"],
+], ids=" ".join)
+def test_series_refuse_a_rate_where_vol2_is_negative(cfg, capsys, argv):
+    # CIR's vol2 = sigma^2 r is negative at r < 0, where every c_k(r) evaluates
+    code, out, err = run(capsys, argv + ["--model", cfg(CIR_CFG), "--r", "-0.05"])
+    assert (code, out, err) == (2, "", "error: vol2 is negative at r=-0.05\n")
 
 
 def test_exact_cir_negative_sigma_exits_1(capsys):

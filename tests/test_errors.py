@@ -1,17 +1,19 @@
 import math
+from pathlib import Path
 
 import pytest
 
+from bondtaylor.cli import build_parser
 from bondtaylor.closedform import (cir_exact_log_price, cir_exact_price,
                                    cir_exact_yield)
 from bondtaylor.errors import DomainError
 from bondtaylor.fdsolver import FDGrid, default_grid, fd_solve
 from bondtaylor.model import (CIRParams, DothanParams, make_cir, make_ckls,
                               make_dothan_sigma2)
-from bondtaylor.series import (partial_sums, price_coeffs, yield_curve,
-                               yield_from_price)
+from bondtaylor.series import partial_sums, price_coeffs, yield_from_price
 
 CIR = CIRParams(0.00315, -0.0555, 0.0894)
+CIR_CFG = str(Path(__file__).resolve().parents[1] / "configs" / "cir.cfg")
 GRID = FDGrid(r_max=0.5, n_r=10, n_t=4)
 
 # the entry points that check a time to maturity, each applied to tau
@@ -32,10 +34,17 @@ def test_one_maturity_rule_and_message(name, tau):
     assert str(exc.value) == f"time to maturity must be nonnegative and finite, got {tau}"
 
 
+def _cmd_yield(tau, *route):
+    args = build_parser().parse_args(["yield", "--model", CIR_CFG, "--r", "0.05",
+                                      "--taus", f"1,{tau}", "--order", "3", *route])
+    return args.handler(args)
+
+
 # the entry points that turn a price into a yield, each applied to tau
 TAKES_YIELD_TAU = {
     "yield_from_price": lambda tau: yield_from_price(0.95, tau),
-    "yield_curve": lambda tau: yield_curve(make_cir(CIR), 3, 0.05, [1.0, tau]),
+    "cmd_yield": _cmd_yield,
+    "cmd_yield --from-price": lambda tau: _cmd_yield(tau, "--from-price"),
     "cir_exact_yield": lambda tau: cir_exact_yield(CIR, tau, 0.05),
 }
 

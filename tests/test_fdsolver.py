@@ -103,7 +103,7 @@ def test_upper_boundary_options(cir_model, cir_params):
 
 # the zero model has mu = s2 = 0, so only the CKLS model (fractional gamma)
 # puts nonzero entries in the off-diagonal bands
-PATH_MODELS = {"zero": make_custom([], [], name="zero"),
+PATH_MODELS = {"zero": make_custom([], []),
                "ckls": make_ckls(0.01, -0.2, 0.1, 0.75)}
 
 

@@ -13,7 +13,7 @@ from bondtaylor.genpoly import GenPoly
 from bondtaylor.model import parse_model_config
 from bondtaylor.series import (LOGPRICE, MAX_ORDER, PRICE, eval_partial_sum,
                                exp_compose, log_coeffs, partial_sums,
-                               pde_residual_coeffs, price_coeffs, yield_curve,
+                               pde_residual_coeffs, price_coeffs,
                                yield_from_price)
 
 ALPHA, BETA, SIGMA = 0.00315, -0.0555, 0.0894
@@ -162,26 +162,12 @@ def test_yield_from_price_domain(price, tau):
         yield_from_price(price, tau)
 
 
-def test_yield_curve_cir_order6(cir_model):
-    curve = yield_curve(cir_model, 6, 0.05, [1.0, 3.0, 5.0])
-    for (tau, rate), ref in zip(curve, (5.01202, 5.00064, 4.95288)):
-        assert abs(100.0 * rate - ref) <= 5e-6 + 1e-12
-
-
-def test_yield_curve_zero_model_flat(zero_model):
-    curve = yield_curve(zero_model, 8, 0.0321, [0.5, 1.0, 2.0, 7.0])
-    assert all(rate == pytest.approx(0.0321, abs=1e-15) for _, rate in curve)
-
-
-def test_yield_curve_single_tau_composition(cir_model):
-    (tau, rate), = yield_curve(cir_model, 6, 0.05, [2.0])
-    f = eval_partial_sum(log_coeffs(cir_model, 6), 2.0, 0.05)
-    assert rate == pytest.approx(yield_from_price(math.exp(f), 2.0), abs=1e-14)
-
-
-def test_yield_curve_rejects_nonpositive_tau(cir_model):
-    with pytest.raises(DomainError):
-        yield_curve(cir_model, 6, 0.05, [1.0, 0.0])
+def test_zero_model_log_series_gives_a_flat_yield():
+    series = log_coeffs(parse_model_config(CONFIGS / "zero.cfg"), 8)
+    for tau in (0.5, 1.0, 2.0, 7.0):
+        f = eval_partial_sum(series, tau, 0.0321)
+        assert -f / tau == pytest.approx(0.0321, abs=1e-15)
+        assert yield_from_price(math.exp(f), tau) == pytest.approx(-f / tau, abs=1e-14)
 
 
 def test_exp_compose_matches_price_series(cir_model):
@@ -307,8 +293,8 @@ def test_partial_sums_evaluates_once_per_rate_change(cir_model, evaluate_calls):
     for r in (R1, R1, R2, R1, R2):
         for tau in CACHE_TAUS:
             partial_sums(s, tau, r)
-    # four rate changes (r1, r2, r1, r2), eleven coefficients each
-    assert evaluate_calls == [R1] * 11 + [R2] * 11 + [R1] * 11 + [R2] * 11
+    # four rate changes (r1, r2, r1, r2), eleven coefficients and vol2 each
+    assert evaluate_calls == [R1] * 12 + [R2] * 12 + [R1] * 12 + [R2] * 12
 
 
 @pytest.mark.parametrize("build", [price_coeffs, log_coeffs])
@@ -320,6 +306,25 @@ def test_domain_error_at_r_zero_is_not_kept(build):
             partial_sums(s, 1.0, 0.0)
     assert partial_sums(s, 2.0, R1) == _uncached_sums(s, 2.0, R1)
     assert partial_sums(s, 2.0, R2) == _uncached_sums(s, 2.0, R2)
+
+
+@pytest.mark.parametrize("build", [price_coeffs, log_coeffs])
+def test_domain_error_at_negative_vol2_is_not_kept(build):
+    # vol2 = sigma^2 r of CIR is negative at r < 0, where every c_k(r) evaluates
+    s = build(parse_model_config(CONFIGS / "cir.cfg"), 10)
+    partial_sums(s, 1.0, R1)
+    for _ in range(2):
+        with pytest.raises(DomainError, match=r"^vol2 is negative at r=-0\.05$"):
+            partial_sums(s, 1.0, -0.05)
+    assert partial_sums(s, 2.0, R1) == _uncached_sums(s, 2.0, R1)
+    assert partial_sums(s, 2.0, R2) == _uncached_sums(s, 2.0, R2)
+    assert partial_sums(s, 1.0, 0.0) == _uncached_sums(s, 1.0, 0.0)  # vol2(0) = 0
+
+
+@pytest.mark.parametrize("build", [price_coeffs, log_coeffs])
+def test_negative_rate_kept_where_vol2_is_nonnegative(build):
+    s = build(parse_model_config(CONFIGS / "vasicek.cfg"), 10)
+    assert partial_sums(s, 1.0, -0.01) == _uncached_sums(s, 1.0, -0.01)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -352,7 +357,7 @@ def test_evaluated_series_compares_hashes_and_prints_as_fresh(cir_model, evaluat
     assert copy == s
     evaluate_calls.clear()
     assert partial_sums(copy, 1.0, R1) == partial_sums(s, 1.0, R1)
-    assert len(evaluate_calls) == 7  # the copy evaluated afresh, s reused
+    assert len(evaluate_calls) == 8  # the copy evaluated c_0..c_6 and vol2, s reused
 
 
 def test_threads_sharing_a_series_never_mix_rates(cir_model):

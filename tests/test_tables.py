@@ -17,18 +17,19 @@ def test_cell_status_logic():
     assert ok.status == "PASS" and ok.deviation == pytest.approx(4e-7)
     bad = TableCell("row", "col", 1.001, 1.0, 5e-7)
     assert bad.status == "FAIL"
-    flagged = TableCell("row", "col", 1.001, None, 5e-7, flagged=True, note="n")
+    flagged = TableCell("row", "col", 1.001, None, 5e-7, note="n")
+    assert flagged.flagged and not ok.flagged and not bad.flagged
     assert flagged.status == "FLAGGED" and flagged.deviation is None
     # a flagged cell never fails, even with a reference attached
-    assert TableCell("r", "c", 2.0, 1.0, 1e-9, flagged=True).status == "FLAGGED"
+    assert TableCell("r", "c", 2.0, 1.0, 1e-9, note="n").status == "FLAGGED"
 
 
 def test_report_pass_logic():
     cells = (TableCell("a", "x", 1.0, 1.0, 1e-9),
-             TableCell("b", "x", 1.0, None, 1e-9, flagged=True))
-    rep = TableReport("t", "title", 6, cells)
+             TableCell("b", "x", 1.0, None, 1e-9, note="n"))
+    rep = TableReport("t", 6, cells)
     assert rep.passed and rep.counts() == (1, 1, 0)
-    rep2 = TableReport("t", "title", 6,
+    rep2 = TableReport("t", 6,
                        cells + (TableCell("c", "x", 2.0, 1.0, 1e-9),))
     assert not rep2.passed and rep2.counts() == (1, 1, 1)
 
