@@ -153,7 +153,9 @@ def cmd_fd(args) -> tuple[str, int]:
     model = parse_model_config(args.model)
     flags = dict(r_max=args.rmax, n_r=args.nr, n_t=args.nt)
     given = {field: v for field, v in flags.items() if v is not None}
-    grid = replace(default_grid(args.r, args.tau), theta=args.theta, **given)
+    # any explicit grid flag asks for that one grid: a single march, no Richardson
+    grid = replace(default_grid(args.r, args.tau), theta=args.theta, richardson=not given,
+                   **given)
     sol = fd_solve(model, args.tau, grid, args.upper_boundary)
     if args.profile:
         rows = [[repr(j * grid.h), repr(float(v))]

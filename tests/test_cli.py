@@ -152,6 +152,18 @@ def test_fd_dothan_cell(cfg, capsys):
                                 "--r", "0.035", "--tau", "10"])
     assert code == 0
     assert float(out.strip()) == pytest.approx(0.699982, abs=2e-5)
+    assert out == "0.699982\n"
+
+
+def test_fd_rate_below_half_a_cell(cfg, capsys):
+    # putting r = 1e-9 on a node would take 5e8 cells; the default grid keeps
+    # its base cells and interpolates, and prints the closed-form price
+    code, out, _ = run(capsys, ["fd", "--model", cfg(CIR_CFG), "--r", "1e-9",
+                                "--tau", "1"])
+    assert code == 0 and out == "0.998456\n"
+    code, out, _ = run(capsys, ["exact-cir", "--alpha", "0.00315", "--beta", "-0.0555",
+                                "--sigma", "0.0894", "--r", "1e-9", "--tau", "1"])
+    assert out == "0.998456\n"
 
 
 def test_fd_cir_and_zero_model(cfg, capsys):
@@ -214,7 +226,8 @@ def test_fd_refuses_negative_vol2_on_grid(cfg, capsys):
     code, out, err = run(capsys, ["fd", "--model", cfg(NEG_VOL2_CFG),
                                   "--r", "0.2", "--tau", "1"])
     assert code == 2 and out == ""
-    assert "vol2 is negative at r=1.112" in err
+    # vol2 < 0 above r = 1/0.9; the first default-grid node past it, h = 2/600
+    assert "vol2 is negative at r=1.11333 on the FD grid" in err
 
 
 def test_fd_blow_up_prints_one_error_line(cfg, capsys):

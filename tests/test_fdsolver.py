@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -68,12 +69,76 @@ def test_fd_price_at_interpolation():
         fd_price_at(sol, -0.01)
 
 
-def test_default_grid_choices():
-    g = default_grid(0.035, 10.0)
-    assert g.r_max == 0.5 and g.n_r == 2000 and g.n_t == 10000 and g.theta == 0.5
-    assert default_grid(0.2, 1.0).r_max == pytest.approx(2.0)
-    assert default_grid(0.05, 100.0).n_t == 20000   # cap
-    assert default_grid(0.05, 1e-4).n_t == 1        # floor
+# 0.0537 lies between the nodes of the former default, 2000 cells over [0, 0.5]
+@pytest.mark.parametrize("r,tau", [(0.035, 10.0), (0.0537, 1.0), (0.0537, 5.0), (0.013, 2.5),
+                                   (0.2, 1.0), (0.001, 0.3), (1.7, 1e-4), (0.05, 1e3)])
+def test_default_grid_choices(r, tau):
+    g = default_grid(r, tau)
+    assert g.richardson and g.theta == 0.5
+    assert g.r_max >= max(10.0 * r, 0.5)
+    # the query rate is a node of the coarse grid, and so of its halving
+    k = r / g.h
+    assert k >= 1.0 and abs(k - round(k)) <= 1e-9
+    assert fdsolver._BASE_CELLS * 2 // 3 <= g.n_r <= 2 * fdsolver._BASE_CELLS
+    assert g.n_t == max(1, min(round(fdsolver._STEPS_PER_YEAR * tau), fdsolver._MAX_STEPS))
+
+
+def test_default_grid_keeps_n_r_bounded_near_zero():
+    # a rate under half a base cell keeps the base cells and is interpolated;
+    # putting 1e-9 on a node would take 5e8 cells
+    for r in (0.0, 1e-9, 0.2 / fdsolver._BASE_CELLS):
+        g = default_grid(r, 1.0)
+        assert g.n_r == fdsolver._BASE_CELLS and g.r_max == 0.5
+    # just past half a cell the rate is node 1: at most twice the base cells
+    g = default_grid(0.26 / fdsolver._BASE_CELLS, 1.0)
+    assert g.n_r <= 2 * fdsolver._BASE_CELLS
+    assert 0.26 / fdsolver._BASE_CELLS / g.h == pytest.approx(1.0, abs=1e-9)
+
+
+def test_default_grid_checkpoints_at_quarter_years(cir_model):
+    grid = default_grid(0.05, 2.5)
+    sols = fd_solve_path(cir_model, [0.25, 1.0, 2.5], grid)
+    assert sorted(sols) == [0.25, 1.0, 2.5]
+    for tau, sol in sols.items():
+        single = fd_solve(cir_model, tau, default_grid(0.05, tau))
+        assert np.array_equal(sol.values, single.values)
+        assert np.array_equal(sol.error, single.error)
+
+
+@pytest.mark.parametrize("theta", [0.5, 1.0])
+def test_richardson_grid_extrapolates_two_single_marches(theta):
+    model = PATH_MODELS["ckls"]
+    grid = FDGrid(r_max=0.5, n_r=20, n_t=8, theta=theta, richardson=True)
+    coarse = fd_solve(model, 2.0, replace(grid, richardson=False)).values
+    fine = fd_solve(model, 2.0, FDGrid(0.5, 40, 16, theta)).values[::2]
+    denom = 3.0 if theta == 0.5 else 1.0
+    sol = fd_solve(model, 2.0, grid)
+    assert np.array_equal(sol.values, fine + (fine - coarse) / denom)
+    assert np.array_equal(sol.error, np.abs(fine - coarse) / denom)
+    assert fd_solve(model, 2.0, replace(grid, richardson=False)).error is None
+    assert np.array_equal(fd_solve(model, 0.0, grid).error, np.zeros(21))
+
+
+@pytest.mark.parametrize("theta", [0.5, 1.0])
+@pytest.mark.parametrize("r", [0.013, 0.05])
+@pytest.mark.parametrize("tau", [1.0, 5.0, 10.0])
+def test_richardson_estimate_bounds_cir_error(cir_model, cir_params, theta, r, tau):
+    grid = replace(default_grid(r, tau), theta=theta)
+    sol = fd_solve(cir_model, tau, grid)
+    error = abs(fd_price_at(sol, r) - cir_exact_price(cir_params, tau, r))
+    # measured: at most 0.37 of the estimate (theta = 1, r = 0.013, tau = 10)
+    assert error <= sol.error[round(r / grid.h)]
+
+
+def test_default_grid_no_worse_than_single_fine_march(cir_model, cir_params):
+    # the errors of the former default, one march of 2000 cells and 1000 steps
+    # per unit maturity, by (theta, r, tau)
+    old = {(0.5, 0.05, 1.0): 1.72e-11, (0.5, 0.05, 5.0): 1.71e-09, (0.5, 0.05, 10.0): 6.66e-08,
+           (0.5, 0.013, 1.0): 3.52e-11, (0.5, 0.013, 5.0): 6.01e-08, (0.5, 0.013, 10.0): 5.94e-07,
+           (1.0, 0.05, 1.0): 1.20e-06, (1.0, 0.05, 5.0): 6.28e-06, (1.0, 0.05, 10.0): 8.92e-06}
+    for (theta, r, tau), bound in old.items():
+        sol = fd_solve(cir_model, tau, replace(default_grid(r, tau), theta=theta))
+        assert abs(fd_price_at(sol, r) - cir_exact_price(cir_params, tau, r)) <= bound
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -266,7 +331,7 @@ def test_singular_implicit_matrix_is_domain_error(zero_model, monkeypatch):
 def test_convergence_orders_crank_nicolson(cir_model):
     base = FDGrid(r_max=0.5, n_r=250, n_t=250, theta=0.5)
     study = convergence_study(cir_model, 1.0, 0.05, base, levels=3)
-    assert len(study.rows) == 3
+    assert len(study.values) == 3
     assert len(study.orders) == 1
     assert study.orders[0] >= 1.8
 
@@ -280,7 +345,7 @@ def test_convergence_orders_implicit_euler(cir_model):
 def test_convergence_zero_model_roundoff(zero_model):
     base = FDGrid(r_max=0.5, n_r=10, n_t=200, theta=0.5)
     study = convergence_study(zero_model, 1.0, 0.05, base, levels=3)
-    assert all(row.error_vs_richardson <= 1e-9 for row in study.rows)
+    assert all(abs(value - study.reference) <= 1e-9 for value in study.values)
 
 
 def test_convergence_needs_two_levels(cir_model):
