@@ -130,7 +130,7 @@ def cmd_yield(args) -> tuple[str, int]:
         else:  # R = -f_J / tau skips the exp/log round trip
             check_yield_maturity(tau)
             y = -value / tau
-        rows.append([f"{tau:g}", f"{100.0 * y:.5f}"])
+        rows.append([f"{tau:g}", f"{100.0 * y + 0.0:.5f}"])  # + 0.0: a zero prints unsigned
     return _render(["tau", "yield_pct"], rows, args.format), 0
 
 
@@ -151,12 +151,15 @@ def cmd_fd(args) -> tuple[str, int]:
     from .fdsolver import default_grid, fd_price_at, fd_solve
 
     model = parse_model_config(args.model)
+    grid = replace(default_grid(args.r, args.tau), theta=args.theta,
+                   upper_boundary=args.upper_boundary)
     flags = dict(r_max=args.rmax, n_r=args.nr, n_t=args.nt)
     given = {field: v for field, v in flags.items() if v is not None}
-    # any explicit grid flag asks for that one grid: a single march, no Richardson
-    grid = replace(default_grid(args.r, args.tau), theta=args.theta, richardson=not given,
-                   **given)
-    sol = fd_solve(model, args.tau, grid, args.upper_boundary)
+    if given:  # one grid named in full, --rmax optional: a single march, no Richardson
+        if args.nr is None or args.nt is None:
+            raise ConfigError("an explicit grid needs both --nr and --nt")
+        grid = replace(grid, richardson=False, **given)
+    sol = fd_solve(model, args.tau, grid)
     if args.profile:
         rows = [[repr(j * grid.h), repr(float(v))]
                 for j, v in enumerate(sol.values)]

@@ -32,9 +32,9 @@ Boundaries:
     stays at 1, which is the exact degenerate solution.  Both assumptions
     are enforced: a model with s2(0) > 0 or mu(0) < 0 (Vasicek, say) raises
     DomainError, as does one whose s2 is negative on any grid node.
-  * r = r_max.  Truncation boundary.  Default is the linearity condition
-    P_rr = 0 with a one-sided first derivative; "dirichlet0" clamps P to 0
-    instead, for cross-checking the truncation error.
+  * r = r_max.  Truncation boundary, the grid's `upper_boundary`: by default
+    the linearity condition P_rr = 0 with a one-sided first derivative;
+    "dirichlet0" clamps P to 0 instead, to cross-check the truncation error.
 """
 
 from __future__ import annotations
@@ -63,6 +63,7 @@ class FDGrid:
     n_r: int
     n_t: int
     theta: float = 0.5
+    upper_boundary: str = "linearity"  # truncation condition at r_max
     richardson: bool = False  # extrapolate from this grid and its halving
 
     def __post_init__(self) -> None:
@@ -74,6 +75,9 @@ class FDGrid:
             raise ValueError(f"n_t must be at least 1, got {self.n_t}")
         if not 0.0 <= self.theta <= 1.0:
             raise ValueError(f"theta must lie in [0, 1], got {self.theta}")
+        if self.upper_boundary not in UPPER_BOUNDARIES:
+            raise ValueError(f"upper boundary must be one of {UPPER_BOUNDARIES}, "
+                             f"got {self.upper_boundary!r}")
 
     @property
     def h(self) -> float:
@@ -139,7 +143,7 @@ def _eval_profile(poly: GenPoly, r_nodes: np.ndarray) -> np.ndarray:
     return out
 
 
-def _operator(model: ShortRateModel, grid: FDGrid, upper_boundary: str) -> np.ndarray:
+def _operator(model: ShortRateModel, grid: FDGrid) -> np.ndarray:
     """The spatial operator L in LAPACK band layout: row 0 couples node j to
     j+1 (column j+1), row 1 is the diagonal, row 2 couples node j to j-1
     (column j-1)."""
@@ -166,25 +170,21 @@ def _operator(model: ShortRateModel, grid: FDGrid, upper_boundary: str) -> np.nd
     L[1, 0] = -mu[0] / h
     L[0, 1] = mu[0] / h
 
-    if upper_boundary == "linearity":
+    if grid.upper_boundary == "linearity":  # dirichlet0 keeps the top row zero
         # r = r_max: P_rr = 0, one-sided first derivative
         L[2, -2] = -mu[-1] / h
         L[1, -1] = mu[-1] / h - r_nodes[-1]
-    elif upper_boundary != "dirichlet0":  # dirichlet0 keeps the top row zero
-        raise ValueError(f"unknown upper boundary {upper_boundary!r}; expected one of {UPPER_BOUNDARIES}")
     return L
 
 
-def _march(model: ShortRateModel, taus: list[float], grid: FDGrid,
-           upper_boundary: str) -> dict[float, FDSolution]:
+def _march(model: ShortRateModel, taus: list[float], grid: FDGrid) -> dict[float, FDSolution]:
     """One march to taus[-1], step n_t, returning the profile at each of the
     ascending, positive maturities taus (alignment as in fd_solve_path); on a
     richardson grid, a coarse and a fine march and their extrapolation."""
     if grid.richardson:
         coarse_grid = replace(grid, richardson=False)
-        coarse = _march(model, taus, coarse_grid, upper_boundary)
-        fine = _march(model, taus, replace(coarse_grid, n_r=2 * grid.n_r, n_t=2 * grid.n_t),
-                      upper_boundary)
+        coarse = _march(model, taus, coarse_grid)
+        fine = _march(model, taus, replace(coarse_grid, n_r=2 * grid.n_r, n_t=2 * grid.n_t))
         return {tau: FDSolution(grid, tau, *_richardson(sol.values, fine[tau].values[::2],
                                                          grid.order))
                 for tau, sol in coarse.items()}
@@ -198,13 +198,13 @@ def _march(model: ShortRateModel, taus: list[float], grid: FDGrid,
         wanted.setdefault(step, []).append(tau)
     wanted.setdefault(grid.n_t, []).append(taus[-1])
 
-    L = _operator(model, grid, upper_boundary)
+    L = _operator(model, grid)
     th = grid.theta
     ab = -th * dtau * L  # implicit matrix I - theta dtau L
     ab[1] += 1.0
     ex = (1.0 - th) * dtau * L  # explicit matrix I + (1 - theta) dtau L
     ex[1] += 1.0
-    if upper_boundary == "dirichlet0":
+    if grid.upper_boundary == "dirichlet0":
         ex[1, -1] = 0.0  # with the zero row of L, clamps P(r_max) to 0
     ex_sup, ex_dia, ex_sub = ex[0, 1:], ex[1], ex[2, :-1]
     dl, d, du, du2, ipiv, info = lapack.dgttrf(ab[2, :-1], ab[1], ab[0, 1:])
@@ -227,18 +227,16 @@ def _march(model: ShortRateModel, taus: list[float], grid: FDGrid,
     return out
 
 
-def fd_solve(model: ShortRateModel, tau_final: float, grid: FDGrid,
-             upper_boundary: str = "linearity") -> FDSolution:
+def fd_solve(model: ShortRateModel, tau_final: float, grid: FDGrid) -> FDSolution:
     """Solve up to tau_final and return the final profile."""
     check_maturity(tau_final)
     if tau_final == 0.0:
         n = grid.n_r + 1
         return FDSolution(grid, 0.0, np.ones(n), np.zeros(n) if grid.richardson else None)
-    return _march(model, [tau_final], grid, upper_boundary)[tau_final]
+    return _march(model, [tau_final], grid)[tau_final]
 
 
-def fd_solve_path(model: ShortRateModel, taus, grid: FDGrid,
-                  upper_boundary: str = "linearity") -> dict[float, FDSolution]:
+def fd_solve_path(model: ShortRateModel, taus, grid: FDGrid) -> dict[float, FDSolution]:
     """One march to max(taus), recording profiles at each requested maturity.
 
     Each tau must land on a step boundary (tau / dtau within 1e-9 of a
@@ -252,7 +250,7 @@ def fd_solve_path(model: ShortRateModel, taus, grid: FDGrid,
         return {}
     if not all(0.0 < t < math.inf for t in taus):
         raise DomainError(f"checkpoint maturities must be positive and finite, got {taus}")
-    return _march(model, taus, grid, upper_boundary)
+    return _march(model, taus, grid)
 
 
 def fd_price_at(sol: FDSolution, r: float) -> float:
@@ -280,12 +278,12 @@ def convergence_study(model: ShortRateModel, tau: float, r: float, base: FDGrid,
 
     The reference value is a Richardson extrapolation from the two finest
     grids, using the last order estimate (falling back on the scheme's formal
-    order when the differences are already at round-off).  Level i has
-    h = base.h / 2^i and n_t = base.n_t * 2^i.
+    order when the differences are already at round-off).  Level i is the
+    base grid with h = base.h / 2^i and n_t = base.n_t * 2^i, marched once.
     """
     if levels < 2:
         raise ValueError(f"need at least 2 levels, got {levels}")
-    grids = [FDGrid(base.r_max, base.n_r * 2 ** i, base.n_t * 2 ** i, base.theta)
+    grids = [replace(base, n_r=base.n_r * 2 ** i, n_t=base.n_t * 2 ** i, richardson=False)
              for i in range(levels)]
     values = tuple(fd_price_at(fd_solve(model, tau, grid), r) for grid in grids)
 

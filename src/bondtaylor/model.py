@@ -15,7 +15,7 @@ make_dothan_sigma2 builds Dothan from sigma^2 itself, as the config key sigma2
 does and the Dothan tables do.
 
 vol2 must be nonnegative wherever the model is used.  check_vol2_nonnegative
-samples (0, r_check] when a custom model is built, and check_vol2_at is the
+samples (0, 1] when a custom model is built, and check_vol2_at is the
 rule at one rate: the series apply it to every rate they are evaluated at.
 
 Config files are line-based "key = value" with '#' comments, e.g.
@@ -42,7 +42,7 @@ from . import genpoly as gp
 from .errors import ConfigError, DomainError
 from .genpoly import GenPoly
 
-# vol2 nonnegativity is checked by sampling this many points on (0, r_check]
+# vol2 nonnegativity is checked by sampling this many points on (0, 1]
 _VOL2_SAMPLES = 1000
 # slack for float noise when an exactly-nonnegative vol2 is evaluated in
 # expanded form near one of its roots
@@ -88,18 +88,16 @@ def check_vol2_at(vol2: GenPoly, r: float) -> None:
         raise DomainError(f"vol2 is negative at r={r:.6g}")
 
 
-def check_vol2_nonnegative(vol2: GenPoly, r_check: float = 1.0) -> None:
-    """Sample vol2 on (0, r_check] and reject if any value is negative."""
-    if r_check <= 0.0:
-        raise ValueError(f"r_check must be positive, got {r_check}")
+def check_vol2_nonnegative(vol2: GenPoly) -> None:
+    """Sample vol2 on (0, 1] and reject if any value is negative."""
     if all(c >= 0.0 and p >= 0.0 for c, p in vol2.terms):
-        try:  # nondecreasing on (0, r_check], so all samples pass if the last does
-            gp.evaluate(vol2, r_check * _VOL2_SAMPLES / _VOL2_SAMPLES)
+        try:  # nondecreasing on (0, 1], so all samples pass if the last does
+            gp.evaluate(vol2, 1.0)
             return
         except DomainError:
             pass  # it overflows: the loop names the first sample that does
     for i in range(1, _VOL2_SAMPLES + 1):
-        check_vol2_at(vol2, r_check * i / _VOL2_SAMPLES)
+        check_vol2_at(vol2, i / _VOL2_SAMPLES)
 
 
 def _ckls(alpha: float, beta: float, s2: float, q: float) -> ShortRateModel:
@@ -129,14 +127,14 @@ def make_ckls(alpha: float, beta: float, sigma: float, gamma: float) -> ShortRat
     return _ckls(alpha, beta, sigma * sigma, 2.0 * gamma)
 
 
-def make_custom(drift_terms, vol2_terms, r_check: float = 1.0) -> ShortRateModel:
+def make_custom(drift_terms, vol2_terms) -> ShortRateModel:
     """Build a model from raw (coeff, exponent) term lists.
 
-    vol2 must be nonnegative on (0, r_check]; this is enforced by sampling.
+    vol2 must be nonnegative on (0, 1]; this is enforced by sampling.
     """
     drift = gp.canonicalize(list(drift_terms))
     vol2 = gp.canonicalize(list(vol2_terms))
-    check_vol2_nonnegative(vol2, r_check)
+    check_vol2_nonnegative(vol2)
     return ShortRateModel(drift, vol2)
 
 

@@ -193,8 +193,20 @@ def test_fd_profile_dump(cfg, capsys):
 
 def test_fd_grid_flags_validated(cfg, capsys):
     code, _, err = run(capsys, ["fd", "--model", cfg(CIR_CFG), "--r", "0.05",
-                                "--tau", "1", "--nr", "2"])
+                                "--tau", "1", "--nr", "2", "--nt", "10"])
     assert code == 1 and "n_r" in err
+
+
+def test_fd_explicit_grid_is_named_in_full(cfg, capsys):
+    argv = ["fd", "--model", cfg(CIR_CFG), "--r", "0.05", "--tau", "10", "--theta", "1"]
+    # --nr alone used to take n_t from the default grid's coarse level and
+    # march once without extrapolation: 0.622123 with exit 0, exact 0.621902
+    for partial in (["--nr", "2000"], ["--nt", "400"], ["--rmax", "1"]):
+        code, out, err = run(capsys, argv + partial)
+        assert (code, out) == (1, "") and "--nr" in err and "--nt" in err
+    # with both, r_max comes from the default grid and the grid marches once
+    code, out, _ = run(capsys, argv + ["--nr", "2000", "--nt", "10000"])
+    assert (code, out) == (0, "0.621911\n")
 
 
 def test_fd_negative_tau_is_domain_error(cfg, capsys):
@@ -441,6 +453,25 @@ def test_series_refuse_a_rate_where_vol2_is_negative(cfg, capsys, argv):
     # CIR's vol2 = sigma^2 r is negative at r < 0, where every c_k(r) evaluates
     code, out, err = run(capsys, argv + ["--model", cfg(CIR_CFG), "--r", "-0.05"])
     assert (code, out, err) == (2, "", "error: vol2 is negative at r=-0.05\n")
+
+
+def test_price_refuses_a_rate_past_the_sampled_interval(cfg, capsys):
+    # vol2 = 1 - 0.5 r passes the parse-time sampling of (0, 1] and turns
+    # negative at r = 2; the series check at the evaluated rate refuses r = 3
+    text = "model = custom\ndrift_terms = 0\nvol2_terms = 1:0, -0.5:1\n"
+    code, out, err = run(capsys, ["price", "--model", cfg(text), "--r", "3", "--tau", "1"])
+    assert (code, out, err) == (2, "", "error: vol2 is negative at r=3\n")
+
+
+@pytest.mark.parametrize("text,flags", [
+    (CIR_CFG, ["--r", "0.05", "--order", "0"]),
+    (CIR_CFG, ["--r", "0.05", "--order", "0", "--from-price"]),
+    (ZERO_CFG, ["--r", "0"]),
+], ids=["log-order0", "price-order0", "zero-model"])
+def test_yield_exactly_zero_prints_unsigned(cfg, capsys, text, flags):
+    # -value / tau and -log(1) / tau are -0.0, which used to print -0.00000
+    code, out, _ = run(capsys, ["yield", "--model", cfg(text), "--taus", "1,5"] + flags)
+    assert (code, out) == (0, "tau  yield_pct\n1    0.00000\n5    0.00000\n")
 
 
 def test_exact_cir_negative_sigma_exits_1(capsys):

@@ -156,14 +156,17 @@ def test_grid_validation(kwargs):
 
 def test_upper_boundary_options(cir_model, cir_params):
     grid = FDGrid(r_max=0.5, n_r=1000, n_t=1000)
-    lin = fd_price_at(fd_solve(cir_model, 1.0, grid, "linearity"), 0.05)
-    dir0 = fd_price_at(fd_solve(cir_model, 1.0, grid, "dirichlet0"), 0.05)
+    assert grid.upper_boundary == "linearity"
+    lin = fd_price_at(fd_solve(cir_model, 1.0, grid), 0.05)
+    dir0 = fd_price_at(fd_solve(cir_model, 1.0, replace(grid, upper_boundary="dirichlet0")),
+                       0.05)
     exact = cir_exact_price(cir_params, 1.0, 0.05)
     # far from the boundary both choices agree with the closed form
     assert abs(lin - exact) <= 1e-5
     assert abs(dir0 - exact) <= 1e-5
-    with pytest.raises(ValueError):
-        fd_solve(cir_model, 1.0, grid, "reflecting")
+    # an unknown closure is refused when the grid is built, before any solve
+    with pytest.raises(ValueError, match="upper boundary must be one of"):
+        FDGrid(r_max=0.5, n_r=1000, n_t=1000, upper_boundary="reflecting")
 
 
 # the zero model has mu = s2 = 0, so only the CKLS model (fractional gamma)
@@ -178,26 +181,25 @@ PATH_MODELS = {"zero": make_custom([], []),
                             for ub in UPPER_BOUNDARIES])
 def test_fd_solve_path_matches_single_solves(model_name, upper_boundary):
     model = PATH_MODELS[model_name]
-    grid = FDGrid(r_max=0.5, n_r=10, n_t=40)
-    sols = fd_solve_path(model, [1.0, 2.0, 4.0], grid, upper_boundary)
+    grid = FDGrid(r_max=0.5, n_r=10, n_t=40, upper_boundary=upper_boundary)
+    sols = fd_solve_path(model, [1.0, 2.0, 4.0], grid)
     assert sorted(sols) == [1.0, 2.0, 4.0]
     for tau, sol in sols.items():
         # same dtau=0.1 march, so values agree bit for bit
-        single = fd_solve(model, tau, FDGrid(0.5, 10, int(10 * tau)),
-                          upper_boundary)
+        single = fd_solve(model, tau, replace(grid, n_t=int(10 * tau)))
         assert np.array_equal(sol.values, single.values)
         if upper_boundary == "dirichlet0":
             assert sol.values[-1] == 0.0
     # two maturities on one step both come back, with that step's profile
-    near = fd_solve_path(model, [1.0, 1.0 + 1e-12, 2.0], grid, upper_boundary)
+    near = fd_solve_path(model, [1.0, 1.0 + 1e-12, 2.0], grid)
     assert sorted(near) == [1.0, 1.0 + 1e-12, 2.0]
-    single = fd_solve(model, 1.0, FDGrid(0.5, 10, 20), upper_boundary)
+    single = fd_solve(model, 1.0, replace(grid, n_t=20))
     assert np.array_equal(near[1.0].values, single.values)
     assert np.array_equal(near[1.0 + 1e-12].values, single.values)
     assert near[1.0 + 1e-12].tau_final == 1.0 + 1e-12
 
 
-def _dense_operator(model, grid, upper_boundary):
+def _dense_operator(model, grid):
     """L written out node by node as a full matrix, from the module docstring."""
     n = grid.n_r + 1
     h = grid.h
@@ -210,7 +212,7 @@ def _dense_operator(model, grid, upper_boundary):
         L[j, j - 1] = s2[j] / (2 * h * h) - mu[j] / (2 * h)
         L[j, j] = -s2[j] / (h * h) - r[j]
         L[j, j + 1] = s2[j] / (2 * h * h) + mu[j] / (2 * h)
-    if upper_boundary == "linearity":
+    if grid.upper_boundary == "linearity":
         L[-1, -2], L[-1, -1] = -mu[-1] / h, mu[-1] / h - r[-1]
     return L
 
@@ -221,9 +223,9 @@ def test_march_matches_dense_theta_scheme(upper_boundary, theta):
     # an independent dense solve catches a band stored in the wrong row or
     # shifted by one column, which single-vs-path agreement cannot
     model = PATH_MODELS["ckls"]
-    grid = FDGrid(r_max=0.5, n_r=12, n_t=3, theta=theta)
+    grid = FDGrid(r_max=0.5, n_r=12, n_t=3, theta=theta, upper_boundary=upper_boundary)
     dtau = 0.6 / grid.n_t
-    L = _dense_operator(model, grid, upper_boundary)
+    L = _dense_operator(model, grid)
     eye = np.eye(grid.n_r + 1)
     implicit = eye - theta * dtau * L
     explicit = eye + (1.0 - theta) * dtau * L
@@ -232,20 +234,20 @@ def test_march_matches_dense_theta_scheme(upper_boundary, theta):
     values = np.ones(grid.n_r + 1)
     for _ in range(grid.n_t):
         values = np.linalg.solve(implicit, explicit @ values)
-    sol = fd_solve(model, 0.6, grid, upper_boundary)
+    sol = fd_solve(model, 0.6, grid)
     assert np.allclose(sol.values, values, rtol=1e-13, atol=1e-15)
 
 
-def _banded_solve_march(model, taus, grid, upper_boundary):
+def _banded_solve_march(model, taus, grid):
     """The march as it was with one scipy solve_banded (LAPACK dgtsv) call per
     step, which refactors the implicit matrix every time."""
     dtau = taus[-1] / grid.n_t
-    L = fdsolver._operator(model, grid, upper_boundary)
+    L = fdsolver._operator(model, grid)
     ab = -grid.theta * dtau * L
     ab[1] += 1.0
     ex = (1.0 - grid.theta) * dtau * L
     ex[1] += 1.0
-    if upper_boundary == "dirichlet0":
+    if grid.upper_boundary == "dirichlet0":
         ex[1, -1] = 0.0
     wanted = {round(tau / dtau): tau for tau in taus}
     values = np.ones(grid.n_r + 1)
@@ -267,12 +269,12 @@ def _banded_solve_march(model, taus, grid, upper_boundary):
 def test_factored_march_is_bit_identical_to_banded_solves(model, theta, upper_boundary):
     # dgttrf + dgttrs run the same partial-pivot elimination as dgtsv, so
     # factoring once changes no bit of any profile
-    grid = FDGrid(r_max=0.5, n_r=60, n_t=40, theta=theta)
+    grid = FDGrid(r_max=0.5, n_r=60, n_t=40, theta=theta, upper_boundary=upper_boundary)
     taus = [0.5, 1.25, 2.0]
-    reference = _banded_solve_march(model, taus, grid, upper_boundary)
-    sol = fd_solve(model, 2.0, grid, upper_boundary)
+    reference = _banded_solve_march(model, taus, grid)
+    sol = fd_solve(model, 2.0, grid)
     assert np.array_equal(sol.values, reference[2.0])
-    path = fd_solve_path(model, taus, grid, upper_boundary)
+    path = fd_solve_path(model, taus, grid)
     assert sorted(path) == taus
     for tau in taus:
         assert np.array_equal(path[tau].values, reference[tau])
@@ -346,6 +348,20 @@ def test_convergence_zero_model_roundoff(zero_model):
     base = FDGrid(r_max=0.5, n_r=10, n_t=200, theta=0.5)
     study = convergence_study(zero_model, 1.0, 0.05, base, levels=3)
     assert all(abs(value - study.reference) <= 1e-9 for value in study.values)
+
+
+def test_convergence_levels_keep_the_base_closure(cir_model):
+    # at r_max = 0.1 the clamp P(r_max) = 0 pulls the price at r = 0.05 down
+    # by about 0.03; the linearity closure leaves it near the closed form
+    base = FDGrid(r_max=0.1, n_r=10, n_t=20, upper_boundary="dirichlet0")
+    study = convergence_study(cir_model, 1.0, 0.05, base, levels=3)
+    finest = FDGrid(r_max=0.1, n_r=40, n_t=80, upper_boundary="dirichlet0")
+    assert study.values[-1] == fd_price_at(fd_solve(cir_model, 1.0, finest), 0.05)
+    linear = convergence_study(cir_model, 1.0, 0.05, replace(base, upper_boundary="linearity"),
+                               levels=3)
+    assert linear.values[-1] - study.values[-1] > 0.02
+    # each level marches once, whether or not the base is marked for Richardson
+    assert convergence_study(cir_model, 1.0, 0.05, replace(base, richardson=True), 3) == study
 
 
 def test_convergence_needs_two_levels(cir_model):

@@ -6,9 +6,8 @@ from bondtaylor import genpoly as gp
 from bondtaylor.errors import ConfigError, DomainError
 from bondtaylor.genpoly import GenPoly
 from bondtaylor.model import (CIRParams, DothanParams, ShortRateModel,
-                              check_vol2_nonnegative, make_cir, make_ckls,
-                              make_custom, make_dothan, parse_model_config,
-                              parse_model_text)
+                              make_cir, make_ckls, make_custom, make_dothan,
+                              parse_model_config, parse_model_text)
 
 
 def test_make_cir_benchmark_params(cir_model):
@@ -76,10 +75,9 @@ def test_make_custom_round_trips():
 def test_make_custom_rejects_negative_vol2():
     with pytest.raises(DomainError):
         make_custom([], [(-1.0, 1.0)])
-    # negative only beyond the checked interval passes the default r_check=1
+    # negative only beyond the sampled (0, 1] passes; a series refuses such a
+    # rate (test_cli.py::test_price_refuses_a_rate_past_the_sampled_interval)
     make_custom([], [(1.0, 0.0), (-0.5, 1.0)])
-    with pytest.raises(DomainError):
-        make_custom([], [(1.0, 0.0), (-0.5, 1.0)], r_check=3.0)
 
 
 def _custom_text(vol2_terms):
@@ -89,7 +87,7 @@ def _custom_text(vol2_terms):
 @pytest.mark.parametrize("vol2_terms", ["0.0001:0", "0.00799236:1", "0.01:0, 0.02:0.5, 3:2"])
 def test_nondecreasing_vol2_costs_one_evaluation(monkeypatch, vol2_terms):
     # no negative coefficient or exponent: vol2 is nonnegative and
-    # nondecreasing on (0, r_check], so the last sample decides
+    # nondecreasing on (0, 1], so the last sample decides
     rates = []
     real = gp.evaluate
 
@@ -99,8 +97,8 @@ def test_nondecreasing_vol2_costs_one_evaluation(monkeypatch, vol2_terms):
     monkeypatch.setattr(gp, "evaluate", counting)
     parse_model_text(_custom_text(vol2_terms))
     assert rates == [1.0]
-    make_custom([], gp.from_text(vol2_terms).terms, r_check=0.3)
-    assert rates == [1.0, 0.3]
+    make_custom([], gp.from_text(vol2_terms).terms)
+    assert rates == [1.0, 1.0]
 
 
 @pytest.mark.parametrize("vol2_terms, message", [
@@ -113,11 +111,6 @@ def test_vol2_rejections_keep_their_messages(vol2_terms, message):
     with pytest.raises(ConfigError) as info:
         parse_model_text(_custom_text(vol2_terms))
     assert str(info.value) == message
-
-
-def test_check_vol2_rejects_bad_interval():
-    with pytest.raises(ValueError):
-        check_vol2_nonnegative(GenPoly(), r_check=0.0)
 
 
 CIR_TEXT = """\

@@ -1,0 +1,41 @@
+"""Smoke tests for the scripts under scripts/, run in-process."""
+
+import runpy
+import sys
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def run_script(monkeypatch, capsys, name, *args):
+    monkeypatch.setattr(sys, "argv", [name, *args])
+    code = 0
+    try:
+        runpy.run_path(str(SCRIPTS / name), run_name="__main__")
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().out.splitlines()
+
+
+def test_fd_convergence_script(monkeypatch, capsys):
+    code, lines = run_script(monkeypatch, capsys, "fd_convergence.py", "--levels", "2")
+    assert code == 0
+    # per theta: a title, a header, one row per level, the orders (none with
+    # two levels), the finest error and the default grid's answer
+    assert len(lines) == 2 * 7
+    for block, theta in zip((lines[:7], lines[7:]), ("0.5", "1.0")):
+        assert block[0].startswith(f"theta={theta} tau=1.0 exact=0.9511")
+        assert [len(row.split()) for row in block[2:4]] == [4, 4]
+        assert block[4] == "  observed orders: "
+        assert block[6].startswith("  default grid ")
+    # Crank-Nicolson at h = 0.001, dtau = 0.002 is within 1e-6 of the closed form
+    assert float(lines[5].split("=")[1]) <= 1e-6
+
+
+def test_reproduce_tables_script(monkeypatch, capsys):
+    code, lines = run_script(monkeypatch, capsys, "reproduce_tables.py")
+    assert code == 0
+    ids = ["cir-price", "cir-yield", "cir-converge", "dothan-converge", "dothan-grid"]
+    assert [line.split()[:2] for line in lines] == [[i, "ok"] for i in ids]
