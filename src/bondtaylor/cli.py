@@ -73,8 +73,6 @@ def _parse_taus(text: str) -> list[float]:
             taus.append(float(piece))
         except ValueError:
             raise ConfigError(f"bad maturity {piece!r} in --taus") from None
-    if not taus:
-        raise ConfigError("--taus must list at least one maturity")
     return taus
 
 

@@ -15,9 +15,9 @@ within MERGE_TOL, no coefficient exactly 0.0; the zero polynomial is the empty
 term tuple.  Every operation sums the coefficients of each exact exponent in
 input order, then sorts only the distinct exponents, folds each run of them
 within MERGE_TOL of its smallest onto it and drops exact zeros, so identical
-inputs give bit-identical term tuples.  It rejects a non-finite merged term
-(canonicalize also a non-finite input): from finite inputs, an inf or nan
-product or an overflowed sum always leaves one.
+inputs give bit-identical term tuples.  It rejects a non-finite merged term:
+a non-finite input, an inf or nan product or an overflowed sum always
+leaves one.
 """
 
 from __future__ import annotations
@@ -75,16 +75,10 @@ def canonicalize(raw_terms: Iterable[tuple[float, float]]) -> GenPoly:
     """Sort, merge near-equal exponents, drop exact-zero coefficients.
 
     Exponents within MERGE_TOL of the first exponent of a merge run collapse
-    into that run.  Non-finite coefficients or exponents are rejected.
+    into that run.  Non-finite coefficients or exponents are rejected: one
+    leaves a non-finite merged term, which _merge checks before dropping zeros.
     """
-    checked: list[tuple[float, float]] = []
-    for coeff, exp in raw_terms:
-        c = float(coeff)
-        p = float(exp)
-        if not (math.isfinite(c) and math.isfinite(p)):
-            raise DomainError(f"non-finite term (coeff={coeff!r}, exponent={exp!r})")
-        checked.append((c, p))
-    return _merge(checked)
+    return _merge((float(c), float(p)) for c, p in raw_terms)
 
 
 def const(c: float) -> GenPoly:
@@ -131,10 +125,13 @@ def evaluate(a: GenPoly, r: float) -> float:
     if not math.isfinite(x):
         raise DomainError(f"evaluation point {r!r} is not finite")
     total = 0.0
-    for c, p in a.terms:
-        if x <= 0.0 and (p < 0.0 or not p.is_integer()):
-            raise DomainError(f"cannot evaluate exponent {p} at r={x}")
-        total += c * math.pow(x, p)
+    try:
+        for c, p in a.terms:
+            if x <= 0.0 and (p < 0.0 or not p.is_integer()):
+                raise DomainError(f"cannot evaluate exponent {p} at r={x}")
+            total += c * math.pow(x, p)
+    except OverflowError:  # math.pow raises where x**p exceeds a double
+        total = math.inf
     if not math.isfinite(total):
         raise DomainError(f"evaluation overflowed at r={x}")
     return total

@@ -27,7 +27,7 @@ approximation made here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import log
+from math import isfinite, log
 
 from . import genpoly as gp
 from .errors import (DomainError, TermLimitError, check_maturity,
@@ -117,10 +117,10 @@ def log_coeffs(model: ShortRateModel, order: int) -> TaylorSeries:
 def partial_sums(s: TaylorSeries, tau: float, r: float) -> list[float]:
     """Running partial sums sum_{k<=J} c_k(r) tau^k for J = 0..order.
 
-    A rate where the model's vol2 is negative is refused.  The series keeps
-    c_k(r) for the last r it was evaluated at, so consecutive calls at one r
-    evaluate each coefficient once: evaluate a surface rate-outer,
-    maturity-inner.
+    A rate where the model's vol2 is negative is refused, and so is a sum
+    that overflows.  The series keeps c_k(r) for the last r it was evaluated
+    at, so consecutive calls at one r evaluate each coefficient once:
+    evaluate a surface rate-outer, maturity-inner.
     """
     check_maturity(tau)
     at = s._at  # one load, so a rate is never paired with another's values
@@ -135,6 +135,8 @@ def partial_sums(s: TaylorSeries, tau: float, r: float) -> list[float]:
         acc += v * tau_pow
         tau_pow *= tau
         out.append(acc)
+    if not isfinite(acc):  # an inf or nan sum stays one, so the last shows any
+        raise DomainError(f"partial sum overflowed at tau={tau}, r={r}")
     return out
 
 

@@ -9,10 +9,11 @@ Five reference tables ship with the package and are rebuilt on demand by
   dothan-converge  Dothan partial sums J=0..7 (price and log price), tau=3
   dothan-grid      Dothan prices x100, Taylor J=3/5/7 plus an FD oracle column
 
-The reference constants are embedded read-only; every computed cell is
-compared against its reference at half an ulp of the last printed decimal
-(padded by 1e-12 so a value sitting exactly on a rounding boundary cannot
-flip the verdict).  Three cells carry suspected misprints and are FLAGGED:
+The reference constants are embedded read-only.  ``build_table`` owns each
+table's id, printed decimals and tolerance: every computed cell is compared
+against its reference at half an ulp of the last printed decimal (padded by
+1e-12 so a value sitting exactly on a rounding boundary cannot flip the
+verdict).  Three cells carry suspected misprints and are FLAGGED:
 each is reported with a note that says why, and never failed.  A cell is
 flagged exactly when it has a note.
 
@@ -31,8 +32,7 @@ Column routes worth knowing before reading the builders:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import dataclass
 
 from .closedform import cir_exact_price, cir_exact_yield
 from .errors import ConfigError
@@ -80,7 +80,7 @@ class TableCell:
 class TableReport:
     table_id: str
     decimals: int
-    cells: tuple[TableCell, ...] = field(default=())
+    cells: tuple[TableCell, ...]
 
     @property
     def passed(self) -> bool:
@@ -157,13 +157,11 @@ _DOTHAN_GRID = {
 _DOTHAN_GRID_FLAGS = {(0.02, 3, 5.0), (0.02, 3, 10.0)}
 
 
-def _cir_table(table_id, decimals, exact, exact_ref, taylor, taylor_ref,
-               flags) -> TableReport:
+def _cir_table(tol, exact, exact_ref, taylor, taylor_ref, flags) -> list[TableCell]:
     """Closed form exact(tau) and Taylor columns taylor(f_J, tau) of the
     order-6 log partial sums f_J, J = 4/5/6, at r = 0.05 on every CIR tau;
     flags maps (tau, J) to the note of a flagged cell."""
     series = log_coeffs(make_cir(_CIR), 6)
-    tol = _tol(decimals)
     cells = []
     for i, tau in enumerate(_CIR_TAUS):
         row = f"tau={tau:g}"
@@ -173,41 +171,26 @@ def _cir_table(table_id, decimals, exact, exact_ref, taylor, taylor_ref,
             note = flags.get((tau, order), "")
             cells.append(TableCell(row, f"taylor_j{order}", taylor(sums[order], tau),
                                    taylor_ref[order][i], tol, note))
-    return TableReport(table_id, decimals, tuple(cells))
+    return cells
 
 
-def _converge_table(table_id, model, tau, r, price_ref, log_ref) -> TableReport:
+def _converge_table(tol, model, tau, r, price_ref, log_ref) -> list[TableCell]:
     p_sums = partial_sums(price_coeffs(model, 7), tau, r)
     l_sums = partial_sums(log_coeffs(model, 7), tau, r)
-    decimals = 6
-    tol = _tol(decimals)
     cells = []
     for k in range(8):
         row = f"order={k}"
         cells.append(TableCell(row, "price", p_sums[k], price_ref[k], tol))
         cells.append(TableCell(row, "logprice", l_sums[k], log_ref[k], tol))
-    return TableReport(table_id, decimals, tuple(cells))
+    return cells
 
 
-def _build_cir_converge() -> TableReport:
-    return _converge_table("cir-converge", make_cir(_CIR), 1.0, _CIR_R,
-                           _CIR_CONVERGE_PRICE, _CIR_CONVERGE_LOG)
-
-
-def _build_dothan_converge() -> TableReport:
-    return _converge_table("dothan-converge", make_dothan_sigma2(_DOTHAN_MU, 0.02),
-                           3.0, _DOTHAN_R,
-                           _DOTHAN_CONVERGE_PRICE, _DOTHAN_CONVERGE_LOG)
-
-
-def _build_dothan_grid() -> TableReport:
+def _dothan_grid(tol) -> list[TableCell]:
     # the only table that needs the FD oracle, and with it numpy and scipy
     from .fdsolver import default_grid, fd_price_at, fd_solve_path
 
     # all checkpoint maturities divide 10, so one march per block suffices
     grid = default_grid(_DOTHAN_R, _DOTHAN_GRID_TAUS[-1])
-    decimals = 4
-    tol = _tol(decimals)
     cells = []
     for sigma2 in (0.01, 0.02, 0.03):
         model = make_dothan_sigma2(_DOTHAN_MU, sigma2)
@@ -218,42 +201,40 @@ def _build_dothan_grid() -> TableReport:
             sums = partial_sums(series, tau, _DOTHAN_R)
             for order in (3, 5, 7):
                 printed = _DOTHAN_GRID[sigma2][order][i]
-                if (sigma2, order, tau) in _DOTHAN_GRID_FLAGS:
-                    cells.append(TableCell(
-                        row, f"taylor_j{order}", 100.0 * sums[order], None, tol,
-                        note=f"printed {printed:.4f} duplicates the "
-                             "sigma2=0.03 cell; series value reported"))
-                else:
-                    cells.append(TableCell(row, f"taylor_j{order}",
-                                           100.0 * sums[order], printed,
-                                           tol))
+                slip = (sigma2, order, tau) in _DOTHAN_GRID_FLAGS
+                note = (f"printed {printed:.4f} duplicates the sigma2=0.03 cell; "
+                        "series value reported") if slip else ""
+                cells.append(TableCell(row, f"taylor_j{order}", 100.0 * sums[order],
+                                       None if slip else printed, tol, note))
             fd_value = 100.0 * fd_price_at(sols[tau], _DOTHAN_R)
             cells.append(TableCell(row, "exact", fd_value,
                                    _DOTHAN_GRID[sigma2]["exact"][i], tol))
-    return TableReport("dothan-grid", decimals, tuple(cells))
+    return cells
 
 
+# id -> (printed decimals, builder(tol) -> cells); lambdas read the data at run time
 _BUILDERS = {
-    "cir-price": partial(_cir_table, "cir-price", 6,
-                         lambda tau: cir_exact_price(_CIR, tau, _CIR_R), _CIR_PRICE_EXACT,
-                         lambda f, tau: math.exp(f), _CIR_PRICE_TAYLOR,
-                         _CIR_PRICE_FLAGS),
-    "cir-yield": partial(_cir_table, "cir-yield", 5,
-                         lambda tau: 100.0 * cir_exact_yield(_CIR, tau, _CIR_R),
-                         _CIR_YIELD_EXACT,
-                         lambda f, tau: -100.0 * f / tau, _CIR_YIELD_TAYLOR, {}),
-    "cir-converge": _build_cir_converge,
-    "dothan-converge": _build_dothan_converge,
-    "dothan-grid": _build_dothan_grid,
+    "cir-price": (6, lambda tol: _cir_table(
+        tol, lambda tau: cir_exact_price(_CIR, tau, _CIR_R), _CIR_PRICE_EXACT,
+        lambda f, tau: math.exp(f), _CIR_PRICE_TAYLOR, _CIR_PRICE_FLAGS)),
+    "cir-yield": (5, lambda tol: _cir_table(
+        tol, lambda tau: 100.0 * cir_exact_yield(_CIR, tau, _CIR_R), _CIR_YIELD_EXACT,
+        lambda f, tau: -100.0 * f / tau, _CIR_YIELD_TAYLOR, {})),
+    "cir-converge": (6, lambda tol: _converge_table(
+        tol, make_cir(_CIR), 1.0, _CIR_R, _CIR_CONVERGE_PRICE, _CIR_CONVERGE_LOG)),
+    "dothan-converge": (6, lambda tol: _converge_table(
+        tol, make_dothan_sigma2(_DOTHAN_MU, 0.02), 3.0, _DOTHAN_R,
+        _DOTHAN_CONVERGE_PRICE, _DOTHAN_CONVERGE_LOG)),
+    "dothan-grid": (4, _dothan_grid),
 }
 TABLE_IDS = tuple(_BUILDERS)
 
 
 def build_table(table_id: str) -> TableReport:
-    """Recompute one reference table and compare cell by cell."""
+    """Recompute one reference table and compare cell by cell at its decimals."""
     try:
-        builder = _BUILDERS[table_id]
+        decimals, builder = _BUILDERS[table_id]
     except KeyError:
         raise ConfigError(f"unknown table id {table_id!r}; "
                           f"choose from: {', '.join(TABLE_IDS)}") from None
-    return builder()
+    return TableReport(table_id, decimals, tuple(builder(_tol(decimals))))

@@ -15,6 +15,7 @@ CIR_CFG = "model = cir\nalpha = 0.00315\nbeta = -0.0555\nsigma = 0.0894\n"
 DOTHAN01_CFG = "model = dothan\nmu = 0.005\nsigma2 = 0.01\n"
 DOTHAN02_CFG = "model = dothan\nmu = 0.005\nsigma2 = 0.02\n"
 ZERO_CFG = "model = custom\ndrift_terms = 0\nvol2_terms = 0\n"
+CKLS_CFG = "model = ckls\nalpha = 0.01\nbeta = -0.2\nsigma = 0.1\ngamma = 0.75\n"
 VASICEK_CFG = "model = custom\ndrift_terms = 0.01:0, -0.1:1\nvol2_terms = 0.0001:0\n"
 # nonnegative on the (0, 1] that parsing checks, negative beyond r = 10/9
 NEG_VOL2_CFG = ("model = custom\ndrift_terms = 0.01:0, -0.1:1\n"
@@ -461,6 +462,27 @@ def test_price_refuses_a_rate_past_the_sampled_interval(cfg, capsys):
     text = "model = custom\ndrift_terms = 0\nvol2_terms = 1:0, -0.5:1\n"
     code, out, err = run(capsys, ["price", "--model", cfg(text), "--r", "3", "--tau", "1"])
     assert (code, out, err) == (2, "", "error: vol2 is negative at r=3\n")
+
+
+@pytest.mark.parametrize("text,argv", [
+    (CIR_CFG, ["price", "--tau", "1e200"]),
+    (ZERO_CFG, ["price", "--tau", "1e200"]),
+    (CIR_CFG, ["yield", "--taus", "1e200"]),
+    (CIR_CFG, ["yield", "--taus", "1e200", "--from-price"]),
+], ids=["cir-price", "zero-price", "yield-log", "yield-from-price"])
+def test_overflowed_partial_sum_exits_2(cfg, capsys, text, argv):
+    # these printed inf, nan, nan and -inf with exit 0
+    code, out, err = run(capsys, argv + ["--model", cfg(text), "--r", "0.05",
+                                         "--order", "3"])
+    assert (code, out, err) == (2, "", "error: partial sum overflowed at tau=1e+200, r=0.05\n")
+
+
+@pytest.mark.parametrize("text,r", [(CIR_CFG, "1e200"), (CKLS_CFG, "1e160")],
+                         ids=["cir", "ckls"])
+def test_power_overflow_in_evaluation_exits_2(cfg, capsys, text, r):
+    # math.pow's OverflowError escaped as a traceback with exit 1
+    code, out, err = run(capsys, ["price", "--model", cfg(text), "--r", r, "--tau", "1"])
+    assert (code, out, err) == (2, "", f"error: evaluation overflowed at r={float(r)}\n")
 
 
 @pytest.mark.parametrize("text,flags", [

@@ -160,6 +160,12 @@ def test_evaluate_rejects_negative_exponent_at_zero():
         gp.evaluate(gp.term(1.0, -1.0), 0.0)
 
 
+def test_evaluate_power_overflow_is_domain_error():
+    # math.pow raises OverflowError where r**p exceeds a double
+    with pytest.raises(DomainError, match="evaluation overflowed at r=1e\\+200"):
+        gp.evaluate(gp.term(1.0, 2.0), 1e200)
+
+
 def test_approx_equal_examples():
     p = gp.canonicalize([(1.0, 0.0), (-2.0, 1.5)])
     assert gp.approx_equal(p, p, 0.0)

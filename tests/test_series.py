@@ -120,6 +120,16 @@ def test_partial_sums_prefix_property(cir_model):
         tau_pow *= tau
 
 
+@pytest.mark.parametrize("model,build", [("cir_model", price_coeffs),
+                                         ("cir_model", log_coeffs),
+                                         ("zero_model", price_coeffs)])
+def test_overflowed_partial_sum_rejected(request, model, build):
+    # inf, nan and -inf sums: once one is not finite, no later one is
+    s = build(request.getfixturevalue(model), 3)
+    with pytest.raises(DomainError, match=r"partial sum overflowed at tau=1e\+200, r=0.05"):
+        partial_sums(s, 1e200, 0.05)
+
+
 def test_eval_at_tau_zero(cir_model):
     assert eval_partial_sum(price_coeffs(cir_model, 6), 0.0, 0.07) == 1.0
     assert eval_partial_sum(log_coeffs(cir_model, 6), 0.0, 0.07) == 0.0

@@ -56,6 +56,17 @@ def test_reference_tables_reproduce(built_table, table_id, n_cells, n_flagged):
     assert rep.passed
 
 
+@pytest.mark.parametrize("table_id,decimals", [
+    ("cir-price", 6), ("cir-yield", 5), ("cir-converge", 6),
+    ("dothan-converge", 6), ("dothan-grid", 4),
+])
+def test_cell_tolerance_is_half_an_ulp_of_the_printed_decimals(built_table, table_id,
+                                                               decimals):
+    rep = built_table(table_id)
+    assert rep.decimals == decimals
+    assert {c.tolerance for c in rep.cells} == {0.5 * 10**-rep.decimals + 1e-12}
+
+
 def test_cir_price_flagged_cell_detail():
     rep = build_table("cir-price")
     flagged = [c for c in rep.cells if c.flagged]
