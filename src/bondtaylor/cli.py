@@ -27,10 +27,8 @@ picks aligned text (default) or CSV with a header row.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .errors import ConfigError, DomainError, check_yield_maturity
@@ -52,6 +50,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _render(header: list[str], rows: list[list[str]], fmt: str) -> str:
     if fmt == "csv":
+        import csv
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
@@ -146,6 +145,8 @@ def cmd_exact_cir(args) -> tuple[str, int]:
 
 def cmd_fd(args) -> tuple[str, int]:
     # the FD oracle, and with it numpy and scipy, loads only for this command
+    from dataclasses import replace
+
     from .fdsolver import default_grid, fd_price_at, fd_solve
 
     model = parse_model_config(args.model)

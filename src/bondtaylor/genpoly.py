@@ -23,9 +23,8 @@ leaves one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import DomainError, TermLimitError
 
@@ -37,8 +36,7 @@ MAX_TERMS = 100_000
 _MAX_RAW_TERMS = 10 * MAX_TERMS
 
 
-@dataclass(frozen=True)
-class GenPoly:
+class GenPoly(NamedTuple):
     """Canonical term list ((coeff, exponent), ...) in ascending exponent order.
 
     Build instances through canonicalize / const / term rather than directly,

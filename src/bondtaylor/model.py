@@ -35,8 +35,8 @@ Custom models give term lists in the GenPoly text format:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from . import genpoly as gp
 from .errors import ConfigError, DomainError
@@ -57,27 +57,24 @@ def _check_nonnegative(name: str, value: float) -> None:
         raise ValueError(f"{name} must be nonnegative, got {value}")
 
 
-@dataclass(frozen=True)
-class CIRParams:
-    alpha: float
-    beta: float
-    sigma: float
+# a NamedTuple body cannot define __new__, so the sigma check sits in a subclass
+class CIRParams(NamedTuple("CIRParams", [("alpha", float), ("beta", float), ("sigma", float)])):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _check_nonnegative("sigma", self.sigma)
-
-
-@dataclass(frozen=True)
-class DothanParams:
-    mu: float
-    sigma: float
-
-    def __post_init__(self) -> None:
-        _check_nonnegative("sigma", self.sigma)
+    def __new__(cls, alpha: float, beta: float, sigma: float):
+        _check_nonnegative("sigma", sigma)
+        return super().__new__(cls, alpha, beta, sigma)
 
 
-@dataclass(frozen=True)
-class ShortRateModel:
+class DothanParams(NamedTuple("DothanParams", [("mu", float), ("sigma", float)])):
+    __slots__ = ()
+
+    def __new__(cls, mu: float, sigma: float):
+        _check_nonnegative("sigma", sigma)
+        return super().__new__(cls, mu, sigma)
+
+
+class ShortRateModel(NamedTuple):
     drift: GenPoly
     vol2: GenPoly
 
@@ -219,7 +216,7 @@ def parse_model_text(text: str) -> ShortRateModel:
 def parse_model_config(path) -> ShortRateModel:
     """Read and parse a model config file."""
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read model config {path}: {exc}") from None
     return parse_model_text(text)

@@ -26,7 +26,6 @@ approximation made here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import isfinite, log
 
 from . import genpoly as gp
@@ -45,14 +44,36 @@ MAX_ORDER = 30
 _NEG_R = gp.term(-1.0, 1.0)  # the polynomial -r
 
 
-@dataclass(frozen=True)
 class TaylorSeries:
-    target: str  # PRICE or LOGPRICE
-    coeffs: tuple[GenPoly, ...]  # indices 0..order
-    model: ShortRateModel
-    # (r, (c_0(r), ..., c_order(r))) for the last rate partial_sums evaluated
-    _at: tuple[float, tuple[float, ...]] | None = field(
-        default=None, init=False, repr=False, compare=False)
+    """A frozen record of target (PRICE or LOGPRICE), coeffs (c_0..c_order)
+    and model.  _at holds (r, (c_0(r), ..., c_order(r))) for the last rate
+    partial_sums evaluated; it stays out of ==, hash, repr and pickles."""
+
+    __slots__ = ("target", "coeffs", "model", "_at")
+
+    def __init__(self, target: str, coeffs: tuple[GenPoly, ...], model: ShortRateModel):
+        for name, value in zip(self.__slots__, (target, coeffs, model, None)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _key(self) -> tuple:
+        return self.target, self.coeffs, self.model
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return "TaylorSeries(target=%r, coeffs=%r, model=%r)" % self._key()
+
+    def __reduce__(self):
+        return TaylorSeries, self._key()
 
     @property
     def order(self) -> int:

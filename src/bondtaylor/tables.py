@@ -32,7 +32,7 @@ Column routes worth knowing before reading the builders:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .closedform import cir_exact_price, cir_exact_yield
 from .errors import ConfigError
@@ -47,8 +47,7 @@ def _tol(decimals: int) -> float:
     return 0.5 * 10.0 ** -decimals + _PAD
 
 
-@dataclass(frozen=True)
-class TableCell:
+class TableCell(NamedTuple):
     row: str
     column: str
     computed: float
@@ -76,8 +75,7 @@ class TableCell:
         return "FAIL"
 
 
-@dataclass(frozen=True)
-class TableReport:
+class TableReport(NamedTuple):
     table_id: str
     decimals: int
     cells: tuple[TableCell, ...]

@@ -49,5 +49,5 @@ def random_model_factory():
 @pytest.fixture(scope="session")
 def built_table():
     """build_table, building each table once per session; reports are frozen
-    dataclasses of frozen cells, so tests can share them."""
+    records of frozen cells, so tests can share them."""
     return functools.cache(build_table)

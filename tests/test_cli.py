@@ -383,6 +383,20 @@ def test_missing_model_file_exits_1(capsys):
     assert code == 1 and "cannot read" in err
 
 
+def test_model_file_not_utf8_names_the_file(capsys, tmp_path):
+    # a latin-1 e-acute in a comment, and a binary file given as a config
+    latin1 = tmp_path / "latin1.cfg"
+    latin1.write_bytes(("# café rates\n" + CIR_CFG).encode("latin-1"))
+    binary = tmp_path / "binary.cfg"
+    binary.write_bytes(b"\x7fELF\x02\x01\x01\x00\xff\xfe\x00")
+    for path in (latin1, binary):
+        code, out, err = run(capsys, ["price", "--model", str(path), "--r", "0.05",
+                                      "--tau", "1"])
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: cannot read model config {path}: 'utf-8' codec")
+        assert err.count("\n") == 1
+
+
 def test_negative_tau_price_is_domain_error(cfg, capsys):
     code, _, err = run(capsys, ["price", "--model", cfg(CIR_CFG), "--r", "0.05",
                                 "--tau", "-2"])
