@@ -57,9 +57,11 @@ def _check_nonnegative(name: str, value: float) -> None:
         raise ValueError(f"{name} must be nonnegative, got {value}")
 
 
-# a NamedTuple body cannot define __new__, so the sigma check sits in a subclass
+# a NamedTuple body cannot define __new__, so the sigma check sits in a subclass;
+# _make, which _replace calls, would skip it by calling tuple.__new__
 class CIRParams(NamedTuple("CIRParams", [("alpha", float), ("beta", float), ("sigma", float)])):
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __new__(cls, alpha: float, beta: float, sigma: float):
         _check_nonnegative("sigma", sigma)
@@ -68,6 +70,7 @@ class CIRParams(NamedTuple("CIRParams", [("alpha", float), ("beta", float), ("si
 
 class DothanParams(NamedTuple("DothanParams", [("mu", float), ("sigma", float)])):
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __new__(cls, mu: float, sigma: float):
         _check_nonnegative("sigma", sigma)

@@ -94,7 +94,9 @@ def test_series_cache_stays_out_of_equality_and_cannot_be_deleted():
 
 
 @pytest.mark.parametrize("build", [lambda: CIRParams(alpha=0.1, beta=0.0, sigma=-0.01),
-                                   lambda: DothanParams(mu=0.005, sigma=-0.01)])
-def test_params_keyword_construction_checks_sigma(build):
+                                   lambda: DothanParams(mu=0.005, sigma=-0.01),
+                                   lambda: CIRParams(0.1, 0.0, 0.1)._replace(sigma=-0.01),
+                                   lambda: DothanParams(0.005, 0.1)._replace(sigma=-0.01)])
+def test_params_check_sigma_however_built(build):
     with pytest.raises(ValueError, match=r"^sigma must be nonnegative, got -0\.01$"):
         build()
