@@ -48,7 +48,7 @@ loaded = lambda: [m for m in ("bondtaylor.fdsolver",) + {heavy!r} if m in sys.mo
 assert loaded() == [], loaded()
 fdsolver = bondtaylor.fdsolver
 assert fdsolver is sys.modules["bondtaylor.fdsolver"]
-# the solver's own records are dataclasses, and scipy.linalg loads them anyway
+# the solver keeps its dataclasses, and scipy.linalg loads dataclasses and inspect anyway
 assert loaded() == ["bondtaylor.fdsolver", *{heavy!r}], loaded()
 assert bondtaylor.fd_solve is fdsolver.fd_solve
 from bondtaylor import FDGrid
