@@ -20,6 +20,11 @@ series f = sum_k c_k(r) tau^k satisfies
                 + (1/2) s2 c_k'' ) / (k+1)          for k >= 1;
 
 the -r source term enters only at order zero, which is what anchors c_1.
+The sum is symmetric in i <-> k-i and is formed with each mirrored pair once:
+
+    sum_{i=0}^{k} c_i' c_{k-i}' = sum_{i<k-i} (2 c_i') c_{k-i}' + [k even] (c_{k/2}')^2,
+
+where 2 c_i' is kept beside c_i' (doubling is exact in binary).
 Every coefficient stays a GenPoly in r, so truncation is the only
 approximation made here.
 """
@@ -116,15 +121,18 @@ def log_coeffs(model: ShortRateModel, order: int) -> TaylorSeries:
     _check_order(order)
     coeffs = [GenPoly()]
     derivs = [GenPoly()]
+    twice = [GenPoly()]  # twice[i] = 2 c_i', exact
     if order >= 1:
         coeffs.append(_NEG_R)
         derivs.append(gp.derivative(_NEG_R))
     half_vol2 = gp.scale(model.vol2, 0.5)  # exact, as in _apply_operator
     for k in range(1, order):
+        twice.append(gp.scale(derivs[k], 2.0))
         try:
-            # sum_i c_i' c_{k-i}' + c_k'' in one merge; the full range of i,
-            # since the i=0 and i=k ends vanish only when c_0' does
-            inner = gp.add(*(gp.mul(derivs[i], derivs[k - i]) for i in range(k + 1)),
+            # sum_i c_i' c_{k-i}' + c_k'' in one merge, each mirrored pair
+            # once; from i = 0, since that end vanishes only when c_0' does
+            inner = gp.add(*(gp.mul(twice[i] if 2 * i < k else derivs[i], derivs[k - i])
+                             for i in range(k // 2 + 1)),
                            gp.derivative(derivs[k]))
             raw = gp.add(gp.mul(model.drift, derivs[k]), gp.mul(half_vol2, inner))
         except TermLimitError as exc:

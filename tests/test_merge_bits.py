@@ -4,7 +4,9 @@ list on the exponent, sequential merging, and sums folded two at a time.
 On the lattice exponents of every shipped config the terms must be bit for
 bit the same.  For a non-lattice CKLS elasticity, exponents that differ by
 less than MERGE_TOL may be summed in another grouping: the exponents and term
-counts must still agree, the coefficients to rounding.
+counts must still agree, the coefficients to rounding.  The log series also
+agrees to rounding with the recursion that forms all k + 1 products of its
+convolution, unpaired, on every shipped config.
 """
 
 from pathlib import Path
@@ -57,15 +59,31 @@ def _old_price(m, order):
 
 
 def _old_log(m, order):
+    # the convolution pairs mirrors as log_coeffs does: (2 c_i') c_{k-i}' for
+    # i < k - i, then c_{k/2}'^2; doubling is exact, so the merge is what is pinned
     cs = [GenPoly(), gp.term(-1.0, 1.0)]
     ds = [GenPoly(), _d(cs[1])]
     for k in range(1, order):
         conv = GenPoly()
-        for i in range(k + 1):
-            conv = _add(conv, _mul(ds[i], ds[k - i]))
+        for i in range(k // 2 + 1):
+            conv = _add(conv, _mul(_scale(ds[i], 2.0) if 2 * i < k else ds[i], ds[k - i]))
         raw = _add(_mul(m.drift, ds[k]), _scale(_mul(m.vol2, _add(conv, _d(ds[k]))), 0.5))
         cs.append(_scale(raw, 1.0 / (k + 1)))
         ds.append(_d(cs[-1]))
+    return cs
+
+
+def _unpaired_log(m, order):
+    # log_coeffs before mirrored pairs: every product c_i' c_{k-i}', i = 0..k
+    cs = [GenPoly(), gp.term(-1.0, 1.0)]
+    ds = [GenPoly(), gp.derivative(cs[1])]
+    half_vol2 = gp.scale(m.vol2, 0.5)
+    for k in range(1, order):
+        inner = gp.add(*(gp.mul(ds[i], ds[k - i]) for i in range(k + 1)),
+                       gp.derivative(ds[k]))
+        raw = gp.add(gp.mul(m.drift, ds[k]), gp.mul(half_vol2, inner))
+        cs.append(gp.scale(raw, 1.0 / (k + 1)))
+        ds.append(gp.derivative(cs[-1]))
     return cs
 
 
@@ -94,12 +112,29 @@ def test_lattice_configs_bit_identical_to_sort_merge(cfg):
     assert repr(exp_compose(log).coeffs) == repr(tuple(_old_exp(old_log)))
 
 
-@pytest.mark.parametrize("gamma", [0.7, 2 / 3, 0.78341])
-@pytest.mark.parametrize("build, old", [(price_coeffs, _old_price), (log_coeffs, _old_log)])
-def test_non_lattice_ckls_agrees_to_rounding(gamma, build, old):
-    m = make_ckls(0.00315, -0.0555, 0.0894, gamma)
-    for new_c, old_c in zip(build(m, ORDER).coeffs, old(m, ORDER), strict=True):
+def _assert_agree_to_rounding(new, old):
+    for new_c, old_c in zip(new, old, strict=True):
         assert [p for _, p in new_c.terms] == [p for _, p in old_c.terms]
         scale = max((abs(c) for c, _ in old_c.terms), default=0.0)
         for (a, _), (b, _) in zip(new_c.terms, old_c.terms):
             assert abs(a - b) <= 1e-14 * scale
+
+
+NON_LATTICE = [0.7, 2 / 3, 0.78341]
+
+
+def _ckls(gamma):
+    return make_ckls(0.00315, -0.0555, 0.0894, gamma)
+
+
+@pytest.mark.parametrize("gamma", NON_LATTICE)
+@pytest.mark.parametrize("build, old", [(price_coeffs, _old_price), (log_coeffs, _old_log)])
+def test_non_lattice_ckls_agrees_to_rounding(gamma, build, old):
+    m = _ckls(gamma)
+    _assert_agree_to_rounding(build(m, ORDER).coeffs, old(m, ORDER))
+
+
+@pytest.mark.parametrize("model", [*map(parse_model_config, CONFIGS), *map(_ckls, NON_LATTICE)],
+                         ids=[*(p.name for p in CONFIGS), *(f"ckls_gamma_{g:.5g}" for g in NON_LATTICE)])
+def test_paired_log_agrees_with_unpaired_to_rounding(model):
+    _assert_agree_to_rounding(log_coeffs(model, ORDER).coeffs, _unpaired_log(model, ORDER))

@@ -403,3 +403,17 @@ def test_term_limit_names_the_series_order(monkeypatch, build, prefix):
     with pytest.raises(TermLimitError) as exc:
         build(parse_model_config(CONFIGS / "ckls.cfg"), 30)
     assert str(exc.value).startswith(prefix)
+
+
+def test_log_convolution_forms_each_mirrored_pair_once(monkeypatch):
+    calls = []
+    real = gp.mul
+
+    def counting(a, b):
+        calls.append(None)
+        return real(a, b)
+    monkeypatch.setattr(gp, "mul", counting)
+    log_coeffs(parse_model_config(CONFIGS / "ckls.cfg"), 30)
+    # steps k = 1..29: k // 2 + 1 products in the sum, plus drift and vol2;
+    # all k + 1 products of the unpaired sum would make 522
+    assert len(calls) == sum(k // 2 + 3 for k in range(1, 30)) == 297
