@@ -121,13 +121,14 @@ def log_coeffs(model: ShortRateModel, order: int) -> TaylorSeries:
     _check_order(order)
     coeffs = [GenPoly()]
     derivs = [GenPoly()]
-    twice = [GenPoly()]  # twice[i] = 2 c_i', exact
+    twice = []  # twice[i] = 2 c_i', exact, as far as i < k - i needs
     if order >= 1:
         coeffs.append(_NEG_R)
         derivs.append(gp.derivative(_NEG_R))
     half_vol2 = gp.scale(model.vol2, 0.5)  # exact, as in _apply_operator
     for k in range(1, order):
-        twice.append(gp.scale(derivs[k], 2.0))
+        if k % 2:
+            twice.append(gp.scale(derivs[k // 2], 2.0))
         try:
             # sum_i c_i' c_{k-i}' + c_k'' in one merge, each mirrored pair
             # once; from i = 0, since that end vanishes only when c_0' does
