@@ -24,7 +24,7 @@ The sum is symmetric in i <-> k-i and is formed with each mirrored pair once:
 
     sum_{i=0}^{k} c_i' c_{k-i}' = sum_{i<k-i} (2 c_i') c_{k-i}' + [k even] (c_{k/2}')^2,
 
-where 2 c_i' is kept beside c_i' (doubling is exact in binary).
+with each 2 c_i' formed once and reused (doubling is exact in binary).
 Every coefficient stays a GenPoly in r, so truncation is the only
 approximation made here.
 """
@@ -121,7 +121,7 @@ def log_coeffs(model: ShortRateModel, order: int) -> TaylorSeries:
     _check_order(order)
     coeffs = [GenPoly()]
     derivs = [GenPoly()]
-    twice = []  # twice[i] = 2 c_i', exact, as far as i < k - i needs
+    twice = []  # twice[i] = 2 c_i' (exact), for each i < k - i
     if order >= 1:
         coeffs.append(_NEG_R)
         derivs.append(gp.derivative(_NEG_R))
