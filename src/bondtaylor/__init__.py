@@ -2,7 +2,7 @@
 
 The series coefficients of the bond price P(tau, r) and its logarithm are
 generalized polynomials in r, produced by two recursions in `series`.  The
-CIR closed form (`closedform`) and a theta-scheme PDE solver (`fdsolver`)
+CIR closed form (`closedform`) and a Crank-Nicolson PDE solver (`fdsolver`)
 serve as independent cross-checks; `tables` rebuilds the embedded benchmark
 tables and `cli` exposes everything on the command line.
 

@@ -34,7 +34,7 @@ from pathlib import Path
 from .errors import ConfigError, DomainError, check_yield_maturity
 from .closedform import cir_exact_price
 from .genpoly import to_text
-from .model import UPPER_BOUNDARIES, CIRParams, parse_model_config
+from .model import CIRParams, parse_model_config
 from .series import (eval_partial_sum, log_coeffs, partial_sums, price_coeffs,
                      yield_from_price)
 from .tables import TABLE_IDS, build_table
@@ -150,8 +150,7 @@ def cmd_fd(args) -> tuple[str, int]:
     from .fdsolver import default_grid, fd_price_at, fd_solve
 
     model = parse_model_config(args.model)
-    grid = replace(default_grid(args.r, args.tau), theta=args.theta,
-                   upper_boundary=args.upper_boundary)
+    grid = default_grid(args.r, args.tau)
     flags = dict(r_max=args.rmax, n_r=args.nr, n_t=args.nt)
     given = {field: v for field, v in flags.items() if v is not None}
     if given:  # one grid named in full, --rmax optional: a single march, no Richardson
@@ -244,10 +243,6 @@ def build_parser() -> _Parser:
     p.add_argument("--rmax", type=float, default=None)
     p.add_argument("--nr", type=int, default=None)
     p.add_argument("--nt", type=int, default=None)
-    p.add_argument("--theta", type=float, default=0.5,
-                   help="time-stepping weight, 0.5 = Crank-Nicolson")
-    p.add_argument("--upper-boundary", choices=UPPER_BOUNDARIES,
-                   default="linearity")
     p.add_argument("--profile", action="store_true",
                    help="dump the whole (r, price) profile")
     p.set_defaults(handler=cmd_fd)

@@ -1,28 +1,26 @@
-"""Theta-scheme finite differences for the pricing equation.
+"""Crank-Nicolson finite differences for the pricing equation.
 
 Marches P_tau = mu(r) P_r + (1/2) s2(r) P_rr - r P from P(0, .) = 1 on the
 uniform grid r_j = j h, j = 0..n_r, h = r_max / n_r, with time step
 dtau = tau_final / n_t:
 
-    (I - theta dtau L) P^{n+1} = (I + (1 - theta) dtau L) P^n.
+    (I - (dtau / 2) L) P^{n+1} = (I + (dtau / 2) L) P^n.
 
-theta = 0.5 is Crank-Nicolson, theta = 1 implicit Euler.  The operator is
-frozen in time and stored once, as one 3 x (n_r + 1) banded array L; both step
-matrices are derived from it.  The implicit matrix is constant, so each march
-factors it once with LAPACK dgttrf (LU with partial pivoting), and each step is
-one banded matvec and one dgttrs solve with those factors.  One march serves a
-single solve and a checkpointed path alike, and returns its profiles keyed by
-maturity.
+The operator is frozen in time and stored once, as one 3 x (n_r + 1) banded
+array L; both step matrices are derived from it.  The implicit matrix is
+constant, so each march factors it once with LAPACK dgttrf (LU with partial
+pivoting), and each step is one banded matvec and one dgttrs solve with those
+factors.  One march serves a single solve and a checkpointed path alike, and
+returns its profiles keyed by maturity.
 
 `default_grid` marks its grid for Richardson extrapolation: on such a grid the
 march runs twice, at (n_r, n_t) and at (2 n_r, 2 n_t), and returns on the
-coarse nodes fine + (fine - coarse) / (2^p - 1), p = 2 for theta = 0.5 and
-p = 1 otherwise, with |fine - coarse| / (2^p - 1) per node as its error
-estimate.  A grid built directly marches once.  The default grid puts the
-query rate on a node at both levels, since linear interpolation between nodes
-adds an error that does not halve with the grid.  At theta = 0.5 the error
-left is spatial: 80 steps per unit maturity in place of 40 leave the CIR
-errors at tau = 5 and 10 unchanged.
+coarse nodes fine + (fine - coarse) / (2^p - 1), p = 2 being the scheme's
+order, with |fine - coarse| / (2^p - 1) per node as its error estimate.  A grid
+built directly marches once.  The default grid puts the query rate on a node
+at both levels, since linear interpolation between nodes adds an error that
+does not halve with the grid.  The error left is spatial: 80 steps per unit
+maturity in place of 40 leave the CIR errors at tau = 5 and 10 unchanged.
 
 Boundaries:
   * r = 0.  The equation degenerates there for the models of interest
@@ -32,9 +30,8 @@ Boundaries:
     stays at 1, which is the exact degenerate solution.  Both assumptions
     are enforced: a model with s2(0) > 0 or mu(0) < 0 (Vasicek, say) raises
     DomainError, as does one whose s2 is negative on any grid node.
-  * r = r_max.  Truncation boundary, the grid's `upper_boundary`: by default
-    the linearity condition P_rr = 0 with a one-sided first derivative;
-    "dirichlet0" clamps P to 0 instead, to cross-check the truncation error.
+  * r = r_max.  Truncation boundary: the linearity condition P_rr = 0 with a
+    one-sided first derivative.
 """
 
 from __future__ import annotations
@@ -47,7 +44,7 @@ from scipy.linalg import lapack
 
 from .errors import DomainError, check_maturity
 from .genpoly import GenPoly
-from .model import _VOL2_SLACK, UPPER_BOUNDARIES, ShortRateModel
+from .model import _VOL2_SLACK, ShortRateModel
 
 
 # default_grid's coarse level: cells over [0, max(10 r, 0.5)] and steps per
@@ -55,6 +52,8 @@ from .model import _VOL2_SLACK, UPPER_BOUNDARIES, ShortRateModel
 _BASE_CELLS = 600
 _STEPS_PER_YEAR = 40
 _MAX_STEPS = 20000
+# Crank-Nicolson's order in (h, dtau) halvings
+_ORDER = 2
 
 
 @dataclass(frozen=True)
@@ -62,8 +61,6 @@ class FDGrid:
     r_max: float
     n_r: int
     n_t: int
-    theta: float = 0.5
-    upper_boundary: str = "linearity"  # truncation condition at r_max
     richardson: bool = False  # extrapolate from this grid and its halving
 
     def __post_init__(self) -> None:
@@ -73,20 +70,10 @@ class FDGrid:
             raise ValueError(f"n_r must be at least 3, got {self.n_r}")
         if self.n_t < 1:
             raise ValueError(f"n_t must be at least 1, got {self.n_t}")
-        if not 0.0 <= self.theta <= 1.0:
-            raise ValueError(f"theta must lie in [0, 1], got {self.theta}")
-        if self.upper_boundary not in UPPER_BOUNDARIES:
-            raise ValueError(f"upper boundary must be one of {UPPER_BOUNDARIES}, "
-                             f"got {self.upper_boundary!r}")
 
     @property
     def h(self) -> float:
         return self.r_max / self.n_r
-
-    @property
-    def order(self) -> float:
-        """The scheme's formal order in (h, dtau) halvings."""
-        return 2.0 if self.theta == 0.5 else 1.0
 
 
 @dataclass(frozen=True)
@@ -170,10 +157,9 @@ def _operator(model: ShortRateModel, grid: FDGrid) -> np.ndarray:
     L[1, 0] = -mu[0] / h
     L[0, 1] = mu[0] / h
 
-    if grid.upper_boundary == "linearity":  # dirichlet0 keeps the top row zero
-        # r = r_max: P_rr = 0, one-sided first derivative
-        L[2, -2] = -mu[-1] / h
-        L[1, -1] = mu[-1] / h - r_nodes[-1]
+    # r = r_max: P_rr = 0, one-sided first derivative
+    L[2, -2] = -mu[-1] / h
+    L[1, -1] = mu[-1] / h - r_nodes[-1]
     return L
 
 
@@ -186,7 +172,7 @@ def _march(model: ShortRateModel, taus: list[float], grid: FDGrid) -> dict[float
         coarse = _march(model, taus, coarse_grid)
         fine = _march(model, taus, replace(coarse_grid, n_r=2 * grid.n_r, n_t=2 * grid.n_t))
         return {tau: FDSolution(grid, tau, *_richardson(sol.values, fine[tau].values[::2],
-                                                         grid.order))
+                                                         _ORDER))
                 for tau, sol in coarse.items()}
     dtau = taus[-1] / grid.n_t
     wanted: dict[int, list[float]] = {}
@@ -199,13 +185,10 @@ def _march(model: ShortRateModel, taus: list[float], grid: FDGrid) -> dict[float
     wanted.setdefault(grid.n_t, []).append(taus[-1])
 
     L = _operator(model, grid)
-    th = grid.theta
-    ab = -th * dtau * L  # implicit matrix I - theta dtau L
+    ab = -0.5 * dtau * L  # implicit matrix I - (dtau / 2) L
     ab[1] += 1.0
-    ex = (1.0 - th) * dtau * L  # explicit matrix I + (1 - theta) dtau L
+    ex = 0.5 * dtau * L  # explicit matrix I + (dtau / 2) L
     ex[1] += 1.0
-    if grid.upper_boundary == "dirichlet0":
-        ex[1, -1] = 0.0  # with the zero row of L, clamps P(r_max) to 0
     ex_sup, ex_dia, ex_sub = ex[0, 1:], ex[1], ex[2, :-1]
     dl, d, du, du2, ipiv, info = lapack.dgttrf(ab[2, :-1], ab[1], ab[0, 1:])
     if info > 0:
@@ -277,8 +260,8 @@ def convergence_study(model: ShortRateModel, tau: float, r: float, base: FDGrid,
     """Halve h and dtau `levels-1` times and report the empirical order.
 
     The reference value is a Richardson extrapolation from the two finest
-    grids, using the last order estimate (falling back on the scheme's formal
-    order when the differences are already at round-off).  Level i is the
+    grids, using the last order estimate (falling back on the scheme's order,
+    2, when the differences are already at round-off).  Level i is the
     base grid with h = base.h / 2^i and n_t = base.n_t * 2^i, marched once.
     """
     if levels < 2:
@@ -292,7 +275,7 @@ def convergence_study(model: ShortRateModel, tau: float, r: float, base: FDGrid,
         math.log2(diffs[i] / diffs[i + 1]) if diffs[i] > 0.0 and diffs[i + 1] > 0.0 else math.nan
         for i in range(levels - 2)
     )
-    p_ref = next((p for p in reversed(orders) if math.isfinite(p) and p > 0.1), base.order)
+    p_ref = next((p for p in reversed(orders) if math.isfinite(p) and p > 0.1), _ORDER)
     # when the two finest values agree the correction is exactly 0
     reference, _ = _richardson(values[-2], values[-1], p_ref)
     return ConvergenceStudy(values, orders, reference)

@@ -47,9 +47,6 @@ _VOL2_SAMPLES = 1000
 # slack for float noise when an exactly-nonnegative vol2 is evaluated in
 # expanded form near one of its roots
 _VOL2_SLACK = -1e-12
-# truncation conditions the FD oracle offers at r_max; kept here, away from
-# numpy, so the CLI can list them without loading the solver
-UPPER_BOUNDARIES = ("linearity", "dirichlet0")
 
 
 def _check_nonnegative(name: str, value: float) -> None:

@@ -1,4 +1,6 @@
 import functools
+import itertools
+import math
 
 import pytest
 
@@ -51,3 +53,21 @@ def built_table():
     """build_table, building each table once per session; reports are frozen
     records of frozen cells, so tests can share them."""
     return functools.cache(build_table)
+
+
+@pytest.fixture
+def nan_at_step(monkeypatch):
+    """nan_at_step(k) makes the k-th dgttrs solve of the FD march return a NaN
+    profile, as a march that overflows would."""
+    def install(k):
+        from bondtaylor import fdsolver
+        solve = fdsolver.lapack.dgttrs
+        calls = itertools.count(1)
+
+        def faked(*args):
+            x, info = solve(*args)
+            if next(calls) == k:
+                x.fill(math.nan)
+            return x, info
+        monkeypatch.setattr(fdsolver.lapack, "dgttrs", faked)
+    return install

@@ -199,15 +199,28 @@ def test_fd_grid_flags_validated(cfg, capsys):
 
 
 def test_fd_explicit_grid_is_named_in_full(cfg, capsys):
-    argv = ["fd", "--model", cfg(CIR_CFG), "--r", "0.05", "--tau", "10", "--theta", "1"]
+    argv = ["fd", "--model", cfg(CIR_CFG), "--r", "0.05", "--tau", "10"]
     # --nr alone used to take n_t from the default grid's coarse level and
-    # march once without extrapolation: 0.622123 with exit 0, exact 0.621902
+    # march once without extrapolation: 0.622123 with exit 0 (implicit Euler),
+    # exact 0.621902
     for partial in (["--nr", "2000"], ["--nt", "400"], ["--rmax", "1"]):
         code, out, err = run(capsys, argv + partial)
         assert (code, out) == (1, "") and "--nr" in err and "--nt" in err
     # with both, r_max comes from the default grid and the grid marches once
     code, out, _ = run(capsys, argv + ["--nr", "2000", "--nt", "10000"])
-    assert (code, out) == (0, "0.621911\n")
+    assert (code, out) == (0, "0.621902\n")
+
+
+@pytest.mark.parametrize("flag,value", [("--theta", "0"), ("--theta", "0.25"),
+                                        ("--theta", "0.5"),
+                                        ("--upper-boundary", "dirichlet0"),
+                                        ("--upper-boundary", "linearity")])
+def test_fd_refuses_removed_scheme_flags(cfg, capsys, flag, value):
+    # the oracle is Crank-Nicolson with the linearity closure only; theta = 0
+    # used to print -5.4e124 for the CIR price 0.951115 with exit 0
+    code, out, err = run(capsys, ["fd", "--model", cfg(CIR_CFG), "--r", "0.05",
+                                  "--tau", "1", flag, value])
+    assert (code, out) == (1, "") and flag in err
 
 
 def test_fd_negative_tau_is_domain_error(cfg, capsys):
@@ -243,14 +256,13 @@ def test_fd_refuses_negative_vol2_on_grid(cfg, capsys):
     assert "vol2 is negative at r=1.11333 on the FD grid" in err
 
 
-def test_fd_blow_up_prints_one_error_line(cfg, capsys):
-    # overflow on the way to the non-finite step must not reach the user as
-    # a numpy RuntimeWarning
+def test_fd_blow_up_prints_one_error_line(cfg, capsys, nan_at_step):
+    # a march gone non-finite is one error line, not a numpy RuntimeWarning
+    nan_at_step(84)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code, out, err = run(capsys, ["fd", "--model", cfg(ZERO_CFG), "--r", "0.05",
-                                      "--tau", "1e6", "--nt", "100", "--nr", "10",
-                                      "--theta", "0"])
+        code, out, err = run(capsys, ["fd", "--model", cfg(CIR_CFG), "--r", "0.05",
+                                      "--tau", "1", "--nt", "100", "--nr", "10"])
     assert (code, out, err) == (2, "", "error: non-finite values at step 84 of 100\n")
 
 

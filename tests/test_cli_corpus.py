@@ -63,6 +63,7 @@ def _commands() -> list[list[str]]:
         cmds.append(["fd", "--model", cfg, "--r", "0.05", "--tau", "1"] + FD_GRID)
         cmds.append(["fd", "--model", cfg, "--r", "0.05", "--tau", "1"] + FD_GRID
                     + ["--profile", "--format", "csv"])
+    # the oracle has one scheme; its former knobs are usage errors
     cmds.append(["fd", "--model", "configs/cir.cfg", "--r", "0.05", "--tau", "2"]
                 + FD_GRID + ["--theta", "1", "--upper-boundary", "dirichlet0"])
     cmds.append(["fd", "--model", "configs/dothan_s2_0.02.cfg", "--r", "0.035",

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,11 +9,13 @@ from scipy.linalg import solve_banded
 from bondtaylor import fdsolver
 from bondtaylor.closedform import cir_exact_price
 from bondtaylor.errors import DomainError
-from bondtaylor.fdsolver import (UPPER_BOUNDARIES, FDGrid, FDSolution,
-                                 convergence_study, default_grid, fd_price_at,
-                                 fd_solve, fd_solve_path)
+from bondtaylor.fdsolver import (FDGrid, FDSolution, convergence_study,
+                                 default_grid, fd_price_at, fd_solve,
+                                 fd_solve_path)
 from bondtaylor.model import (CIRParams, DothanParams, make_cir, make_ckls,
-                              make_custom, make_dothan)
+                              make_custom, make_dothan, parse_model_config)
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def test_zero_model_matches_exponential(zero_model):
@@ -74,7 +77,7 @@ def test_fd_price_at_interpolation():
                                    (0.2, 1.0), (0.001, 0.3), (1.7, 1e-4), (0.05, 1e3)])
 def test_default_grid_choices(r, tau):
     g = default_grid(r, tau)
-    assert g.richardson and g.theta == 0.5
+    assert g.richardson
     assert g.r_max >= max(10.0 * r, 0.5)
     # the query rate is a node of the coarse grid, and so of its halving
     k = r / g.h
@@ -105,39 +108,36 @@ def test_default_grid_checkpoints_at_quarter_years(cir_model):
         assert np.array_equal(sol.error, single.error)
 
 
-@pytest.mark.parametrize("theta", [0.5, 1.0])
-def test_richardson_grid_extrapolates_two_single_marches(theta):
+def test_richardson_grid_extrapolates_two_single_marches():
     model = PATH_MODELS["ckls"]
-    grid = FDGrid(r_max=0.5, n_r=20, n_t=8, theta=theta, richardson=True)
+    grid = FDGrid(r_max=0.5, n_r=20, n_t=8, richardson=True)
     coarse = fd_solve(model, 2.0, replace(grid, richardson=False)).values
-    fine = fd_solve(model, 2.0, FDGrid(0.5, 40, 16, theta)).values[::2]
-    denom = 3.0 if theta == 0.5 else 1.0
+    fine = fd_solve(model, 2.0, FDGrid(0.5, 40, 16)).values[::2]
     sol = fd_solve(model, 2.0, grid)
-    assert np.array_equal(sol.values, fine + (fine - coarse) / denom)
-    assert np.array_equal(sol.error, np.abs(fine - coarse) / denom)
+    # Crank-Nicolson is second order: 2^2 - 1 = 3
+    assert np.array_equal(sol.values, fine + (fine - coarse) / 3.0)
+    assert np.array_equal(sol.error, np.abs(fine - coarse) / 3.0)
     assert fd_solve(model, 2.0, replace(grid, richardson=False)).error is None
     assert np.array_equal(fd_solve(model, 0.0, grid).error, np.zeros(21))
 
 
-@pytest.mark.parametrize("theta", [0.5, 1.0])
 @pytest.mark.parametrize("r", [0.013, 0.05])
 @pytest.mark.parametrize("tau", [1.0, 5.0, 10.0])
-def test_richardson_estimate_bounds_cir_error(cir_model, cir_params, theta, r, tau):
-    grid = replace(default_grid(r, tau), theta=theta)
+def test_richardson_estimate_bounds_cir_error(cir_model, cir_params, r, tau):
+    grid = default_grid(r, tau)
     sol = fd_solve(cir_model, tau, grid)
     error = abs(fd_price_at(sol, r) - cir_exact_price(cir_params, tau, r))
-    # measured: at most 0.37 of the estimate (theta = 1, r = 0.013, tau = 10)
+    # measured: at most 0.24 of the estimate (r = 0.05, tau = 5)
     assert error <= sol.error[round(r / grid.h)]
 
 
 def test_default_grid_no_worse_than_single_fine_march(cir_model, cir_params):
     # the errors of the former default, one march of 2000 cells and 1000 steps
-    # per unit maturity, by (theta, r, tau)
-    old = {(0.5, 0.05, 1.0): 1.72e-11, (0.5, 0.05, 5.0): 1.71e-09, (0.5, 0.05, 10.0): 6.66e-08,
-           (0.5, 0.013, 1.0): 3.52e-11, (0.5, 0.013, 5.0): 6.01e-08, (0.5, 0.013, 10.0): 5.94e-07,
-           (1.0, 0.05, 1.0): 1.20e-06, (1.0, 0.05, 5.0): 6.28e-06, (1.0, 0.05, 10.0): 8.92e-06}
-    for (theta, r, tau), bound in old.items():
-        sol = fd_solve(cir_model, tau, replace(default_grid(r, tau), theta=theta))
+    # per unit maturity, by (r, tau)
+    old = {(0.05, 1.0): 1.72e-11, (0.05, 5.0): 1.71e-09, (0.05, 10.0): 6.66e-08,
+           (0.013, 1.0): 3.52e-11, (0.013, 5.0): 6.01e-08, (0.013, 10.0): 5.94e-07}
+    for (r, tau), bound in old.items():
+        sol = fd_solve(cir_model, tau, default_grid(r, tau))
         assert abs(fd_price_at(sol, r) - cir_exact_price(cir_params, tau, r)) <= bound
 
 
@@ -146,7 +146,6 @@ def test_default_grid_no_worse_than_single_fine_march(cir_model, cir_params):
     dict(r_max=-1.0, n_r=10, n_t=10),
     dict(r_max=0.5, n_r=2, n_t=10),
     dict(r_max=0.5, n_r=10, n_t=0),
-    dict(r_max=0.5, n_r=10, n_t=10, theta=1.5),
     dict(r_max=math.inf, n_r=10, n_t=10),
 ])
 def test_grid_validation(kwargs):
@@ -154,19 +153,20 @@ def test_grid_validation(kwargs):
         FDGrid(**kwargs)
 
 
-def test_upper_boundary_options(cir_model, cir_params):
-    grid = FDGrid(r_max=0.5, n_r=1000, n_t=1000)
-    assert grid.upper_boundary == "linearity"
-    lin = fd_price_at(fd_solve(cir_model, 1.0, grid), 0.05)
-    dir0 = fd_price_at(fd_solve(cir_model, 1.0, replace(grid, upper_boundary="dirichlet0")),
-                       0.05)
-    exact = cir_exact_price(cir_params, 1.0, 0.05)
-    # far from the boundary both choices agree with the closed form
-    assert abs(lin - exact) <= 1e-5
-    assert abs(dir0 - exact) <= 1e-5
-    # an unknown closure is refused when the grid is built, before any solve
-    with pytest.raises(ValueError, match="upper boundary must be one of"):
-        FDGrid(r_max=0.5, n_r=1000, n_t=1000, upper_boundary="reflecting")
+@pytest.mark.parametrize("config", ["cir", "dothan_s2_0.02"])
+@pytest.mark.parametrize("r", [0.013, 0.05])
+def test_doubling_r_max_moves_price_under_half_ulp(config, r):
+    # the truncation at r_max = 10 r against 20 r, h kept: the price at the
+    # query rate moves by less than half the printed last digit.  Measured:
+    # at most 1.54e-7 at tau = 30 (dothan, r = 0.05), 4.4e-9 at tau = 10
+    model = parse_model_config(CONFIGS / f"{config}.cfg")
+    grid = default_grid(r, 30.0)  # dtau = 1/40, so tau = 10 is a checkpoint
+    wide = replace(grid, r_max=2 * grid.r_max, n_r=2 * grid.n_r)
+    assert wide.h == grid.h
+    near = fd_solve_path(model, [10.0, 30.0], grid)
+    far = fd_solve_path(model, [10.0, 30.0], wide)
+    for tau in (10.0, 30.0):
+        assert abs(fd_price_at(near[tau], r) - fd_price_at(far[tau], r)) < 5e-7
 
 
 # the zero model has mu = s2 = 0, so only the CKLS model (fractional gamma)
@@ -175,21 +175,16 @@ PATH_MODELS = {"zero": make_custom([], []),
                "ckls": make_ckls(0.01, -0.2, 0.1, 0.75)}
 
 
-@pytest.mark.parametrize("model_name,upper_boundary",
-                         [pytest.param("zero", ub, id=ub) for ub in UPPER_BOUNDARIES]
-                         + [pytest.param("ckls", ub, id=f"ckls-{ub}")
-                            for ub in UPPER_BOUNDARIES])
-def test_fd_solve_path_matches_single_solves(model_name, upper_boundary):
+@pytest.mark.parametrize("model_name", PATH_MODELS)
+def test_fd_solve_path_matches_single_solves(model_name):
     model = PATH_MODELS[model_name]
-    grid = FDGrid(r_max=0.5, n_r=10, n_t=40, upper_boundary=upper_boundary)
+    grid = FDGrid(r_max=0.5, n_r=10, n_t=40)
     sols = fd_solve_path(model, [1.0, 2.0, 4.0], grid)
     assert sorted(sols) == [1.0, 2.0, 4.0]
     for tau, sol in sols.items():
         # same dtau=0.1 march, so values agree bit for bit
         single = fd_solve(model, tau, replace(grid, n_t=int(10 * tau)))
         assert np.array_equal(sol.values, single.values)
-        if upper_boundary == "dirichlet0":
-            assert sol.values[-1] == 0.0
     # two maturities on one step both come back, with that step's profile
     near = fd_solve_path(model, [1.0, 1.0 + 1e-12, 2.0], grid)
     assert sorted(near) == [1.0, 1.0 + 1e-12, 2.0]
@@ -212,25 +207,24 @@ def _dense_operator(model, grid):
         L[j, j - 1] = s2[j] / (2 * h * h) - mu[j] / (2 * h)
         L[j, j] = -s2[j] / (h * h) - r[j]
         L[j, j + 1] = s2[j] / (2 * h * h) + mu[j] / (2 * h)
-    if grid.upper_boundary == "linearity":
-        L[-1, -2], L[-1, -1] = -mu[-1] / h, mu[-1] / h - r[-1]
+    L[-1, -2], L[-1, -1] = -mu[-1] / h, mu[-1] / h - r[-1]
     return L
 
 
-@pytest.mark.parametrize("upper_boundary", UPPER_BOUNDARIES)
-@pytest.mark.parametrize("theta", [0.5, 0.7, 1.0])
-def test_march_matches_dense_theta_scheme(upper_boundary, theta):
+@pytest.mark.parametrize("model", [PATH_MODELS["ckls"],
+                                   make_cir(CIRParams(0.00315, -0.0555, 0.0894)),
+                                   make_dothan(DothanParams(mu=0.005, sigma=0.1))],
+                         ids=["ckls", "cir", "dothan"])
+def test_march_matches_dense_crank_nicolson(model):
     # an independent dense solve catches a band stored in the wrong row or
-    # shifted by one column, which single-vs-path agreement cannot
-    model = PATH_MODELS["ckls"]
-    grid = FDGrid(r_max=0.5, n_r=12, n_t=3, theta=theta, upper_boundary=upper_boundary)
+    # shifted by one column, which single-vs-path agreement cannot; Dothan's
+    # r = 0 node decouples (drift(0) = 0)
+    grid = FDGrid(r_max=0.5, n_r=12, n_t=3)
     dtau = 0.6 / grid.n_t
     L = _dense_operator(model, grid)
     eye = np.eye(grid.n_r + 1)
-    implicit = eye - theta * dtau * L
-    explicit = eye + (1.0 - theta) * dtau * L
-    if upper_boundary == "dirichlet0":
-        explicit[-1] = 0.0
+    implicit = eye - 0.5 * dtau * L
+    explicit = eye + 0.5 * dtau * L
     values = np.ones(grid.n_r + 1)
     for _ in range(grid.n_t):
         values = np.linalg.solve(implicit, explicit @ values)
@@ -243,12 +237,10 @@ def _banded_solve_march(model, taus, grid):
     step, which refactors the implicit matrix every time."""
     dtau = taus[-1] / grid.n_t
     L = fdsolver._operator(model, grid)
-    ab = -grid.theta * dtau * L
+    ab = -0.5 * dtau * L
     ab[1] += 1.0
-    ex = (1.0 - grid.theta) * dtau * L
+    ex = 0.5 * dtau * L
     ex[1] += 1.0
-    if grid.upper_boundary == "dirichlet0":
-        ex[1, -1] = 0.0
     wanted = {round(tau / dtau): tau for tau in taus}
     values = np.ones(grid.n_r + 1)
     out = {}
@@ -262,14 +254,12 @@ def _banded_solve_march(model, taus, grid):
     return out
 
 
-@pytest.mark.parametrize("upper_boundary", UPPER_BOUNDARIES)
-@pytest.mark.parametrize("theta", [0.5, 1.0])
 @pytest.mark.parametrize("model", [make_cir(CIRParams(0.00315, -0.0555, 0.0894)),
                                    PATH_MODELS["ckls"]], ids=["cir", "ckls"])
-def test_factored_march_is_bit_identical_to_banded_solves(model, theta, upper_boundary):
+def test_factored_march_is_bit_identical_to_banded_solves(model):
     # dgttrf + dgttrs run the same partial-pivot elimination as dgtsv, so
     # factoring once changes no bit of any profile
-    grid = FDGrid(r_max=0.5, n_r=60, n_t=40, theta=theta, upper_boundary=upper_boundary)
+    grid = FDGrid(r_max=0.5, n_r=60, n_t=40)
     taus = [0.5, 1.25, 2.0]
     reference = _banded_solve_march(model, taus, grid)
     sol = fd_solve(model, 2.0, grid)
@@ -315,11 +305,10 @@ def test_negative_exponent_model_rejected_on_grid():
         fd_solve(model, 1.0, FDGrid(r_max=0.5, n_r=10, n_t=4))
 
 
-def test_non_finite_march_reports_step(zero_model):
-    # the explicit scheme at dtau = 1e4 grows by about 5e3 a step and
-    # overflows part way
+def test_non_finite_march_reports_step(cir_model, nan_at_step):
+    nan_at_step(84)
     with pytest.raises(DomainError, match=r"^non-finite values at step 84 of 100$"):
-        fd_solve(zero_model, 1e6, FDGrid(r_max=0.5, n_r=10, n_t=100, theta=0.0))
+        fd_solve(cir_model, 1.0, FDGrid(r_max=0.5, n_r=10, n_t=100))
 
 
 def test_singular_implicit_matrix_is_domain_error(zero_model, monkeypatch):
@@ -331,35 +320,24 @@ def test_singular_implicit_matrix_is_domain_error(zero_model, monkeypatch):
 
 
 def test_convergence_orders_crank_nicolson(cir_model):
-    base = FDGrid(r_max=0.5, n_r=250, n_t=250, theta=0.5)
+    base = FDGrid(r_max=0.5, n_r=250, n_t=250)
     study = convergence_study(cir_model, 1.0, 0.05, base, levels=3)
     assert len(study.values) == 3
     assert len(study.orders) == 1
     assert study.orders[0] >= 1.8
 
 
-def test_convergence_orders_implicit_euler(cir_model):
-    base = FDGrid(r_max=0.5, n_r=250, n_t=250, theta=1.0)
-    study = convergence_study(cir_model, 1.0, 0.05, base, levels=3)
-    assert study.orders[0] == pytest.approx(1.0, abs=0.3)
-
-
 def test_convergence_zero_model_roundoff(zero_model):
-    base = FDGrid(r_max=0.5, n_r=10, n_t=200, theta=0.5)
+    base = FDGrid(r_max=0.5, n_r=10, n_t=200)
     study = convergence_study(zero_model, 1.0, 0.05, base, levels=3)
     assert all(abs(value - study.reference) <= 1e-9 for value in study.values)
 
 
-def test_convergence_levels_keep_the_base_closure(cir_model):
-    # at r_max = 0.1 the clamp P(r_max) = 0 pulls the price at r = 0.05 down
-    # by about 0.03; the linearity closure leaves it near the closed form
-    base = FDGrid(r_max=0.1, n_r=10, n_t=20, upper_boundary="dirichlet0")
+def test_convergence_levels_march_the_halved_base_once(cir_model):
+    base = FDGrid(r_max=0.1, n_r=10, n_t=20)
     study = convergence_study(cir_model, 1.0, 0.05, base, levels=3)
-    finest = FDGrid(r_max=0.1, n_r=40, n_t=80, upper_boundary="dirichlet0")
+    finest = FDGrid(r_max=0.1, n_r=40, n_t=80)
     assert study.values[-1] == fd_price_at(fd_solve(cir_model, 1.0, finest), 0.05)
-    linear = convergence_study(cir_model, 1.0, 0.05, replace(base, upper_boundary="linearity"),
-                               levels=3)
-    assert linear.values[-1] - study.values[-1] > 0.02
     # each level marches once, whether or not the base is marked for Richardson
     assert convergence_study(cir_model, 1.0, 0.05, replace(base, richardson=True), 3) == study
 
