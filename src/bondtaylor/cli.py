@@ -132,10 +132,12 @@ def cmd_yield(args) -> tuple[str, int]:
 
 
 def _render_price(args, price: float) -> str:
+    text = f"{price:.6f}"
+    if text == "-0.000000":  # a price that rounds to zero prints unsigned
+        text = text[1:]
     if args.format == "csv":
-        return _render(["tau", "r", "price"],
-                       [[f"{args.tau:g}", f"{args.r:g}", f"{price:.6f}"]], "csv")
-    return f"{price:.6f}\n"
+        return _render(["tau", "r", "price"], [[f"{args.tau:g}", f"{args.r:g}", text]], "csv")
+    return text + "\n"
 
 
 def cmd_exact_cir(args) -> tuple[str, int]:

@@ -7,11 +7,14 @@ dtau = tau_final / n_t:
     (I - (dtau / 2) L) P^{n+1} = (I + (dtau / 2) L) P^n.
 
 The operator is frozen in time and stored once, as one 3 x (n_r + 1) banded
-array L; both step matrices are derived from it.  The implicit matrix is
-constant, so each march factors it once with LAPACK dgttrf (LU with partial
-pivoting), and each step is one banded matvec and one dgttrs solve with those
-factors.  One march serves a single solve and a checkpointed path alike, and
-returns its profiles keyed by maturity.
+array L.  With A = I - (dtau / 2) L the explicit matrix is 2 I - A, so the
+step is P^{n+1} = 2 A^-1 P^n - P^n and needs no matvec.  A is constant: each
+march factors A / 2 once with LAPACK dgttrf (LU with partial pivoting), and
+each step is one dgttrs solve with those factors, which returns 2 A^-1 P^n,
+and one subtraction.  Halving is exact in binary, so A / 2 has A's pivots and
+multipliers, and the solve returns exactly twice what A's factors would.  One
+march serves a single solve and a checkpointed path alike, and returns its
+profiles keyed by maturity.
 
 `default_grid` marks its grid for Richardson extrapolation: on such a grid the
 march runs twice, at (n_r, n_t) and at (2 n_r, 2 n_t), and returns on the
@@ -185,11 +188,8 @@ def _march(model: ShortRateModel, taus: list[float], grid: FDGrid) -> dict[float
     wanted.setdefault(grid.n_t, []).append(taus[-1])
 
     L = _operator(model, grid)
-    ab = -0.5 * dtau * L  # implicit matrix I - (dtau / 2) L
-    ab[1] += 1.0
-    ex = 0.5 * dtau * L  # explicit matrix I + (dtau / 2) L
-    ex[1] += 1.0
-    ex_sup, ex_dia, ex_sub = ex[0, 1:], ex[1], ex[2, :-1]
+    ab = -0.25 * dtau * L  # A / 2, with A = I - (dtau / 2) L the implicit matrix
+    ab[1] += 0.5
     dl, d, du, du2, ipiv, info = lapack.dgttrf(ab[2, :-1], ab[1], ab[0, 1:])
     if info > 0:
         raise DomainError(f"singular tridiagonal matrix: zero pivot at row {info}")
@@ -199,10 +199,8 @@ def _march(model: ShortRateModel, taus: list[float], grid: FDGrid) -> dict[float
     # a march that blows up overflows on the way; the finiteness check names the step
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(1, grid.n_t + 1):
-            rhs = ex_dia * values
-            rhs[:-1] += ex_sup * values[1:]
-            rhs[1:] += ex_sub * values[:-1]
-            values, _ = lapack.dgttrs(dl, d, du, du2, ipiv, rhs)
+            doubled, _ = lapack.dgttrs(dl, d, du, du2, ipiv, values)  # 2 A^-1 P
+            values = np.subtract(doubled, values, out=doubled)
             if not np.isfinite(values).all():
                 raise DomainError(f"non-finite values at step {step} of {grid.n_t}")
             for tau in wanted.get(step, ()):

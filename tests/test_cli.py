@@ -167,6 +167,14 @@ def test_fd_rate_below_half_a_cell(cfg, capsys):
     assert out == "0.998456\n"
 
 
+@pytest.mark.parametrize("r", ["100", "200", "300"])
+def test_fd_price_rounding_to_zero_prints_unsigned(cfg, capsys, r):
+    # the default grid's price at r = 100 is -2.8e-36, which printed -0.000000
+    argv = ["fd", "--model", cfg(CIR_CFG), "--r", r, "--tau", "1"]
+    assert run(capsys, argv) == (0, "0.000000\n", "")
+    assert run(capsys, argv + ["--format", "csv"]) == (0, f"tau,r,price\n1,{r},0.000000\n", "")
+
+
 def test_fd_cir_and_zero_model(cfg, capsys):
     code, out, _ = run(capsys, ["fd", "--model", cfg(CIR_CFG), "--r", "0.05",
                                 "--tau", "1"])

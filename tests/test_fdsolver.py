@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import numpy as np
@@ -235,22 +236,17 @@ def test_march_matches_dense_crank_nicolson(model_name):
 
 
 def _banded_solve_march(model, taus, grid):
-    """The march as it was with one scipy solve_banded (LAPACK dgtsv) call per
-    step, which refactors the implicit matrix every time."""
+    """The march with one scipy solve_banded (LAPACK dgtsv) call per step,
+    which refactors the halved implicit matrix every time."""
     dtau = taus[-1] / grid.n_t
     L = fdsolver._operator(model, grid)
-    ab = -0.5 * dtau * L
-    ab[1] += 1.0
-    ex = 0.5 * dtau * L
-    ex[1] += 1.0
+    ab = -0.25 * dtau * L
+    ab[1] += 0.5
     wanted = {round(tau / dtau): tau for tau in taus}
     values = np.ones(grid.n_r + 1)
     out = {}
     for step in range(1, grid.n_t + 1):
-        rhs = ex[1] * values
-        rhs[:-1] += ex[0, 1:] * values[1:]
-        rhs[1:] += ex[2, :-1] * values[:-1]
-        values = solve_banded((1, 1), ab, rhs, check_finite=False)
+        values = solve_banded((1, 1), ab, values, check_finite=False) - values
         if step in wanted:
             out[wanted[step]] = values
     return out
@@ -270,6 +266,81 @@ def test_factored_march_is_bit_identical_to_banded_solves(model_name):
     assert sorted(path) == taus
     for tau in taus:
         assert np.array_equal(path[tau].values, reference[tau])
+
+
+def _explicit_matvec_march(model, tau, grid):
+    """Crank-Nicolson as written, (I - (dtau / 2) L) P' = (I + (dtau / 2) L) P:
+    a banded matvec for the right-hand side, then a solve_banded solve."""
+    dtau = tau / grid.n_t
+    L = fdsolver._operator(model, grid)
+    ab = -0.5 * dtau * L
+    ab[1] += 1.0
+    ex = 0.5 * dtau * L
+    ex[1] += 1.0
+    values = np.ones(grid.n_r + 1)
+    for _ in range(grid.n_t):
+        rhs = ex[1] * values
+        rhs[:-1] += ex[0, 1:] * values[1:]
+        rhs[1:] += ex[2, :-1] * values[:-1]
+        values = solve_banded((1, 1), ab, rhs, check_finite=False)
+    return values
+
+
+_DEFAULT_COARSE = replace(default_grid(0.05, 1.0), richardson=False)
+
+
+# a default grid marches at both levels; Richardson then combines the two
+@pytest.mark.parametrize("grid", [
+    FDGrid(0.5, 100, 50), _DEFAULT_COARSE,
+    replace(_DEFAULT_COARSE, n_r=2 * _DEFAULT_COARSE.n_r, n_t=2 * _DEFAULT_COARSE.n_t),
+], ids=["100x50", "default-coarse", "default-fine"])
+@pytest.mark.parametrize("model_name", PATH_MODELS)
+def test_march_matches_explicit_matvec_step(model_name, grid):
+    # 2 A^-1 P - P and A^-1 (I + (dtau / 2) L) P differ by rounding only.
+    # Measured: at most 7.8e-15 on 100 x 50, 4.3e-14 on the fine level (cir)
+    model = PATH_MODELS[model_name]
+    reference = _explicit_matvec_march(model, 1.0, grid)
+    assert np.max(np.abs(fd_solve(model, 1.0, grid).values - reference)) <= 5e-14
+
+
+def _decimal_march(model, tau, grid):
+    """The march of the same double operator L in 40-digit decimal arithmetic,
+    a Thomas (unpivoted) elimination of I - (dtau / 2) L and the explicit
+    right-hand side, so what is left is the float march's rounding."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        half = Decimal(tau / grid.n_t) / 2
+        bands = fdsolver._operator(model, grid).tolist()
+        up, dia, lo = ([half * Decimal(x) for x in band] for band in bands)
+        # row i of (dtau / 2) L: sub[i] P[i-1] + dia[i] P[i] + sup[i] P[i+1]
+        sub, sup = [Decimal(0)] + lo[:-1], up[1:] + [Decimal(0)]
+        n = len(dia)
+        mult, piv = [Decimal(0)], [1 - dia[0]]
+        for i in range(1, n):
+            mult.append(-sub[i] / piv[-1])
+            piv.append(1 - dia[i] + mult[i] * sup[i - 1])
+        values = [Decimal(1)] * n
+        for _ in range(grid.n_t):
+            padded = [Decimal(0)] + values + [Decimal(0)]
+            y = [sub[i] * padded[i] + (1 + dia[i]) * padded[i + 1] + sup[i] * padded[i + 2]
+                 for i in range(n)]
+            for i in range(1, n):
+                y[i] -= mult[i] * y[i - 1]
+            values[-1] = y[-1] / piv[-1]
+            for i in range(n - 2, -1, -1):
+                values[i] = (y[i] + sup[i] * values[i + 1]) / piv[i]
+    return np.array([float(v) for v in values])
+
+
+@pytest.mark.parametrize("model_name", PATH_MODELS)
+def test_march_rounding_against_decimal_march(model_name):
+    # measured max |fd - ref|: 1.0e-14 (zero), 1.5e-14 (ckls), 4.1e-15 (cir),
+    # 1.0e-14 (dothan); the explicit-matvec step has 5.1e-15, 7.2e-15, 3.2e-15
+    # and 6.3e-15
+    model = PATH_MODELS[model_name]
+    grid = FDGrid(0.5, 100, 50)
+    reference = _decimal_march(model, 1.0, grid)
+    assert np.max(np.abs(fd_solve(model, 1.0, grid).values - reference)) <= 5e-14
 
 
 @pytest.mark.parametrize("tau", [math.inf, math.nan, -0.5])
