@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import math
 import sys
 from pathlib import Path
 
@@ -62,6 +63,12 @@ def _render(header: list[str], rows: list[list[str]], fmt: str) -> str:
     for record in [header] + rows:
         lines.append("  ".join(v.ljust(w) for v, w in zip(record, widths)).rstrip())
     return "\n".join(lines) + "\n"
+
+
+def _fixed(value: float, decimals: int) -> str:
+    """value at fixed decimals; one that rounds to zero prints unsigned."""
+    text = f"{value:.{decimals}f}"
+    return text[1:] if text[0] == "-" and not text.strip("-0.") else text
 
 
 def _parse_taus(text: str) -> list[float]:
@@ -106,11 +113,11 @@ def cmd_price(args) -> tuple[str, int]:
     taus = _maturities(args)
     if args.converge:
         header = ["tau"] + [f"order{k}" for k in range(series.order + 1)]
-        rows = [[f"{tau:g}"] + [f"{s:.6f}" for s in partial_sums(series, tau, args.r)]
+        rows = [[f"{tau:g}"] + [_fixed(s, 6) for s in partial_sums(series, tau, args.r)]
                 for tau in taus]
     else:
         header = ["tau", args.target]
-        rows = [[f"{tau:g}", f"{eval_partial_sum(series, tau, args.r):.6f}"]
+        rows = [[f"{tau:g}", _fixed(eval_partial_sum(series, tau, args.r), 6)]
                 for tau in taus]
     return _render(header, rows, args.format), 0
 
@@ -127,20 +134,21 @@ def cmd_yield(args) -> tuple[str, int]:
         else:  # R = -f_J / tau skips the exp/log round trip
             check_yield_maturity(tau)
             y = -value / tau
-        rows.append([f"{tau:g}", f"{100.0 * y + 0.0:.5f}"])  # + 0.0: a zero prints unsigned
+        rows.append([f"{tau:g}", _fixed(100.0 * y, 5)])
     return _render(["tau", "yield_pct"], rows, args.format), 0
 
 
 def _render_price(args, price: float) -> str:
-    text = f"{price:.6f}"
-    if text == "-0.000000":  # a price that rounds to zero prints unsigned
-        text = text[1:]
+    text = _fixed(price, 6)
     if args.format == "csv":
         return _render(["tau", "r", "price"], [[f"{args.tau:g}", f"{args.r:g}", text]], "csv")
     return text + "\n"
 
 
 def cmd_exact_cir(args) -> tuple[str, int]:
+    for flag in ("alpha", "beta", "sigma"):  # as a config file refuses them
+        if not math.isfinite(getattr(args, flag)):
+            raise ConfigError(f"--{flag} must be finite, got {getattr(args, flag)}")
     params = CIRParams(args.alpha, args.beta, args.sigma)
     return _render_price(args, cir_exact_price(params, args.tau, args.r)), 0
 
@@ -172,9 +180,9 @@ def cmd_table(args) -> tuple[str, int]:
     dec = report.decimals
     rows = []
     for cell in report.cells:
-        ref = "" if cell.reference is None else f"{cell.reference:.{dec}f}"
+        ref = "" if cell.reference is None else _fixed(cell.reference, dec)
         dev = "" if cell.deviation is None else f"{cell.deviation:.3e}"
-        rows.append([cell.row, cell.column, f"{cell.computed:.{dec}f}",
+        rows.append([cell.row, cell.column, _fixed(cell.computed, dec),
                      ref, dev, cell.status, cell.note])
     text = _render(["row", "column", "computed", "reference", "deviation",
                     "status", "note"], rows, args.format)

@@ -50,7 +50,7 @@ _VOL2_SLACK = -1e-12
 
 
 def _check_nonnegative(name: str, value: float) -> None:
-    if value < 0.0:
+    if not value >= 0.0:  # a NaN fails too
         raise ValueError(f"{name} must be nonnegative, got {value}")
 
 

@@ -32,6 +32,7 @@ approximation made here.
 from __future__ import annotations
 
 from math import isfinite, log
+from typing import NamedTuple
 
 from . import genpoly as gp
 from .errors import (DomainError, TermLimitError, check_maturity,
@@ -49,40 +50,18 @@ MAX_ORDER = 30
 _NEG_R = gp.term(-1.0, 1.0)  # the polynomial -r
 
 
-class TaylorSeries:
-    """A frozen record of target (PRICE or LOGPRICE), coeffs (c_0..c_order)
-    and model.  _at holds (r, (c_0(r), ..., c_order(r))) for the last rate
-    partial_sums evaluated; it stays out of ==, hash, repr and pickles."""
-
-    __slots__ = ("target", "coeffs", "model", "_at")
-
-    def __init__(self, target: str, coeffs: tuple[GenPoly, ...], model: ShortRateModel):
-        for name, value in zip(self.__slots__, (target, coeffs, model, None)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"cannot assign to or delete field {name!r}")
-
-    __delattr__ = __setattr__
-
-    def _key(self) -> tuple:
-        return self.target, self.coeffs, self.model
-
-    def __eq__(self, other):
-        return self._key() == other._key() if type(other) is type(self) else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return "TaylorSeries(target=%r, coeffs=%r, model=%r)" % self._key()
-
-    def __reduce__(self):
-        return TaylorSeries, self._key()
+class TaylorSeries(NamedTuple):
+    target: str  # PRICE or LOGPRICE
+    coeffs: tuple[GenPoly, ...]  # c_0..c_order
+    model: ShortRateModel
 
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
+
+
+# (series, r, (c_0(r), ..., c_order(r))) last evaluated; only partial_sums uses it
+_last = None
 
 
 def _check_order(order: int) -> None:
@@ -148,20 +127,22 @@ def partial_sums(s: TaylorSeries, tau: float, r: float) -> list[float]:
     """Running partial sums sum_{k<=J} c_k(r) tau^k for J = 0..order.
 
     A rate where the model's vol2 is negative is refused, and so is a sum
-    that overflows.  The series keeps c_k(r) for the last r it was evaluated
-    at, so consecutive calls at one r evaluate each coefficient once:
-    evaluate a surface rate-outer, maturity-inner.
+    that overflows.  The c_k(r) of the last series object and rate are kept,
+    so consecutive calls on one series at one r evaluate each coefficient
+    once: evaluate a surface rate-outer, maturity-inner.  Another series, an
+    equal copy too, evaluates afresh and takes the slot.
     """
+    global _last
     check_maturity(tau)
-    at = s._at  # one load, so a rate is never paired with another's values
-    if at is None or at[0] != r:  # a NaN r never hits
-        at = (r, tuple(gp.evaluate(c, r) for c in s.coeffs))
+    last = _last  # one load, so a rate is never paired with another's values
+    if last is None or last[0] is not s or last[1] != r:  # a NaN r never hits
+        last = (s, r, tuple(gp.evaluate(c, r) for c in s.coeffs))
         check_vol2_at(s.model.vol2, r)  # after c_k(r), whose messages come first
-        object.__setattr__(s, "_at", at)  # only after the rate passed every check
+        _last = last  # only after the rate passed every check
     out = []
     acc = 0.0
     tau_pow = 1.0
-    for v in at[1]:
+    for v in last[2]:
         acc += v * tau_pow
         tau_pow *= tau
         out.append(acc)

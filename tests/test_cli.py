@@ -523,11 +523,37 @@ def test_power_overflow_in_evaluation_exits_2(cfg, capsys, text, r):
     (CIR_CFG, ["--r", "0.05", "--order", "0"]),
     (CIR_CFG, ["--r", "0.05", "--order", "0", "--from-price"]),
     (ZERO_CFG, ["--r", "0"]),
-], ids=["log-order0", "price-order0", "zero-model"])
+    (ZERO_CFG, ["--r=-1e-12", "--order", "3"]),
+], ids=["log-order0", "price-order0", "zero-model", "zero-model-tiny-rate"])
 def test_yield_exactly_zero_prints_unsigned(cfg, capsys, text, flags):
-    # -value / tau and -log(1) / tau are -0.0, which used to print -0.00000
+    # -value / tau and -log(1) / tau are -0.0, which used to print -0.00000,
+    # and so did the -1e-10 of the tiny rate
     code, out, _ = run(capsys, ["yield", "--model", cfg(text), "--taus", "1,5"] + flags)
     assert (code, out) == (0, "tau  yield_pct\n1    0.00000\n5    0.00000\n")
+
+
+@pytest.mark.parametrize("flags,text,csv_text", [
+    ([], "tau     logprice\n0.0001  0.000000\n", "tau,logprice\n0.0001,0.000000\n"),
+    (["--converge"], "tau     order0    order1    order2    order3\n"
+                     "0.0001  0.000000  0.000000  0.000000  0.000000\n",
+     "tau,order0,order1,order2,order3\n0.0001,0.000000,0.000000,0.000000,0.000000\n"),
+], ids=["sum", "converge"])
+def test_price_rounding_to_zero_prints_unsigned(cfg, capsys, flags, text, csv_text):
+    # c_2 tau^2 = -1.6e-11 at r = 0 made the last two sums print -0.000000
+    argv = ["price", "--model", cfg(CIR_CFG), "--target", "logprice", "--r", "0",
+            "--tau", "1e-4", "--order", "3"] + flags
+    assert run(capsys, argv) == (0, text, "")
+    assert run(capsys, argv + ["--format", "csv"]) == (0, csv_text, "")
+
+
+@pytest.mark.parametrize("flag,value", [("--alpha", "inf"), ("--beta", "-inf"),
+                                        ("--sigma", "nan")])
+def test_exact_cir_non_finite_parameter_exits_1(capsys, flag, value):
+    # these exited 2, blaming the closed form for overflowing
+    params = {"--alpha": "0", "--beta": "0", "--sigma": "0.1", flag: value}
+    code, out, err = run(capsys, ["exact-cir", *(f"{k}={v}" for k, v in params.items()),
+                                  "--r", "0.05", "--tau", "1"])
+    assert (code, out, err) == (1, "", f"error: {flag} must be finite, got {float(value)}\n")
 
 
 def test_exact_cir_negative_sigma_exits_1(capsys):

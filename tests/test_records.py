@@ -1,7 +1,9 @@
-"""The seven records `import bondtaylor` builds keep what frozen dataclasses gave
-them: fields cannot be assigned, equal fields compare and hash equal, and repr,
-field names, order and defaults read as they always have."""
+"""The seven records `import bondtaylor` builds are NamedTuples and keep what
+frozen dataclasses gave them: fields cannot be assigned, equal fields compare
+and hash equal, and repr, field names, order and defaults read as they always
+have.  Each also compares equal to the plain tuple of its fields."""
 
+import math
 import pickle
 
 import pytest
@@ -67,6 +69,7 @@ def test_equal_fields_compare_and_hash_equal(name):
     assert a is not b
     assert a == b and not a != b
     assert hash(a) == hash(b)
+    assert a == tuple(a) and hash(a) == hash(tuple(a))
     assert pickle.loads(pickle.dumps(a)) == a
 
 
@@ -84,19 +87,20 @@ def test_defaults_and_truth_value():
 
 def test_series_cache_stays_out_of_equality_and_cannot_be_deleted():
     s, fresh = RECORDS["TaylorSeries"][0](), RECORDS["TaylorSeries"][0]()
+    pickled = pickle.dumps(s)
     partial_sums(s, 1.0, 0.05)
-    assert s._at is not None and fresh._at is None
     assert s == fresh and hash(s) == hash(fresh) and repr(s) == repr(fresh)
-    assert pickle.loads(pickle.dumps(s))._at is None
+    assert pickle.dumps(s) == pickled == pickle.dumps(fresh)
     with pytest.raises(AttributeError):
         del s.target
     assert s != TaylorSeries("logprice", s.coeffs, s.model)
 
 
-@pytest.mark.parametrize("build", [lambda: CIRParams(alpha=0.1, beta=0.0, sigma=-0.01),
-                                   lambda: DothanParams(mu=0.005, sigma=-0.01),
-                                   lambda: CIRParams(0.1, 0.0, 0.1)._replace(sigma=-0.01),
-                                   lambda: DothanParams(0.005, 0.1)._replace(sigma=-0.01)])
-def test_params_check_sigma_however_built(build):
-    with pytest.raises(ValueError, match=r"^sigma must be nonnegative, got -0\.01$"):
-        build()
+@pytest.mark.parametrize("sigma", [-0.01, math.nan])
+@pytest.mark.parametrize("build", [lambda x: CIRParams(alpha=0.1, beta=0.0, sigma=x),
+                                   lambda x: DothanParams(mu=0.005, sigma=x),
+                                   lambda x: CIRParams(0.1, 0.0, 0.1)._replace(sigma=x),
+                                   lambda x: DothanParams(0.005, 0.1)._replace(sigma=x)])
+def test_params_check_sigma_however_built(build, sigma):
+    with pytest.raises(ValueError, match=rf"^sigma must be nonnegative, got {sigma}$"):
+        build(sigma)

@@ -366,7 +366,11 @@ def test_evaluated_series_compares_hashes_and_prints_as_fresh(cir_model, evaluat
     assert copy == s
     evaluate_calls.clear()
     assert partial_sums(copy, 1.0, R1) == partial_sums(s, 1.0, R1)
-    assert len(evaluate_calls) == 8  # the copy evaluated c_0..c_6 and vol2, s reused
+    # an equal copy misses the slot s holds, then s misses the slot the copy
+    # took: c_0..c_6 and vol2 are evaluated each time
+    assert evaluate_calls == [R1] * 16
+    partial_sums(s, 2.0, R1)
+    assert len(evaluate_calls) == 16  # s holds the slot again
 
 
 def test_threads_sharing_a_series_never_mix_rates(cir_model):
