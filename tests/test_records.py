@@ -5,6 +5,7 @@ have.  Each also compares equal to the plain tuple of its fields."""
 
 import math
 import pickle
+import re
 
 import pytest
 
@@ -102,5 +103,6 @@ def test_series_cache_stays_out_of_equality_and_cannot_be_deleted():
                                    lambda x: CIRParams(0.1, 0.0, 0.1)._replace(sigma=x),
                                    lambda x: DothanParams(0.005, 0.1)._replace(sigma=x)])
 def test_params_check_sigma_however_built(build, sigma):
-    with pytest.raises(ValueError, match=rf"^sigma must be nonnegative, got {sigma}$"):
+    message = f"sigma must be nonnegative, got {sigma}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build(sigma)
