@@ -21,9 +21,9 @@ from .genpoly import GenPoly, approx_equal, evaluate, from_text, to_text
 from .model import (CIRParams, DothanParams, ShortRateModel, make_cir,
                     make_ckls, make_custom, make_dothan, parse_model_config,
                     parse_model_text)
-from .series import (LOGPRICE, MAX_ORDER, PRICE, TaylorSeries,
-                     eval_partial_sum, exp_compose, log_coeffs, partial_sums,
-                     pde_residual_coeffs, price_coeffs, yield_from_price)
+from .series import (LOGPRICE, MAX_ORDER, PRICE, TaylorSeries, exp_compose,
+                     log_coeffs, partial_sums, pde_residual_coeffs,
+                     price_coeffs, yield_from_price)
 from .tables import TABLE_IDS, TableCell, TableReport, build_table
 
 __version__ = "0.1.0"
@@ -35,8 +35,8 @@ __all__ = [
     "TableCell", "TableReport", "TermLimitError", "approx_equal",
     "build_table", "cir_exact_log_price", "cir_exact_price",
     "cir_exact_yield", "convergence_study", "default_grid",
-    "eval_partial_sum", "evaluate", "exp_compose", "fd_price_at", "fd_solve",
-    "fd_solve_path", "from_text", "log_coeffs", "make_cir", "make_ckls",
+    "evaluate", "exp_compose", "fd_price_at", "fd_solve", "fd_solve_path",
+    "from_text", "log_coeffs", "make_cir", "make_ckls",
     "make_custom", "make_dothan", "parse_model_config", "parse_model_text",
     "partial_sums", "pde_residual_coeffs", "price_coeffs", "to_text",
     "yield_from_price",

@@ -36,8 +36,7 @@ from .errors import ConfigError, DomainError, check_yield_maturity
 from .closedform import cir_exact_price
 from .genpoly import to_text
 from .model import CIRParams, parse_model_config
-from .series import (eval_partial_sum, log_coeffs, partial_sums, price_coeffs,
-                     yield_from_price)
+from .series import log_coeffs, partial_sums, price_coeffs, yield_from_price
 from .tables import TABLE_IDS, build_table
 
 
@@ -82,24 +81,13 @@ def _parse_taus(text: str) -> list[float]:
     return taus
 
 
-def _series_for(args, model):
+def _series_for(args):
     build = price_coeffs if args.target == "price" else log_coeffs
-    return build(model, args.order)
-
-
-def _maturities(args) -> list[float]:
-    if args.tau is not None and args.taus is not None:
-        raise ConfigError("use --tau or --taus, not both")
-    if args.tau is not None:
-        return [args.tau]
-    if args.taus is not None:
-        return _parse_taus(args.taus)
-    raise ConfigError("one of --tau or --taus is required")
+    return build(parse_model_config(args.model), args.order)
 
 
 def cmd_coeffs(args) -> tuple[str, int]:
-    model = parse_model_config(args.model)
-    series = _series_for(args, model)
+    series = _series_for(args)
     if args.format == "csv":
         rows = [[str(k), to_text(c)] for k, c in enumerate(series.coeffs)]
         return _render(["order", "coefficient"], rows, "csv"), 0
@@ -108,17 +96,13 @@ def cmd_coeffs(args) -> tuple[str, int]:
 
 
 def cmd_price(args) -> tuple[str, int]:
-    model = parse_model_config(args.model)
-    series = _series_for(args, model)
-    taus = _maturities(args)
-    if args.converge:
-        header = ["tau"] + [f"order{k}" for k in range(series.order + 1)]
-        rows = [[f"{tau:g}"] + [_fixed(s, 6) for s in partial_sums(series, tau, args.r)]
-                for tau in taus]
-    else:
-        header = ["tau", args.target]
-        rows = [[f"{tau:g}", _fixed(eval_partial_sum(series, tau, args.r), 6)]
-                for tau in taus]
+    series = _series_for(args)
+    taus = [args.tau] if args.taus is None else _parse_taus(args.taus)
+    header = ["tau"] + ([f"order{k}" for k in range(series.order + 1)]
+                       if args.converge else [args.target])
+    first = 0 if args.converge else -1  # every partial sum, or the last
+    rows = [[f"{tau:g}"] + [_fixed(s, 6) for s in partial_sums(series, tau, args.r)[first:]]
+            for tau in taus]
     return _render(header, rows, args.format), 0
 
 
@@ -128,7 +112,7 @@ def cmd_yield(args) -> tuple[str, int]:
     series = (price_coeffs if args.from_price else log_coeffs)(model, args.order)
     rows = []
     for tau in taus:  # each sum checks tau >= 0 before its yield checks tau > 0
-        value = eval_partial_sum(series, tau, args.r)
+        value = partial_sums(series, tau, args.r)[-1]
         if args.from_price:
             y = yield_from_price(value, tau)
         else:  # R = -f_J / tau skips the exp/log round trip
@@ -219,9 +203,9 @@ def build_parser() -> _Parser:
     p.add_argument("--target", choices=("price", "logprice"), default="price")
     p.add_argument("--order", type=int, default=8)
     p.add_argument("--r", type=float, required=True, help="short rate")
-    p.add_argument("--tau", type=float, default=None, help="single maturity")
-    p.add_argument("--taus", default=None,
-                   help="comma-separated list of maturities")
+    when = p.add_mutually_exclusive_group(required=True)
+    when.add_argument("--tau", type=float, help="single maturity")
+    when.add_argument("--taus", help="comma-separated list of maturities")
     p.add_argument("--converge", action="store_true",
                    help="emit partial sums for every order 0..J")
     p.set_defaults(handler=cmd_price)

@@ -40,7 +40,7 @@ Boundaries:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import KW_ONLY, dataclass, replace
 
 import numpy as np
 from scipy.linalg import lapack
@@ -64,6 +64,7 @@ class FDGrid:
     r_max: float
     n_r: int
     n_t: int
+    _: KW_ONLY
     richardson: bool = False  # extrapolate from this grid and its halving
 
     def __post_init__(self) -> None:

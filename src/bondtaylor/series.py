@@ -151,11 +151,6 @@ def partial_sums(s: TaylorSeries, tau: float, r: float) -> list[float]:
     return out
 
 
-def eval_partial_sum(s: TaylorSeries, tau: float, r: float) -> float:
-    """The order-J partial sum sum_{k=0}^{J} c_k(r) tau^k at (tau, r)."""
-    return partial_sums(s, tau, r)[-1]
-
-
 def yield_from_price(price: float, tau: float) -> float:
     """Continuously compounded yield R = -ln(price) / tau."""
     check_yield_maturity(tau)

@@ -9,7 +9,7 @@ import pytest
 from bondtaylor import cli, fdsolver, tables
 from bondtaylor.cli import main
 from bondtaylor.model import parse_model_text
-from bondtaylor.series import eval_partial_sum, log_coeffs
+from bondtaylor.series import log_coeffs, partial_sums
 
 CIR_CFG = "model = cir\nalpha = 0.00315\nbeta = -0.0555\nsigma = 0.0894\n"
 DOTHAN01_CFG = "model = dothan\nmu = 0.005\nsigma2 = 0.01\n"
@@ -372,7 +372,7 @@ def test_usage_errors_exit_1(cfg, capsys):
 def test_tau_and_taus_conflict(cfg, capsys):
     code, _, err = run(capsys, ["price", "--model", cfg(CIR_CFG), "--r", "0.05",
                                 "--tau", "1", "--taus", "1,2"])
-    assert code == 1 and "not both" in err
+    assert code == 1 and "not allowed with argument --tau" in err
     code, _, err = run(capsys, ["price", "--model", cfg(CIR_CFG), "--r", "0.05"])
     assert code == 1 and "--tau" in err
 
@@ -473,7 +473,7 @@ def test_yield_log_route_prints_minus_the_log_sum_over_tau(cfg, capsys):
     code, out, _ = run(capsys, ["yield", "--model", cfg(CIR_CFG), "--r", "0.05",
                                 "--taus", "2,0.5", "--order", "6", "--format", "csv"])
     series = log_coeffs(parse_model_text(CIR_CFG), 6)
-    want = [[f"{tau:g}", f"{-100.0 * eval_partial_sum(series, tau, 0.05) / tau:.5f}"]
+    want = [[f"{tau:g}", f"{-100.0 * partial_sums(series, tau, 0.05)[-1] / tau:.5f}"]
             for tau in (2.0, 0.5)]
     assert code == 0 and parse_csv(out)[1:] == want
 
@@ -554,6 +554,30 @@ def test_exact_cir_non_finite_parameter_exits_1(capsys, flag, value):
     code, out, err = run(capsys, ["exact-cir", *(f"{k}={v}" for k, v in params.items()),
                                   "--r", "0.05", "--tau", "1"])
     assert (code, out, err) == (1, "", f"error: {flag} must be finite, got {float(value)}\n")
+
+
+@pytest.mark.parametrize("flags,culprit", [
+    (["--beta", "0", "--sigma", "1e-8", "--tau", "1"], "sigma=1e-08"),
+    (["--beta=-0.0555", "--sigma", "1e-12", "--tau", "30"], "sigma=1e-12"),
+    (["--beta", "1e-12", "--sigma", "0", "--tau", "10"], "beta=1e-12"),
+    (["--beta=-1e-12", "--sigma", "1e-12", "--tau", "10"], "sigma=1e-12"),
+    (["--beta", "1e10", "--sigma", "0.0894", "--tau", "1"], "overflowed"),
+], ids=["sigma1e-8-beta0", "sigma1e-12-tau30", "sigma0-beta1e-12",
+        "sigma1e-12-beta-1e-12", "beta1e10"])
+def test_exact_cir_ill_conditioned_exits_2(capsys, flags, culprit):
+    # the first three printed wrong prices (1.189843, 0.481688, 0.518144),
+    # the last two ended in a traceback
+    code, out, err = run(capsys, ["exact-cir", "--alpha", "0.00315", "--r", "0.05", *flags])
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: closed form ")
+    assert culprit in err
+
+
+def test_exact_cir_sigma_squared_underflow_is_the_deterministic_price(capsys):
+    # sigma^2 = 0 in doubles: this divided by zero; exp(-int r) is 0.951054
+    code, out, err = run(capsys, ["exact-cir", "--alpha", "0.00315", "--beta=-0.0555",
+                                  "--sigma", "1e-170", "--r", "0.05", "--tau", "1"])
+    assert (code, out, err) == (0, "0.951054\n", "")
 
 
 def test_exact_cir_negative_sigma_exits_1(capsys):

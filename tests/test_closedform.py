@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -115,3 +116,80 @@ def test_domain_errors(cir_params):
         cir_exact_price(cir_params, math.nan, 0.05)
     with pytest.raises(DomainError):
         cir_exact_yield(cir_params, 0.0, 0.05)
+
+
+def _reference_log_price(a, b, s, tau, r):
+    """The same formulas in mpmath at 60 digits (450 where sigma^2 is below
+    double range), from the very floats the double code sees."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(450 if 0.0 < s < 1e-20 else 60):
+        a, b, s, tau, r = map(mp.mpf, (a, b, s, tau, r))
+        if s == 0:
+            if b == 0:
+                return -r * tau - a * tau * tau / 2
+            return a * tau / b - (r + a / b) * mp.expm1(b * tau) / b
+        psi = mp.sqrt(b * b + 2 * s * s)
+        em = -mp.expm1(-psi * tau)
+        base = (psi - b) * em + 2 * psi * mp.exp(-psi * tau)
+        log_a = (2 * a / (s * s)) * (mp.log(2 * psi) + (psi - b) * tau / 2
+                                     - (psi * tau + mp.log(base)))
+        return float(log_a - 2 * em / base * r)
+
+
+@pytest.mark.parametrize("alpha", [0.00315, 0.05])
+def test_log_price_matches_60_digit_oracle_or_is_refused(alpha):
+    # near sigma = 0 and beta = 0 the double formulas lose digits; each value
+    # is within 1e-9 max(1, |ln P|) of the oracle or refused, never wrong, and
+    # from sigma = 1e-3 up none is refused
+    wrong, refused = [], []
+    for sigma, b, tau, r in itertools.product(
+            (0.0, 1e-170, 1e-12, 1e-8, 1e-6, 1e-5, 1e-4, 1e-3, 0.0894, 0.5),
+            (-0.2, -0.0555, -1e-12, 0.0, 1e-12, 0.3),
+            (0.25, 1.0, 10.0, 30.0, 100.0), (0.0, 0.05, 0.2)):
+        try:
+            got = cir_exact_log_price(CIRParams(alpha, b, sigma), tau, r)
+        except DomainError:
+            refused.append(sigma)
+            continue
+        want = _reference_log_price(alpha, b, sigma, tau, r)
+        if abs(got - want) > 1e-9 * max(1.0, abs(want)):
+            wrong.append((sigma, b, tau, r, got, want))
+    assert wrong == []
+    assert max(refused) < 1e-3
+
+
+def test_refusal_band_at_the_paper_drift():
+    # the paper's alpha and beta at r = 0.05: refused at sigma = 3e-5, priced
+    # at every quarter-year maturity to 100 from sigma = 1e-4 up
+    taus = [0.25 * k for k in range(1, 401)]
+    with pytest.raises(DomainError, match="sigma=3e-05"):
+        for tau in taus:
+            cir_exact_log_price(CIRParams(0.00315, -0.0555, 3e-5), tau, 0.05)
+    for sigma in (1e-4, 1e-3):
+        for tau in taus:
+            cir_exact_log_price(CIRParams(0.00315, -0.0555, sigma), tau, 0.05)
+
+
+def test_alpha_zero_is_refused_where_psi_minus_beta_cancels():
+    # with alpha = 0 only B(tau) r is left, and psi - beta ~ sigma^2 / beta
+    # carries psi's rounding into B
+    p = CIRParams(0.0, 0.3, 1e-6)
+    with pytest.raises(DomainError, match="sigma=1e-06"):
+        cir_exact_log_price(p, 100.0, 0.2)
+    assert cir_exact_log_price(p, 0.25, 0.2) == pytest.approx(
+        _reference_log_price(0.0, 0.3, 1e-6, 0.25, 0.2), rel=1e-9)
+
+
+@pytest.mark.parametrize("p,tau", [
+    (CIRParams(0.00315, 1e10, 0.0894), 1.0),  # e^{-psi tau} underflows, psi = beta
+    (CIRParams(0.00315, 10.0, 0.0), 100.0),   # expm1(beta tau) overflows
+])
+def test_overflow_and_vanishing_denominator_are_domain_errors(p, tau):
+    with pytest.raises(DomainError, match="closed form overflowed"):
+        cir_exact_log_price(p, tau, 0.05)
+
+
+def test_price_overflow_is_a_domain_error():
+    # ln P = 0.5 alpha tau^2 = 5000 is finite, its exp is not
+    with pytest.raises(DomainError, match="price overflowed"):
+        cir_exact_price(CIRParams(-100.0, 0.0, 0.0), 10.0, 0.0)

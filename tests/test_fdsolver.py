@@ -165,6 +165,13 @@ def test_grid_validation(kwargs):
         FDGrid(**kwargs)
 
 
+def test_richardson_mark_is_keyword_only():
+    # a stale fourth positional argument (once theta) must not become the mark
+    with pytest.raises(TypeError):
+        FDGrid(0.5, 10, 10, 0.5)
+    assert FDGrid(0.5, 10, 10, richardson=True).richardson
+
+
 @pytest.mark.parametrize("config", ["cir", "dothan_s2_0.02"])
 @pytest.mark.parametrize("r", [0.013, 0.05])
 def test_doubling_r_max_moves_price_under_half_ulp(config, r):

@@ -11,8 +11,8 @@ from bondtaylor.errors import DomainError, TermLimitError
 from bondtaylor.genpoly import GenPoly
 from bondtaylor.model import parse_model_config
 from bondtaylor.series import (LOGPRICE, MAX_ORDER, PRICE, TaylorSeries,
-                               eval_partial_sum, exp_compose, log_coeffs,
-                               partial_sums, pde_residual_coeffs, price_coeffs,
+                               exp_compose, log_coeffs, partial_sums,
+                               pde_residual_coeffs, price_coeffs,
                                yield_from_price)
 
 ALPHA, BETA, SIGMA = 0.00315, -0.0555, 0.0894
@@ -110,7 +110,6 @@ def test_partial_sums_prefix_property(cir_model):
     tau = 0.8
     sums = partial_sums(s, tau, 0.05)
     assert len(sums) == 8
-    assert sums[-1] == eval_partial_sum(s, tau, 0.05)
     # each entry extends the previous by one term
     tau_pow, acc = 1.0, 0.0
     for k, c in enumerate(s.coeffs):
@@ -130,13 +129,13 @@ def test_overflowed_partial_sum_rejected(request, model, build):
 
 
 def test_eval_at_tau_zero(cir_model):
-    assert eval_partial_sum(price_coeffs(cir_model, 6), 0.0, 0.07) == 1.0
-    assert eval_partial_sum(log_coeffs(cir_model, 6), 0.0, 0.07) == 0.0
+    assert partial_sums(price_coeffs(cir_model, 6), 0.0, 0.07)[-1] == 1.0
+    assert partial_sums(log_coeffs(cir_model, 6), 0.0, 0.07)[-1] == 0.0
 
 
 def test_negative_tau_rejected(cir_model):
     with pytest.raises(DomainError):
-        eval_partial_sum(price_coeffs(cir_model, 3), -0.5, 0.05)
+        partial_sums(price_coeffs(cir_model, 3), -0.5, 0.05)
 
 
 @pytest.mark.parametrize("tau", [math.inf, -math.inf, math.nan])
@@ -174,7 +173,7 @@ def test_yield_from_price_domain(price, tau):
 def test_zero_model_log_series_gives_a_flat_yield():
     series = log_coeffs(parse_model_config(CONFIGS / "zero.cfg"), 8)
     for tau in (0.5, 1.0, 2.0, 7.0):
-        f = eval_partial_sum(series, tau, 0.0321)
+        f = partial_sums(series, tau, 0.0321)[-1]
         assert -f / tau == pytest.approx(0.0321, abs=1e-15)
         assert yield_from_price(math.exp(f), tau) == pytest.approx(-f / tau, abs=1e-14)
 
@@ -252,10 +251,10 @@ def test_fractional_exponent_model_series(cir_model):
     s = price_coeffs(m, 4)
     exps = {p for c in s.coeffs for _, p in c.terms}
     assert any(abs(p - round(p)) > 1e-9 for p in exps)
-    val = eval_partial_sum(s, 0.5, 0.05)
+    val = partial_sums(s, 0.5, 0.05)[-1]
     assert 0.9 < val < 1.0
     with pytest.raises(DomainError):
-        eval_partial_sum(s, 0.5, 0.0)
+        partial_sums(s, 0.5, 0.0)
 
 
 # --- the per-rate coefficient values partial_sums keeps -------------------
