@@ -39,28 +39,28 @@ def cir_exact_log_price(p: CIRParams, tau: float, r: float) -> float:
     if tau == 0.0:
         return 0.0
     try:
-        out, bound = _log_price(p, tau, r)
+        out, bound, cause = _log_price(p, tau, r)
     except (OverflowError, ZeroDivisionError):  # an exp overflowed, a denominator underflowed
         out = math.nan
     if not math.isfinite(out):
         raise DomainError(f"closed form overflowed at tau={tau}, r={r}")
     if _U * bound > _REL_TOL * max(1.0, abs(out)):
-        cause = f"sigma={p.sigma}" if p.sigma * p.sigma else f"beta={p.beta}"
-        raise DomainError(f"closed form too ill-conditioned at {cause}, tau={tau}, "
-                          f"r={r}: rounding may move ln P by {_U * bound:.1e}")
+        raise DomainError(f"closed form too ill-conditioned at {cause}={getattr(p, cause)}, "
+                          f"tau={tau}, r={r}: rounding may move ln P by {_U * bound:.1e}")
     return out
 
 
-def _log_price(p: CIRParams, tau: float, r: float) -> tuple[float, float]:
-    """ln P and the sum of the magnitudes its rounding scales with."""
+def _log_price(p: CIRParams, tau: float, r: float) -> tuple[float, float, str]:
+    """ln P, the sum of the magnitudes its rounding scales with, and the name
+    of the parameter whose smallness makes that sum large."""
     s2 = p.sigma * p.sigma
     if s2 == 0.0:  # sigma = 0, or so small that sigma^2 underflows
         # deterministic limit: r(s) solves dr = (alpha + beta r) ds from r(0) = r
         if p.beta == 0.0:
-            return -r * tau - 0.5 * p.alpha * tau * tau, 0.0
+            return -r * tau - 0.5 * p.alpha * tau * tau, 0.0, ""
         drift = p.alpha * tau / p.beta
         decay = (r + p.alpha / p.beta) * math.expm1(p.beta * tau) / p.beta
-        return drift - decay, abs(drift) + abs(decay)
+        return drift - decay, abs(drift) + abs(decay), "beta"
     psi = cir_psi(p)
     em = -math.expm1(-psi * tau)  # 1 - e^{-psi tau}, accurate for small tau
     q = math.exp(-psi * tau)
@@ -72,7 +72,7 @@ def _log_price(p: CIRParams, tau: float, r: float) -> tuple[float, float]:
     # psi's rounding reaches ln(base) and b through psi - beta, small where beta ~ psi
     amplified = psi * em / base
     bound = abs(scale) * (sum(map(abs, terms)) + amplified) + abs(b * r) * amplified
-    return log_a - b * r, bound
+    return log_a - b * r, bound, "sigma"
 
 
 def cir_exact_price(p: CIRParams, tau: float, r: float) -> float:

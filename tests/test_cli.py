@@ -565,8 +565,9 @@ def test_exact_cir_non_finite_parameter_exits_1(capsys, flag, value):
 ], ids=["sigma1e-8-beta0", "sigma1e-12-tau30", "sigma0-beta1e-12",
         "sigma1e-12-beta-1e-12", "beta1e10"])
 def test_exact_cir_ill_conditioned_exits_2(capsys, flags, culprit):
-    # the first three printed wrong prices (1.189843, 0.481688, 0.518144),
-    # the last two ended in a traceback
+    # near sigma = 0 or beta = 0 rounding swamps ln P (the first three are
+    # exactly 0.949732, 0.201092 and 0.518145); in the last, e^{-psi tau}
+    # underflows and psi = beta, so the scaled denominator is 0
     code, out, err = run(capsys, ["exact-cir", "--alpha", "0.00315", "--r", "0.05", *flags])
     assert (code, out) == (2, "")
     assert len(err.splitlines()) == 1 and err.startswith("error: closed form ")
@@ -574,7 +575,7 @@ def test_exact_cir_ill_conditioned_exits_2(capsys, flags, culprit):
 
 
 def test_exact_cir_sigma_squared_underflow_is_the_deterministic_price(capsys):
-    # sigma^2 = 0 in doubles: this divided by zero; exp(-int r) is 0.951054
+    # sigma^2 underflows to 0, so the sigma = 0 form prices it: exp(-int r ds)
     code, out, err = run(capsys, ["exact-cir", "--alpha", "0.00315", "--beta=-0.0555",
                                   "--sigma", "1e-170", "--r", "0.05", "--tau", "1"])
     assert (code, out, err) == (0, "0.951054\n", "")

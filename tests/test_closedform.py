@@ -61,7 +61,7 @@ def test_sigma_zero_general_limit():
 
 def test_sigma_to_zero_continuity():
     # the sigma branch differs from the deterministic limit by O(sigma^2);
-    # much smaller sigma is pointless because 2*alpha/sigma^2 amplifies
+    # much smaller sigma is refused because 2*alpha/sigma^2 amplifies
     # rounding of the log-A bracket
     p0 = CIRParams(0.00315, -0.0555, 0.0)
     p1 = CIRParams(0.00315, -0.0555, 1e-4)
