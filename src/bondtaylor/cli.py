@@ -19,9 +19,11 @@ Typical use:
   bondtaylor fd --model configs/dothan_s2_0.01.cfg --r 0.035 --tau 10
   bondtaylor table --id dothan-grid --format csv
 
-Exit codes: 0 success, 1 usage or config error, 2 numerical domain error,
-3 reference-table mismatch.  Output goes to stdout or to --out; --format
-picks aligned text (default) or CSV with a header row.
+Exit codes: 0 success, 1 usage or config error, 2 numerical domain error (a
+price or yield sum not converged to its printed digits among them; price
+--converge prints every partial sum unchecked), 3 reference-table mismatch.
+Output goes to stdout or to --out; --format picks aligned text (default) or
+CSV with a header row.
 """
 
 from __future__ import annotations
@@ -95,14 +97,38 @@ def cmd_coeffs(args) -> tuple[str, int]:
     return "\n".join(lines) + "\n", 0
 
 
+def _converged(sums: list[float], half_ulp: float, tau: float, r: float) -> float:
+    """The last partial sum, or DomainError where it is not good to half_ulp.
+
+    The terms are the differences of consecutive sums, the first sum being
+    the first term.  A sum is refused when its last nonzero term exceeds
+    half_ulp while the last (up to) three nonzero terms do not strictly
+    decrease in magnitude (a series past its radius, or not yet in its
+    decreasing tail), and when the rounding of the largest partial sum,
+    2^-53 max |S_k|, exceeds half_ulp.
+    """
+    tail = [b - a for a, b in zip([0.0] + sums, sums) if b != a][-3:]
+    last = tail[-1] if tail else 0.0
+    if abs(last) > half_ulp and any(abs(a) <= abs(b) for a, b in zip(tail, tail[1:])):
+        cause = "its last terms do not decrease"
+    elif 2.0 ** -53 * max(map(abs, sums)) > half_ulp:
+        cause = "rounding in the partial sums exceeds the printed digits"
+    else:
+        return sums[-1]
+    raise DomainError(f"cannot print the order-{len(sums) - 1} sum at tau={tau:g}, r={r:g} "
+                      f"(last term {last:.3g}): {cause}")
+
+
 def cmd_price(args) -> tuple[str, int]:
     series = _series_for(args)
     taus = [args.tau] if args.taus is None else _parse_taus(args.taus)
     header = ["tau"] + ([f"order{k}" for k in range(series.order + 1)]
                        if args.converge else [args.target])
-    first = 0 if args.converge else -1  # every partial sum, or the last
-    rows = [[f"{tau:g}"] + [_fixed(s, 6) for s in partial_sums(series, tau, args.r)[first:]]
-            for tau in taus]
+    rows = []
+    for tau in taus:  # every partial sum unchecked, or the last one checked
+        sums = partial_sums(series, tau, args.r)
+        shown = sums if args.converge else [_converged(sums, 5e-7, tau, args.r)]
+        rows.append([f"{tau:g}"] + [_fixed(s, 6) for s in shown])
     return _render(header, rows, args.format), 0
 
 
@@ -111,13 +137,15 @@ def cmd_yield(args) -> tuple[str, int]:
     taus = _parse_taus(args.taus)
     series = (price_coeffs if args.from_price else log_coeffs)(model, args.order)
     rows = []
-    for tau in taus:  # each sum checks tau >= 0 before its yield checks tau > 0
-        value = partial_sums(series, tau, args.r)[-1]
-        if args.from_price:
-            y = yield_from_price(value, tau)
-        else:  # R = -f_J / tau skips the exp/log round trip
-            check_yield_maturity(tau)
-            y = -value / tau
+    for tau in taus:
+        sums = partial_sums(series, tau, args.r)  # checks tau >= 0 before tau > 0
+        check_yield_maturity(tau)
+        # the printed yield in percent to 5 decimals is R to 5e-8, so the
+        # log price f = -R tau to 5e-8 tau, and the price to 5e-8 tau P
+        half_ulp = 5e-8 * tau * (abs(sums[-1]) if args.from_price else 1.0)
+        value = _converged(sums, half_ulp, tau, args.r)
+        # R = -f_J / tau skips the exp/log round trip
+        y = yield_from_price(value, tau) if args.from_price else -value / tau
         rows.append([f"{tau:g}", _fixed(100.0 * y, 5)])
     return _render(["tau", "yield_pct"], rows, args.format), 0
 

@@ -4,10 +4,11 @@ The CLI maps these onto exit codes: ConfigError -> 1, DomainError -> 2.
 
 A time to maturity tau must be nonnegative and finite.  check_maturity is the
 only place that rule is written; series, fdsolver and closedform call it.  A
-yield -ln(P)/tau needs tau > 0 on top of that: check_yield_maturity.
+yield -ln(P)/tau needs a normal tau > 0 on top of that: check_yield_maturity.
 """
 
 from math import inf
+from sys import float_info
 
 
 class DomainError(ValueError):
@@ -30,6 +31,9 @@ def check_maturity(tau: float) -> None:
 
 
 def check_yield_maturity(tau: float) -> None:
-    """Raise DomainError unless tau > 0; a yield divides by tau."""
+    """Raise DomainError unless tau > 0; a yield divides by tau.  A subnormal
+    tau is refused too: -r tau keeps too few bits there to divide back."""
     if tau <= 0.0:
         raise DomainError(f"yield needs tau > 0, got {tau}")
+    if tau < float_info.min:
+        raise DomainError(f"yield needs a normal tau, at least {float_info.min}, got {tau}")

@@ -115,12 +115,12 @@ def default_grid(r_query: float, tau_final: float) -> FDGrid:
     return FDGrid(r_max, n_r, n_t, richardson=True)
 
 
-def _richardson(coarse, fine, p: float):
-    """Extrapolate two solutions a halving apart whose error is O(h^p):
-    fine + (fine - coarse) / (2^p - 1), and the estimate |fine - coarse| /
-    (2^p - 1) of the error left in fine, which bounds the extrapolation's
-    once the error is in its asymptotic range."""
-    correction = (fine - coarse) / (2.0 ** p - 1.0)
+def _richardson(coarse, fine):
+    """Extrapolate two solutions a halving apart whose error is O(h^p), p =
+    _ORDER: fine + (fine - coarse) / (2^p - 1), and the estimate |fine -
+    coarse| / (2^p - 1) of the error left in fine, which bounds the
+    extrapolation's once the error is in its asymptotic range."""
+    correction = (fine - coarse) / (2.0 ** _ORDER - 1.0)
     return fine + correction, abs(correction)
 
 
@@ -175,8 +175,7 @@ def _march(model: ShortRateModel, taus: list[float], grid: FDGrid) -> dict[float
         coarse_grid = replace(grid, richardson=False)
         coarse = _march(model, taus, coarse_grid)
         fine = _march(model, taus, replace(coarse_grid, n_r=2 * grid.n_r, n_t=2 * grid.n_t))
-        return {tau: FDSolution(grid, tau, *_richardson(sol.values, fine[tau].values[::2],
-                                                         _ORDER))
+        return {tau: FDSolution(grid, tau, *_richardson(sol.values, fine[tau].values[::2]))
                 for tau, sol in coarse.items()}
     dtau = taus[-1] / grid.n_t
     wanted: dict[int, list[float]] = {}
@@ -246,35 +245,3 @@ def fd_price_at(sol: FDSolution, r: float) -> float:
     w = x - j
     return float((1.0 - w) * sol.values[j] + w * sol.values[j + 1])
 
-
-@dataclass(frozen=True)
-class ConvergenceStudy:
-    values: tuple[float, ...]  # the price on the base grid halved 0, 1, ... times
-    orders: tuple[float, ...]  # log2(d_k / d_{k+1}), d_k = |u_{k+1} - u_k|
-    reference: float  # Richardson extrapolation from the two finest grids
-
-
-def convergence_study(model: ShortRateModel, tau: float, r: float, base: FDGrid,
-                      levels: int) -> ConvergenceStudy:
-    """Halve h and dtau `levels-1` times and report the empirical order.
-
-    The reference value is a Richardson extrapolation from the two finest
-    grids, using the last order estimate (falling back on the scheme's order,
-    2, when the differences are already at round-off).  Level i is the
-    base grid with h = base.h / 2^i and n_t = base.n_t * 2^i, marched once.
-    """
-    if levels < 2:
-        raise ValueError(f"need at least 2 levels, got {levels}")
-    grids = [replace(base, n_r=base.n_r * 2 ** i, n_t=base.n_t * 2 ** i, richardson=False)
-             for i in range(levels)]
-    values = tuple(fd_price_at(fd_solve(model, tau, grid), r) for grid in grids)
-
-    diffs = tuple(abs(values[i + 1] - values[i]) for i in range(levels - 1))
-    orders = tuple(
-        math.log2(diffs[i] / diffs[i + 1]) if diffs[i] > 0.0 and diffs[i + 1] > 0.0 else math.nan
-        for i in range(levels - 2)
-    )
-    p_ref = next((p for p in reversed(orders) if math.isfinite(p) and p > 0.1), _ORDER)
-    # when the two finest values agree the correction is exactly 0
-    reference, _ = _richardson(values[-2], values[-1], p_ref)
-    return ConvergenceStudy(values, orders, reference)

@@ -135,16 +135,6 @@ def evaluate(a: GenPoly, r: float) -> float:
     return total
 
 
-def approx_equal(a: GenPoly, b: GenPoly, tol: float) -> bool:
-    """True iff every coefficient of the (merged) difference is within tol.
-
-    Terms of a and b whose exponents agree within MERGE_TOL cancel against
-    each other; a term with no counterpart must itself have magnitude <= tol.
-    """
-    diff = add(a, scale(b, -1.0))
-    return all(abs(c) <= tol for c, _ in diff.terms)
-
-
 def _fmt_number(x: float) -> str:
     if x.is_integer() and abs(x) < 1e16:
         return str(int(x))

@@ -158,38 +158,3 @@ def yield_from_price(price: float, tau: float) -> float:
         raise DomainError(f"yield needs a positive price, got {price}")
     return -log(price) / tau
 
-
-def exp_compose(s: TaylorSeries) -> TaylorSeries:
-    """Exponentiate a log-price series termwise: b = exp(c) as formal series.
-
-    Uses b_0 = 1, n b_n = sum_{k=1}^{n} k c_k b_{n-k}, valid because c_0 = 0.
-    """
-    if s.target != LOGPRICE:
-        raise ValueError(f"exp_compose expects a {LOGPRICE} series, got {s.target!r}")
-    b = [gp.const(1.0)]
-    for n in range(1, s.order + 1):
-        acc = gp.add(*(gp.scale(gp.mul(s.coeffs[k], b[n - k]), float(k))
-                       for k in range(1, n + 1)))
-        b.append(gp.scale(acc, 1.0 / n))
-    return TaylorSeries(PRICE, tuple(b), s.model)
-
-
-def pde_residual_coeffs(s: TaylorSeries) -> list[GenPoly]:
-    """Substitute a truncated price series into the pricing equation.
-
-    Returns the tau^0..tau^order coefficients of
-        -P_tau + mu P_r + (1/2) s2 P_rr - r P
-    for P = sum_{k<=order} c_k tau^k.  For coefficients produced by
-    price_coeffs everything through tau^(order-1) cancels and the tau^order
-    entry is the leading truncation error.
-    """
-    if s.target != PRICE:
-        raise ValueError(f"pde_residual_coeffs expects a {PRICE} series, got {s.target!r}")
-    half_vol2 = gp.scale(s.model.vol2, 0.5)
-    res = []
-    for k in range(s.order + 1):
-        coeff = _apply_operator(s.model.drift, half_vol2, s.coeffs[k])
-        if k < s.order:
-            coeff = gp.add(coeff, gp.scale(s.coeffs[k + 1], -(k + 1.0)))
-        res.append(coeff)
-    return res

@@ -4,6 +4,7 @@ One test per criterion; each prints a single PASS/FAIL line, so
 `pytest tests/test_acceptance.py -v -s` gives a compact scoreboard.
 """
 
+import importlib.util
 import math
 import random
 from pathlib import Path
@@ -12,12 +13,16 @@ import pytest
 
 from bondtaylor import genpoly as gp
 from bondtaylor.closedform import cir_exact_price
-from bondtaylor.fdsolver import (FDGrid, convergence_study, default_grid,
-                                 fd_price_at, fd_solve)
+from bondtaylor.fdsolver import FDGrid, default_grid, fd_price_at, fd_solve
 from bondtaylor.model import CIRParams, parse_model_config
-from bondtaylor.series import (exp_compose, log_coeffs, partial_sums,
-                               pde_residual_coeffs, price_coeffs)
+from bondtaylor.series import log_coeffs, partial_sums, price_coeffs
 from bondtaylor.tables import build_table
+from reference import approx_equal, exp_compose, pde_residual
+
+_PATH = Path(__file__).resolve().parents[1] / "scripts" / "fd_convergence.py"
+_SPEC = importlib.util.spec_from_file_location("fd_convergence", _PATH)
+fd_convergence = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(fd_convergence)
 
 CIR = CIRParams(alpha=0.00315, beta=-0.0555, sigma=0.0894)
 R0 = 0.05
@@ -100,16 +105,12 @@ def test_criterion_6_dothan_grid(built_table):
 
 def test_criterion_7_residual_vanishes_for_random_models(random_model_factory):
     rng = random.Random(1234)
-    worst = 0.0
-    for _ in range(50):
-        model = random_model_factory(rng)
-        res = pde_residual_coeffs(price_coeffs(model, 8))
-        for poly in res[:8]:
-            for coeff, _ in poly.terms:
-                worst = max(worst, abs(coeff))
-    _verdict(7, "PDE residual of the order-8 price series vanishes through "
-                "tau^7 for 50 random polynomial models", worst < 1e-10,
-             f"worst residual coefficient = {worst:.3e}")
+    worst = max(max(pde_residual(price_coeffs(random_model_factory(rng), 8)))
+                for _ in range(50))
+    _verdict(7, "PDE residual of the order-8 price series, in exact "
+                "arithmetic, vanishes to rounding through tau^7 for 50 random "
+                "polynomial models", worst < 1e-14,
+             f"worst relative residual = {worst:.3e}")
 
 
 def test_criterion_8_exp_log_identity(cir_model, dothan02_model,
@@ -141,15 +142,15 @@ def test_criterion_9_log_coefficients_match_hand_formulas(cir_model):
                           ((s2 * (7 * b * b - 4 * s2)
                             + b * b * (4 * s2 - b * b)) / 120, 1.0)])
     s = log_coeffs(cir_model, 5)
-    ok = all(gp.approx_equal(s.coeffs[k], ref, 1e-12)
+    ok = all(approx_equal(s.coeffs[k], ref, 1e-12)
              for k, ref in zip((3, 4, 5), (c3, c4, c5)))
     _verdict(9, "recursion reproduces the hand-derived CIR log coefficients "
                 "c3, c4, c5 (tol 1e-12)", ok)
 
 
 def test_criterion_10_fd_oracle_quality(cir_model):
-    study = convergence_study(cir_model, 1.0, R0,
-                              FDGrid(0.5, 250, 250), levels=4)
+    study = fd_convergence.convergence_study(cir_model, 1.0, R0,
+                                             FDGrid(0.5, 250, 250), levels=4)
     order_ok = min(study.orders) >= 1.8
     errs = []
     for tau in (1.0, 5.0):

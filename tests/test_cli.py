@@ -99,11 +99,80 @@ def test_yield_order6_column(cfg, capsys):
         assert abs(g - ref) <= 5e-6 + 1e-12
 
 
-def test_yield_single_cell_order4(cfg, capsys):
+def test_yield_single_cell_order4_is_refused(cfg, capsys):
+    # the order-4 sum gives 4.95227 against a true 4.95306, and its last terms
+    # -4.7e-3, 8.8e-3, -1.7e-3 do not decrease; `table --id cir-yield` still
+    # prints the paper's order-4 cell
+    code, out, err = run(capsys, ["yield", "--model", cfg(CIR_CFG), "--r", "0.05",
+                                  "--taus", "5", "--order", "4"])
+    assert (code, out) == (2, "")
+    assert err == ("error: cannot print the order-4 sum at tau=5, r=0.05 "
+                   "(last term -0.00168): its last terms do not decrease\n")
+
+
+# (model, r, tau, command and flags): every one printed a wrong sum with exit
+# 0 before the convergence check, -11120.880988 for the CIR price at tau = 30
+# (exact 0.299214)
+DIVERGED = [
+    ("cir", "0.05", "20", ["price"]),
+    ("cir", "0.05", "30", ["price"]),
+    ("cir", "0.05", "20", ["price", "--target", "logprice"]),
+    ("cir", "0.05", "30", ["price", "--target", "logprice"]),
+    ("ckls", "0.01", "3", ["price"]),
+    ("ckls", "0.01", "5", ["price"]),
+    ("ckls", "0.01", "5", ["price", "--target", "logprice"]),
+    ("dothan02", "0.035", "40", ["price"]),
+    ("cir", "0.05", "30", ["yield"]),
+    ("cir", "0.05", "30", ["yield", "--from-price"]),
+]
+MODEL_TEXT = {"cir": CIR_CFG, "ckls": CKLS_CFG, "dothan02": DOTHAN02_CFG}
+
+
+@pytest.mark.parametrize("name,r,tau,command", DIVERGED,
+                         ids=[f"{m}-tau{t}-" + "-".join(w.lstrip("-") for w in c)
+                              for m, _, t, c in DIVERGED])
+def test_diverged_sum_exits_2(cfg, capsys, name, r, tau, command):
+    when = ["--tau", tau] if command[0] == "price" else ["--taus", tau]
+    argv = [command[0], "--model", cfg(MODEL_TEXT[name]), "--r", r, *when, "--order", "30", *command[1:]]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: cannot print the order-30 sum at tau={tau}, r={r} (last term ")
+    assert err.endswith("): its last terms do not decrease\n")
+    if command[0] == "price":  # --converge prints every partial sum, unchecked
+        code, out, _ = run(capsys, argv + ["--converge"])
+        assert code == 0 and len(out.splitlines()[1].split()) == 1 + 31
+
+
+def test_converged_ckls_sum_at_order_30_still_prints(cfg, capsys):
+    code, out, _ = run(capsys, ["price", "--model", cfg(CKLS_CFG), "--r", "0.05",
+                                "--tau", "5", "--order", "30"])
+    assert (code, out) == (0, "tau  price\n5    0.779721\n")
+
+
+def test_order_1_price_past_its_first_term_is_refused(cfg, capsys):
+    # the first sum counts as a term: 1, then -r tau = -5, would print -4.000000
+    code, _, err = run(capsys, ["price", "--model", cfg(ZERO_CFG), "--r", "0.05",
+                                "--tau", "100", "--order", "1"])
+    assert code == 2 and "(last term -5)" in err
+    # one nonzero term, as in the zero model's log series, is compared with none
+    code, out, _ = run(capsys, ["price", "--model", cfg(ZERO_CFG), "--r", "0.05",
+                                "--tau", "100", "--target", "logprice"])
+    assert (code, out) == (0, "tau  logprice\n100  -5.000000\n")
+
+
+@pytest.mark.parametrize("tau", ["1e-11", "1e-12", "1e-14"])
+def test_yield_from_price_at_tiny_tau_exits_2(cfg, capsys, tau):
+    # these printed 5.00044, 4.99600 and 5.55112 against a true 5.00000: the
+    # price keeps about 16 digits of 1 - r tau, too few for r
+    code, out, err = run(capsys, ["yield", "--model", cfg(CIR_CFG), "--r", "0.05",
+                                  "--taus", tau, "--from-price"])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot print the order-8 sum at tau={tau}, r=0.05 ")
+    assert err.endswith("): rounding in the partial sums exceeds the printed digits\n")
     code, out, _ = run(capsys, ["yield", "--model", cfg(CIR_CFG), "--r", "0.05",
-                                "--taus", "5", "--order", "4"])
-    assert code == 0
-    assert abs(float(out.splitlines()[1].split()[1]) - 4.95227) <= 5e-6 + 1e-12
+                                "--taus", "1e-8", "--from-price"])
+    assert (code, out) == (0, "tau    yield_pct\n1e-08  5.00000\n")
 
 
 def test_yield_zero_model_flat(cfg, capsys):

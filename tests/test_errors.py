@@ -57,6 +57,15 @@ def test_one_yield_maturity_rule_and_message(name, tau):
     assert str(exc.value) == f"yield needs tau > 0, got {tau}"
 
 
+@pytest.mark.parametrize("name", sorted(TAKES_YIELD_TAU))
+def test_one_yield_maturity_rule_refuses_a_subnormal_tau(name):
+    # the log route printed 4.99012 at tau = 1e-320 against a true 5.00000
+    with pytest.raises(DomainError) as exc:
+        TAKES_YIELD_TAU[name](5e-324)
+    assert str(exc.value) == ("yield needs a normal tau, at least "
+                              "2.2250738585072014e-308, got 5e-324")
+
+
 # the constructors that take a volatility, each applied to a negative one
 TAKES_SIGMA = {
     "CIRParams": (lambda s: CIRParams(0.1, 0.0, s), "sigma"),

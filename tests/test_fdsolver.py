@@ -1,3 +1,4 @@
+import importlib.util
 import math
 from dataclasses import replace
 from decimal import Decimal, localcontext
@@ -10,13 +11,18 @@ from scipy.linalg import solve_banded
 from bondtaylor import fdsolver
 from bondtaylor.closedform import cir_exact_price
 from bondtaylor.errors import DomainError
-from bondtaylor.fdsolver import (FDGrid, FDSolution, convergence_study,
-                                 default_grid, fd_price_at, fd_solve,
-                                 fd_solve_path)
+from bondtaylor.fdsolver import (FDGrid, FDSolution, default_grid, fd_price_at,
+                                 fd_solve, fd_solve_path)
 from bondtaylor.model import (CIRParams, DothanParams, make_cir, make_ckls,
                               make_custom, make_dothan, parse_model_config)
 
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = ROOT / "configs"
+_SPEC = importlib.util.spec_from_file_location("fd_convergence",
+                                               ROOT / "scripts" / "fd_convergence.py")
+fd_convergence = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(fd_convergence)
+convergence_study = fd_convergence.convergence_study
 
 # the zero model has mu = s2 = 0 and so only a diagonal band; CKLS has a
 # fractional gamma; CIR has mu(0) > 0; Dothan's r = 0 node decouples

@@ -8,11 +8,12 @@ from bondtaylor.genpoly import GenPoly
 from bondtaylor.model import (CIRParams, DothanParams, ShortRateModel,
                               make_cir, make_ckls, make_custom, make_dothan,
                               parse_model_config, parse_model_text)
+from reference import approx_equal
 
 
 def test_make_cir_benchmark_params(cir_model):
     assert gp.to_text(cir_model.drift) == "0.00315:0, -0.0555:1"
-    assert gp.approx_equal(cir_model.vol2, gp.from_text("0.00799236:1"), 1e-15)
+    assert approx_equal(cir_model.vol2, gp.from_text("0.00799236:1"), 1e-15)
 
 
 def test_make_cir_degenerate_and_squaring():
@@ -29,9 +30,9 @@ def test_cir_params_reject_negative_sigma():
 def test_make_dothan_examples():
     m = make_dothan(DothanParams(0.005, math.sqrt(0.02)))
     assert gp.to_text(m.drift) == "0.005:1"
-    assert gp.approx_equal(m.vol2, gp.from_text("0.02:2"), 1e-15)
+    assert approx_equal(m.vol2, gp.from_text("0.02:2"), 1e-15)
     m2 = make_dothan(DothanParams(-0.005, math.sqrt(0.01)))
-    assert gp.approx_equal(m2.vol2, gp.from_text("0.01:2"), 1e-15)
+    assert approx_equal(m2.vol2, gp.from_text("0.01:2"), 1e-15)
     z = make_dothan(DothanParams(0.0, 0.0))
     assert z.drift == GenPoly() and z.vol2 == GenPoly()
 
@@ -59,7 +60,7 @@ def test_ckls_reduces_to_presets():
 
 def test_ckls_fractional_elasticity():
     m = make_ckls(0.01, -0.2, 0.1, 1.5)
-    assert gp.approx_equal(m.vol2, gp.from_text("0.01:3"), 1e-15)
+    assert approx_equal(m.vol2, gp.from_text("0.01:3"), 1e-15)
     with pytest.raises(ValueError):
         make_ckls(0.0, 0.0, -1.0, 0.5)
 
@@ -130,14 +131,14 @@ def test_parse_cir_round_trip(cir_model):
 def test_parse_dothan_three_lines():
     m = parse_model_text("model = dothan\nmu = 0.005\nsigma2 = 0.02\n")
     ref = make_dothan(DothanParams(0.005, math.sqrt(0.02)))
-    assert gp.approx_equal(m.vol2, ref.vol2, 1e-15)
+    assert approx_equal(m.vol2, ref.vol2, 1e-15)
     assert m.drift == ref.drift
 
 
 def test_parse_ckls_and_custom():
     m = parse_model_text(
         "model = ckls\nalpha = 0.01\nbeta = -0.2\nsigma = 0.1\ngamma = 0.75\n")
-    assert gp.approx_equal(m.vol2, gp.from_text("0.01:1.5"), 1e-15)
+    assert approx_equal(m.vol2, gp.from_text("0.01:1.5"), 1e-15)
     c = parse_model_text(
         "model = custom\ndrift_terms = 0.00315:0, -0.0555:1\n"
         "vol2_terms = 0.00799236:1\n")

@@ -9,13 +9,14 @@ import pytest
 from bondtaylor import genpoly as gp
 from bondtaylor.errors import DomainError, TermLimitError
 from bondtaylor.genpoly import GenPoly
-from bondtaylor.model import parse_model_config
+from bondtaylor.model import make_custom, parse_model_config
 from bondtaylor.series import (LOGPRICE, MAX_ORDER, PRICE, TaylorSeries,
-                               exp_compose, log_coeffs, partial_sums,
-                               pde_residual_coeffs, price_coeffs,
+                               log_coeffs, partial_sums, price_coeffs,
                                yield_from_price)
+from reference import approx_equal, exp_compose, pde_residual
 
 ALPHA, BETA, SIGMA = 0.00315, -0.0555, 0.0894
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 # reference cells carry 6 decimals; 1e-12 pad keeps boundary halves stable
 TOL6 = 5e-7 + 1e-12
@@ -35,7 +36,7 @@ def test_series_shape_and_anchors(cir_model):
 def test_cir_price_c2_by_hand(cir_model):
     c2 = price_coeffs(cir_model, 2).coeffs[2]
     ref = gp.canonicalize([(-ALPHA / 2, 0.0), (-BETA / 2, 1.0), (0.5, 2.0)])
-    assert gp.approx_equal(c2, ref, 1e-15)
+    assert approx_equal(c2, ref, 1e-15)
 
 
 def test_cir_price_partial_sums(cir_model):
@@ -47,7 +48,7 @@ def test_cir_price_partial_sums(cir_model):
 def test_dothan_price_c2_and_partial_sums(dothan02_model):
     c2 = price_coeffs(dothan02_model, 2).coeffs[2]
     ref = gp.canonicalize([(-0.005 / 2, 1.0), (0.5, 2.0)])
-    assert gp.approx_equal(c2, ref, 1e-15)
+    assert approx_equal(c2, ref, 1e-15)
     sums = partial_sums(price_coeffs(dothan02_model, 3), 3.0, 0.035)
     for got, ref in zip(sums[1:], (0.895000, 0.899725, 0.899721)):
         assert abs(got - ref) <= TOL6
@@ -78,7 +79,7 @@ def test_zero_model_log_coeffs_exact(zero_model):
 def test_cir_log_c2_by_hand(cir_model):
     c2 = log_coeffs(cir_model, 2).coeffs[2]
     ref = gp.canonicalize([(-ALPHA / 2, 0.0), (-BETA / 2, 1.0)])
-    assert gp.approx_equal(c2, ref, 1e-15)
+    assert approx_equal(c2, ref, 1e-15)
 
 
 def test_cir_log_partial_sums(cir_model):
@@ -102,7 +103,7 @@ def _cir_printed_log_c345():
 def test_cir_log_c3_c4_c5_match_closed_forms(cir_model):
     s = log_coeffs(cir_model, 5)
     for k, ref in zip((3, 4, 5), _cir_printed_log_c345()):
-        assert gp.approx_equal(s.coeffs[k], ref, 1e-12), f"c_{k} mismatch"
+        assert approx_equal(s.coeffs[k], ref, 1e-12), f"c_{k} mismatch"
 
 
 def test_partial_sums_prefix_property(cir_model):
@@ -183,14 +184,14 @@ def test_exp_compose_matches_price_series(cir_model):
     composed = exp_compose(log_coeffs(cir_model, 8))
     assert composed.target == PRICE
     for k in range(9):
-        assert gp.approx_equal(composed.coeffs[k], price.coeffs[k], 1e-9)
+        assert approx_equal(composed.coeffs[k], price.coeffs[k], 1e-9)
 
 
 def test_exp_compose_zero_model(zero_model):
     composed = exp_compose(log_coeffs(zero_model, 6))
     ref = price_coeffs(zero_model, 6)
     for k in range(7):
-        assert gp.approx_equal(composed.coeffs[k], ref.coeffs[k], 1e-15)
+        assert approx_equal(composed.coeffs[k], ref.coeffs[k], 1e-15)
 
 
 def test_exp_compose_order_zero(cir_model):
@@ -203,36 +204,44 @@ def test_exp_compose_rejects_price_series(cir_model):
         exp_compose(price_coeffs(cir_model, 3))
 
 
-def test_residual_vanishes_cir_and_dothan(cir_model, dothan02_model):
-    for model, order in ((cir_model, 5), (dothan02_model, 3)):
-        res = pde_residual_coeffs(price_coeffs(model, order))
-        assert len(res) == order + 1
-        for k in range(order):
-            assert gp.approx_equal(res[k], GenPoly(), 1e-12), f"order {k}"
+# a coefficient right to rounding leaves a few ulps of its power's terms; the
+# price recursion with its drift sign flipped leaves 1.0 on every shipped
+# config with a drift
+RESIDUAL_TOL = 1e-14
+LATTICE_CONFIGS = sorted(p.name for p in CONFIGS.glob("*.cfg"))
 
 
-def test_residual_leading_term_zero_model(zero_model):
-    res = pde_residual_coeffs(price_coeffs(zero_model, 4))
-    for k in range(4):
-        assert res[k] == GenPoly()
-    (coeff, exp), = res[4].terms
-    assert exp == 5.0
-    assert coeff == pytest.approx(-1.0 / 24.0, abs=1e-18)
+@pytest.mark.parametrize("build", [price_coeffs, log_coeffs])
+@pytest.mark.parametrize("cfg", LATTICE_CONFIGS)
+def test_series_solves_its_pde_exactly(cfg, build):
+    res = pde_residual(build(parse_model_config(CONFIGS / cfg), 8))
+    assert len(res) == 8
+    assert max(res) < RESIDUAL_TOL
 
 
-def test_residual_rejects_log_series(cir_model):
-    with pytest.raises(ValueError):
-        pde_residual_coeffs(log_coeffs(cir_model, 3))
+def test_residual_sees_a_flipped_drift(cir_model):
+    # coefficients built with -mu in place of mu, checked against the model
+    flipped = make_custom([(-c, p) for c, p in cir_model.drift.terms], cir_model.vol2.terms)
+    for build in (price_coeffs, log_coeffs):
+        wrong = build(flipped, 8)._replace(model=cir_model)
+        assert max(pde_residual(wrong)) > 0.01
+
+
+def test_residual_sees_one_perturbed_coefficient(dothan02_model):
+    s = price_coeffs(dothan02_model, 6)
+    (c, p), *rest = s.coeffs[4].terms
+    moved = s.coeffs[:4] + (GenPoly(((c * (1.0 + 1e-12), p), *rest)),) + s.coeffs[5:]
+    res = pde_residual(s._replace(coeffs=moved))
+    assert max(pde_residual(s)) < RESIDUAL_TOL
+    assert res[3] > 1e-13 and res[4] > 1e-13
+    assert max(res[:3] + res[5:]) < RESIDUAL_TOL
 
 
 def test_residual_property_random_models(random_model_factory):
     rng = random.Random(20240814)
     for _ in range(10):
         model = random_model_factory(rng)
-        res = pde_residual_coeffs(price_coeffs(model, 6))
-        worst = max((abs(c) for poly in res[:6] for c, _ in poly.terms),
-                    default=0.0)
-        assert worst < 1e-10
+        assert max(pde_residual(price_coeffs(model, 6))) < RESIDUAL_TOL
 
 
 def test_determinism(cir_model):
@@ -259,7 +268,6 @@ def test_fractional_exponent_model_series(cir_model):
 
 # --- the per-rate coefficient values partial_sums keeps -------------------
 
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 R1, R2 = 0.05, 0.031
 CACHE_TAUS = (0.0, 0.25, 1.0, 3.0)
 
