@@ -104,7 +104,7 @@ def _converged(sums: list[float], half_ulp: float, tau: float, r: float) -> floa
     the first term.  A sum is refused when its last nonzero term exceeds
     half_ulp while the last (up to) three nonzero terms do not strictly
     decrease in magnitude (a series past its radius, or not yet in its
-    decreasing tail), and when the rounding of the largest partial sum,
+    decreasing tail), or when the rounding of the largest partial sum,
     2^-53 max |S_k|, exceeds half_ulp.
     """
     tail = [b - a for a, b in zip([0.0] + sums, sums) if b != a][-3:]
