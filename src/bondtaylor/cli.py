@@ -6,8 +6,8 @@ Subcommands:
   price      evaluate price or log-price partial sums at given maturities
   yield     yield curve in percent from the log-price series
   exact-cir  closed-form CIR bond price
-  fd         finite-difference PDE price (oracle for models without a
-             closed form), optionally dumping the whole profile
+  fd         finite-difference PDE price on the default Richardson grid
+             (oracle for models without a closed form)
   table      recompute one embedded reference table and compare cell by cell
 
 Typical use:
@@ -20,8 +20,9 @@ Typical use:
   bondtaylor table --id dothan-grid --format csv
 
 Exit codes: 0 success, 1 usage or config error, 2 numerical domain error (a
-price or yield sum not converged to its printed digits among them; price
---converge prints every partial sum unchecked), 3 reference-table mismatch.
+price or yield sum not converged to its printed digits, and an fd price whose
+Richardson estimate exceeds half its last digit, among them; price --converge
+prints every partial sum unchecked), 3 reference-table mismatch.
 Output goes to stdout or to --out; --format picks aligned text (default) or
 CSV with a header row.
 """
@@ -97,6 +98,10 @@ def cmd_coeffs(args) -> tuple[str, int]:
     return "\n".join(lines) + "\n", 0
 
 
+# half a unit in the sixth decimal: the most a price that price or fd prints may be off
+_HALF_ULP = 5e-7
+
+
 def _converged(sums: list[float], half_ulp: float, tau: float, r: float) -> float:
     """The last partial sum, or DomainError where it is not good to half_ulp.
 
@@ -127,7 +132,7 @@ def cmd_price(args) -> tuple[str, int]:
     rows = []
     for tau in taus:  # every partial sum unchecked, or the last one checked
         sums = partial_sums(series, tau, args.r)
-        shown = sums if args.converge else [_converged(sums, 5e-7, tau, args.r)]
+        shown = sums if args.converge else [_converged(sums, _HALF_ULP, tau, args.r)]
         rows.append([f"{tau:g}"] + [_fixed(s, 6) for s in shown])
     return _render(header, rows, args.format), 0
 
@@ -167,24 +172,17 @@ def cmd_exact_cir(args) -> tuple[str, int]:
 
 def cmd_fd(args) -> tuple[str, int]:
     # the FD oracle, and with it numpy and scipy, loads only for this command
-    from dataclasses import replace
-
     from .fdsolver import default_grid, fd_price_at, fd_solve
 
-    model = parse_model_config(args.model)
-    grid = default_grid(args.r, args.tau)
-    flags = dict(r_max=args.rmax, n_r=args.nr, n_t=args.nt)
-    given = {field: v for field, v in flags.items() if v is not None}
-    if given:  # one grid named in full, --rmax optional: a single march, no Richardson
-        if args.nr is None or args.nt is None:
-            raise ConfigError("an explicit grid needs both --nr and --nt")
-        grid = replace(grid, richardson=False, **given)
-    sol = fd_solve(model, args.tau, grid)
-    if args.profile:
-        rows = [[repr(j * grid.h), repr(float(v))]
-                for j, v in enumerate(sol.values)]
-        return _render(["r", "price"], rows, args.format), 0
-    return _render_price(args, fd_price_at(sol, args.r)), 0
+    sol = fd_solve(parse_model_config(args.model), args.tau, default_grid(args.r, args.tau))
+    price = fd_price_at(sol, args.r)
+    j = min(int(args.r / sol.grid.h), sol.grid.n_r - 1)  # the nodes around r
+    error = max(sol.error[j], sol.error[j + 1])
+    if error > _HALF_ULP:
+        raise DomainError(f"cannot print the FD price at tau={args.tau:g}, r={args.r:g}: "
+                          f"its Richardson error estimate {error:.3g} exceeds the "
+                          f"half-ulp {_HALF_ULP:g}")
+    return _render_price(args, price), 0
 
 
 def cmd_table(args) -> tuple[str, int]:
@@ -262,11 +260,6 @@ def build_parser() -> _Parser:
                        help="finite-difference PDE price")
     p.add_argument("--r", type=float, required=True)
     p.add_argument("--tau", type=float, required=True)
-    p.add_argument("--rmax", type=float, default=None)
-    p.add_argument("--nr", type=int, default=None)
-    p.add_argument("--nt", type=int, default=None)
-    p.add_argument("--profile", action="store_true",
-                   help="dump the whole (r, price) profile")
     p.set_defaults(handler=cmd_fd)
 
     p = sub.add_parser("table", parents=[common],

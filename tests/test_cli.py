@@ -250,54 +250,39 @@ def test_fd_cir_and_zero_model(cfg, capsys):
     assert code == 0
     assert float(out.strip()) == pytest.approx(0.951115, abs=1e-5)
     code, out, _ = run(capsys, ["fd", "--model", cfg(ZERO_CFG), "--r", "0.05",
-                                "--tau", "2", "--nr", "10", "--nt", "200"])
+                                "--tau", "2"])
     assert code == 0
     # output is printed to 6 decimals, so half an ulp of that
     assert float(out.strip()) == pytest.approx(math.exp(-0.1), abs=5e-7)
 
 
-def test_fd_profile_dump(cfg, capsys):
-    code, out, _ = run(capsys, ["fd", "--model", cfg(ZERO_CFG), "--r", "0.05",
-                                "--tau", "1", "--rmax", "0.5", "--nr", "5",
-                                "--nt", "100", "--profile", "--format", "csv"])
-    assert code == 0
-    rows = parse_csv(out)
-    assert rows[0] == ["r", "price"]
-    assert len(rows) == 7
-    for r_text, p_text in rows[1:]:
-        assert float(p_text) == pytest.approx(math.exp(-float(r_text)),
-                                              abs=1e-6)
-
-
-def test_fd_grid_flags_validated(cfg, capsys):
-    code, _, err = run(capsys, ["fd", "--model", cfg(CIR_CFG), "--r", "0.05",
-                                "--tau", "1", "--nr", "2", "--nt", "10"])
-    assert code == 1 and "n_r" in err
-
-
-def test_fd_explicit_grid_is_named_in_full(cfg, capsys):
-    argv = ["fd", "--model", cfg(CIR_CFG), "--r", "0.05", "--tau", "10"]
-    # --nr alone used to take n_t from the default grid's coarse level and
-    # march once without extrapolation: 0.622123 with exit 0 (implicit Euler),
-    # exact 0.621902
-    for partial in (["--nr", "2000"], ["--nt", "400"], ["--rmax", "1"]):
-        code, out, err = run(capsys, argv + partial)
-        assert (code, out) == (1, "") and "--nr" in err and "--nt" in err
-    # with both, r_max comes from the default grid and the grid marches once
-    code, out, _ = run(capsys, argv + ["--nr", "2000", "--nt", "10000"])
-    assert (code, out) == (0, "0.621902\n")
-
-
 @pytest.mark.parametrize("flag,value", [("--theta", "0"), ("--theta", "0.25"),
                                         ("--theta", "0.5"),
                                         ("--upper-boundary", "dirichlet0"),
-                                        ("--upper-boundary", "linearity")])
+                                        ("--upper-boundary", "linearity"),
+                                        ("--rmax", "1"), ("--nr", "100"),
+                                        ("--nt", "50"), ("--profile", None)])
 def test_fd_refuses_removed_scheme_flags(cfg, capsys, flag, value):
-    # the oracle is Crank-Nicolson with the linearity closure only; theta = 0
-    # used to print -5.4e124 for the CIR price 0.951115 with exit 0
+    # the oracle is Crank-Nicolson with the linearity closure on its default
+    # grid only; theta = 0 used to print -5.4e124 for the CIR price 0.951115
+    # with exit 0, and --nr 10 --nt 200 at tau = 2 printed 0.904633 for 0.904626
+    extra = [flag] if value is None else [flag, value]
     code, out, err = run(capsys, ["fd", "--model", cfg(CIR_CFG), "--r", "0.05",
-                                  "--tau", "1", flag, value])
+                                  "--tau", "1"] + extra)
     assert (code, out) == (1, "") and flag in err
+
+
+@pytest.mark.parametrize("r,tau", [("1000", "1"), ("1e6", "1"), ("0.013", "30"),
+                                   ("0", "5")])
+def test_fd_refuses_what_its_estimate_cannot_certify(cfg, capsys, r, tau):
+    # each printed a wrong last digit or worse with exit 0: -0.000547,
+    # 0.968426, 0.434778 and 0.965165, where the CIR closed form gives
+    # 0.000000, 0.000000, 0.434776 and 0.965164
+    code, out, err = run(capsys, ["fd", "--model", cfg(CIR_CFG), "--r", r, "--tau", tau])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot print the FD price at tau={float(tau):g}, "
+                          f"r={float(r):g}: its Richardson error estimate ")
+    assert err.endswith(" exceeds the half-ulp 5e-07\n") and err.count("\n") == 1
 
 
 def test_fd_negative_tau_is_domain_error(cfg, capsys):
@@ -334,13 +319,14 @@ def test_fd_refuses_negative_vol2_on_grid(cfg, capsys):
 
 
 def test_fd_blow_up_prints_one_error_line(cfg, capsys, nan_at_step):
-    # a march gone non-finite is one error line, not a numpy RuntimeWarning
+    # a march gone non-finite is one error line, not a numpy RuntimeWarning;
+    # the default grid's coarse march at tau = 3 has 120 steps
     nan_at_step(84)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run(capsys, ["fd", "--model", cfg(CIR_CFG), "--r", "0.05",
-                                      "--tau", "1", "--nt", "100", "--nr", "10"])
-    assert (code, out, err) == (2, "", "error: non-finite values at step 84 of 100\n")
+                                      "--tau", "3"])
+    assert (code, out, err) == (2, "", "error: non-finite values at step 84 of 120\n")
 
 
 def test_fd_singular_matrix_exits_2(cfg, capsys, monkeypatch):
@@ -348,7 +334,7 @@ def test_fd_singular_matrix_exits_2(cfg, capsys, monkeypatch):
         return dl, d, du, du[:-1], np.zeros(len(d), dtype=np.int32), 1
     monkeypatch.setattr(fdsolver.lapack, "dgttrf", zero_pivot)
     code, out, err = run(capsys, ["fd", "--model", cfg(CIR_CFG), "--r", "0.05",
-                                  "--tau", "1", "--nr", "10", "--nt", "4"])
+                                  "--tau", "1"])
     assert code == 2 and out == "" and "singular tridiagonal matrix" in err
 
 

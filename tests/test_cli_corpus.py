@@ -27,7 +27,6 @@ CORPUS = Path(__file__).with_name("cli_corpus.json")
 CONFIGS = sorted(f"configs/{p.name}" for p in (ROOT / "configs").glob("*.cfg"))
 TARGETS = ("price", "logprice")
 CIR_ARGS = ["--alpha", "0.00315", "--beta", "-0.0555", "--sigma", "0.0894"]
-FD_GRID = ["--nr", "100", "--nt", "50"]
 FD_CONFIGS = ("configs/cir.cfg", "configs/ckls.cfg", "configs/dothan_s2_0.01.cfg",
               "configs/dothan_s2_0.02.cfg", "configs/dothan_s2_0.03.cfg",
               "configs/zero.cfg")
@@ -60,18 +59,18 @@ def _commands() -> list[list[str]]:
     cmds.append(["exact-cir", "--alpha", "0.01", "--beta", "-0.2", "--sigma", "0",
                  "--r", "0.03", "--tau", "3"])
     for cfg in FD_CONFIGS:
-        cmds.append(["fd", "--model", cfg, "--r", "0.05", "--tau", "1"] + FD_GRID)
-        cmds.append(["fd", "--model", cfg, "--r", "0.05", "--tau", "1"] + FD_GRID
-                    + ["--profile", "--format", "csv"])
-    # the oracle has one scheme; its former knobs are usage errors
-    cmds.append(["fd", "--model", "configs/cir.cfg", "--r", "0.05", "--tau", "2"]
-                + FD_GRID + ["--theta", "1", "--upper-boundary", "dirichlet0"])
-    cmds.append(["fd", "--model", "configs/dothan_s2_0.02.cfg", "--r", "0.035",
-                 "--tau", "1", "--profile"] + FD_GRID)
+        cmds.append(["fd", "--model", cfg, "--r", "0.05", "--tau", "1"])
+    # the oracle has one scheme on one grid; its former knobs are usage errors
+    cmds.append(["fd", "--model", "configs/cir.cfg", "--r", "0.05", "--tau", "2",
+                 "--theta", "1", "--upper-boundary", "dirichlet0"])
     cmds.append(["fd", "--model", "configs/dothan_s2_0.01.cfg", "--r", "0.035",
                  "--tau", "1"])
-    cmds.append(["fd", "--model", "configs/vasicek.cfg", "--r", "0.05",
-                 "--tau", "1"] + FD_GRID)
+    cmds.append(["fd", "--model", "configs/vasicek.cfg", "--r", "0.05", "--tau", "1"])
+    # prices the Richardson estimate cannot certify: stiff r dtau, long
+    # maturities, and the first-order r = 0 row
+    for r, tau in (("1000", "1"), ("1e6", "1"), ("0.05", "1e9"), ("0.013", "30"),
+                   ("0.05", "100"), ("0", "5")):
+        cmds.append(["fd", "--model", "configs/cir.cfg", "--r", r, "--tau", tau])
     for tau in BAD_TAUS:
         cmds.append(["fd", "--model", "configs/cir.cfg", "--r", "0.05", "--tau", tau])
         cmds.append(["exact-cir"] + CIR_ARGS + ["--r", "0.05", "--tau", tau])

@@ -1,7 +1,11 @@
-"""The public names of the package, listed in full: a name added to or taken
-out of `bondtaylor.__all__` fails here until this list says so."""
+"""The public surface of the package, listed in full: a name added to or taken
+out of `bondtaylor.__all__`, or an option added to or taken out of a CLI
+subcommand, fails here until these lists say so."""
+
+import argparse
 
 import bondtaylor
+from bondtaylor import cli
 
 PUBLIC = [
     "CIRParams", "ConfigError", "DomainError", "DothanParams", "FDGrid",
@@ -15,7 +19,30 @@ PUBLIC = [
     "price_coeffs", "to_text", "yield_from_price",
 ]
 
+# each subcommand's option strings, -h/--help aside
+CLI_OPTIONS = {
+    "coeffs": ["--format", "--model", "--order", "--out", "--target"],
+    "price": ["--converge", "--format", "--model", "--order", "--out", "--r",
+              "--target", "--tau", "--taus"],
+    "yield": ["--format", "--from-price", "--model", "--order", "--out", "--r",
+              "--taus"],
+    "exact-cir": ["--alpha", "--beta", "--format", "--out", "--r", "--sigma",
+                  "--tau"],
+    "fd": ["--format", "--model", "--out", "--r", "--tau"],
+    "table": ["--format", "--id", "--out"],
+}
+
 
 def test_public_names():
     assert len(PUBLIC) == 37
     assert sorted(bondtaylor.__all__) == PUBLIC
+
+
+def test_cli_options():
+    sub, = (action for action in cli.build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction))
+    options = {command: sorted(flag for action in parser._actions
+                               for flag in action.option_strings
+                               if flag not in ("-h", "--help"))
+               for command, parser in sub.choices.items()}
+    assert options == CLI_OPTIONS
