@@ -67,7 +67,7 @@ def _commands() -> list[list[str]]:
                  "--tau", "1"])
     cmds.append(["fd", "--model", "configs/vasicek.cfg", "--r", "0.05", "--tau", "1"])
     # prices the Richardson estimate cannot certify: stiff r dtau, long
-    # maturities, and the first-order r = 0 row
+    # maturities, and r = 0 at tau = 5
     for r, tau in (("1000", "1"), ("1e6", "1"), ("0.05", "1e9"), ("0.013", "30"),
                    ("0.05", "100"), ("0", "5")):
         cmds.append(["fd", "--model", "configs/cir.cfg", "--r", r, "--tau", tau])
