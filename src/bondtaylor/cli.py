@@ -14,15 +14,15 @@ Typical use:
 
   bondtaylor coeffs --model configs/cir.cfg --target logprice --order 5
   bondtaylor price --model configs/cir.cfg --r 0.05 --tau 1 --order 7 --converge
-  bondtaylor yield --model configs/cir.cfg --r 0.05 --taus 1,2,5 --order 6
+  bondtaylor yield --model configs/cir.cfg --r 0.05 --taus 1,2,5 --order 10
   bondtaylor exact-cir --alpha 0.00315 --beta -0.0555 --sigma 0.0894 --r 0.05 --tau 2
   bondtaylor fd --model configs/dothan_s2_0.01.cfg --r 0.035 --tau 10
   bondtaylor table --id dothan-grid --format csv
 
-Exit codes: 0 success, 1 usage or config error, 2 numerical domain error (a
-price or yield sum not converged to its printed digits, and an fd price whose
-Richardson estimate exceeds half its last digit, among them; price --converge
-prints every partial sum unchecked), 3 reference-table mismatch.
+Exit codes: 0 success, 1 usage or config error, 2 numerical domain error (among
+them a price, yield or fd number whose error estimate exceeds half its last
+printed digit; price --converge prints every partial sum unchecked), 3
+reference-table mismatch.
 Output goes to stdout or to --out; --format picks aligned text (default) or
 CSV with a header row.
 """
@@ -102,26 +102,20 @@ def cmd_coeffs(args) -> tuple[str, int]:
 _HALF_ULP = 5e-7
 
 
-def _converged(sums: list[float], half_ulp: float, tau: float, r: float) -> float:
-    """The last partial sum, or DomainError where it is not good to half_ulp.
+def _certified(value: float, error: float, half_ulp: float, what: str, tau: float,
+               r: float) -> float:
+    """value, or DomainError where its error estimate exceeds half_ulp or is NaN."""
+    if not error <= half_ulp:
+        raise DomainError(f"cannot print {what} at tau={tau:g}, r={r:g}: its error "
+                          f"estimate {error:.3g} exceeds the half-ulp {half_ulp:.3g}")
+    return value
 
-    The terms are the differences of consecutive sums, the first sum being
-    the first term.  A sum is refused when its last nonzero term exceeds
-    half_ulp while the last (up to) three nonzero terms do not strictly
-    decrease in magnitude (a series past its radius, or not yet in its
-    decreasing tail), or when the rounding of the largest partial sum,
-    2^-53 max |S_k|, exceeds half_ulp.
-    """
-    tail = [b - a for a, b in zip([0.0] + sums, sums) if b != a][-3:]
-    last = tail[-1] if tail else 0.0
-    if abs(last) > half_ulp and any(abs(a) <= abs(b) for a, b in zip(tail, tail[1:])):
-        cause = "its last terms do not decrease"
-    elif 2.0 ** -53 * max(map(abs, sums)) > half_ulp:
-        cause = "rounding in the partial sums exceeds the printed digits"
-    else:
-        return sums[-1]
-    raise DomainError(f"cannot print the order-{len(sums) - 1} sum at tau={tau:g}, r={r:g} "
-                      f"(last term {last:.3g}): {cause}")
+
+def _series_sum(sums: list[float], half_ulp: float, tau: float, r: float) -> float:
+    """The last partial sum, certified by the size of the last term, S_J - S_{J-1}
+    with the order-0 sum the first term, plus the rounding 2^-53 max |S_k|."""
+    error = abs(sums[-1] - ([0.0] + sums)[-2]) + 2.0 ** -53 * max(map(abs, sums))
+    return _certified(sums[-1], error, half_ulp, f"the order-{len(sums) - 1} sum", tau, r)
 
 
 def cmd_price(args) -> tuple[str, int]:
@@ -132,7 +126,7 @@ def cmd_price(args) -> tuple[str, int]:
     rows = []
     for tau in taus:  # every partial sum unchecked, or the last one checked
         sums = partial_sums(series, tau, args.r)
-        shown = sums if args.converge else [_converged(sums, _HALF_ULP, tau, args.r)]
+        shown = sums if args.converge else [_series_sum(sums, _HALF_ULP, tau, args.r)]
         rows.append([f"{tau:g}"] + [_fixed(s, 6) for s in shown])
     return _render(header, rows, args.format), 0
 
@@ -148,7 +142,7 @@ def cmd_yield(args) -> tuple[str, int]:
         # the printed yield in percent to 5 decimals is R to 5e-8, so the
         # log price f = -R tau to 5e-8 tau, and the price to 5e-8 tau P
         half_ulp = 5e-8 * tau * (abs(sums[-1]) if args.from_price else 1.0)
-        value = _converged(sums, half_ulp, tau, args.r)
+        value = _series_sum(sums, half_ulp, tau, args.r)
         # R = -f_J / tau skips the exp/log round trip
         y = yield_from_price(value, tau) if args.from_price else -value / tau
         rows.append([f"{tau:g}", _fixed(100.0 * y, 5)])
@@ -170,18 +164,28 @@ def cmd_exact_cir(args) -> tuple[str, int]:
     return _render_price(args, cir_exact_price(params, args.tau, args.r)), 0
 
 
+def _scalar_march_error(r: float, tau: float, n_t: int) -> float:
+    """How far the extrapolated march of P' = -r P, Crank-Nicolson at n_t and
+    2 n_t steps from P = 1, lands from exp(-r tau).  Where r dtau is large the
+    step factor is near -1 at both levels, which then agree, so the Richardson
+    estimate sees nothing; this term does."""
+    def march(n):
+        x = r * tau / (2 * n)
+        return ((1.0 - x) / (1.0 + x)) ** n
+    coarse, fine = march(n_t), march(2 * n_t)
+    return abs(fine + (fine - coarse) / 3.0 - math.exp(-r * tau))
+
+
 def cmd_fd(args) -> tuple[str, int]:
     # the FD oracle, and with it numpy and scipy, loads only for this command
     from .fdsolver import default_grid, fd_price_at, fd_solve
 
     sol = fd_solve(parse_model_config(args.model), args.tau, default_grid(args.r, args.tau))
-    price = fd_price_at(sol, args.r)
+    price = fd_price_at(sol, args.r)  # refuses a rate off the grid first
     j = min(int(args.r / sol.grid.h), sol.grid.n_r - 1)  # the nodes around r
-    error = max(sol.error[j], sol.error[j + 1])
-    if error > _HALF_ULP:
-        raise DomainError(f"cannot print the FD price at tau={args.tau:g}, r={args.r:g}: "
-                          f"its Richardson error estimate {error:.3g} exceeds the "
-                          f"half-ulp {_HALF_ULP:g}")
+    error = (max(sol.error[j], sol.error[j + 1])
+             + _scalar_march_error(args.r, args.tau, sol.grid.n_t))
+    price = _certified(price, error, _HALF_ULP, "the FD price", args.tau, args.r)
     return _render_price(args, price), 0
 
 

@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import re
 import warnings
 
 import numpy as np
@@ -8,7 +9,8 @@ import pytest
 
 from bondtaylor import cli, fdsolver, tables
 from bondtaylor.cli import main
-from bondtaylor.model import parse_model_text
+from bondtaylor.closedform import cir_exact_yield
+from bondtaylor.model import CIRParams, parse_model_text
 from bondtaylor.series import log_coeffs, partial_sums
 
 CIR_CFG = "model = cir\nalpha = 0.00315\nbeta = -0.0555\nsigma = 0.0894\n"
@@ -85,29 +87,32 @@ def test_price_multiple_taus(cfg, capsys):
     assert abs(float(rows[2][1]) - 0.951115) <= 5e-7
 
 
-def test_yield_order6_column(cfg, capsys):
+def test_yield_column_matches_closed_form(cfg, capsys):
+    # the order-6 column of the paper's table is a truncation, 4.95288 at
+    # tau = 5 against a true 4.95306, and is refused; `table --id cir-yield`
+    # pins it.  At order 10 every cell prints the closed form's digits
     taus = "0.25,0.5,0.75,1,1.5,2,2.5,3,4,5"
     code, out, _ = run(capsys, ["yield", "--model", cfg(CIR_CFG), "--r", "0.05",
-                                "--taus", taus, "--order", "6", "--format", "csv"])
+                                "--taus", taus, "--order", "10", "--format", "csv"])
     assert code == 0
     rows = parse_csv(out)
-    assert rows[0] == ["tau", "yield_pct"]
-    got = [float(r[1]) for r in rows[1:]]
-    refs = [5.00425, 5.00766, 5.01024, 5.01202, 5.01328,
-            5.01167, 5.00739, 5.00064, 4.98054, 4.95288]
-    for g, ref in zip(got, refs):
-        assert abs(g - ref) <= 5e-6 + 1e-12
+    params = CIRParams(0.00315, -0.0555, 0.0894)
+    assert rows == [["tau", "yield_pct"]] + [
+        [tau, f"{100.0 * cir_exact_yield(params, float(tau), 0.05):.5f}"]
+        for tau in taus.split(",")]
+    code, out, _ = run(capsys, ["yield", "--model", cfg(CIR_CFG), "--r", "0.05",
+                                "--taus", taus, "--order", "6"])
+    assert (code, out) == (2, "")
 
 
 def test_yield_single_cell_order4_is_refused(cfg, capsys):
-    # the order-4 sum gives 4.95227 against a true 4.95306, and its last terms
-    # -4.7e-3, 8.8e-3, -1.7e-3 do not decrease; `table --id cir-yield` still
-    # prints the paper's order-4 cell
+    # the order-4 sum gives 4.95227 against a true 4.95306, and its last term
+    # is -1.7e-3; `table --id cir-yield` still prints the paper's order-4 cell
     code, out, err = run(capsys, ["yield", "--model", cfg(CIR_CFG), "--r", "0.05",
                                   "--taus", "5", "--order", "4"])
     assert (code, out) == (2, "")
-    assert err == ("error: cannot print the order-4 sum at tau=5, r=0.05 "
-                   "(last term -0.00168): its last terms do not decrease\n")
+    assert err == ("error: cannot print the order-4 sum at tau=5, r=0.05: its error "
+                   "estimate 0.00168 exceeds the half-ulp 2.5e-07\n")
 
 
 # (model, r, tau, command and flags): every one printed a wrong sum with exit
@@ -136,9 +141,9 @@ def test_diverged_sum_exits_2(cfg, capsys, name, r, tau, command):
     argv = [command[0], "--model", cfg(MODEL_TEXT[name]), "--r", r, *when, "--order", "30", *command[1:]]
     code, out, err = run(capsys, argv)
     assert (code, out) == (2, "")
-    assert len(err.splitlines()) == 1
-    assert err.startswith(f"error: cannot print the order-30 sum at tau={tau}, r={r} (last term ")
-    assert err.endswith("): its last terms do not decrease\n")
+    refusal = re.fullmatch(f"error: cannot print the order-30 sum at tau={tau}, r={r}: "
+                           r"its error estimate (\S+) exceeds the half-ulp (\S+)\n", err)
+    assert refusal and float(refusal[1]) > float(refusal[2])
     if command[0] == "price":  # --converge prints every partial sum, unchecked
         code, out, _ = run(capsys, argv + ["--converge"])
         assert code == 0 and len(out.splitlines()[1].split()) == 1 + 31
@@ -154,8 +159,8 @@ def test_order_1_price_past_its_first_term_is_refused(cfg, capsys):
     # the first sum counts as a term: 1, then -r tau = -5, would print -4.000000
     code, _, err = run(capsys, ["price", "--model", cfg(ZERO_CFG), "--r", "0.05",
                                 "--tau", "100", "--order", "1"])
-    assert code == 2 and "(last term -5)" in err
-    # one nonzero term, as in the zero model's log series, is compared with none
+    assert code == 2 and "its error estimate 5 exceeds" in err
+    # the zero model's log series is -r tau exactly: its last terms are zero
     code, out, _ = run(capsys, ["price", "--model", cfg(ZERO_CFG), "--r", "0.05",
                                 "--tau", "100", "--target", "logprice"])
     assert (code, out) == (0, "tau  logprice\n100  -5.000000\n")
@@ -168,8 +173,9 @@ def test_yield_from_price_at_tiny_tau_exits_2(cfg, capsys, tau):
     code, out, err = run(capsys, ["yield", "--model", cfg(CIR_CFG), "--r", "0.05",
                                   "--taus", tau, "--from-price"])
     assert (code, out) == (2, "")
-    assert err.startswith(f"error: cannot print the order-8 sum at tau={tau}, r=0.05 ")
-    assert err.endswith("): rounding in the partial sums exceeds the printed digits\n")
+    # the estimate is the rounding 2^-53 max |S_k|, the last term being ~1e-90
+    assert err == (f"error: cannot print the order-8 sum at tau={tau}, r=0.05: its error "
+                   f"estimate 1.11e-16 exceeds the half-ulp {5e-8 * float(tau):.3g}\n")
     code, out, _ = run(capsys, ["yield", "--model", cfg(CIR_CFG), "--r", "0.05",
                                 "--taus", "1e-8", "--from-price"])
     assert (code, out) == (0, "tau    yield_pct\n1e-08  5.00000\n")
@@ -272,16 +278,23 @@ def test_fd_refuses_removed_scheme_flags(cfg, capsys, flag, value):
     assert (code, out) == (1, "") and flag in err
 
 
-@pytest.mark.parametrize("r,tau", [("1000", "1"), ("1e6", "1"), ("0.013", "30"),
-                                   ("0", "5")])
-def test_fd_refuses_what_its_estimate_cannot_certify(cfg, capsys, r, tau):
+FD_UNCERTIFIED = [(CIR_CFG, "1000", "1"), (CIR_CFG, "1e6", "1"), (CIR_CFG, "0.013", "30"),
+                  (CIR_CFG, "0", "5"), (CIR_CFG, "1e12", "1"), (CIR_CFG, "1e10", "0.5"),
+                  (CIR_CFG, "1e300", "1"), (ZERO_CFG, "1e12", "1")]
+
+
+@pytest.mark.parametrize("text,r,tau", FD_UNCERTIFIED,
+                         ids=[f"{'zero' if t == ZERO_CFG else 'cir'}-r{r}-tau{tau}"
+                              for t, r, tau in FD_UNCERTIFIED])
+def test_fd_refuses_what_its_estimate_cannot_certify(cfg, capsys, text, r, tau):
     # each printed a wrong last digit or worse with exit 0: -0.000547,
     # 0.968426, 0.434778 and 0.965165, where the CIR closed form gives
-    # 0.000000, 0.000000, 0.434776 and 0.965164
-    code, out, err = run(capsys, ["fd", "--model", cfg(CIR_CFG), "--r", r, "--tau", tau])
+    # 0.000000, 0.000000, 0.434776 and 0.965164; at the huge rates both
+    # Richardson levels agree on about 1 (0.999998 at r = 1e10) for an exact 0
+    code, out, err = run(capsys, ["fd", "--model", cfg(text), "--r", r, "--tau", tau])
     assert (code, out) == (2, "")
     assert err.startswith(f"error: cannot print the FD price at tau={float(tau):g}, "
-                          f"r={float(r):g}: its Richardson error estimate ")
+                          f"r={float(r):g}: its error estimate ")
     assert err.endswith(" exceeds the half-ulp 5e-07\n") and err.count("\n") == 1
 
 
@@ -526,8 +539,8 @@ def test_yield_reports_the_first_refused_maturity(cfg, capsys, route):
 
 def test_yield_log_route_prints_minus_the_log_sum_over_tau(cfg, capsys):
     code, out, _ = run(capsys, ["yield", "--model", cfg(CIR_CFG), "--r", "0.05",
-                                "--taus", "2,0.5", "--order", "6", "--format", "csv"])
-    series = log_coeffs(parse_model_text(CIR_CFG), 6)
+                                "--taus", "2,0.5", "--order", "10", "--format", "csv"])
+    series = log_coeffs(parse_model_text(CIR_CFG), 10)
     want = [[f"{tau:g}", f"{-100.0 * partial_sums(series, tau, 0.05)[-1] / tau:.5f}"]
             for tau in (2.0, 0.5)]
     assert code == 0 and parse_csv(out)[1:] == want
@@ -576,10 +589,10 @@ def test_power_overflow_in_evaluation_exits_2(cfg, capsys, text, r):
 
 @pytest.mark.parametrize("text,flags", [
     (CIR_CFG, ["--r", "0.05", "--order", "0"]),
-    (CIR_CFG, ["--r", "0.05", "--order", "0", "--from-price"]),
     (ZERO_CFG, ["--r", "0"]),
+    (ZERO_CFG, ["--r", "0", "--from-price"]),
     (ZERO_CFG, ["--r=-1e-12", "--order", "3"]),
-], ids=["log-order0", "price-order0", "zero-model", "zero-model-tiny-rate"])
+], ids=["log-order0", "zero-model", "zero-model-from-price", "zero-model-tiny-rate"])
 def test_yield_exactly_zero_prints_unsigned(cfg, capsys, text, flags):
     # -value / tau and -log(1) / tau are -0.0, which used to print -0.00000,
     # and so did the -1e-10 of the tiny rate

@@ -66,10 +66,10 @@ def _commands() -> list[list[str]]:
     cmds.append(["fd", "--model", "configs/dothan_s2_0.01.cfg", "--r", "0.035",
                  "--tau", "1"])
     cmds.append(["fd", "--model", "configs/vasicek.cfg", "--r", "0.05", "--tau", "1"])
-    # prices the Richardson estimate cannot certify: stiff r dtau, long
-    # maturities, and r = 0 at tau = 5
+    # prices the error estimate cannot certify: stiff r dtau, long maturities,
+    # r = 0 at tau = 5, and a rate so large that both Richardson levels agree
     for r, tau in (("1000", "1"), ("1e6", "1"), ("0.05", "1e9"), ("0.013", "30"),
-                   ("0.05", "100"), ("0", "5")):
+                   ("0.05", "100"), ("0", "5"), ("1e12", "1")):
         cmds.append(["fd", "--model", "configs/cir.cfg", "--r", r, "--tau", tau])
     for tau in BAD_TAUS:
         cmds.append(["fd", "--model", "configs/cir.cfg", "--r", "0.05", "--tau", tau])

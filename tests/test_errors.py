@@ -36,7 +36,7 @@ def test_one_maturity_rule_and_message(name, tau):
 
 def _cmd_yield(tau, *route):
     args = build_parser().parse_args(["yield", "--model", CIR_CFG, "--r", "0.05",
-                                      "--taus", f"1,{tau}", "--order", "3", *route])
+                                      "--taus", f"1,{tau}", "--order", "6", *route])
     return args.handler(args)
 
 

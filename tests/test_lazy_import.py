@@ -19,8 +19,9 @@ SERIES_COMMANDS = [
     ["coeffs", "--model", CIR, "--order", "5"],
     ["price", "--model", CIR, "--r", "0.05", "--tau", "1", "--order", "7"],
     ["price", "--model", CIR, "--r", "0.05", "--taus", "1,2", "--converge"],
-    ["yield", "--model", CIR, "--r", "0.05", "--taus", "1,2,5"],
-    ["yield", "--model", CIR, "--r", "0.05", "--taus", "1,2,5", "--from-price"],
+    ["yield", "--model", CIR, "--r", "0.05", "--taus", "1,2,5", "--order", "12"],
+    ["yield", "--model", CIR, "--r", "0.05", "--taus", "1,2,5", "--order", "12",
+     "--from-price"],
     ["exact-cir", "--alpha", "0.00315", "--beta", "-0.0555", "--sigma", "0.0894",
      "--r", "0.05", "--tau", "2"],
     ["table", "--id", "cir-converge"],
