@@ -160,6 +160,10 @@ def test_order_1_price_past_its_first_term_is_refused(cfg, capsys):
     code, _, err = run(capsys, ["price", "--model", cfg(ZERO_CFG), "--r", "0.05",
                                 "--tau", "100", "--order", "1"])
     assert code == 2 and "its error estimate 5 exceeds" in err
+    # the order-0 sum alone is its own last term, 1, and printed 1.000000
+    code, out, err = run(capsys, ["price", "--model", cfg(CIR_CFG), "--r", "0.05",
+                                  "--tau", "1", "--order", "0"])
+    assert (code, out) == (2, "") and "its error estimate 1 exceeds" in err
     # the zero model's log series is -r tau exactly: its last terms are zero
     code, out, _ = run(capsys, ["price", "--model", cfg(ZERO_CFG), "--r", "0.05",
                                 "--tau", "100", "--target", "logprice"])
