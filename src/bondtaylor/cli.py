@@ -21,8 +21,9 @@ Typical use:
 
 Exit codes: 0 success, 1 usage or config error, 2 numerical domain error (among
 them a price, yield or fd number whose error estimate exceeds half its last
-printed digit; price --converge prints every partial sum unchecked), 3
-reference-table mismatch.
+printed digit, and an order-0 price or yield, which has no term to estimate
+from; price --converge prints every partial sum unchecked), 3 reference-table
+mismatch.
 Output goes to stdout or to --out; --format picks aligned text (default) or
 CSV with a header row.
 """
@@ -112,9 +113,13 @@ def _certified(value: float, error: float, half_ulp: float, what: str, tau: floa
 
 
 def _series_sum(sums: list[float], half_ulp: float, tau: float, r: float) -> float:
-    """The last partial sum, certified by the size of the last term, S_J - S_{J-1}
-    with the order-0 sum the first term, plus the rounding 2^-53 max |S_k|."""
-    error = abs(sums[-1] - ([0.0] + sums)[-2]) + 2.0 ** -53 * max(map(abs, sums))
+    """The last partial sum, certified by the size of the last term, S_J - S_{J-1},
+    plus the rounding 2^-53 max |S_k|.  The order-0 sum has no term past c_0 to
+    estimate from, and is refused."""
+    if len(sums) == 1:
+        raise DomainError(f"cannot print the order-0 sum at tau={tau:g}, r={r:g}: it has "
+                          f"no term past c_0 to estimate its error from")
+    error = abs(sums[-1] - sums[-2]) + 2.0 ** -53 * max(map(abs, sums))
     return _certified(sums[-1], error, half_ulp, f"the order-{len(sums) - 1} sum", tau, r)
 
 
@@ -176,16 +181,28 @@ def _scalar_march_error(r: float, tau: float, n_t: int) -> float:
     return abs(fine + (fine - coarse) / 3.0 - math.exp(-r * tau))
 
 
+def _fd_error(sol, r: float, tau: float) -> float:
+    """The error estimate of fd_price_at(sol, r) on a Richardson grid: the
+    larger estimate of the two nodes around r, the scalar march's, and linear
+    interpolation's w (1 - w) / 2 times the larger second difference at those
+    nodes (node 1's for node 0), which the node estimates do not see."""
+    j = min(int(r / sol.grid.h), sol.grid.n_r - 1)
+    w = r / sol.grid.h - j
+    v = sol.values
+    curvature = max(abs(v[i - 1] - 2.0 * v[i] + v[i + 1])
+                    for i in (max(j, 1), min(j + 1, sol.grid.n_r - 1)))
+    return (max(sol.error[j], sol.error[j + 1]) + _scalar_march_error(r, tau, sol.grid.n_t)
+            + 0.5 * w * (1.0 - w) * curvature)
+
+
 def cmd_fd(args) -> tuple[str, int]:
     # the FD oracle, and with it numpy and scipy, loads only for this command
     from .fdsolver import default_grid, fd_price_at, fd_solve
 
     sol = fd_solve(parse_model_config(args.model), args.tau, default_grid(args.r, args.tau))
     price = fd_price_at(sol, args.r)  # refuses a rate off the grid first
-    j = min(int(args.r / sol.grid.h), sol.grid.n_r - 1)  # the nodes around r
-    error = (max(sol.error[j], sol.error[j + 1])
-             + _scalar_march_error(args.r, args.tau, sol.grid.n_t))
-    price = _certified(price, error, _HALF_ULP, "the FD price", args.tau, args.r)
+    price = _certified(price, _fd_error(sol, args.r, args.tau), _HALF_ULP, "the FD price",
+                       args.tau, args.r)
     return _render_price(args, price), 0
 
 

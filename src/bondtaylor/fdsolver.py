@@ -141,8 +141,13 @@ def _operator(model: ShortRateModel, grid: FDGrid) -> np.ndarray:
     n = grid.n_r + 1
     h = grid.h
     r_nodes = np.linspace(0.0, grid.r_max, n)
-    mu = _eval_profile(model.drift, r_nodes)
-    s2 = _eval_profile(model.vol2, r_nodes)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, one line
+        mu = _eval_profile(model.drift, r_nodes)
+        s2 = _eval_profile(model.vol2, r_nodes)
+    for name, profile in (("drift", mu), ("vol2", s2)):
+        bad = np.flatnonzero(~np.isfinite(profile))
+        if bad.size:
+            raise DomainError(f"{name} is not finite at r={r_nodes[bad[0]]:.6g} on the FD grid")
     negative = np.flatnonzero(s2 < _VOL2_SLACK)
     if negative.size:
         raise DomainError(f"vol2 is negative at r={r_nodes[negative[0]]:.6g} on the FD grid")
@@ -188,20 +193,24 @@ def _march(model: ShortRateModel, taus: list[float], grid: FDGrid) -> dict[float
     wanted.setdefault(grid.n_t, []).append(taus[-1])
 
     L = _operator(model, grid)
-    ab = -0.25 * dtau * L  # A / 2, with A = I - (dtau / 2) L the implicit matrix
+    with np.errstate(over="ignore"):  # an overflow leaves step 1 non-finite, refused there
+        ab = -0.25 * dtau * L  # A / 2, with A = I - (dtau / 2) L the implicit matrix
     ab[1] += 0.5
     dl, d, du, du2, ipiv, info = lapack.dgttrf(ab[2, :-1], ab[1], ab[0, 1:])
     if info > 0:
         raise DomainError(f"singular tridiagonal matrix: zero pivot at row {info}")
 
     values = np.ones(grid.n_r + 1)
+    zeros = np.zeros(grid.n_r + 1)
     out: dict[float, FDSolution] = {}
-    # a march that blows up overflows on the way; the finiteness check names the step
+    # a march that blows up overflows on the way; the finiteness check names the
+    # step.  0 x is +-0 for a finite x and NaN for an inf or NaN one, so the dot
+    # product with zeros is finite exactly when every node is.
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(1, grid.n_t + 1):
             doubled, _ = lapack.dgttrs(dl, d, du, du2, ipiv, values)  # 2 A^-1 P
             values = np.subtract(doubled, values, out=doubled)
-            if not np.isfinite(values).all():
+            if not math.isfinite(values.dot(zeros)):
                 raise DomainError(f"non-finite values at step {step} of {grid.n_t}")
             for tau in wanted.get(step, ()):
                 out[tau] = FDSolution(grid, tau, values)

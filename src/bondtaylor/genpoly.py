@@ -69,6 +69,26 @@ def _merge(terms: Iterable[tuple[float, float]], acc: dict[float, float] | None 
     return GenPoly(out)
 
 
+def _merge_ascending(terms: list[tuple[float, float]]) -> GenPoly:
+    """_merge(terms), without its work where that work cannot change a bit.
+
+    With finite terms whose exponents ascend at least MERGE_TOL apart, _merge
+    sums each coefficient onto 0.0, which leaves it as it is or turns -0.0
+    into 0.0, sorts what is sorted and folds nothing: its result is the terms
+    without exact zeros.  Any other list, unsorted or with a gap that rounding
+    shrank, goes to _merge, which raises as it always does.
+    """
+    prev = -math.inf
+    for c, p in terms:
+        if not (p - prev >= MERGE_TOL and math.isfinite(c) and math.isfinite(p)):
+            return _merge(terms)
+        prev = p
+    out = tuple([t for t in terms if t[0] != 0.0])
+    if len(out) > MAX_TERMS:
+        raise TermLimitError(f"result has {len(out)} terms, over the {MAX_TERMS}-term budget")
+    return GenPoly(out)
+
+
 def canonicalize(raw_terms: Iterable[tuple[float, float]]) -> GenPoly:
     """Sort, merge near-equal exponents, drop exact-zero coefficients.
 
@@ -95,6 +115,9 @@ def mul(a: GenPoly, b: GenPoly) -> GenPoly:
     n_raw = len(a.terms) * len(b.terms)
     if n_raw > _MAX_RAW_TERMS:
         raise TermLimitError(f"product needs {n_raw} raw terms, over the {_MAX_RAW_TERMS}-term budget")
+    if len(a.terms) == 1:  # c r**p times b keeps b's exponent order
+        (ca, pa), = a.terms
+        return _merge_ascending([(ca * cb, pa + pb) for cb, pb in b.terms])
     acc: dict[float, float] = {}
     get = acc.get
     for ca, pa in a.terms:
@@ -105,12 +128,12 @@ def mul(a: GenPoly, b: GenPoly) -> GenPoly:
 
 
 def scale(a: GenPoly, s: float) -> GenPoly:
-    return _merge([(c * s, p) for c, p in a.terms])
+    return _merge_ascending([(c * s, p) for c, p in a.terms])
 
 
 def derivative(a: GenPoly) -> GenPoly:
     # c * r**p -> c*p * r**(p-1); constant terms get coefficient 0 and drop out
-    return _merge([(c * p, p - 1.0) for c, p in a.terms])
+    return _merge_ascending([(c * p, p - 1.0) for c, p in a.terms])
 
 
 def evaluate(a: GenPoly, r: float) -> float:

@@ -57,9 +57,10 @@ def built_table():
 
 @pytest.fixture
 def nan_at_step(monkeypatch):
-    """nan_at_step(k) makes the k-th dgttrs solve of the FD march return a NaN
-    profile, as a march that overflows would."""
-    def install(k):
+    """nan_at_step(k, value) makes the k-th dgttrs solve of the FD march return
+    a profile with value (NaN by default, or an inf) at its middle node, as a
+    march that overflows would; one bad node is all the step check may need."""
+    def install(k, value=math.nan):
         from bondtaylor import fdsolver
         solve = fdsolver.lapack.dgttrs
         calls = itertools.count(1)
@@ -67,7 +68,7 @@ def nan_at_step(monkeypatch):
         def faked(*args):
             x, info = solve(*args)
             if next(calls) == k:
-                x.fill(math.nan)
+                x[len(x) // 2] = value
             return x, info
         monkeypatch.setattr(fdsolver.lapack, "dgttrs", faked)
     return install

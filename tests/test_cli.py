@@ -160,10 +160,12 @@ def test_order_1_price_past_its_first_term_is_refused(cfg, capsys):
     code, _, err = run(capsys, ["price", "--model", cfg(ZERO_CFG), "--r", "0.05",
                                 "--tau", "100", "--order", "1"])
     assert code == 2 and "its error estimate 5 exceeds" in err
-    # the order-0 sum alone is its own last term, 1, and printed 1.000000
+    # the order-0 sum, 1, has no term past c_0 to estimate from; it printed 1.000000
     code, out, err = run(capsys, ["price", "--model", cfg(CIR_CFG), "--r", "0.05",
                                   "--tau", "1", "--order", "0"])
-    assert (code, out) == (2, "") and "its error estimate 1 exceeds" in err
+    assert (code, out, err) == (2, "", "error: cannot print the order-0 sum at tau=1, "
+                                       "r=0.05: it has no term past c_0 to estimate its "
+                                       "error from\n")
     # the zero model's log series is -r tau exactly: its last terms are zero
     code, out, _ = run(capsys, ["price", "--model", cfg(ZERO_CFG), "--r", "0.05",
                                 "--tau", "100", "--target", "logprice"])
@@ -344,6 +346,21 @@ def test_fd_blow_up_prints_one_error_line(cfg, capsys, nan_at_step):
         code, out, err = run(capsys, ["fd", "--model", cfg(CIR_CFG), "--r", "0.05",
                                       "--tau", "3"])
     assert (code, out, err) == (2, "", "error: non-finite values at step 84 of 120\n")
+
+
+@pytest.mark.parametrize("text,profile", [
+    (CKLS_CFG, "vol2"), (DOTHAN01_CFG, "vol2"),
+    ("model = custom\ndrift_terms = 1:2\nvol2_terms = 0\n", "drift"),
+], ids=["ckls", "dothan", "drift"])
+def test_fd_at_an_extreme_rate_prints_one_error_line(cfg, capsys, text, profile):
+    # the profile overflows on the grid; two numpy RuntimeWarnings came before
+    # "non-finite values at step 1 of 40"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, ["fd", "--model", cfg(text), "--r", "1e300",
+                                      "--tau", "1"])
+    assert (code, out, err) == (2, "", f"error: {profile} is not finite at "
+                                       f"r=1.66667e+298 on the FD grid\n")
 
 
 def test_fd_singular_matrix_exits_2(cfg, capsys, monkeypatch):
@@ -591,17 +608,22 @@ def test_power_overflow_in_evaluation_exits_2(cfg, capsys, text, r):
     assert (code, out, err) == (2, "", f"error: evaluation overflowed at r={float(r)}\n")
 
 
-@pytest.mark.parametrize("text,flags", [
-    (CIR_CFG, ["--r", "0.05", "--order", "0"]),
-    (ZERO_CFG, ["--r", "0"]),
-    (ZERO_CFG, ["--r", "0", "--from-price"]),
-    (ZERO_CFG, ["--r=-1e-12", "--order", "3"]),
+ZERO_YIELDS = (0, "tau  yield_pct\n1    0.00000\n5    0.00000\n")
+
+
+@pytest.mark.parametrize("text,flags,expected", [
+    # the order-0 log sum, c_0 = 0, printed 0.00000 for CIR's 5 percent; it
+    # has no term past c_0 to estimate from
+    (CIR_CFG, ["--r", "0.05", "--order", "0"], (2, "")),
+    (ZERO_CFG, ["--r", "0"], ZERO_YIELDS),
+    (ZERO_CFG, ["--r", "0", "--from-price"], ZERO_YIELDS),
+    (ZERO_CFG, ["--r=-1e-12", "--order", "3"], ZERO_YIELDS),
 ], ids=["log-order0", "zero-model", "zero-model-from-price", "zero-model-tiny-rate"])
-def test_yield_exactly_zero_prints_unsigned(cfg, capsys, text, flags):
+def test_yield_exactly_zero_prints_unsigned(cfg, capsys, text, flags, expected):
     # -value / tau and -log(1) / tau are -0.0, which used to print -0.00000,
     # and so did the -1e-10 of the tiny rate
     code, out, _ = run(capsys, ["yield", "--model", cfg(text), "--taus", "1,5"] + flags)
-    assert (code, out) == (0, "tau  yield_pct\n1    0.00000\n5    0.00000\n")
+    assert (code, out) == expected
 
 
 @pytest.mark.parametrize("flags,text,csv_text", [

@@ -67,9 +67,10 @@ def _commands() -> list[list[str]]:
                  "--tau", "1"])
     cmds.append(["fd", "--model", "configs/vasicek.cfg", "--r", "0.05", "--tau", "1"])
     # prices the error estimate cannot certify: stiff r dtau, long maturities,
-    # r = 0 at tau = 5, and a rate so large that both Richardson levels agree
+    # r = 0 at tau = 5, a rate so large that both Richardson levels agree, and
+    # one inside the first cell, whose interpolation error the nodes do not see
     for r, tau in (("1000", "1"), ("1e6", "1"), ("0.05", "1e9"), ("0.013", "30"),
-                   ("0.05", "100"), ("0", "5"), ("1e12", "1")):
+                   ("0.05", "100"), ("0", "5"), ("1e12", "1"), ("0.00041", "2")):
         cmds.append(["fd", "--model", "configs/cir.cfg", "--r", r, "--tau", tau])
     for tau in BAD_TAUS:
         cmds.append(["fd", "--model", "configs/cir.cfg", "--r", "0.05", "--tau", tau])
@@ -80,6 +81,11 @@ def _commands() -> list[list[str]]:
     for route in ([], ["--from-price"]):
         cmds.append(["yield", "--model", "configs/cir.cfg", "--r", "0.05",
                      "--taus", "1,0"] + route)
+    # an order-0 sum has no term past c_0 to estimate its error from
+    cmds.append(["price", "--model", "configs/cir.cfg", "--target", "logprice",
+                 "--order", "0", "--r", "0.05", "--taus", "1,30"])
+    cmds.append(["yield", "--model", "configs/cir.cfg", "--r", "0.05", "--taus", "1,5",
+                 "--order", "0"])
     for table_id in TABLE_IDS:
         for fmt in ("text", "csv"):
             cmds.append(["table", "--id", table_id, "--format", fmt])

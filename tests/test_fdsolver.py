@@ -391,8 +391,9 @@ def test_negative_exponent_model_rejected_on_grid():
         fd_solve(model, 1.0, FDGrid(r_max=0.5, n_r=10, n_t=4))
 
 
-def test_non_finite_march_reports_step(cir_model, nan_at_step):
-    nan_at_step(84)
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_march_reports_step(cir_model, nan_at_step, value):
+    nan_at_step(84, value)
     with pytest.raises(DomainError, match=r"^non-finite values at step 84 of 100$"):
         fd_solve(cir_model, 1.0, FDGrid(r_max=0.5, n_r=10, n_t=100))
 

@@ -7,13 +7,20 @@ less than MERGE_TOL may be summed in another grouping: the exponents and term
 counts must still agree, the coefficients to rounding.  The log series also
 agrees to rounding with the recursion that forms all k + 1 products of its
 convolution, unpaired, on every shipped config.
+
+scale, derivative and a product with a one-term first factor skip the merge
+where it cannot change a bit; on any terms at all they must give _merge's
+bits, or raise its exception.
 """
 
+import math
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from bondtaylor import genpoly as gp
+from bondtaylor.errors import DomainError, TermLimitError
 from bondtaylor.genpoly import GenPoly
 from bondtaylor.model import make_ckls, parse_model_config
 from bondtaylor.series import log_coeffs, price_coeffs
@@ -139,3 +146,73 @@ def test_non_lattice_ckls_agrees_to_rounding(gamma, build, old):
                          ids=[*(p.name for p in CONFIGS), *(f"ckls_gamma_{g:.5g}" for g in NON_LATTICE)])
 def test_paired_log_agrees_with_unpaired_to_rounding(model):
     _assert_agree_to_rounding(log_coeffs(model, ORDER).coeffs, _unpaired_log(model, ORDER))
+
+
+def _outcome(op, *args):
+    try:
+        return [(c.hex(), p.hex()) for c, p in op(*args).terms]
+    except (DomainError, TermLimitError) as exc:
+        return type(exc), str(exc)
+
+
+_ULP1 = 2.0 ** -52  # the spacing of doubles just above 1
+_COEFF = st.floats() | st.sampled_from([0.0, -0.0, 5e-324, -1e-300, 1e300, -1e308])
+# gaps of MERGE_TOL within a few ulps of 1, which rounding in p - 1 or pa + pb
+# can take below MERGE_TOL, or wide ones
+_GAP = st.integers(-3, 3).map(lambda j: gp.MERGE_TOL + j * _ULP1) | st.floats(0.0, 3.0)
+_START = (st.sampled_from([0.0, 1e-20, 0.6 * _ULP1, 1.0, -1.0]) | st.floats(-40.0, 40.0)
+          | st.sampled_from([math.nan, math.inf, -math.inf]))
+
+
+@st.composite
+def _terms(draw):
+    ps = [draw(_START)]
+    for gap in draw(st.lists(_GAP, max_size=6)):
+        ps.append(ps[-1] + gap)
+    if draw(st.booleans()):  # a directly built GenPoly need not be sorted
+        ps = draw(st.permutations(ps))
+    return [(draw(_COEFF), p) for p in ps]
+
+
+_FACTOR = st.tuples(_COEFF, st.sampled_from([1.0, 0.5, 1.4, 2 / 3, 0.0]) | _START)
+
+_T = gp.MERGE_TOL
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(terms=_terms(), s=_COEFF, factor=_FACTOR)
+@example(terms=[(1.0, 2.0), (3.0, 1.0)], s=2.0, factor=(1.0, 1.0))  # unsorted
+@example(terms=[(1.0, 1e-20), (2.0, 1e-20 + _T)], s=1.0, factor=(1.0, 1.0))  # p - 1 shrinks
+@example(terms=[(1.0, 0.6 * _ULP1), (2.0, 0.6 * _ULP1 + _T)], s=1.0,
+         factor=(-1.0, 1.0))  # pa + pb shrinks near 1
+@example(terms=[(1e-300, 1.0), (-1e-300, 2.0)], s=1e-300, factor=(-1e-300, 1.0))  # +-0.0
+@example(terms=[(1e300, 1.0), (1.0, 2.0)], s=1e300, factor=(1e300, 1.0))  # inf
+@example(terms=[(1.0, 1.0), (math.nan, 2.0)], s=1.0, factor=(math.nan, 1.0))  # NaN
+def test_skipped_merges_give_the_merge_bits(terms, s, factor):
+    a = GenPoly(tuple(terms))
+    ca, pa = factor
+    assert _outcome(gp.scale, a, s) == _outcome(gp._merge, [(c * s, p) for c, p in terms])
+    assert (_outcome(gp.derivative, a)
+            == _outcome(gp._merge, [(c * p, p - 1.0) for c, p in terms]))
+    assert (_outcome(gp.mul, GenPoly(((ca, pa),)), a)
+            == _outcome(gp._merge, [(ca * cb, pa + pb) for cb, pb in terms]))
+
+
+def test_scale_derivative_and_one_term_products_skip_the_merge(monkeypatch):
+    calls = 0
+    merge = gp._merge
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return merge(*args)
+
+    model = parse_model_config(CONFIGS[0].with_name("cir.cfg"))
+    monkeypatch.setattr(gp, "_merge", counted)
+    counts = []
+    for build in (price_coeffs, log_coeffs):
+        calls = 0
+        build(model, ORDER)
+        counts.append(calls)
+    # 212 and 459 when every operation merged
+    assert counts == [61, 116]

@@ -48,6 +48,22 @@ def test_fd_prints_the_cir_closed_form_or_refuses(cir_params):
     assert len(refused) == 13
 
 
+def test_fd_estimate_covers_interpolation_in_the_first_cell(cir_params):
+    # a rate below half a base cell is interpolated between nodes 0 and 1;
+    # the node estimates alone fell short of the error at 11 of these 20
+    # points, and `fd` printed 0.993194 at r = 0.00041, tau = 2 (exact 0.993193)
+    from bondtaylor.fdsolver import default_grid, fd_price_at, fd_solve
+
+    model = parse_model_config(CIR)
+    for r in (1e-5, 1e-4, 2e-4, 3e-4, 4.1e-4):
+        for tau in (0.25, 1.0, 2.0, 5.0):
+            sol = fd_solve(model, tau, default_grid(r, tau))
+            error = abs(fd_price_at(sol, r) - cir_exact_price(cir_params, tau, r))
+            assert cli._fd_error(sol, r, tau) >= error, (r, tau)
+    code, out, err = _run(["fd", "--model", str(CIR), "--r", "0.00041", "--tau", "2"])
+    assert (code, out) == (2, "") and "its error estimate 6.21e-07 exceeds" in err
+
+
 SERIES_ORDERS = (4, 6, 8, 10, 12, 16, 20, 30)
 SERIES_RATES = (0.0, 0.005, 0.01, 0.03, 0.05, 0.1, 0.2)
 SERIES_TAUS = (0.1, 0.25, 0.5, 1.0, 2.0, 3.0, 5.0, 7.0, 10.0, 15.0, 20.0)
