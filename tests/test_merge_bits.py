@@ -207,7 +207,7 @@ def test_scale_derivative_and_one_term_products_skip_the_merge(monkeypatch):
         calls += 1
         return merge(*args)
 
-    model = parse_model_config(CONFIGS[0].with_name("cir.cfg"))
+    model = parse_model_config(CONFIGS[0].parent / "cir.cfg")
     monkeypatch.setattr(gp, "_merge", counted)
     counts = []
     for build in (price_coeffs, log_coeffs):
