@@ -18,6 +18,11 @@ within MERGE_TOL of its smallest onto it and drops exact zeros, so identical
 inputs give bit-identical term tuples.  It rejects a non-finite merged term:
 a non-finite input, an inf or nan product or an overflowed sum always
 leaves one.
+
+A sum of products, dot(pairs, *polys) = sum_i a_i b_i + sum_j p_j, is merged
+once, not product by product: the raw products ca*cb of each pair (a's terms
+outer, b's inner), pair after pair, then the terms of the p_j in turn, are
+the input of that one sum.  mul and add are its one-pair and no-pair cases.
 """
 
 from __future__ import annotations
@@ -31,8 +36,8 @@ from .errors import DomainError, TermLimitError
 MERGE_TOL = 1e-12
 MAX_TERMS = 100_000
 
-# mul forms every pairwise product before merging; cap their number so a
-# runaway product fails before any of that work.
+# dot forms every pairwise product before merging; cap their number so a
+# runaway sum of products fails before any of that work.
 _MAX_RAW_TERMS = 10 * MAX_TERMS
 
 
@@ -107,24 +112,31 @@ def term(c: float, p: float) -> GenPoly:
     return canonicalize([(c, p)])
 
 
+def dot(pairs: Iterable[tuple[GenPoly, GenPoly]], *polys: GenPoly) -> GenPoly:
+    """sum_i a_i * b_i over the pairs (a_i, b_i), plus the polys, in one merge."""
+    pairs = tuple(pairs)
+    n_raw = sum(len(a.terms) * len(b.terms) for a, b in pairs)
+    if n_raw > _MAX_RAW_TERMS:
+        raise TermLimitError(f"product needs {n_raw} raw terms, over the {_MAX_RAW_TERMS}-term budget")
+    acc: dict[float, float] = {}
+    get = acc.get
+    for a, b in pairs:
+        for ca, pa in a.terms:
+            for cb, pb in b.terms:
+                p = pa + pb
+                acc[p] = get(p, 0.0) + ca * cb
+    return _merge(chain.from_iterable(a.terms for a in polys), acc)
+
+
 def add(*polys: GenPoly) -> GenPoly:
-    return _merge(chain.from_iterable(a.terms for a in polys))
+    return dot((), *polys)
 
 
 def mul(a: GenPoly, b: GenPoly) -> GenPoly:
-    n_raw = len(a.terms) * len(b.terms)
-    if n_raw > _MAX_RAW_TERMS:
-        raise TermLimitError(f"product needs {n_raw} raw terms, over the {_MAX_RAW_TERMS}-term budget")
-    if len(a.terms) == 1:  # c r**p times b keeps b's exponent order
+    if len(a.terms) == 1 and len(b.terms) <= _MAX_RAW_TERMS:  # c r**p times b keeps b's order
         (ca, pa), = a.terms
         return _merge_ascending([(ca * cb, pa + pb) for cb, pb in b.terms])
-    acc: dict[float, float] = {}
-    get = acc.get
-    for ca, pa in a.terms:
-        for cb, pb in b.terms:
-            p = pa + pb
-            acc[p] = get(p, 0.0) + ca * cb
-    return _merge((), acc)
+    return dot([(a, b)])
 
 
 def scale(a: GenPoly, s: float) -> GenPoly:

@@ -25,8 +25,10 @@ The sum is symmetric in i <-> k-i and is formed with each mirrored pair once:
     sum_{i=0}^{k} c_i' c_{k-i}' = sum_{i<k-i} (2 c_i') c_{k-i}' + [k even] (c_{k/2}')^2,
 
 with each 2 c_i' formed once and reused (doubling is exact in binary).
-Every coefficient stays a GenPoly in r, so truncation is the only
-approximation made here.
+Each sum of products is one merge (genpoly.dot): a price order sums its
+operator's three, a log order first the convolution with c_k'', then the
+drift and vol2 products.  Every coefficient stays a GenPoly in r, so
+truncation is the only approximation made here.
 """
 
 from __future__ import annotations
@@ -74,11 +76,11 @@ def _check_order(order: int) -> None:
 def _apply_operator(drift: GenPoly, half_vol2: GenPoly, c: GenPoly) -> GenPoly:
     """The pricing operator mu c' + (1/2) s2 c'' - r c, given mu and s2/2."""
     # halving and negating are exact in binary (short of underflow), so scaling
-    # the short factor once per series gives the bits of scaling each merged
-    # product, one merge less
+    # the short factor once per series gives the bits of scaling each raw
+    # product, and the three products are summed in one merge
     d1 = gp.derivative(c)
     d2 = gp.derivative(d1)
-    return gp.add(gp.mul(drift, d1), gp.mul(half_vol2, d2), gp.mul(_NEG_R, c))
+    return gp.dot([(drift, d1), (half_vol2, d2), (_NEG_R, c)])
 
 
 def price_coeffs(model: ShortRateModel, order: int) -> TaylorSeries:
@@ -111,10 +113,10 @@ def log_coeffs(model: ShortRateModel, order: int) -> TaylorSeries:
         try:
             # sum_i c_i' c_{k-i}' + c_k'' in one merge, each mirrored pair
             # once; from i = 0, since that end vanishes only when c_0' does
-            inner = gp.add(*(gp.mul(twice[i] if 2 * i < k else derivs[i], derivs[k - i])
-                             for i in range(k // 2 + 1)),
+            inner = gp.dot([(twice[i] if 2 * i < k else derivs[i], derivs[k - i])
+                            for i in range(k // 2 + 1)],
                            gp.derivative(derivs[k]))
-            raw = gp.add(gp.mul(model.drift, derivs[k]), gp.mul(half_vol2, inner))
+            raw = gp.dot([(model.drift, derivs[k]), (half_vol2, inner)])
         except TermLimitError as exc:
             raise TermLimitError(f"log series order {k + 1}: {exc}") from None
         nxt = gp.scale(raw, 1.0 / (k + 1))

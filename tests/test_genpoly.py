@@ -83,6 +83,10 @@ def test_mul_raw_pair_budget_checked_before_any_work():
     big = GenPoly(Unread((1.0, float(k)) for k in range(1001)))
     with pytest.raises(TermLimitError, match="1002001 raw terms, over the 1000000-term budget"):
         gp.mul(big, big)
+    # each pair alone passes the budget, the two together do not
+    half = GenPoly(Unread((1.0, float(k)) for k in range(500)))
+    with pytest.raises(TermLimitError, match="1001000 raw terms, over the 1000000-term budget"):
+        gp.dot([(big, half), (half, big)], big)
 
 
 def test_mul_overflow_rejected():

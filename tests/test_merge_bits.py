@@ -1,12 +1,15 @@
-"""The series against the merge they replaced: a stable sort of every raw term
-list on the exponent, sequential merging, and sums folded two at a time.
+"""The series against restatements of its merges: a stable sort of a raw term
+list on the exponent, then a sequential fold.
 
-On the lattice exponents of every shipped config the terms must be bit for
-bit the same.  For a non-lattice CKLS elasticity, exponents that differ by
-less than MERGE_TOL may be summed in another grouping: the exponents and term
-counts must still agree, the coefficients to rounding.  The log series also
-agrees to rounding with the recursion that forms all k + 1 products of its
-convolution, unpaired, on every shipped config.
+Each recursion step sums its products in one merge (genpoly.dot).  On the
+lattice exponents of every shipped config the terms must be bit for bit those
+of a stable sort of all the step's raw terms, folded in turn.  The merge it
+replaced, one per product with the sums folded two at a time, groups the
+additions otherwise: on every config and for a non-lattice CKLS elasticity
+the exponents and term counts must agree with it, the coefficients to
+rounding.  The log series also agrees to rounding with the recursion that
+forms all k + 1 products of its convolution, unpaired, on every shipped
+config.
 
 scale, derivative and a product with a one-term first factor skip the merge
 where it cannot change a bit; on any terms at all they must give _merge's
@@ -14,7 +17,9 @@ bits, or raise its exception.
 """
 
 import math
+from itertools import groupby
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -56,7 +61,36 @@ def _d(a):
     return _canon([(c * p, p - 1.0) for c, p in a.terms])
 
 
+def _step(pairs, *polys):
+    # one merge per step: every raw product, pair after pair, then the polys
+    return _canon([(ca * cb, pa + pb) for a, b in pairs for ca, pa in a.terms
+                   for cb, pb in b.terms] + [t for q in polys for t in q.terms])
+
+
+def _new_price(m, order):
+    half, neg_r = _scale(m.vol2, 0.5), gp.term(-1.0, 1.0)
+    cs = [gp.const(1.0)]
+    for k in range(order):
+        d1 = _d(cs[k])
+        op = _step([(m.drift, d1), (half, _d(d1)), (neg_r, cs[k])])
+        cs.append(_scale(op, 1.0 / (k + 1)))
+    return cs
+
+
+def _new_log(m, order):
+    half = _scale(m.vol2, 0.5)
+    cs = [GenPoly(), gp.term(-1.0, 1.0)]
+    ds = [GenPoly(), _d(cs[1])]
+    for k in range(1, order):
+        inner = _step([(_scale(ds[i], 2.0) if 2 * i < k else ds[i], ds[k - i])
+                       for i in range(k // 2 + 1)], _d(ds[k]))
+        cs.append(_scale(_step([(m.drift, ds[k]), (half, inner)]), 1.0 / (k + 1)))
+        ds.append(_d(cs[-1]))
+    return cs
+
+
 def _old_price(m, order):
+    # one merge per product, the merged products then added two at a time
     cs = [gp.const(1.0)]
     for k in range(order):
         c = cs[k]
@@ -114,10 +148,10 @@ def test_lattice_configs_bit_identical_to_sort_merge(cfg):
     m = parse_model_config(cfg)
     price, log = price_coeffs(m, ORDER), log_coeffs(m, ORDER)
     # repr tells 0.0 from -0.0 as well as every last bit
-    assert repr(price.coeffs) == repr(tuple(_old_price(m, ORDER)))
-    old_log = _old_log(m, ORDER)
-    assert repr(log.coeffs) == repr(tuple(old_log))
-    assert repr(exp_compose(log).coeffs) == repr(tuple(_old_exp(old_log)))
+    assert repr(price.coeffs) == repr(tuple(_new_price(m, ORDER)))
+    new_log = _new_log(m, ORDER)
+    assert repr(log.coeffs) == repr(tuple(new_log))
+    assert repr(exp_compose(log).coeffs) == repr(tuple(_old_exp(new_log)))
 
 
 def _assert_agree_to_rounding(new, old):
@@ -135,15 +169,27 @@ def _ckls(gamma):
     return make_ckls(0.00315, -0.0555, 0.0894, gamma)
 
 
-@pytest.mark.parametrize("gamma", NON_LATTICE)
+MODELS = pytest.mark.parametrize(
+    "model", [*map(parse_model_config, CONFIGS), *map(_ckls, NON_LATTICE)],
+    ids=[*(p.name for p in CONFIGS), *(f"ckls_gamma_{g:.5g}" for g in NON_LATTICE)])
+
+
+@MODELS
 @pytest.mark.parametrize("build, old", [(price_coeffs, _old_price), (log_coeffs, _old_log)])
-def test_non_lattice_ckls_agrees_to_rounding(gamma, build, old):
+def test_per_product_merges_agree_to_rounding(model, build, old):
+    _assert_agree_to_rounding(build(model, ORDER).coeffs, old(model, ORDER))
+
+
+@settings(derandomize=True, max_examples=6, deadline=None)
+@given(gamma=st.floats(0.5, 1.0, exclude_min=True, exclude_max=True)
+       .filter(lambda g: not (g * 2.0 ** 10).is_integer()))
+def test_drawn_gamma_agrees_with_per_product_merges(gamma):
     m = _ckls(gamma)
-    _assert_agree_to_rounding(build(m, ORDER).coeffs, old(m, ORDER))
+    _assert_agree_to_rounding(price_coeffs(m, 24).coeffs, _old_price(m, 24))
+    _assert_agree_to_rounding(log_coeffs(m, 24).coeffs, _old_log(m, 24))
 
 
-@pytest.mark.parametrize("model", [*map(parse_model_config, CONFIGS), *map(_ckls, NON_LATTICE)],
-                         ids=[*(p.name for p in CONFIGS), *(f"ckls_gamma_{g:.5g}" for g in NON_LATTICE)])
+@MODELS
 def test_paired_log_agrees_with_unpaired_to_rounding(model):
     _assert_agree_to_rounding(log_coeffs(model, ORDER).coeffs, _unpaired_log(model, ORDER))
 
@@ -198,6 +244,87 @@ def test_skipped_merges_give_the_merge_bits(terms, s, factor):
             == _outcome(gp._merge, [(ca * cb, pa + pb) for cb, pb in terms]))
 
 
+def _rule(pairs, *polys):
+    # dot restated: the raw-term budget first, then a stable sort on the
+    # exponent, each exact exponent summed in input order, runs within
+    # MERGE_TOL folded onto their smallest, and the checks of _merge
+    n_raw = sum(len(a.terms) * len(b.terms) for a, b in pairs)
+    if n_raw > gp._MAX_RAW_TERMS:
+        raise TermLimitError(f"product needs {n_raw} raw terms, over the "
+                             f"{gp._MAX_RAW_TERMS}-term budget")
+    raw = [(ca * cb, pa + pb) for a, b in pairs for ca, pa in a.terms for cb, pb in b.terms]
+    runs = []  # [representative exponent, coefficient sum]
+    for p, group in groupby(sorted(raw + [t for q in polys for t in q.terms],
+                                   key=lambda t: t[1]), key=lambda t: t[1]):
+        total = 0.0
+        for c, _ in group:
+            total += c
+        if runs and p - runs[-1][0] < gp.MERGE_TOL:
+            runs[-1][1] += total
+        else:
+            runs.append([p, total])
+    for p, c in runs:
+        if not math.isfinite(c):
+            raise DomainError(f"non-finite term (coeff={c!r}, exponent={p!r})")
+    out = tuple((c, p) for p, c in runs if c != 0.0)
+    if len(out) > gp.MAX_TERMS:
+        raise TermLimitError(f"result has {len(out)} terms, over the {gp.MAX_TERMS}-term budget")
+    return GenPoly(out)
+
+
+def _parent_mul(a, b):
+    # mul before dot: the budget, the one-term path, one merge per product
+    n_raw = len(a.terms) * len(b.terms)
+    if n_raw > gp._MAX_RAW_TERMS:
+        raise TermLimitError(f"product needs {n_raw} raw terms, over the "
+                             f"{gp._MAX_RAW_TERMS}-term budget")
+    if len(a.terms) == 1:
+        (ca, pa), = a.terms
+        return gp._merge_ascending([(ca * cb, pa + pb) for cb, pb in b.terms])
+    acc = {}
+    for ca, pa in a.terms:
+        for cb, pb in b.terms:
+            acc[pa + pb] = acc.get(pa + pb, 0.0) + ca * cb
+    return gp._merge((), acc)
+
+
+def _parent_add(*polys):
+    return gp._merge(t for a in polys for t in a.terms)
+
+
+# finite exponents on a few half-integers, some nudged by a fraction of
+# MERGE_TOL so that products land on distinct exponents that fold together;
+# one coefficient in 30 is zero, huge or not finite
+_EXP = st.builds(lambda n, j: n / 2.0 + j * 0.4 * gp.MERGE_TOL,
+                 st.integers(-1, 2), st.sampled_from([0, 0, 1, 2]))
+_SPECIAL = st.sampled_from([0.0, -0.0, 1e200, -1e200, 1e308, -1e308, math.inf, -math.inf, math.nan])
+_DOT_COEFF = st.builds(lambda k, c, special: special if k == 0 else c,
+                       st.integers(0, 29), st.floats(-4.0, 4.0), _SPECIAL)
+_POLY = st.lists(st.tuples(_DOT_COEFF, _EXP), max_size=4).map(lambda t: GenPoly(tuple(t)))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(pairs=st.lists(st.tuples(_POLY, _POLY), max_size=3), polys=st.lists(_POLY, max_size=3))
+@example(pairs=[(GenPoly(((1e200, 0.0),)), GenPoly(((1e200, 1.0),)))], polys=[])  # inf product
+@example(pairs=[], polys=[GenPoly(((1e308, 1.0),)), GenPoly(((1e308, 1.0),))])  # overflowed sum
+@example(pairs=[(GenPoly(((1.0, 0.0), (1.0, 0.5))), GenPoly(((1.0, float(k)),)))
+                for k in range(16)], polys=[])  # more raw terms than the budget
+@example(pairs=[], polys=[GenPoly(tuple((1.0, float(k)) for k in range(11)))])  # MAX_TERMS
+@example(pairs=[(GenPoly(((2.0, 1.0),)), GenPoly(tuple((1.0, float(k)) for k in range(31))))],
+         polys=[])  # a one-term factor over the budget
+@example(pairs=[(GenPoly(((1.0, 0.0),)), GenPoly(((1.0, 0.0),))),
+                (GenPoly(((2.0 ** -53, 0.0),)), GenPoly(((1.0, 0.0),)))],
+         polys=[GenPoly(((-1.0, 0.0),))])  # products first: 1 + 2**-53 - 1 is 0
+def test_dot_is_one_merge_of_every_raw_term(pairs, polys):
+    with patch.object(gp, "MAX_TERMS", 10), patch.object(gp, "_MAX_RAW_TERMS", 30):
+        assert _outcome(gp.dot, pairs, *polys) == _outcome(_rule, pairs, *polys)
+        for a, b in pairs:
+            assert _outcome(gp.mul, a, b) == _outcome(_parent_mul, a, b)
+        assert _outcome(gp.add, *polys) == _outcome(_parent_add, *polys)
+        if pairs:
+            assert _outcome(gp.add, *pairs[0]) == _outcome(_parent_add, *pairs[0])
+
+
 def test_scale_derivative_and_one_term_products_skip_the_merge(monkeypatch):
     calls = 0
     merge = gp._merge
@@ -214,5 +341,6 @@ def test_scale_derivative_and_one_term_products_skip_the_merge(monkeypatch):
         calls = 0
         build(model, ORDER)
         counts.append(calls)
-    # 212 and 459 when every operation merged
-    assert counts == [61, 116]
+    # 212 and 459 when every operation merged, 61 and 116 with one merge per
+    # product; now one per price order and two per log order
+    assert counts == [31, 58]

@@ -418,12 +418,13 @@ def test_term_limit_names_the_series_order(monkeypatch, build, prefix):
 
 def test_log_convolution_forms_each_mirrored_pair_once(monkeypatch):
     calls = []
-    real = gp.mul
+    real = gp.dot
 
-    def counting(a, b):
-        calls.append(None)
-        return real(a, b)
-    monkeypatch.setattr(gp, "mul", counting)
+    def counting(pairs, *polys):
+        pairs = list(pairs)
+        calls.extend(pairs)
+        return real(pairs, *polys)
+    monkeypatch.setattr(gp, "dot", counting)
     log_coeffs(parse_model_config(CONFIGS / "ckls.cfg"), 30)
     # steps k = 1..29: k // 2 + 1 products in the sum, plus drift and vol2;
     # all k + 1 products of the unpaired sum would make 522
