@@ -102,7 +102,7 @@ def _old_price(m, order):
 
 def _old_log(m, order):
     # the convolution pairs mirrors as log_coeffs does: (2 c_i') c_{k-i}' for
-    # i < k - i, then c_{k/2}'^2; doubling is exact, so the merge is what is pinned
+    # i < k - i, then c_{k/2}'^2; doubling is exact, so only the merges differ
     cs = [GenPoly(), gp.term(-1.0, 1.0)]
     ds = [GenPoly(), _d(cs[1])]
     for k in range(1, order):
@@ -169,15 +169,21 @@ def _ckls(gamma):
     return make_ckls(0.00315, -0.0555, 0.0894, gamma)
 
 
-MODELS = pytest.mark.parametrize(
-    "model", [*map(parse_model_config, CONFIGS), *map(_ckls, NON_LATTICE)],
-    ids=[*(p.name for p in CONFIGS), *(f"ckls_gamma_{g:.5g}" for g in NON_LATTICE)])
+PER_PRODUCT = [(price_coeffs, _old_price), (log_coeffs, _old_log)]
 
 
-@MODELS
-@pytest.mark.parametrize("build, old", [(price_coeffs, _old_price), (log_coeffs, _old_log)])
-def test_per_product_merges_agree_to_rounding(model, build, old):
-    _assert_agree_to_rounding(build(model, ORDER).coeffs, old(model, ORDER))
+@pytest.mark.parametrize("gamma", NON_LATTICE)
+@pytest.mark.parametrize("build, old", PER_PRODUCT)
+def test_non_lattice_ckls_agrees_to_rounding(gamma, build, old):
+    m = _ckls(gamma)
+    _assert_agree_to_rounding(build(m, ORDER).coeffs, old(m, ORDER))
+
+
+@pytest.mark.parametrize("cfg", CONFIGS, ids=lambda p: p.name)
+@pytest.mark.parametrize("build, old", PER_PRODUCT)
+def test_configs_agree_with_per_product_merges_to_rounding(cfg, build, old):
+    m = parse_model_config(cfg)
+    _assert_agree_to_rounding(build(m, ORDER).coeffs, old(m, ORDER))
 
 
 @settings(derandomize=True, max_examples=6, deadline=None)
@@ -189,7 +195,8 @@ def test_drawn_gamma_agrees_with_per_product_merges(gamma):
     _assert_agree_to_rounding(log_coeffs(m, 24).coeffs, _old_log(m, 24))
 
 
-@MODELS
+@pytest.mark.parametrize("model", [*map(parse_model_config, CONFIGS), *map(_ckls, NON_LATTICE)],
+                         ids=[*(p.name for p in CONFIGS), *(f"ckls_gamma_{g:.5g}" for g in NON_LATTICE)])
 def test_paired_log_agrees_with_unpaired_to_rounding(model):
     _assert_agree_to_rounding(log_coeffs(model, ORDER).coeffs, _unpaired_log(model, ORDER))
 
