@@ -133,9 +133,6 @@ def add(*polys: GenPoly) -> GenPoly:
 
 
 def mul(a: GenPoly, b: GenPoly) -> GenPoly:
-    if len(a.terms) == 1 and len(b.terms) <= _MAX_RAW_TERMS:  # c r**p times b keeps b's order
-        (ca, pa), = a.terms
-        return _merge_ascending([(ca * cb, pa + pb) for cb, pb in b.terms])
     return dot([(a, b)])
 
 

@@ -11,9 +11,10 @@ rounding.  The log series also agrees to rounding with the recursion that
 forms all k + 1 products of its convolution, unpaired, on every shipped
 config.
 
-scale, derivative and a product with a one-term first factor skip the merge
-where it cannot change a bit; on any terms at all they must give _merge's
-bits, or raise its exception.
+scale and derivative skip the merge where it cannot change a bit; on any
+terms at all they, and a product with a one-term first factor, must give
+_merge's bits, or raise its exception.  What merges is left is one per price
+order and two per log order.
 """
 
 import math
@@ -280,14 +281,11 @@ def _rule(pairs, *polys):
 
 
 def _parent_mul(a, b):
-    # mul before dot: the budget, the one-term path, one merge per product
+    # mul before dot: the budget, then one merge per product
     n_raw = len(a.terms) * len(b.terms)
     if n_raw > gp._MAX_RAW_TERMS:
         raise TermLimitError(f"product needs {n_raw} raw terms, over the "
                              f"{gp._MAX_RAW_TERMS}-term budget")
-    if len(a.terms) == 1:
-        (ca, pa), = a.terms
-        return gp._merge_ascending([(ca * cb, pa + pb) for cb, pb in b.terms])
     acc = {}
     for ca, pa in a.terms:
         for cb, pb in b.terms:
@@ -332,7 +330,7 @@ def test_dot_is_one_merge_of_every_raw_term(pairs, polys):
             assert _outcome(gp.add, *pairs[0]) == _outcome(_parent_add, *pairs[0])
 
 
-def test_scale_derivative_and_one_term_products_skip_the_merge(monkeypatch):
+def test_scale_and_derivative_skip_the_merge_and_each_step_merges_once(monkeypatch):
     calls = 0
     merge = gp._merge
 
