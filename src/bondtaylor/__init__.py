@@ -8,8 +8,8 @@ tables and `cli` exposes everything on the command line.
 
 Only `fdsolver` needs numpy and scipy, so it is imported on first use: the
 submodule `fdsolver` and its names FDGrid, FDSolution, default_grid,
-fd_price_at, fd_solve and fd_solve_path resolve through the module
-`__getattr__` (PEP 562).  Series-only work never loads numpy or scipy.
+fd_error_at, fd_price_at, fd_solve and fd_solve_path resolve through the
+module `__getattr__` (PEP 562).  Series-only work never loads numpy or scipy.
 """
 
 import importlib
@@ -32,8 +32,8 @@ __all__ = [
     "ShortRateModel", "TABLE_IDS", "TableCell", "TableReport",
     "TaylorSeries", "TermLimitError", "build_table", "cir_exact_log_price",
     "cir_exact_price", "cir_exact_yield", "default_grid", "evaluate",
-    "fd_price_at", "fd_solve", "fd_solve_path", "from_text", "log_coeffs",
-    "make_cir", "make_ckls", "make_custom", "make_dothan",
+    "fd_error_at", "fd_price_at", "fd_solve", "fd_solve_path", "from_text",
+    "log_coeffs", "make_cir", "make_ckls", "make_custom", "make_dothan",
     "parse_model_config", "parse_model_text", "partial_sums",
     "price_coeffs", "to_text", "yield_from_price",
 ]

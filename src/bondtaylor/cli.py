@@ -21,8 +21,8 @@ Typical use:
 
 Exit codes: 0 success, 1 usage or config error, 2 numerical domain error (among
 them a price, yield or fd number whose error estimate exceeds half its last
-printed digit, and an order-0 price or yield, which has no term to estimate
-from; price --converge prints every partial sum unchecked), 3 reference-table
+printed digit; a series sum of order J is estimated by the two terms past it,
+and price --converge prints every partial sum unchecked), 3 reference-table
 mismatch.
 Output goes to stdout or to --out; --format picks aligned text (default) or
 CSV with a header row.
@@ -85,9 +85,9 @@ def _parse_taus(text: str) -> list[float]:
     return taus
 
 
-def _series_for(args):
+def _series_for(args, past: int = 0):
     build = price_coeffs if args.target == "price" else log_coeffs
-    return build(parse_model_config(args.model), args.order)
+    return build(parse_model_config(args.model), args.order, past=past)
 
 
 def cmd_coeffs(args) -> tuple[str, int]:
@@ -101,6 +101,8 @@ def cmd_coeffs(args) -> tuple[str, int]:
 
 # half a unit in the sixth decimal: the most a price that price or fd prints may be off
 _HALF_ULP = 5e-7
+# price and yield build two orders past the printed sum, whose terms estimate its error
+_PAST = 2
 
 
 def _certified(value: float, error: float, half_ulp: float, what: str, tau: float,
@@ -113,23 +115,21 @@ def _certified(value: float, error: float, half_ulp: float, what: str, tau: floa
 
 
 def _series_sum(sums: list[float], half_ulp: float, tau: float, r: float) -> float:
-    """The last partial sum, certified by the size of the last term, S_J - S_{J-1},
-    plus the rounding 2^-53 max |S_k|.  The order-0 sum has no term past c_0 to
-    estimate from, and is refused."""
-    if len(sums) == 1:
-        raise DomainError(f"cannot print the order-0 sum at tau={tau:g}, r={r:g}: it has "
-                          f"no term past c_0 to estimate its error from")
-    error = abs(sums[-1] - sums[-2]) + 2.0 ** -53 * max(map(abs, sums))
-    return _certified(sums[-1], error, half_ulp, f"the order-{len(sums) - 1} sum", tau, r)
+    """S_J of the partial sums S_0..S_{J+2}, certified by the size of the two
+    terms past it, |S_{J+1} - S_J| + |S_{J+2} - S_{J+1}|, plus the rounding
+    2^-53 max_{k<=J} |S_k|."""
+    s_j, s_j1, s_j2 = sums[-3:]
+    error = abs(s_j1 - s_j) + abs(s_j2 - s_j1) + 2.0 ** -53 * max(map(abs, sums[:-2]))
+    return _certified(s_j, error, half_ulp, f"the order-{len(sums) - 3} sum", tau, r)
 
 
 def cmd_price(args) -> tuple[str, int]:
-    series = _series_for(args)
+    series = _series_for(args, 0 if args.converge else _PAST)
     taus = [args.tau] if args.taus is None else _parse_taus(args.taus)
     header = ["tau"] + ([f"order{k}" for k in range(series.order + 1)]
                        if args.converge else [args.target])
     rows = []
-    for tau in taus:  # every partial sum unchecked, or the last one checked
+    for tau in taus:  # every partial sum unchecked, or the order-J one checked
         sums = partial_sums(series, tau, args.r)
         shown = sums if args.converge else [_series_sum(sums, _HALF_ULP, tau, args.r)]
         rows.append([f"{tau:g}"] + [_fixed(s, 6) for s in shown])
@@ -139,14 +139,14 @@ def cmd_price(args) -> tuple[str, int]:
 def cmd_yield(args) -> tuple[str, int]:
     model = parse_model_config(args.model)
     taus = _parse_taus(args.taus)
-    series = (price_coeffs if args.from_price else log_coeffs)(model, args.order)
+    series = (price_coeffs if args.from_price else log_coeffs)(model, args.order, past=_PAST)
     rows = []
     for tau in taus:
         sums = partial_sums(series, tau, args.r)  # checks tau >= 0 before tau > 0
         check_yield_maturity(tau)
         # the printed yield in percent to 5 decimals is R to 5e-8, so the
-        # log price f = -R tau to 5e-8 tau, and the price to 5e-8 tau P
-        half_ulp = 5e-8 * tau * (abs(sums[-1]) if args.from_price else 1.0)
+        # log price f = -R tau to 5e-8 tau, and the price to 5e-8 tau P, P = S_J
+        half_ulp = 5e-8 * tau * (abs(sums[-3]) if args.from_price else 1.0)
         value = _series_sum(sums, half_ulp, tau, args.r)
         # R = -f_J / tau skips the exp/log round trip
         y = yield_from_price(value, tau) if args.from_price else -value / tau
@@ -169,39 +169,13 @@ def cmd_exact_cir(args) -> tuple[str, int]:
     return _render_price(args, cir_exact_price(params, args.tau, args.r)), 0
 
 
-def _scalar_march_error(r: float, tau: float, n_t: int) -> float:
-    """How far the extrapolated march of P' = -r P, Crank-Nicolson at n_t and
-    2 n_t steps from P = 1, lands from exp(-r tau).  Where r dtau is large the
-    step factor is near -1 at both levels, which then agree, so the Richardson
-    estimate sees nothing; this term does."""
-    def march(n):
-        x = r * tau / (2 * n)
-        return ((1.0 - x) / (1.0 + x)) ** n
-    coarse, fine = march(n_t), march(2 * n_t)
-    return abs(fine + (fine - coarse) / 3.0 - math.exp(-r * tau))
-
-
-def _fd_error(sol, r: float, tau: float) -> float:
-    """The error estimate of fd_price_at(sol, r) on a Richardson grid: the
-    larger estimate of the two nodes around r, the scalar march's, and linear
-    interpolation's w (1 - w) / 2 times the larger second difference at those
-    nodes (node 1's for node 0), which the node estimates do not see."""
-    j = min(int(r / sol.grid.h), sol.grid.n_r - 1)
-    w = r / sol.grid.h - j
-    v = sol.values
-    curvature = max(abs(v[i - 1] - 2.0 * v[i] + v[i + 1])
-                    for i in (max(j, 1), min(j + 1, sol.grid.n_r - 1)))
-    return (max(sol.error[j], sol.error[j + 1]) + _scalar_march_error(r, tau, sol.grid.n_t)
-            + 0.5 * w * (1.0 - w) * curvature)
-
-
 def cmd_fd(args) -> tuple[str, int]:
     # the FD oracle, and with it numpy and scipy, loads only for this command
-    from .fdsolver import default_grid, fd_price_at, fd_solve
+    from .fdsolver import default_grid, fd_error_at, fd_price_at, fd_solve
 
     sol = fd_solve(parse_model_config(args.model), args.tau, default_grid(args.r, args.tau))
     price = fd_price_at(sol, args.r)  # refuses a rate off the grid first
-    price = _certified(price, _fd_error(sol, args.r, args.tau), _HALF_ULP, "the FD price",
+    price = _certified(price, fd_error_at(sol, args.r), _HALF_ULP, "the FD price",
                        args.tau, args.r)
     return _render_price(args, price), 0
 

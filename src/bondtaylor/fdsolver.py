@@ -19,11 +19,13 @@ profiles keyed by maturity.
 `default_grid` marks its grid for Richardson extrapolation: on such a grid the
 march runs twice, at (n_r, n_t) and at (2 n_r, 2 n_t), and returns on the
 coarse nodes fine + (fine - coarse) / (2^p - 1), p = 2 being the scheme's
-order, with |fine - coarse| / (2^p - 1) per node as its error estimate.  A grid
-built directly marches once.  The default grid puts the query rate on a node
-at both levels, since linear interpolation between nodes adds an error that
-does not halve with the grid.  The error left is spatial: 80 steps per unit
-maturity in place of 40 leave the CIR errors at tau = 5 and 10 unchanged.
+order, with |fine - coarse| / (2^p - 1) per node as its error estimate.
+fd_error_at(sol, r) adds to those of the nodes around r the stiff-step and
+interpolation errors they cannot see.  A grid built directly marches once.
+The default grid puts the query rate on a node at both levels, since linear
+interpolation between nodes adds an error that does not halve with the grid.
+The error left is spatial: 80 steps per unit maturity in place of 40 leave
+the CIR errors at tau = 5 and 10 unchanged.
 
 Boundaries:
   * r = 0.  The equation degenerates there for the models of interest
@@ -243,14 +245,43 @@ def fd_solve_path(model: ShortRateModel, taus, grid: FDGrid) -> dict[float, FDSo
     return _march(model, taus, grid)
 
 
-def fd_price_at(sol: FDSolution, r: float) -> float:
-    """Linear interpolation of the solved profile at the rate r."""
+def _cell(sol: FDSolution, r: float) -> tuple[int, float]:
+    """(j, w) with r = (j + w) h, 0 <= j < n_r and 0 <= w <= 1: r's cell and weight."""
     if not (0.0 <= r <= sol.grid.r_max):
         raise DomainError(f"r={r} outside the grid [0, {sol.grid.r_max}]")
     x = r / sol.grid.h
-    j = int(x)
-    if j >= sol.grid.n_r:
-        return float(sol.values[-1])
-    w = x - j
+    j = min(int(x), sol.grid.n_r - 1)
+    return j, min(x - j, 1.0)
+
+
+def fd_price_at(sol: FDSolution, r: float) -> float:
+    """Linear interpolation of the solved profile at the rate r."""
+    j, w = _cell(sol, r)
     return float((1.0 - w) * sol.values[j] + w * sol.values[j + 1])
 
+
+def _scalar_march_error(sol: FDSolution, r: float) -> float:
+    """How far the extrapolated march of P' = -r P, Crank-Nicolson at the
+    grid's n_t and 2 n_t steps from P = 1, lands from exp(-r tau).  Where r
+    dtau is large the step factor is near -1 at both levels, which then agree,
+    so the Richardson estimate sees nothing; this term does."""
+    def march(n):
+        x = r * sol.tau_final / (2 * n)
+        return ((1.0 - x) / (1.0 + x)) ** n
+    value, _ = _richardson(march(sol.grid.n_t), march(2 * sol.grid.n_t))
+    return abs(value - math.exp(-r * sol.tau_final))
+
+
+def fd_error_at(sol: FDSolution, r: float) -> float:
+    """The error estimate of fd_price_at(sol, r) on a Richardson grid: the
+    larger estimate of the two nodes around r, the scalar march's, and linear
+    interpolation's w (1 - w) / 2 times the larger second difference at those
+    nodes (node 1's for node 0), which the node estimates do not see."""
+    j, w = _cell(sol, r)
+    if sol.error is None:
+        raise DomainError("a solution from a single march has no Richardson error estimate")
+    v = sol.values
+    curvature = max(abs(v[i - 1] - 2.0 * v[i] + v[i + 1])
+                    for i in (max(j, 1), min(j + 1, sol.grid.n_r - 1)))
+    return float(max(sol.error[j], sol.error[j + 1]) + _scalar_march_error(sol, r)
+                 + 0.5 * w * (1.0 - w) * curvature)

@@ -204,13 +204,11 @@ def parse_model_text(text: str) -> ShortRateModel:
         except DomainError as exc:
             raise ConfigError(f"line {lineno}: bad {key}: {exc}") from None
 
-    drift = _terms("drift_terms")
-    vol2 = _terms("vol2_terms")
-    try:
-        check_vol2_nonnegative(vol2)
-    except DomainError as exc:
+    drift, vol2 = _terms("drift_terms"), _terms("vol2_terms")
+    try:  # canonical terms canonicalize to themselves
+        return make_custom(drift.terms, vol2.terms)
+    except DomainError as exc:  # vol2 fails its check on (0, 1]
         raise ConfigError(f"line {entries['vol2_terms'][1]}: {exc}") from None
-    return ShortRateModel(drift, vol2)
 
 
 def parse_model_config(path) -> ShortRateModel:

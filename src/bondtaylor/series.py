@@ -83,12 +83,13 @@ def _apply_operator(drift: GenPoly, half_vol2: GenPoly, c: GenPoly) -> GenPoly:
     return gp.dot([(drift, d1), (half_vol2, d2), (_NEG_R, c)])
 
 
-def price_coeffs(model: ShortRateModel, order: int) -> TaylorSeries:
-    """Coefficients c_0..c_order of the bond-price series."""
+def price_coeffs(model: ShortRateModel, order: int, *, past: int = 0) -> TaylorSeries:
+    """Coefficients c_0..c_{order + past} of the bond-price series; order is at
+    most MAX_ORDER, and the past orders' terms estimate the order-`order` sum's error."""
     _check_order(order)
     half_vol2 = gp.scale(model.vol2, 0.5)
     coeffs = [gp.const(1.0)]
-    for k in range(order):
+    for k in range(order + past):
         try:
             raw = _apply_operator(model.drift, half_vol2, coeffs[k])
         except TermLimitError as exc:
@@ -97,17 +98,17 @@ def price_coeffs(model: ShortRateModel, order: int) -> TaylorSeries:
     return TaylorSeries(PRICE, tuple(coeffs), model)
 
 
-def log_coeffs(model: ShortRateModel, order: int) -> TaylorSeries:
-    """Coefficients c_0..c_order of the log-price series."""
+def log_coeffs(model: ShortRateModel, order: int, *, past: int = 0) -> TaylorSeries:
+    """Coefficients c_0..c_{order + past} of the log-price series; see price_coeffs."""
     _check_order(order)
     coeffs = [GenPoly()]
     derivs = [GenPoly()]
     twice = []  # twice[i] = 2 c_i' (exact), for each i < k - i
-    if order >= 1:
+    if order + past >= 1:
         coeffs.append(_NEG_R)
         derivs.append(gp.derivative(_NEG_R))
     half_vol2 = gp.scale(model.vol2, 0.5)  # exact, as in _apply_operator
-    for k in range(1, order):
+    for k in range(1, order + past):
         if k % 2:
             twice.append(gp.scale(derivs[k // 2], 2.0))
         try:

@@ -106,13 +106,14 @@ def test_yield_column_matches_closed_form(cfg, capsys):
 
 
 def test_yield_single_cell_order4_is_refused(cfg, capsys):
-    # the order-4 sum gives 4.95227 against a true 4.95306, and its last term
-    # is -1.7e-3; `table --id cir-yield` still prints the paper's order-4 cell
+    # the order-4 sum gives 4.95227 against a true 4.95306, and the two terms
+    # past it are -1.2e-4 and 9.3e-5; `table --id cir-yield` still prints the
+    # paper's order-4 cell
     code, out, err = run(capsys, ["yield", "--model", cfg(CIR_CFG), "--r", "0.05",
                                   "--taus", "5", "--order", "4"])
     assert (code, out) == (2, "")
     assert err == ("error: cannot print the order-4 sum at tau=5, r=0.05: its error "
-                   "estimate 0.00168 exceeds the half-ulp 2.5e-07\n")
+                   "estimate 0.000217 exceeds the half-ulp 2.5e-07\n")
 
 
 # (model, r, tau, command and flags): every one printed a wrong sum with exit
@@ -156,16 +157,17 @@ def test_converged_ckls_sum_at_order_30_still_prints(cfg, capsys):
 
 
 def test_order_1_price_past_its_first_term_is_refused(cfg, capsys):
-    # the first sum counts as a term: 1, then -r tau = -5, would print -4.000000
+    # 1, then -r tau = -5, would print -4.000000; the next two terms of
+    # exp(-5) are 12.5 and -20.8
     code, _, err = run(capsys, ["price", "--model", cfg(ZERO_CFG), "--r", "0.05",
                                 "--tau", "100", "--order", "1"])
-    assert code == 2 and "its error estimate 5 exceeds" in err
-    # the order-0 sum, 1, has no term past c_0 to estimate from; it printed 1.000000
+    assert code == 2 and "its error estimate 33.3 exceeds" in err
+    # the order-0 sum, 1, printed 1.000000; c_1 and c_2 estimate its error
     code, out, err = run(capsys, ["price", "--model", cfg(CIR_CFG), "--r", "0.05",
                                   "--tau", "1", "--order", "0"])
     assert (code, out, err) == (2, "", "error: cannot print the order-0 sum at tau=1, "
-                                       "r=0.05: it has no term past c_0 to estimate its "
-                                       "error from\n")
+                                       "r=0.05: its error estimate 0.0511 exceeds the "
+                                       "half-ulp 5e-07\n")
     # the zero model's log series is -r tau exactly: its last terms are zero
     code, out, _ = run(capsys, ["price", "--model", cfg(ZERO_CFG), "--r", "0.05",
                                 "--tau", "100", "--target", "logprice"])
@@ -612,8 +614,8 @@ ZERO_YIELDS = (0, "tau  yield_pct\n1    0.00000\n5    0.00000\n")
 
 
 @pytest.mark.parametrize("text,flags,expected", [
-    # the order-0 log sum, c_0 = 0, printed 0.00000 for CIR's 5 percent; it
-    # has no term past c_0 to estimate from
+    # the order-0 log sum, c_0 = 0, printed 0.00000 for CIR's 5 percent; c_1
+    # and c_2 refuse it
     (CIR_CFG, ["--r", "0.05", "--order", "0"], (2, "")),
     (ZERO_CFG, ["--r", "0"], ZERO_YIELDS),
     (ZERO_CFG, ["--r", "0", "--from-price"], ZERO_YIELDS),

@@ -81,7 +81,7 @@ def _commands() -> list[list[str]]:
     for route in ([], ["--from-price"]):
         cmds.append(["yield", "--model", "configs/cir.cfg", "--r", "0.05",
                      "--taus", "1,0"] + route)
-    # an order-0 sum has no term past c_0 to estimate its error from
+    # an order-0 sum, refused by the size of c_1 and c_2
     cmds.append(["price", "--model", "configs/cir.cfg", "--target", "logprice",
                  "--order", "0", "--r", "0.05", "--taus", "1,30"])
     cmds.append(["yield", "--model", "configs/cir.cfg", "--r", "0.05", "--taus", "1,5",

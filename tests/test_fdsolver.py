@@ -11,8 +11,8 @@ from scipy.linalg import solve_banded
 from bondtaylor import fdsolver
 from bondtaylor.closedform import cir_exact_price
 from bondtaylor.errors import DomainError
-from bondtaylor.fdsolver import (FDGrid, FDSolution, default_grid, fd_price_at,
-                                 fd_solve, fd_solve_path)
+from bondtaylor.fdsolver import (FDGrid, FDSolution, default_grid, fd_error_at,
+                                 fd_price_at, fd_solve, fd_solve_path)
 from bondtaylor.model import (CIRParams, DothanParams, make_cir, make_ckls,
                               make_custom, make_dothan, parse_model_config)
 
@@ -85,6 +85,39 @@ def test_fd_price_at_interpolation():
         fd_price_at(sol, 1.01)
     with pytest.raises(DomainError):
         fd_price_at(sol, -0.01)
+
+
+def test_fd_error_at_adds_node_scalar_and_interpolation_terms():
+    grid = FDGrid(r_max=1.0, n_r=4, n_t=1, richardson=True)
+    values = np.array([1.0, 0.8, 0.7, 0.4, 0.2])
+    sol = FDSolution(grid, 2.0, values, np.array([1e-3, 2e-3, 3e-3, 4e-3, 5e-3]))
+
+    def scalar(r):  # the Crank-Nicolson march of P' = -r P at 1 and 2 steps
+        coarse, fine = ((1.0 - r) / (1.0 + r)), ((1.0 - r / 2) / (1.0 + r / 2)) ** 2
+        return abs(fine + (fine - coarse) / 3.0 - math.exp(-2.0 * r))
+
+    # (r, the larger node estimate, w (1 - w) / 2, the larger second difference):
+    # between nodes 1 and 2; in the first cell, where node 1 stands in for
+    # node 0; on node 2, the lower end of its cell; at r_max, in the last
+    # cell with w = 1
+    for r, node, weight, curvature in ((0.375, 3e-3, 0.125, 0.2), (0.0625, 2e-3, 0.09375, 0.1),
+                                       (0.5, 4e-3, 0.0, 0.2), (1.0, 5e-3, 0.0, 0.1)):
+        assert fd_error_at(sol, r) == pytest.approx(node + scalar(r) + weight * curvature,
+                                                    rel=1e-12), r
+
+
+def test_fd_error_at_refuses_a_single_march_and_a_rate_off_the_grid(cir_model):
+    single = fd_solve(cir_model, 1.0, FDGrid(r_max=0.5, n_r=10, n_t=4))
+    with pytest.raises(DomainError, match="single march has no Richardson error estimate"):
+        fd_error_at(single, 0.05)
+    # off the grid, the estimate refuses with fd_price_at's message
+    sol = fd_solve(cir_model, 1.0, FDGrid(r_max=0.5, n_r=10, n_t=4, richardson=True))
+    for r in (0.51, -0.01, math.nan):
+        with pytest.raises(DomainError) as price_refusal:
+            fd_price_at(sol, r)
+        with pytest.raises(DomainError, match="outside the grid") as estimate_refusal:
+            fd_error_at(sol, r)
+        assert str(estimate_refusal.value) == str(price_refusal.value)
 
 
 # 0.0537 lies between the nodes of the former default, 2000 cells over [0, 0.5]

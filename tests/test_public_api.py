@@ -13,8 +13,8 @@ PUBLIC = [
     "ShortRateModel", "TABLE_IDS", "TableCell", "TableReport",
     "TaylorSeries", "TermLimitError", "build_table", "cir_exact_log_price",
     "cir_exact_price", "cir_exact_yield", "default_grid", "evaluate",
-    "fd_price_at", "fd_solve", "fd_solve_path", "from_text", "log_coeffs",
-    "make_cir", "make_ckls", "make_custom", "make_dothan",
+    "fd_error_at", "fd_price_at", "fd_solve", "fd_solve_path", "from_text",
+    "log_coeffs", "make_cir", "make_ckls", "make_custom", "make_dothan",
     "parse_model_config", "parse_model_text", "partial_sums",
     "price_coeffs", "to_text", "yield_from_price",
 ]
@@ -34,7 +34,7 @@ CLI_OPTIONS = {
 
 
 def test_public_names():
-    assert len(PUBLIC) == 37
+    assert len(PUBLIC) == 38
     assert sorted(bondtaylor.__all__) == PUBLIC
 
 

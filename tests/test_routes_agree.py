@@ -10,10 +10,13 @@ import contextlib
 import io
 from pathlib import Path
 
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
 from bondtaylor import cli
-from bondtaylor.closedform import cir_exact_log_price, cir_exact_price
+from bondtaylor.closedform import cir_exact_log_price, cir_exact_price, cir_exact_yield
 from bondtaylor.errors import DomainError
-from bondtaylor.model import parse_model_config
+from bondtaylor.model import CIRParams, parse_model_config
 from bondtaylor.series import log_coeffs, partial_sums, price_coeffs
 
 # configs/cir.cfg holds the parameters of the cir_params fixture
@@ -52,14 +55,14 @@ def test_fd_estimate_covers_interpolation_in_the_first_cell(cir_params):
     # a rate below half a base cell is interpolated between nodes 0 and 1;
     # the node estimates alone fell short of the error at 11 of these 20
     # points, and `fd` printed 0.993194 at r = 0.00041, tau = 2 (exact 0.993193)
-    from bondtaylor.fdsolver import default_grid, fd_price_at, fd_solve
+    from bondtaylor.fdsolver import default_grid, fd_error_at, fd_price_at, fd_solve
 
     model = parse_model_config(CIR)
     for r in (1e-5, 1e-4, 2e-4, 3e-4, 4.1e-4):
         for tau in (0.25, 1.0, 2.0, 5.0):
             sol = fd_solve(model, tau, default_grid(r, tau))
             error = abs(fd_price_at(sol, r) - cir_exact_price(cir_params, tau, r))
-            assert cli._fd_error(sol, r, tau) >= error, (r, tau)
+            assert fd_error_at(sol, r) >= error, (r, tau)
     code, out, err = _run(["fd", "--model", str(CIR), "--r", "0.00041", "--tau", "2"])
     assert (code, out) == (2, "") and "its error estimate 6.21e-07 exceeds" in err
 
@@ -70,17 +73,18 @@ SERIES_TAUS = (0.1, 0.25, 0.5, 1.0, 2.0, 3.0, 5.0, 7.0, 10.0, 15.0, 20.0)
 
 
 def test_series_sums_the_gate_prints_match_the_cir_closed_form(cir_params):
-    # `price` applies cli._series_sum to each maturity's partial sums; on
-    # these 1232 points it prints 768 sums and refuses 464.  The three-term
-    # shape rule it replaced printed 997, and 192 of them were off by more
-    # than the half-ulp.  The three left are points where the last term
-    # happens to be small; the worst is off by 3.7e-6
+    # `price` builds two orders past J and applies cli._series_sum to each
+    # maturity's partial sums; on these 1232 points it prints 802 sums and
+    # refuses 430, and none is off by more than the half-ulp.  The three-term
+    # shape rule printed 997, 192 of them off; the last term alone as the
+    # estimate printed 768, 3 of them off (by up to 3.7e-6) where that term
+    # happened to be small
     model = parse_model_config(CIR)
     off, printed = [], 0
     for target, build, exact in (("price", price_coeffs, cir_exact_price),
                                  ("logprice", log_coeffs, cir_exact_log_price)):
         for order in SERIES_ORDERS:
-            series = build(model, order)
+            series = build(model, order, past=cli._PAST)
             for r in SERIES_RATES:
                 for tau in SERIES_TAUS:
                     try:
@@ -91,11 +95,56 @@ def test_series_sums_the_gate_prints_match_the_cir_closed_form(cir_params):
                     printed += 1
                     if abs(value - exact(cir_params, tau, r)) > cli._HALF_ULP:
                         off.append((target, order, r, tau))
-    assert printed == 768
-    assert off == [("price", 10, 0.1, 5.0), ("logprice", 4, 0.01, 2.0),
-                   ("logprice", 6, 0.0, 5.0)]
+    assert printed == 802
+    assert off == []
     # these printed 0.932338 (exact 0.263340) and -1.408079 (exact 0.140410)
     for r, tau, order in (("0.1", "20", "30"), ("0.2", "15", "6")):
         code, out, err = _run(["price", "--model", str(CIR), "--r", r, "--tau", tau,
                                "--order", order])
         assert (code, out) == (2, "") and err.count("\n") == 1
+
+
+@pytest.fixture(scope="module")
+def drawn_cfg(tmp_path_factory):
+    return tmp_path_factory.mktemp("drawn") / "cir.cfg"
+
+
+# route: its command words, the closed form it prints, and its decimals
+ROUTES = {
+    "price": (["price"], cir_exact_price, 6),
+    "logprice": (["price", "--target", "logprice"], cir_exact_log_price, 6),
+    "yield": (["yield"], lambda p, tau, r: 100.0 * cir_exact_yield(p, tau, r), 5),
+    "yield-from-price": (["yield", "--from-price"],
+                         lambda p, tau, r: 100.0 * cir_exact_yield(p, tau, r), 5),
+}
+
+
+# CIR models drawn from item 14's box: a printed price or yield is the
+# closed form to within one unit in its last decimal (the sum is within the
+# half-ulp, and printing rounds by at most another half).  With the last term
+# as the estimate, the two pinned commands printed 2.60593 (exact 2.60550)
+# and 0.767617 (exact 0.767634)
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(alpha=st.floats(0.0, 0.01), beta=st.floats(-0.3, 0.05), sigma=st.floats(0.01, 0.3),
+       r=st.floats(0.0, 0.2), tau=st.floats(0.1, 20.0),
+       order=st.sampled_from((2, 4, 6, 8, 10, 12, 16, 20)), route=st.sampled_from(sorted(ROUTES)))
+@example(alpha=0.002550690257394217, beta=-0.12659771951782067, sigma=0.14035240878873406,
+         r=0.03, tau=5.0, order=8, route="yield")
+@example(alpha=0.005414124727934966, beta=0.028702206972478717, sigma=0.12054922892958159,
+         r=0.0, tau=10.0, order=16, route="price")
+# S_12 is 3.6e-7 below the exact 0.5310836274 and prints 0.531083
+@example(alpha=0.0, beta=0.03125, sigma=0.09375, r=0.09375, tau=6.5, order=12, route="price")
+def test_drawn_cir_series_prints_the_closed_form_or_refuses(drawn_cfg, alpha, beta, sigma,
+                                                            r, tau, order, route):
+    drawn_cfg.write_text(f"model = cir\nalpha = {alpha!r}\nbeta = {beta!r}\n"
+                         f"sigma = {sigma!r}\n", encoding="utf-8")
+    (command, *flags), exact, decimals = ROUTES[route]
+    when = "--tau" if command == "price" else "--taus"
+    code, out, err = _run([command, "--model", str(drawn_cfg), "--r", repr(r), when, repr(tau),
+                           "--order", str(order), *flags, "--format", "csv"])
+    if code == 2:
+        assert out == "" and err.startswith("error: cannot print the order-")
+    else:
+        printed = float(out.splitlines()[1].split(",")[1])
+        miss = abs(printed - exact(CIRParams(alpha, beta, sigma), tau, r))
+        assert code == 0 and miss <= 1.000001 * 10.0 ** -decimals

@@ -29,6 +29,9 @@ def test_fd_convergence_script(monkeypatch, capsys):
     assert [len(row.split()) for row in lines[2:4]] == [4, 4]
     assert lines[4] == "  observed orders: "
     assert lines[6].startswith("  default grid ")
+    # the estimate `fd` gates on (fdsolver.fd_error_at) covers the true error
+    estimate, error = (float(part.split()[-1]) for part in lines[6].split(", ")[-2:])
+    assert estimate >= error
     # Crank-Nicolson at h = 0.001, dtau = 0.002 is within 1e-6 of the closed form
     assert float(lines[5].split("=")[1]) <= 1e-6
 

@@ -157,6 +157,19 @@ def test_max_order_is_30():
     assert MAX_ORDER == 30
 
 
+@pytest.mark.parametrize("build", [price_coeffs, log_coeffs])
+def test_past_orders_extend_the_series_and_leave_its_head(cir_model, build):
+    # price and yield build two orders past the printed J; c_0..c_J are built
+    # the same either way, so S_J keeps its bits
+    for model in (cir_model, parse_model_config(CONFIGS / "ckls.cfg")):
+        for order in (0, 1, 2, 7, MAX_ORDER):
+            longer = build(model, order, past=2)
+            assert longer.order == order + 2
+            assert longer.coeffs[:order + 1] == build(model, order).coeffs
+    with pytest.raises(ValueError):
+        build(cir_model, MAX_ORDER + 1, past=2)
+
+
 def test_yield_from_price_examples():
     # reference yields quoted to 5 decimals in percent; inputs are themselves
     # rounded prices, so the propagated slack is about 2e-7 on the raw yield
