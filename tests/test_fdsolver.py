@@ -85,6 +85,11 @@ def test_fd_price_at_interpolation():
         fd_price_at(sol, 1.01)
     with pytest.raises(DomainError):
         fd_price_at(sol, -0.01)
+    # r_max / h rounds to just above n_r here: r_max is still the top node
+    grid = FDGrid(r_max=1.0 / 3.0, n_r=15, n_t=1)
+    assert grid.r_max / grid.h > grid.n_r
+    sol = FDSolution(grid, 1.0, np.linspace(1.0, 0.3, 16))
+    assert fd_price_at(sol, grid.r_max) == sol.values[-1]
 
 
 def test_fd_error_at_adds_node_scalar_and_interpolation_terms():

@@ -109,13 +109,16 @@ def drawn_cfg(tmp_path_factory):
     return tmp_path_factory.mktemp("drawn") / "cir.cfg"
 
 
+def _yield_pct(params, tau, r):
+    return 100.0 * cir_exact_yield(params, tau, r)
+
+
 # route: its command words, the closed form it prints, and its decimals
 ROUTES = {
     "price": (["price"], cir_exact_price, 6),
     "logprice": (["price", "--target", "logprice"], cir_exact_log_price, 6),
-    "yield": (["yield"], lambda p, tau, r: 100.0 * cir_exact_yield(p, tau, r), 5),
-    "yield-from-price": (["yield", "--from-price"],
-                         lambda p, tau, r: 100.0 * cir_exact_yield(p, tau, r), 5),
+    "yield": (["yield"], _yield_pct, 5),
+    "yield-from-price": (["yield", "--from-price"], _yield_pct, 5),
 }
 
 
