@@ -20,10 +20,10 @@ Typical use:
   bondtaylor table --id dothan-grid --format csv
 
 Exit codes: 0 success, 1 usage or config error, 2 numerical domain error (among
-them a price, yield or fd number whose error estimate exceeds half its last
-printed digit; a series sum of order J is estimated by the two terms past it,
-and price --converge prints every partial sum unchecked), 3 reference-table
-mismatch.
+them a series sum S_J whose error estimate e, the two terms past it, leaves a
+printed digit open, where S_J - e and S_J + e would print differently, and an
+fd price whose estimate exceeds half its last digit; price --converge prints
+every partial sum unchecked), 3 reference-table mismatch.
 Output goes to stdout or to --out; --format picks aligned text (default) or
 CSV with a header row.
 """
@@ -99,28 +99,27 @@ def cmd_coeffs(args) -> tuple[str, int]:
     return "\n".join(lines) + "\n", 0
 
 
-# half a unit in the sixth decimal: the most a price that price or fd prints may be off
-_HALF_ULP = 5e-7
 # price and yield build two orders past the printed sum, whose terms estimate its error
 _PAST = 2
 
 
-def _certified(value: float, error: float, half_ulp: float, what: str, tau: float,
-               r: float) -> float:
-    """value, or DomainError where its error estimate exceeds half_ulp or is NaN."""
-    if not error <= half_ulp:
-        raise DomainError(f"cannot print {what} at tau={tau:g}, r={r:g}: its error "
-                          f"estimate {error:.3g} exceeds the half-ulp {half_ulp:.3g}")
-    return value
-
-
-def _series_sum(sums: list[float], half_ulp: float, tau: float, r: float) -> float:
-    """S_J of the partial sums S_0..S_{J+2}, certified by the size of the two
-    terms past it, |S_{J+1} - S_J| + |S_{J+2} - S_{J+1}|, plus the rounding
+def _series_sum(sums: list[float], decimals: int, show, tau: float, r: float) -> str:
+    """show(S_J) at fixed decimals, from the partial sums S_0..S_{J+2}, where
+    S_J's error estimate e fixes every printed digit: show(S_J - e) and
+    show(S_J + e) print the same, else DomainError.  e is the size of the two
+    terms past J, |S_{J+1} - S_J| + |S_{J+2} - S_{J+1}|, plus the rounding
     2^-53 max_{k<=J} |S_k|."""
     s_j, s_j1, s_j2 = sums[-3:]
     error = abs(s_j1 - s_j) + abs(s_j2 - s_j1) + 2.0 ** -53 * max(map(abs, sums[:-2]))
-    return _certified(s_j, error, half_ulp, f"the order-{len(sums) - 3} sum", tau, r)
+    try:
+        low, value, high = (show(s) for s in (s_j - error, s_j, s_j + error))
+    except DomainError:  # an end show cannot take: a non-positive price has no yield
+        low = value = high = math.nan
+    text = _fixed(value, decimals)  # an end that is NaN or infinite prints no digits
+    if not (math.isfinite(value) and _fixed(low, decimals) == text == _fixed(high, decimals)):
+        raise DomainError(f"cannot print the order-{len(sums) - 3} sum at tau={tau:g}, r={r:g}: "
+                          f"its error estimate {error:.3g} does not fix its printed digits")
+    return text
 
 
 def cmd_price(args) -> tuple[str, int]:
@@ -131,26 +130,22 @@ def cmd_price(args) -> tuple[str, int]:
     rows = []
     for tau in taus:  # every partial sum unchecked, or the order-J one checked
         sums = partial_sums(series, tau, args.r)
-        shown = sums if args.converge else [_series_sum(sums, _HALF_ULP, tau, args.r)]
-        rows.append([f"{tau:g}"] + [_fixed(s, 6) for s in shown])
+        shown = ([_fixed(s, 6) for s in sums] if args.converge
+                 else [_series_sum(sums, 6, float, tau, args.r)])
+        rows.append([f"{tau:g}"] + shown)
     return _render(header, rows, args.format), 0
 
 
 def cmd_yield(args) -> tuple[str, int]:
-    model = parse_model_config(args.model)
-    taus = _parse_taus(args.taus)
-    series = (price_coeffs if args.from_price else log_coeffs)(model, args.order, past=_PAST)
+    series = _series_for(args, _PAST)
     rows = []
-    for tau in taus:
+    for tau in _parse_taus(args.taus):
         sums = partial_sums(series, tau, args.r)  # checks tau >= 0 before tau > 0
         check_yield_maturity(tau)
-        # the printed yield in percent to 5 decimals is R to 5e-8, so the
-        # log price f = -R tau to 5e-8 tau, and the price to 5e-8 tau P, P = S_J
-        half_ulp = 5e-8 * tau * (abs(sums[-3]) if args.from_price else 1.0)
-        value = _series_sum(sums, half_ulp, tau, args.r)
-        # R = -f_J / tau skips the exp/log round trip
-        y = yield_from_price(value, tau) if args.from_price else -value / tau
-        rows.append([f"{tau:g}", _fixed(100.0 * y, 5)])
+        # in percent; from the log price f, R = -f / tau skips the exp/log round trip
+        percent = ((lambda p: 100.0 * yield_from_price(p, tau)) if args.target == "price"
+                   else (lambda f: 100.0 * (-f / tau)))
+        rows.append([f"{tau:g}", _series_sum(sums, 5, percent, tau, args.r)])
     return _render(["tau", "yield_pct"], rows, args.format), 0
 
 
@@ -175,8 +170,10 @@ def cmd_fd(args) -> tuple[str, int]:
 
     sol = fd_solve(parse_model_config(args.model), args.tau, default_grid(args.r, args.tau))
     price = fd_price_at(sol, args.r)  # refuses a rate off the grid first
-    price = _certified(price, fd_error_at(sol, args.r), _HALF_ULP, "the FD price",
-                       args.tau, args.r)
+    error = fd_error_at(sol, args.r)
+    if not error <= 5e-7:  # half a unit in the sixth decimal; NaN fails too
+        raise DomainError(f"cannot print the FD price at tau={args.tau:g}, r={args.r:g}: its "
+                          f"error estimate {error:.3g} exceeds the half-ulp 5e-07")
     return _render_price(args, price), 0
 
 
@@ -237,7 +234,8 @@ def build_parser() -> _Parser:
     p.add_argument("--r", type=float, required=True)
     p.add_argument("--taus", required=True,
                    help="comma-separated list of maturities")
-    p.add_argument("--from-price", action="store_true",
+    p.add_argument("--from-price", dest="target", action="store_const", const="price",
+                   default="logprice",
                    help="derive yields from the price series instead of the "
                         "log-price series")
     p.set_defaults(handler=cmd_yield)

@@ -99,12 +99,14 @@ def default_grid(r_query: float, tau_final: float) -> FDGrid:
     number of cells; the cell width moves by a factor between 1/2 and 3/2, so
     n_r stays between 2/3 and 2 times _BASE_CELLS.  A smaller rate keeps the base cells and
     is interpolated.  n_t is _STEPS_PER_YEAR per unit maturity, at least 1 and
-    at most _MAX_STEPS.
+    at most _MAX_STEPS.  A negative rate is refused before any march, as
+    fd_price_at would refuse it after.
     """
     check_maturity(tau_final)
     if not math.isfinite(r_query):
         raise DomainError(f"the query rate must be finite, got {r_query!r}")
     r_max = max(10.0 * r_query, 0.5)
+    _check_on_grid(r_query, r_max)
     n_r = _BASE_CELLS
     k = round(r_query * n_r / r_max)
     if k >= 1:
@@ -245,10 +247,14 @@ def fd_solve_path(model: ShortRateModel, taus, grid: FDGrid) -> dict[float, FDSo
     return _march(model, taus, grid)
 
 
+def _check_on_grid(r: float, r_max: float) -> None:
+    if not (0.0 <= r <= r_max):
+        raise DomainError(f"r={r} outside the grid [0, {r_max}]")
+
+
 def _cell(sol: FDSolution, r: float) -> tuple[int, float]:
     """(j, w) with r = (j + w) h, 0 <= j < n_r and 0 <= w <= 1: r's cell and weight."""
-    if not (0.0 <= r <= sol.grid.r_max):
-        raise DomainError(f"r={r} outside the grid [0, {sol.grid.r_max}]")
+    _check_on_grid(r, sol.grid.r_max)
     x = r / sol.grid.h
     j = min(int(x), sol.grid.n_r - 1)
     return j, min(x - j, 1.0)

@@ -48,6 +48,8 @@ LOGPRICE = "logprice"
 # series beyond this order are never useful at desk precision and the
 # coefficient algebra starts to crawl
 MAX_ORDER = 30
+# at most this many orders are built past it, to estimate the order-J sum's error
+_MAX_PAST = 2
 
 _NEG_R = gp.term(-1.0, 1.0)  # the polynomial -r
 
@@ -66,11 +68,12 @@ class TaylorSeries(NamedTuple):
 _last = None
 
 
-def _check_order(order: int) -> None:
-    if not isinstance(order, int) or isinstance(order, bool):
-        raise ValueError(f"order must be an integer, got {order!r}")
-    if order < 0 or order > MAX_ORDER:
-        raise ValueError(f"order must be in [0, {MAX_ORDER}], got {order}")
+def _check_orders(order: int, past: int) -> None:
+    for name, value, top in (("order", order, MAX_ORDER), ("past", past, _MAX_PAST)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if value < 0 or value > top:
+            raise ValueError(f"{name} must be in [0, {top}], got {value}")
 
 
 def _apply_operator(drift: GenPoly, half_vol2: GenPoly, c: GenPoly) -> GenPoly:
@@ -85,8 +88,9 @@ def _apply_operator(drift: GenPoly, half_vol2: GenPoly, c: GenPoly) -> GenPoly:
 
 def price_coeffs(model: ShortRateModel, order: int, *, past: int = 0) -> TaylorSeries:
     """Coefficients c_0..c_{order + past} of the bond-price series; order is at
-    most MAX_ORDER, and the past orders' terms estimate the order-`order` sum's error."""
-    _check_order(order)
+    most MAX_ORDER and past at most 2, and the past orders' terms estimate the
+    order-`order` sum's error."""
+    _check_orders(order, past)
     half_vol2 = gp.scale(model.vol2, 0.5)
     coeffs = [gp.const(1.0)]
     for k in range(order + past):
@@ -100,7 +104,7 @@ def price_coeffs(model: ShortRateModel, order: int, *, past: int = 0) -> TaylorS
 
 def log_coeffs(model: ShortRateModel, order: int, *, past: int = 0) -> TaylorSeries:
     """Coefficients c_0..c_{order + past} of the log-price series; see price_coeffs."""
-    _check_order(order)
+    _check_orders(order, past)
     coeffs = [GenPoly()]
     derivs = [GenPoly()]
     twice = []  # twice[i] = 2 c_i' (exact), for each i < k - i

@@ -113,7 +113,7 @@ def test_yield_single_cell_order4_is_refused(cfg, capsys):
                                   "--taus", "5", "--order", "4"])
     assert (code, out) == (2, "")
     assert err == ("error: cannot print the order-4 sum at tau=5, r=0.05: its error "
-                   "estimate 0.000217 exceeds the half-ulp 2.5e-07\n")
+                   "estimate 0.000217 does not fix its printed digits\n")
 
 
 # (model, r, tau, command and flags): every one printed a wrong sum with exit
@@ -143,8 +143,8 @@ def test_diverged_sum_exits_2(cfg, capsys, name, r, tau, command):
     code, out, err = run(capsys, argv)
     assert (code, out) == (2, "")
     refusal = re.fullmatch(f"error: cannot print the order-30 sum at tau={tau}, r={r}: "
-                           r"its error estimate (\S+) exceeds the half-ulp (\S+)\n", err)
-    assert refusal and float(refusal[1]) > float(refusal[2])
+                           r"its error estimate (\S+) does not fix its printed digits\n", err)
+    assert refusal and float(refusal[1]) > 5e-7
     if command[0] == "price":  # --converge prints every partial sum, unchecked
         code, out, _ = run(capsys, argv + ["--converge"])
         assert code == 0 and len(out.splitlines()[1].split()) == 1 + 31
@@ -161,13 +161,13 @@ def test_order_1_price_past_its_first_term_is_refused(cfg, capsys):
     # exp(-5) are 12.5 and -20.8
     code, _, err = run(capsys, ["price", "--model", cfg(ZERO_CFG), "--r", "0.05",
                                 "--tau", "100", "--order", "1"])
-    assert code == 2 and "its error estimate 33.3 exceeds" in err
+    assert code == 2 and "its error estimate 33.3 does not fix" in err
     # the order-0 sum, 1, printed 1.000000; c_1 and c_2 estimate its error
     code, out, err = run(capsys, ["price", "--model", cfg(CIR_CFG), "--r", "0.05",
                                   "--tau", "1", "--order", "0"])
     assert (code, out, err) == (2, "", "error: cannot print the order-0 sum at tau=1, "
-                                       "r=0.05: its error estimate 0.0511 exceeds the "
-                                       "half-ulp 5e-07\n")
+                                       "r=0.05: its error estimate 0.0511 does not fix "
+                                       "its printed digits\n")
     # the zero model's log series is -r tau exactly: its last terms are zero
     code, out, _ = run(capsys, ["price", "--model", cfg(ZERO_CFG), "--r", "0.05",
                                 "--tau", "100", "--target", "logprice"])
@@ -181,9 +181,10 @@ def test_yield_from_price_at_tiny_tau_exits_2(cfg, capsys, tau):
     code, out, err = run(capsys, ["yield", "--model", cfg(CIR_CFG), "--r", "0.05",
                                   "--taus", tau, "--from-price"])
     assert (code, out) == (2, "")
-    # the estimate is the rounding 2^-53 max |S_k|, the last term being ~1e-90
+    # the estimate is the rounding 2^-53 max |S_k|, the last term being ~1e-90,
+    # and it moves the yield -100 ln(P) / tau by 1.11e-14 / tau percent
     assert err == (f"error: cannot print the order-8 sum at tau={tau}, r=0.05: its error "
-                   f"estimate 1.11e-16 exceeds the half-ulp {5e-8 * float(tau):.3g}\n")
+                   f"estimate 1.11e-16 does not fix its printed digits\n")
     code, out, _ = run(capsys, ["yield", "--model", cfg(CIR_CFG), "--r", "0.05",
                                 "--taus", "1e-8", "--from-price"])
     assert (code, out) == (0, "tau    yield_pct\n1e-08  5.00000\n")
@@ -310,6 +311,18 @@ def test_fd_negative_tau_is_domain_error(cfg, capsys):
     code, _, err = run(capsys, ["fd", "--model", cfg(CIR_CFG), "--r", "0.05",
                                 "--tau", "-1"])
     assert code == 2 and "error" in err
+
+
+def test_fd_refuses_a_negative_rate_before_marching(cfg, capsys, monkeypatch):
+    # default_grid refuses the rate with the message fd_price_at gave after
+    # both Richardson levels had marched (1.7 s at tau = 500)
+    def march(*args):
+        raise AssertionError("marched")
+
+    monkeypatch.setattr(fdsolver, "_march", march)
+    code, out, err = run(capsys, ["fd", "--model", cfg(CIR_CFG), "--r", "-0.01",
+                                  "--tau", "500"])
+    assert (code, out, err) == (2, "", "error: r=-0.01 outside the grid [0, 0.5]\n")
 
 
 @pytest.mark.parametrize("flags", [["--r", "0.05", "--tau", "inf"],

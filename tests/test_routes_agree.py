@@ -6,6 +6,7 @@ decimals, and a price the route's error estimate cannot certify must exit 2
 with one error line and nothing on stdout.
 """
 
+import argparse
 import contextlib
 import io
 from pathlib import Path
@@ -17,7 +18,6 @@ from bondtaylor import cli
 from bondtaylor.closedform import cir_exact_log_price, cir_exact_price, cir_exact_yield
 from bondtaylor.errors import DomainError
 from bondtaylor.model import CIRParams, parse_model_config
-from bondtaylor.series import log_coeffs, partial_sums, price_coeffs
 
 # configs/cir.cfg holds the parameters of the cir_params fixture
 CIR = Path(__file__).resolve().parents[1] / "configs" / "cir.cfg"
@@ -67,35 +67,60 @@ def test_fd_estimate_covers_interpolation_in_the_first_cell(cir_params):
     assert (code, out) == (2, "") and "its error estimate 6.21e-07 exceeds" in err
 
 
+def _yield_pct(params, tau, r):
+    return 100.0 * cir_exact_yield(params, tau, r)
+
+
 SERIES_ORDERS = (4, 6, 8, 10, 12, 16, 20, 30)
 SERIES_RATES = (0.0, 0.005, 0.01, 0.03, 0.05, 0.1, 0.2)
 SERIES_TAUS = (0.1, 0.25, 0.5, 1.0, 2.0, 3.0, 5.0, 7.0, 10.0, 15.0, 20.0)
 
 
-def test_series_sums_the_gate_prints_match_the_cir_closed_form(cir_params):
-    # `price` builds two orders past J and applies cli._series_sum to each
-    # maturity's partial sums; on these 1232 points it prints 802 sums and
-    # refuses 430, and none is off by more than the half-ulp.  The three-term
-    # shape rule printed 997, 192 of them off; the last term alone as the
-    # estimate printed 768, 3 of them off (by up to 3.7e-6) where that term
-    # happened to be small
-    model = parse_model_config(CIR)
-    off, printed = [], 0
-    for target, build, exact in (("price", price_coeffs, cir_exact_price),
-                                 ("logprice", log_coeffs, cir_exact_log_price)):
+def test_series_prints_the_cir_closed_form_digits_or_refuses(cir_params, monkeypatch):
+    # `price` (both targets) and `yield` (both routes) build two orders past J
+    # and print show(S_J) only where show(S_J - e) and show(S_J + e) agree, e
+    # being the two terms past J; each series is built once here.  On these
+    # 1232 points per command the routes print 781 price and log-price sums,
+    # 392 log-route yields and 363 price-route yields, each with the closed
+    # form's digits.  Where the estimate had only to stay within the half-ulp,
+    # they printed 802, 410 and 377, and 10, 9 and 3 of them showed a last
+    # digit the closed form does not round to.  The three-term shape rule
+    # printed 997 sums, 192 of them off by more than the half-ulp
+    build = cli._series_for
+    built = {}
+
+    def series_for(args, past=0):
+        key = (args.target, args.order, past)
+        if key not in built:
+            built[key] = build(args, past)
+        return built[key]
+
+    monkeypatch.setattr(cli, "_series_for", series_for)
+    printed, off = {}, []
+    for command, target, exact, decimals in (
+            (cli.cmd_price, "price", cir_exact_price, 6),
+            (cli.cmd_price, "logprice", cir_exact_log_price, 6),
+            (cli.cmd_yield, "logprice", _yield_pct, 5),
+            (cli.cmd_yield, "price", _yield_pct, 5)):
+        route = (command.__name__, target)
+        printed[route] = 0
         for order in SERIES_ORDERS:
-            series = build(model, order, past=cli._PAST)
             for r in SERIES_RATES:
                 for tau in SERIES_TAUS:
+                    args = argparse.Namespace(model=str(CIR), target=target, order=order, r=r,
+                                              tau=tau, taus=repr(tau), converge=False,
+                                              format="csv")
+                    if command is cli.cmd_price:
+                        args.taus = None
                     try:
-                        value = cli._series_sum(partial_sums(series, tau, r), cli._HALF_ULP,
-                                                tau, r)
+                        text, _ = command(args)
                     except DomainError:
                         continue
-                    printed += 1
-                    if abs(value - exact(cir_params, tau, r)) > cli._HALF_ULP:
-                        off.append((target, order, r, tau))
-    assert printed == 802
+                    printed[route] += 1
+                    if text.splitlines()[1].split(",")[1] != cli._fixed(
+                            exact(cir_params, tau, r), decimals):
+                        off.append((route, order, r, tau))
+    assert list(printed.values()) == [377, 404, 392, 363]
     assert off == []
     # these printed 0.932338 (exact 0.263340) and -1.408079 (exact 0.140410)
     for r, tau, order in (("0.1", "20", "30"), ("0.2", "15", "6")):
@@ -109,10 +134,6 @@ def drawn_cfg(tmp_path_factory):
     return tmp_path_factory.mktemp("drawn") / "cir.cfg"
 
 
-def _yield_pct(params, tau, r):
-    return 100.0 * cir_exact_yield(params, tau, r)
-
-
 # route: its command words, the closed form it prints, and its decimals
 ROUTES = {
     "price": (["price"], cir_exact_price, 6),
@@ -122,11 +143,10 @@ ROUTES = {
 }
 
 
-# CIR models drawn from item 14's box: a printed price or yield is the
-# closed form to within one unit in its last decimal (the sum is within the
-# half-ulp, and printing rounds by at most another half).  With the last term
-# as the estimate, the two pinned commands printed 2.60593 (exact 2.60550)
-# and 0.767617 (exact 0.767634)
+# CIR models drawn from item 14's box: a printed price or yield carries the
+# closed form's digits.  With the last term as the estimate, the first two
+# pinned commands printed 2.60593 (exact 2.60550) and 0.767617 (exact
+# 0.767634)
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(alpha=st.floats(0.0, 0.01), beta=st.floats(-0.3, 0.05), sigma=st.floats(0.01, 0.3),
        r=st.floats(0.0, 0.2), tau=st.floats(0.1, 20.0),
@@ -135,7 +155,9 @@ ROUTES = {
          r=0.03, tau=5.0, order=8, route="yield")
 @example(alpha=0.005414124727934966, beta=0.028702206972478717, sigma=0.12054922892958159,
          r=0.0, tau=10.0, order=16, route="price")
-# S_12 is 3.6e-7 below the exact 0.5310836274 and prints 0.531083
+# S_12 is 3.6e-7 below the exact 0.5310836274, and its estimate 4.0e-7 is
+# within the half-ulp, which let it print 0.531083 where the closed form
+# rounds to 0.531084
 @example(alpha=0.0, beta=0.03125, sigma=0.09375, r=0.09375, tau=6.5, order=12, route="price")
 def test_drawn_cir_series_prints_the_closed_form_or_refuses(drawn_cfg, alpha, beta, sigma,
                                                             r, tau, order, route):
@@ -148,6 +170,6 @@ def test_drawn_cir_series_prints_the_closed_form_or_refuses(drawn_cfg, alpha, be
     if code == 2:
         assert out == "" and err.startswith("error: cannot print the order-")
     else:
-        printed = float(out.splitlines()[1].split(",")[1])
-        miss = abs(printed - exact(CIRParams(alpha, beta, sigma), tau, r))
-        assert code == 0 and miss <= 1.000001 * 10.0 ** -decimals
+        printed = out.splitlines()[1].split(",")[1]
+        assert (code, printed) == (0, cli._fixed(exact(CIRParams(alpha, beta, sigma), tau, r),
+                                                 decimals))

@@ -170,6 +170,16 @@ def test_past_orders_extend_the_series_and_leave_its_head(cir_model, build):
         build(cir_model, MAX_ORDER + 1, past=2)
 
 
+@pytest.mark.parametrize("past", [-1, 3, True, 2.0])
+def test_past_guard(cir_model, past):
+    # past=-2 built an order-0 log series for order 2, and past=40 an order-40
+    # price series where order 31 is refused
+    for build in (price_coeffs, log_coeffs):
+        with pytest.raises(ValueError, match="^past must be"):
+            build(cir_model, 2, past=past)
+    assert len(price_coeffs(cir_model, MAX_ORDER, past=2).coeffs) == 33
+
+
 def test_yield_from_price_examples():
     # reference yields quoted to 5 decimals in percent; inputs are themselves
     # rounded prices, so the propagated slack is about 2e-7 on the raw yield
