@@ -33,6 +33,7 @@ from __future__ import annotations
 import argparse
 import io
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -45,6 +46,11 @@ from .tables import TABLE_IDS, build_table
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # - and a digit or .digit start a value (-5e-05, -1,2); argparse reads only -1 and -.5
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     # usage errors must exit 1, not argparse's default 2
     def error(self, message):
         self.print_usage(sys.stderr)

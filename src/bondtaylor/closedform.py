@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 
 from .errors import DomainError, check_maturity, check_yield_maturity
-from .model import CIRParams
+from .model import CIRParams, _check_nonnegative
 
 _U, _REL_TOL = 2.0 ** -53, 1e-9  # unit roundoff; the rounding bound accepted on ln P
 
@@ -33,6 +33,7 @@ def cir_psi(p: CIRParams) -> float:
 
 def cir_exact_log_price(p: CIRParams, tau: float, r: float) -> float:
     """ln P(tau, r) under the CIR closed form."""
+    _check_nonnegative("sigma", p.sigma)
     check_maturity(tau)
     if not 0.0 <= r < math.inf:
         raise DomainError(f"short rate must be nonnegative and finite, got {r}")

@@ -100,7 +100,8 @@ def default_grid(r_query: float, tau_final: float) -> FDGrid:
     n_r stays between 2/3 and 2 times _BASE_CELLS.  A smaller rate keeps the base cells and
     is interpolated.  n_t is _STEPS_PER_YEAR per unit maturity, at least 1 and
     at most _MAX_STEPS.  A negative rate is refused before any march, as
-    fd_price_at would refuse it after.
+    fd_price_at would refuse it after, and so is a rate (above about 3e305)
+    whose stretched cells overflow.
     """
     check_maturity(tau_final)
     if not math.isfinite(r_query):
@@ -108,14 +109,17 @@ def default_grid(r_query: float, tau_final: float) -> FDGrid:
     r_max = max(10.0 * r_query, 0.5)
     _check_on_grid(r_query, r_max)
     n_r = _BASE_CELLS
-    k = round(r_query * n_r / r_max)
-    if k >= 1:
-        cells = r_max * k / r_query
-        n_r = round(cells)
-        if abs(cells - n_r) > 1e-9:  # r_max is not on a node: extend it to one
-            n_r = math.ceil(cells)
-            r_max = n_r * r_query / k
-    n_t = max(1, min(round(_STEPS_PER_YEAR * tau_final), _MAX_STEPS))
+    try:
+        k = round(r_query * n_r / r_max)
+        if k >= 1:
+            cells = r_max * k / r_query
+            n_r = round(cells)
+            if abs(cells - n_r) > 1e-9:  # r_max is not on a node: extend it to one
+                n_r = math.ceil(cells)
+                r_max = n_r * r_query / k
+    except (OverflowError, ValueError):  # a product overflowed: round(inf) or round(nan)
+        raise DomainError(f"the FD grid cannot stretch its cells to r={r_query!r}") from None
+    n_t = max(1, round(min(_STEPS_PER_YEAR * tau_final, _MAX_STEPS)))
     return FDGrid(r_max, n_r, n_t, richardson=True)
 
 

@@ -54,24 +54,15 @@ def _check_nonnegative(name: str, value: float) -> None:
         raise ValueError(f"{name} must be nonnegative, got {value}")
 
 
-# a NamedTuple body cannot define __new__, so the sigma check sits in a subclass;
-# _make, which _replace calls, would skip it by calling tuple.__new__
-class CIRParams(NamedTuple("CIRParams", [("alpha", float), ("beta", float), ("sigma", float)])):
-    __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))
-
-    def __new__(cls, alpha: float, beta: float, sigma: float):
-        _check_nonnegative("sigma", sigma)
-        return super().__new__(cls, alpha, beta, sigma)
+class CIRParams(NamedTuple):
+    alpha: float
+    beta: float
+    sigma: float
 
 
-class DothanParams(NamedTuple("DothanParams", [("mu", float), ("sigma", float)])):
-    __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))
-
-    def __new__(cls, mu: float, sigma: float):
-        _check_nonnegative("sigma", sigma)
-        return super().__new__(cls, mu, sigma)
+class DothanParams(NamedTuple):
+    mu: float
+    sigma: float
 
 
 class ShortRateModel(NamedTuple):
@@ -105,16 +96,15 @@ def _ckls(alpha: float, beta: float, s2: float, q: float) -> ShortRateModel:
 
 
 def make_cir(p: CIRParams) -> ShortRateModel:
-    return _ckls(p.alpha, p.beta, p.sigma * p.sigma, 1.0)
+    return make_ckls(p.alpha, p.beta, p.sigma, 0.5)
 
 
 def make_dothan(p: DothanParams) -> ShortRateModel:
-    return make_dothan_sigma2(p.mu, p.sigma * p.sigma)
+    return make_ckls(0.0, p.mu, p.sigma, 1.0)
 
 
 def make_dothan_sigma2(mu: float, sigma2: float) -> ShortRateModel:
-    """Dothan from sigma^2 itself, so sigma2 = 0.01 gives vol2 exactly 0.01 r^2
-    (sqrt(0.01)^2 is 0.010000000000000002)."""
+    """Dothan from sigma^2 itself: sigma2 = 0.01 gives exactly 0.01 r^2, sqrt(0.01)^2 does not."""
     _check_nonnegative("sigma2", sigma2)
     return _ckls(0.0, mu, sigma2, 2.0)
 
@@ -187,14 +177,15 @@ def parse_model_text(text: str) -> ShortRateModel:
 
     if kind != "custom":
         v = {key: _parse_float(key, *entries[key]) for key in needed}
-        for key in ("sigma", "sigma2"):
-            if key in v and v[key] < 0.0:
-                raise ConfigError(f"line {entries[key][1]}: {key} must be nonnegative")
-        if kind == "cir":
-            return make_cir(CIRParams(v["alpha"], v["beta"], v["sigma"]))
-        if kind == "dothan":
-            return make_dothan_sigma2(v["mu"], v["sigma2"])
-        return make_ckls(v["alpha"], v["beta"], v["sigma"], v["gamma"])
+        try:
+            if kind == "dothan":
+                return make_dothan_sigma2(v["mu"], v["sigma2"])
+            return make_ckls(v["alpha"], v["beta"], v["sigma"], v.get("gamma", 0.5))
+        except DomainError:  # a term canonicalize refuses, not a sign
+            raise
+        except ValueError as exc:  # sigma or sigma2 is negative
+            key = "sigma2" if kind == "dothan" else "sigma"
+            raise ConfigError(f"line {entries[key][1]}: {exc}") from None
 
     # custom
     def _terms(key: str) -> GenPoly:
@@ -214,7 +205,7 @@ def parse_model_text(text: str) -> ShortRateModel:
 def parse_model_config(path) -> ShortRateModel:
     """Read and parse a model config file."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read model config {path}: {exc}") from None
     return parse_model_text(text)

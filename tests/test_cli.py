@@ -3,6 +3,7 @@ import io
 import math
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from bondtaylor.closedform import cir_exact_yield
 from bondtaylor.model import CIRParams, parse_model_text
 from bondtaylor.series import log_coeffs, partial_sums
 
+ROOT = Path(__file__).resolve().parents[1]
 CIR_CFG = "model = cir\nalpha = 0.00315\nbeta = -0.0555\nsigma = 0.0894\n"
 DOTHAN01_CFG = "model = dothan\nmu = 0.005\nsigma2 = 0.01\n"
 DOTHAN02_CFG = "model = dothan\nmu = 0.005\nsigma2 = 0.02\n"
@@ -378,6 +380,14 @@ def test_fd_at_an_extreme_rate_prints_one_error_line(cfg, capsys, text, profile)
                                        f"r=1.66667e+298 on the FD grid\n")
 
 
+@pytest.mark.parametrize("r", ["1e306", "2e307"])
+def test_fd_at_a_rate_the_grid_cannot_reach_prints_one_error_line(cfg, capsys, r):
+    # a traceback at 1e306, and "cannot convert float NaN to integer" with exit 1 at 2e307
+    code, out, err = run(capsys, ["fd", "--model", cfg(CIR_CFG), "--r", r, "--tau", "1"])
+    assert (code, out, err) == (2, "", f"error: the FD grid cannot stretch its cells to "
+                                       f"r={float(r)!r}\n")
+
+
 def test_fd_singular_matrix_exits_2(cfg, capsys, monkeypatch):
     def zero_pivot(dl, d, du):
         return dl, d, du, du[:-1], np.zeros(len(d), dtype=np.int32), 1
@@ -519,6 +529,20 @@ def test_model_file_not_utf8_names_the_file(capsys, tmp_path):
         assert code == 1 and out == ""
         assert err.startswith(f"error: cannot read model config {path}: 'utf-8' codec")
         assert err.count("\n") == 1
+
+
+def test_model_file_with_a_byte_order_mark_parses(capsys, tmp_path):
+    # as Windows Notepad saves UTF-8; "model" read as "\ufeffmodel" and went missing
+    path = tmp_path / "bom.cfg"
+    path.write_bytes(b"\xef\xbb\xbf" + (ROOT / "configs" / "cir.cfg").read_bytes())
+    code, out, err = run(capsys, ["price", "--model", str(path), "--r", "0.05", "--tau", "1"])
+    assert (code, out.splitlines()[-1], err) == (0, "1    0.951115", "")
+
+
+def test_negative_sigma_in_a_config_names_its_line(cfg, capsys):
+    text = "model = cir\nalpha = 0.1\nbeta = 0\nsigma = -0.1\n"
+    code, out, err = run(capsys, ["price", "--model", cfg(text), "--r", "0.05", "--tau", "1"])
+    assert (code, out, err) == (1, "", "error: line 4: sigma must be nonnegative, got -0.1\n")
 
 
 def test_negative_tau_price_is_domain_error(cfg, capsys):
@@ -691,9 +715,27 @@ def test_exact_cir_sigma_squared_underflow_is_the_deterministic_price(capsys):
 
 
 def test_exact_cir_negative_sigma_exits_1(capsys):
-    code, _, _ = run(capsys, ["exact-cir", "--alpha", "0", "--beta", "0",
-                              "--sigma", "-1", "--r", "0.05", "--tau", "1"])
-    assert code == 1
+    code, out, err = run(capsys, ["exact-cir", "--alpha", "0", "--beta", "0",
+                                  "--sigma", "-1", "--r", "0.05", "--tau", "1"])
+    assert (code, out, err) == (1, "", "error: sigma must be nonnegative, got -1.0\n")
+
+
+@pytest.mark.parametrize("beta", [["--beta", "-5e-05"], ["--beta=-5e-05"]],
+                         ids=["space", "equals"])
+def test_negative_value_in_scientific_notation_is_a_value(capsys, beta):
+    # argparse reads only -1 and -.5 as numbers: "--beta -5e-05" was a missing argument
+    code, out, err = run(capsys, ["exact-cir", "--alpha", "0.00315", *beta, "--sigma", "0.0894",
+                                  "--r", "0.05", "--tau", "1"])
+    assert (code, out, err) == (0, "0.949798\n", "")
+
+
+@pytest.mark.parametrize("when,message", [
+    (["--r", "-1e-05", "--tau", "1"], "vol2 is negative at r=-1e-05"),
+    (["--r", "0.05", "--taus", "-1,2"], "time to maturity must be nonnegative and finite, got -1.0"),
+], ids=["rate", "taus"])
+def test_negative_values_reach_the_domain_rules(cfg, capsys, when, message):
+    code, out, err = run(capsys, ["price", "--model", cfg(CIR_CFG), *when])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_help_exits_0(capsys):

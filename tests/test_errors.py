@@ -8,7 +8,7 @@ from bondtaylor.closedform import (cir_exact_log_price, cir_exact_price,
                                    cir_exact_yield)
 from bondtaylor.errors import DomainError
 from bondtaylor.fdsolver import FDGrid, default_grid, fd_solve
-from bondtaylor.model import (CIRParams, DothanParams, make_cir, make_ckls,
+from bondtaylor.model import (CIRParams, DothanParams, make_cir, make_ckls, make_dothan,
                               make_dothan_sigma2)
 from bondtaylor.series import partial_sums, price_coeffs, yield_from_price
 
@@ -66,10 +66,15 @@ def test_one_yield_maturity_rule_refuses_a_subnormal_tau(name):
                               "2.2250738585072014e-308, got 5e-324")
 
 
-# the constructors that take a volatility, each applied to a negative one
+# the entry points that take a volatility, each applied to a negative one; the
+# records store it, and what uses it refuses it
 TAKES_SIGMA = {
-    "CIRParams": (lambda s: CIRParams(0.1, 0.0, s), "sigma"),
-    "DothanParams": (lambda s: DothanParams(0.005, s), "sigma"),
+    "make_cir": (lambda s: make_cir(CIRParams(0.1, 0.0, s)), "sigma"),
+    "make_dothan": (lambda s: make_dothan(DothanParams(0.005, s)), "sigma"),
+    "cir_exact_log_price": (lambda s: cir_exact_log_price(CIRParams(0.1, 0.0, s), 1.0, 0.05),
+                            "sigma"),
+    "cir_exact_price": (lambda s: cir_exact_price(CIRParams(0.1, 0.0, s), 1.0, 0.05), "sigma"),
+    "cir_exact_yield": (lambda s: cir_exact_yield(CIRParams(0.1, 0.0, s), 1.0, 0.05), "sigma"),
     "make_ckls": (lambda s: make_ckls(0.1, 0.0, s, 0.75), "sigma"),
     "make_dothan_sigma2": (lambda s: make_dothan_sigma2(0.005, s), "sigma2"),
 }

@@ -411,6 +411,26 @@ def test_default_grid_rejects_non_finite_rate(r):
         default_grid(r, 1.0)
 
 
+@pytest.mark.parametrize("tau", [1e307, 1e308])
+def test_default_grid_caps_steps_at_any_finite_maturity(tau):
+    # 40 tau overflows to inf above about 4.5e306, and round(inf) raised
+    assert default_grid(0.05, tau).n_t == fdsolver._MAX_STEPS == 20000
+
+
+@pytest.mark.parametrize("r,r_max", [(1e304, 1e305), (1.4e304, 1.4000000000000001e305),
+                                     (1.6e304, 1.6e305), (1e305, 9.999999999999999e305)])
+def test_default_grid_at_a_huge_rate_keeps_its_grid(r, r_max):
+    assert default_grid(r, 0.0) == FDGrid(r_max, 600, 1, richardson=True)
+
+
+@pytest.mark.parametrize("r", [3e305, 1e306, 2e307, 1.7976931348623157e308])
+def test_default_grid_refuses_a_rate_its_cells_cannot_reach(r):
+    # 600 r or 10 r overflowed: round(inf) or round(nan) escaped as a traceback
+    with pytest.raises(DomainError) as info:
+        default_grid(r, 1.0)
+    assert str(info.value) == f"the FD grid cannot stretch its cells to r={r!r}"
+
+
 def test_fd_solve_path_alignment_guard(zero_model):
     grid = FDGrid(r_max=0.5, n_r=10, n_t=30)
     with pytest.raises(DomainError, match="align"):

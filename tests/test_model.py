@@ -1,11 +1,12 @@
 import math
+import random
 
 import pytest
 
 from bondtaylor import genpoly as gp
 from bondtaylor.errors import ConfigError, DomainError
 from bondtaylor.genpoly import GenPoly
-from bondtaylor.model import (CIRParams, DothanParams, ShortRateModel,
+from bondtaylor.model import (CIRParams, DothanParams, ShortRateModel, _ckls,
                               make_cir, make_ckls, make_custom, make_dothan,
                               parse_model_config, parse_model_text)
 from reference import approx_equal
@@ -22,9 +23,10 @@ def test_make_cir_degenerate_and_squaring():
     assert make_cir(CIRParams(1.0, 0.0, 2.0)).vol2 == gp.from_text("4:1")
 
 
-def test_cir_params_reject_negative_sigma():
-    with pytest.raises(ValueError):
-        CIRParams(0.1, 0.0, -0.01)
+def test_make_cir_rejects_negative_sigma():
+    p = CIRParams(0.1, 0.0, -0.01)  # a plain record stores it
+    with pytest.raises(ValueError, match="^sigma must be nonnegative, got -0.01$"):
+        make_cir(p)
 
 
 def test_make_dothan_examples():
@@ -42,9 +44,10 @@ def test_dothan_config_keeps_sigma2_exact():
     assert m.vol2 == gp.from_text("0.01:2")
 
 
-def test_dothan_params_reject_negative_sigma():
-    with pytest.raises(ValueError):
-        DothanParams(0.005, -0.1)
+def test_make_dothan_rejects_negative_sigma():
+    p = DothanParams(0.005, -0.1)  # a plain record stores it
+    with pytest.raises(ValueError, match="^sigma must be nonnegative, got -0.1$"):
+        make_dothan(p)
 
 
 def test_ckls_reduces_to_presets():
@@ -56,6 +59,16 @@ def test_ckls_reduces_to_presets():
     ckls2 = make_ckls(0.0, -0.2, 0.3, 1.0)
     assert ckls2.drift == dothan.drift
     assert ckls2.vol2 == dothan.vol2
+    # drawn parameters keep the bits of sigma * sigma at q = 2 gamma, Dothan's
+    # sigma taken as sqrt(s2) as perfbench/workloads.py builds it
+    rng = random.Random(28)
+    for _ in range(200):
+        a, b, s = rng.uniform(-0.1, 0.1), rng.uniform(-1.0, 1.0), rng.uniform(0.0, 1.0)
+        mu, s2 = rng.uniform(-0.2, 0.2), rng.uniform(0.0, 0.1)
+        assert repr(make_cir(CIRParams(a, b, s))) == repr(_ckls(a, b, s * s, 1.0))
+        sigma = math.sqrt(s2)
+        assert (repr(make_dothan(DothanParams(mu, sigma)))
+                == repr(_ckls(0.0, mu, sigma * sigma, 2.0)))
 
 
 def test_ckls_fractional_elasticity():
@@ -168,9 +181,25 @@ def test_parse_duplicate_key_rejected():
         parse_model_text("model = cir\nalpha = 1\nalpha = 2\nbeta = 0\nsigma = 0\n")
 
 
-def test_parse_negative_sigma2_rejected():
-    with pytest.raises(ConfigError):
-        parse_model_text("model = dothan\nmu = 0.005\nsigma2 = -0.01\n")
+@pytest.mark.parametrize("text,message", [
+    ("model = cir\nalpha = 0.1\nbeta = 0\nsigma = -0.1\n",
+     "line 4: sigma must be nonnegative, got -0.1"),
+    ("model = ckls\nalpha = 0.1\nbeta = 0\nsigma = -0.1\ngamma = 0.75\n",
+     "line 4: sigma must be nonnegative, got -0.1"),
+    ("model = dothan\nmu = 0.005\nsigma2 = -0.01\n",
+     "line 3: sigma2 must be nonnegative, got -0.01"),
+], ids=["cir", "ckls", "dothan"])
+def test_parse_negative_sigma_names_its_line(text, message):
+    with pytest.raises(ConfigError) as info:
+        parse_model_text(text)
+    assert str(info.value) == message
+
+
+def test_parse_overflowing_sigma_stays_a_domain_error():
+    # sigma^2 = inf is a term canonicalize refuses, not a sign to blame on a line
+    with pytest.raises(DomainError, match="^non-finite term") as info:
+        parse_model_text("model = cir\nalpha = 0.1\nbeta = 0\nsigma = 1e200\n")
+    assert not isinstance(info.value, ConfigError)
 
 
 def test_parse_custom_bad_terms_named_line():

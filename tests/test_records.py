@@ -1,7 +1,10 @@
-"""The seven records `import bondtaylor` builds are NamedTuples and keep what
-frozen dataclasses gave them: fields cannot be assigned, equal fields compare
-and hash equal, and repr, field names, order and defaults read as they always
-have.  Each also compares equal to the plain tuple of its fields."""
+"""The seven records `import bondtaylor` builds are plain NamedTuples and keep
+what frozen dataclasses gave them: fields cannot be assigned, equal fields
+compare and hash equal, and repr, field names, order and defaults read as they
+always have.  Each also compares equal to the plain tuple of its fields.  No
+record checks its fields: CIRParams and DothanParams store any sigma, and the
+model constructors and the closed form, which use it, refuse a negative or NaN
+one."""
 
 import math
 import pickle
@@ -9,8 +12,9 @@ import re
 
 import pytest
 
+from bondtaylor.closedform import cir_exact_log_price, cir_exact_price, cir_exact_yield
 from bondtaylor.genpoly import GenPoly
-from bondtaylor.model import CIRParams, DothanParams, ShortRateModel
+from bondtaylor.model import CIRParams, DothanParams, ShortRateModel, make_cir, make_dothan
 from bondtaylor.series import TaylorSeries, partial_sums
 from bondtaylor.tables import TableCell, TableReport
 
@@ -97,12 +101,23 @@ def test_series_cache_stays_out_of_equality_and_cannot_be_deleted():
     assert s != TaylorSeries("logprice", s.coeffs, s.model)
 
 
+# what uses a record's sigma, for each record
+USES_SIGMA = {
+    CIRParams: (make_cir, lambda p: cir_exact_log_price(p, 1.0, 0.05),
+                lambda p: cir_exact_price(p, 1.0, 0.05), lambda p: cir_exact_yield(p, 1.0, 0.05)),
+    DothanParams: (make_dothan,),
+}
+
+
 @pytest.mark.parametrize("sigma", [-0.01, math.nan])
 @pytest.mark.parametrize("build", [lambda x: CIRParams(alpha=0.1, beta=0.0, sigma=x),
                                    lambda x: DothanParams(mu=0.005, sigma=x),
                                    lambda x: CIRParams(0.1, 0.0, 0.1)._replace(sigma=x),
                                    lambda x: DothanParams(0.005, 0.1)._replace(sigma=x)])
-def test_params_check_sigma_however_built(build, sigma):
+def test_params_sigma_is_checked_where_used_however_built(build, sigma):
+    p = build(sigma)
+    assert p.sigma is sigma  # stored as given
     message = f"sigma must be nonnegative, got {sigma}"
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        build(sigma)
+    for use in USES_SIGMA[type(p)]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            use(p)
