@@ -163,9 +163,6 @@ def _render_price(args, price: float) -> str:
 
 
 def cmd_exact_cir(args) -> tuple[str, int]:
-    for flag in ("alpha", "beta", "sigma"):  # as a config file refuses them
-        if not math.isfinite(getattr(args, flag)):
-            raise ConfigError(f"--{flag} must be finite, got {getattr(args, flag)}")
     params = CIRParams(args.alpha, args.beta, args.sigma)
     return _render_price(args, cir_exact_price(params, args.tau, args.r)), 0
 

@@ -15,6 +15,8 @@ exponent 2 alpha / sigma^2 blows up in that limit, so the branch is explicit.
 Near either limit rounding is amplified (2 alpha / sigma^2 times an O(sigma^2)
 bracket; two O(1/beta) terms that cancel at sigma = 0), so ln P is refused
 (DomainError) where its first-order rounding bound exceeds 1e-9 max(1, |ln P|).
+Parameters are checked first (ValueError): sigma by the model's sign rule,
+then alpha, beta and sigma must be finite.
 """
 
 from __future__ import annotations
@@ -34,6 +36,9 @@ def cir_psi(p: CIRParams) -> float:
 def cir_exact_log_price(p: CIRParams, tau: float, r: float) -> float:
     """ln P(tau, r) under the CIR closed form."""
     _check_nonnegative("sigma", p.sigma)
+    for name, value in zip(p._fields, p):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     check_maturity(tau)
     if not 0.0 <= r < math.inf:
         raise DomainError(f"short rate must be nonnegative and finite, got {r}")

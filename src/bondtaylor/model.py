@@ -7,7 +7,7 @@ the square keeps constant-elasticity exponents exact (2*gamma instead of a
 rounded sqrt round trip).
 
 Presets, all CKLS models (Chan, Karolyi, Longstaff & Sanders, J. Finance 47,
-1992) built by one constructor:
+1992), built like every model by make_custom, the one constructor:
     cir     mu = alpha + beta*r   vol2 = sigma^2 * r            gamma = 1/2
     dothan  mu = mu_d * r         vol2 = sigma^2 * r^2          alpha = 0, gamma = 1
     ckls    mu = alpha + beta*r   vol2 = sigma^2 * r^(2*gamma)
@@ -15,8 +15,8 @@ make_dothan_sigma2 builds Dothan from sigma^2 itself, as the config key sigma2
 does and the Dothan tables do.
 
 vol2 must be nonnegative wherever the model is used.  check_vol2_nonnegative
-samples (0, 1] when a custom model is built, and check_vol2_at is the
-rule at one rate: the series apply it to every rate they are evaluated at.
+samples (0, 1] when any model is built, and check_vol2_at is the rule at
+one rate: the series apply it to every rate they are evaluated at.
 
 Config files are line-based "key = value" with '#' comments, e.g.
 
@@ -88,13 +88,6 @@ def check_vol2_nonnegative(vol2: GenPoly) -> None:
         check_vol2_at(vol2, i / _VOL2_SAMPLES)
 
 
-def _ckls(alpha: float, beta: float, s2: float, q: float) -> ShortRateModel:
-    """drift = alpha + beta*r and vol2 = s2 * r^q (q = 2*gamma)."""
-    drift = gp.canonicalize([(alpha, 0.0), (beta, 1.0)])
-    vol2 = gp.canonicalize([(s2, q)])
-    return ShortRateModel(drift, vol2)
-
-
 def make_cir(p: CIRParams) -> ShortRateModel:
     return make_ckls(p.alpha, p.beta, p.sigma, 0.5)
 
@@ -106,16 +99,16 @@ def make_dothan(p: DothanParams) -> ShortRateModel:
 def make_dothan_sigma2(mu: float, sigma2: float) -> ShortRateModel:
     """Dothan from sigma^2 itself: sigma2 = 0.01 gives exactly 0.01 r^2, sqrt(0.01)^2 does not."""
     _check_nonnegative("sigma2", sigma2)
-    return _ckls(0.0, mu, sigma2, 2.0)
+    return make_custom([(0.0, 0.0), (mu, 1.0)], [(sigma2, 2.0)])
 
 
 def make_ckls(alpha: float, beta: float, sigma: float, gamma: float) -> ShortRateModel:
     _check_nonnegative("sigma", sigma)
-    return _ckls(alpha, beta, sigma * sigma, 2.0 * gamma)
+    return make_custom([(alpha, 0.0), (beta, 1.0)], [(sigma * sigma, 2.0 * gamma)])
 
 
 def make_custom(drift_terms, vol2_terms) -> ShortRateModel:
-    """Build a model from raw (coeff, exponent) term lists.
+    """Build a model from raw (coeff, exponent) term lists; the one constructor.
 
     vol2 must be nonnegative on (0, 1]; this is enforced by sampling.
     """
@@ -181,7 +174,7 @@ def parse_model_text(text: str) -> ShortRateModel:
             if kind == "dothan":
                 return make_dothan_sigma2(v["mu"], v["sigma2"])
             return make_ckls(v["alpha"], v["beta"], v["sigma"], v.get("gamma", 0.5))
-        except DomainError:  # a term canonicalize refuses, not a sign
+        except DomainError:  # a term canonicalize or the vol2 check refuses, not a sign
             raise
         except ValueError as exc:  # sigma or sigma2 is negative
             key = "sigma2" if kind == "dothan" else "sigma"

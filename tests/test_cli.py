@@ -511,6 +511,13 @@ def test_config_error_names_line(capsys, tmp_path):
     assert code == 1 and "line 2" in err
 
 
+def test_non_finite_config_value_exits_1(cfg, capsys):
+    code, out, err = run(capsys, ["price", "--model", cfg(CIR_CFG.replace("0.00315", "inf")),
+                                  "--r", "0.05", "--tau", "1"])
+    assert (code, out, err) == (1, "", "error: line 2: value for 'alpha' must be finite, "
+                                       "got 'inf'\n")
+
+
 def test_missing_model_file_exits_1(capsys):
     code, _, err = run(capsys, ["price", "--model", "/nope/missing.cfg",
                                 "--r", "0.05", "--tau", "1"])
@@ -679,14 +686,18 @@ def test_price_rounding_to_zero_prints_unsigned(cfg, capsys, flags, text, csv_te
     assert run(capsys, argv + ["--format", "csv"]) == (0, csv_text, "")
 
 
-@pytest.mark.parametrize("flag,value", [("--alpha", "inf"), ("--beta", "-inf"),
-                                        ("--sigma", "nan")])
-def test_exact_cir_non_finite_parameter_exits_1(capsys, flag, value):
-    # these exited 2, blaming the closed form for overflowing
+@pytest.mark.parametrize("flag,value,message", [
+    ("--alpha", "inf", "alpha must be finite, got inf"),
+    ("--beta", "-inf", "beta must be finite, got -inf"),
+    ("--sigma", "nan", "sigma must be nonnegative, got nan"),
+], ids=["--alpha-inf", "--beta--inf", "--sigma-nan"])
+def test_exact_cir_non_finite_parameter_exits_1(capsys, flag, value, message):
+    # these exited 2, blaming the closed form for overflowing; the closed form
+    # refuses them itself, a NaN sigma by the sign rule
     params = {"--alpha": "0", "--beta": "0", "--sigma": "0.1", flag: value}
     code, out, err = run(capsys, ["exact-cir", *(f"{k}={v}" for k, v in params.items()),
                                   "--r", "0.05", "--tau", "1"])
-    assert (code, out, err) == (1, "", f"error: {flag} must be finite, got {float(value)}\n")
+    assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("flags,culprit", [

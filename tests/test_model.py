@@ -6,8 +6,9 @@ import pytest
 from bondtaylor import genpoly as gp
 from bondtaylor.errors import ConfigError, DomainError
 from bondtaylor.genpoly import GenPoly
-from bondtaylor.model import (CIRParams, DothanParams, ShortRateModel, _ckls,
-                              make_cir, make_ckls, make_custom, make_dothan,
+from bondtaylor import model
+from bondtaylor.model import (CIRParams, DothanParams, ShortRateModel, make_cir,
+                              make_ckls, make_custom, make_dothan, make_dothan_sigma2,
                               parse_model_config, parse_model_text)
 from reference import approx_equal
 
@@ -60,15 +61,47 @@ def test_ckls_reduces_to_presets():
     assert ckls2.drift == dothan.drift
     assert ckls2.vol2 == dothan.vol2
     # drawn parameters keep the bits of sigma * sigma at q = 2 gamma, Dothan's
-    # sigma taken as sqrt(s2) as perfbench/workloads.py builds it
+    # sigma taken as sqrt(s2) as perfbench/workloads.py builds it, sigma2 kept
+    # as given, and gamma off the half-integer lattice
     rng = random.Random(28)
     for _ in range(200):
         a, b, s = rng.uniform(-0.1, 0.1), rng.uniform(-1.0, 1.0), rng.uniform(0.0, 1.0)
-        mu, s2 = rng.uniform(-0.2, 0.2), rng.uniform(0.0, 0.1)
-        assert repr(make_cir(CIRParams(a, b, s))) == repr(_ckls(a, b, s * s, 1.0))
+        mu, s2, g = rng.uniform(-0.2, 0.2), rng.uniform(0.0, 0.1), rng.uniform(0.5, 1.5)
+        assert (repr(make_cir(CIRParams(a, b, s)))
+                == repr(make_custom([(a, 0.0), (b, 1.0)], [(s * s, 1.0)])))
         sigma = math.sqrt(s2)
         assert (repr(make_dothan(DothanParams(mu, sigma)))
-                == repr(_ckls(0.0, mu, sigma * sigma, 2.0)))
+                == repr(make_custom([(0.0, 0.0), (mu, 1.0)], [(sigma * sigma, 2.0)])))
+        assert (repr(make_dothan_sigma2(mu, s2))
+                == repr(make_custom([(0.0, 0.0), (mu, 1.0)], [(s2, 2.0)])))
+        assert (repr(make_ckls(a, b, s, g))
+                == repr(make_custom([(a, 0.0), (b, 1.0)], [(s * s, 2.0 * g)])))
+
+
+ONE_CONSTRUCTOR = {
+    "make_cir": lambda: make_cir(CIRParams(0.00315, -0.0555, 0.0894)),
+    "make_dothan": lambda: make_dothan(DothanParams(0.005, 0.1)),
+    "make_ckls": lambda: make_ckls(0.01, -0.2, 0.1, 0.75),
+    "make_dothan_sigma2": lambda: make_dothan_sigma2(0.005, 0.01),
+    "cir": lambda: parse_model_text("model = cir\nalpha = 0.1\nbeta = 0\nsigma = 0.1\n"),
+    "dothan": lambda: parse_model_text("model = dothan\nmu = 0.005\nsigma2 = 0.01\n"),
+    "ckls": lambda: parse_model_text(
+        "model = ckls\nalpha = 0.01\nbeta = -0.2\nsigma = 0.1\ngamma = 0.75\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_CONSTRUCTOR))
+def test_every_model_is_built_by_make_custom_once(monkeypatch, name):
+    calls = []
+
+    def spy(drift_terms, vol2_terms):
+        calls.append((drift_terms, vol2_terms))
+        return make_custom(drift_terms, vol2_terms)
+
+    monkeypatch.setattr(model, "make_custom", spy)
+    built = ONE_CONSTRUCTOR[name]()
+    assert len(calls) == 1
+    assert built == make_custom(*calls[0])
 
 
 def test_ckls_fractional_elasticity():
@@ -163,6 +196,16 @@ def test_parse_errors_name_the_line():
         parse_model_text("model = cir\nthis is garbage\n")
     with pytest.raises(ConfigError, match="line 3"):
         parse_model_text("model = cir\nalpha = 1\nbeta = not_a_number\nsigma = 0\n")
+    for text, message in [
+        ("model = cir\nalpha = inf\nbeta = 0\nsigma = 0\n",
+         "line 2: value for 'alpha' must be finite, got 'inf'"),
+        ("model = ckls\nalpha = 0\nbeta = 0\nsigma = 0.1\ngamma = nan\n",
+         "line 5: value for 'gamma' must be finite, got 'nan'"),
+        ("model = cir\n = 0.1\n", "line 2: empty key"),
+    ]:
+        with pytest.raises(ConfigError) as info:
+            parse_model_text(text)
+        assert str(info.value) == message
 
 
 def test_parse_unknown_model_and_keys():
