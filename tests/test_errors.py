@@ -89,21 +89,17 @@ def test_one_sigma_rule_and_message(name):
     assert str(exc.value) == f"{key} must be nonnegative, got -0.01"
 
 
-# the closed form at each parameter it refuses when not finite; these raised
-# DomainError "closed form overflowed", naming no parameter
-TAKES_FINITE = {
-    f"{name}-{key}={value}": (lambda p, f=f: f(p, 1.0, 0.05), CIR._replace(**{key: value}),
-                              f"{key} must be finite, got {value}")
-    for name, f in [("cir_exact_log_price", cir_exact_log_price),
-                    ("cir_exact_price", cir_exact_price), ("cir_exact_yield", cir_exact_yield)]
-    for key, value in [("alpha", math.nan), ("beta", math.inf), ("sigma", math.inf)]
-}
+# the closed form's entry points, each given a parameter that is not finite;
+# these raised DomainError "closed form overflowed", naming no parameter
+TAKES_FINITE = {"cir_exact_log_price": cir_exact_log_price,
+                "cir_exact_price": cir_exact_price, "cir_exact_yield": cir_exact_yield}
 
 
+@pytest.mark.parametrize("key,value", [("alpha", math.nan), ("beta", math.inf),
+                                       ("sigma", math.inf)])
 @pytest.mark.parametrize("name", sorted(TAKES_FINITE))
-def test_closed_form_refuses_a_non_finite_parameter(name):
-    price, params, message = TAKES_FINITE[name]
+def test_closed_form_refuses_a_non_finite_parameter(name, key, value):
     with pytest.raises(ValueError) as exc:
-        price(params)
+        TAKES_FINITE[name](CIR._replace(**{key: value}), 1.0, 0.05)
     assert type(exc.value) is ValueError
-    assert str(exc.value) == message
+    assert str(exc.value) == f"{key} must be finite, got {value}"

@@ -4,9 +4,9 @@ import random
 import pytest
 
 from bondtaylor import genpoly as gp
+from bondtaylor import model
 from bondtaylor.errors import ConfigError, DomainError
 from bondtaylor.genpoly import GenPoly
-from bondtaylor import model
 from bondtaylor.model import (CIRParams, DothanParams, ShortRateModel, make_cir,
                               make_ckls, make_custom, make_dothan, make_dothan_sigma2,
                               parse_model_config, parse_model_text)
@@ -109,6 +109,9 @@ def test_ckls_fractional_elasticity():
     assert approx_equal(m.vol2, gp.from_text("0.01:3"), 1e-15)
     with pytest.raises(ValueError):
         make_ckls(0.0, 0.0, -1.0, 0.5)
+    # presets pass make_custom's vol2 check too: r^-400 overflows at r = 0.001
+    with pytest.raises(DomainError, match="^evaluation overflowed at r=0.001$"):
+        make_ckls(0.0, 0.0, 1.0, -200.0)
 
 
 def test_make_custom_round_trips():
