@@ -30,6 +30,10 @@ Custom models give term lists in the GenPoly text format:
     model = custom
     drift_terms = 0.00315:0, -0.0555:1
     vol2_terms = 0.00799236:1
+
+Every refusal of a config is a ConfigError that names a line: a bad value its
+own, and whatever the constructor refuses (a negative sigma or sigma2, a
+sigma^2 that overflows, the vol2 check) the line of sigma, sigma2 or vol2_terms.
 """
 
 from __future__ import annotations
@@ -126,7 +130,13 @@ _REQUIRED_KEYS = {
 }
 
 
-def _parse_float(key: str, value: str, lineno: int) -> float:
+def _parse_value(key: str, value: str, lineno: int):
+    """A *_terms value as a GenPoly, any other as a finite float."""
+    if key.endswith("_terms"):
+        try:
+            return gp.from_text(value)
+        except DomainError as exc:
+            raise ConfigError(f"line {lineno}: bad {key}: {exc}") from None
     try:
         x = float(value)
     except ValueError:
@@ -168,31 +178,16 @@ def parse_model_text(text: str) -> ShortRateModel:
     for key in sorted(set(entries) - set(needed)):
         raise ConfigError(f"line {entries[key][1]}: unknown key {key!r} for model {kind!r}")
 
-    if kind != "custom":
-        v = {key: _parse_float(key, *entries[key]) for key in needed}
-        try:
-            if kind == "dothan":
-                return make_dothan_sigma2(v["mu"], v["sigma2"])
-            return make_ckls(v["alpha"], v["beta"], v["sigma"], v.get("gamma", 0.5))
-        except DomainError:  # a term canonicalize or the vol2 check refuses, not a sign
-            raise
-        except ValueError as exc:  # sigma or sigma2 is negative
-            key = "sigma2" if kind == "dothan" else "sigma"
-            raise ConfigError(f"line {entries[key][1]}: {exc}") from None
-
-    # custom
-    def _terms(key: str) -> GenPoly:
-        value, lineno = entries[key]
-        try:
-            return gp.from_text(value)
-        except DomainError as exc:
-            raise ConfigError(f"line {lineno}: bad {key}: {exc}") from None
-
-    drift, vol2 = _terms("drift_terms"), _terms("vol2_terms")
-    try:  # canonical terms canonicalize to themselves
-        return make_custom(drift.terms, vol2.terms)
-    except DomainError as exc:  # vol2 fails its check on (0, 1]
-        raise ConfigError(f"line {entries['vol2_terms'][1]}: {exc}") from None
+    v = {key: _parse_value(key, *entries[key]) for key in needed}
+    try:
+        if kind == "custom":  # canonical terms canonicalize to themselves
+            return make_custom(v["drift_terms"].terms, v["vol2_terms"].terms)
+        if kind == "dothan":
+            return make_dothan_sigma2(v["mu"], v["sigma2"])
+        return make_ckls(v["alpha"], v["beta"], v["sigma"], v.get("gamma", 0.5))
+    except ValueError as exc:  # a sign, a term canonicalize refuses, or the vol2 check
+        key = {"dothan": "sigma2", "custom": "vol2_terms"}.get(kind, "sigma")  # sets vol2
+        raise ConfigError(f"line {entries[key][1]}: {exc}") from None
 
 
 def parse_model_config(path) -> ShortRateModel:

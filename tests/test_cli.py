@@ -518,6 +518,18 @@ def test_non_finite_config_value_exits_1(cfg, capsys):
                                        "got 'inf'\n")
 
 
+@pytest.mark.parametrize("text,message", [
+    (CIR_CFG.replace("0.0894", "1e200"), "non-finite term (coeff=inf, exponent=1.0)"),
+    ("model = ckls\nalpha = 0.01\nbeta = -0.2\nsigma = 1\ngamma = -200\n",
+     "evaluation overflowed at r=0.001"),
+], ids=["cir-sigma-overflows", "ckls-vol2-overflows"])
+@pytest.mark.parametrize("argv", [["price", "--r", "0.05", "--tau", "1"], ["coeffs"]],
+                         ids=["price", "coeffs"])
+def test_preset_refused_by_its_constructor_exits_1(cfg, capsys, text, message, argv):
+    code, out, err = run(capsys, [argv[0], "--model", cfg(text), *argv[1:]])
+    assert (code, out, err) == (1, "", f"error: line 4: {message}\n")
+
+
 def test_missing_model_file_exits_1(capsys):
     code, _, err = run(capsys, ["price", "--model", "/nope/missing.cfg",
                                 "--r", "0.05", "--tau", "1"])

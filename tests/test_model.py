@@ -1,7 +1,9 @@
 import math
 import random
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bondtaylor import genpoly as gp
 from bondtaylor import model
@@ -234,18 +236,42 @@ def test_parse_duplicate_key_rejected():
      "line 4: sigma must be nonnegative, got -0.1"),
     ("model = dothan\nmu = 0.005\nsigma2 = -0.01\n",
      "line 3: sigma2 must be nonnegative, got -0.01"),
-], ids=["cir", "ckls", "dothan"])
+    # the constructor's other refusals name the same line: sigma^2 = inf, a
+    # term canonicalize refuses, and sigma^2 r^-400, which overflows at the
+    # vol2 check's first sample
+    ("model = cir\nalpha = 0.1\nbeta = 0\nsigma = 1e200\n",
+     "line 4: non-finite term (coeff=inf, exponent=1.0)"),
+    ("model = ckls\nalpha = 0.1\nbeta = 0\nsigma = 1\ngamma = -200\n",
+     "line 4: evaluation overflowed at r=0.001"),
+], ids=["cir", "ckls", "dothan", "cir-sigma-overflows", "ckls-vol2-overflows"])
 def test_parse_negative_sigma_names_its_line(text, message):
     with pytest.raises(ConfigError) as info:
         parse_model_text(text)
     assert str(info.value) == message
 
 
-def test_parse_overflowing_sigma_stays_a_domain_error():
-    # sigma^2 = inf is a term canonicalize refuses, not a sign to blame on a line
-    with pytest.raises(DomainError, match="^non-finite term") as info:
-        parse_model_text("model = cir\nalpha = 0.1\nbeta = 0\nsigma = 1e200\n")
-    assert not isinstance(info.value, ConfigError)
+_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1e200, -1e200, 1e308, -200.0, -1.0]),
+    st.floats(-1e300, 1e300), st.floats(allow_nan=True, allow_infinity=True))
+_TERMS = st.lists(st.tuples(_VALUES, _VALUES), max_size=3).map(
+    lambda terms: ", ".join(f"{c!r}:{e!r}" for c, e in terms))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(kind=st.sampled_from(["cir", "ckls", "dothan", "custom"]), data=st.data())
+def test_parse_refuses_only_with_a_config_error_naming_a_line(kind, data):
+    keys = {"cir": ("alpha", "beta", "sigma"), "ckls": ("alpha", "beta", "sigma", "gamma"),
+            "dothan": ("mu", "sigma2"), "custom": ("drift_terms", "vol2_terms")}[kind]
+    lines = [f"model = {kind}"] + [
+        f"{key} = {data.draw(_TERMS if key.endswith('_terms') else _VALUES.map(repr))}"
+        for key in keys]
+    try:
+        m = parse_model_text("\n".join(lines) + "\n")
+    except ConfigError as exc:
+        n = re.match(r"line (\d+): ", str(exc))
+        assert n and 2 <= int(n.group(1)) <= len(lines), str(exc)
+    else:
+        assert isinstance(m, ShortRateModel)
 
 
 def test_parse_custom_bad_terms_named_line():
