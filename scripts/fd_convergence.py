@@ -11,14 +11,14 @@ import argparse
 import math
 from dataclasses import dataclass, replace
 
+from bondtaylor import fdsolver
 from bondtaylor.closedform import cir_exact_price
+from bondtaylor.errors import check_maturity
 from bondtaylor.fdsolver import FDGrid, default_grid, fd_error_at, fd_price_at, fd_solve
 from bondtaylor.model import CIRParams, ShortRateModel, make_cir
 
 PARAMS = CIRParams(alpha=0.00315, beta=-0.0555, sigma=0.0894)
 R = 0.05
-# Crank-Nicolson's order in (h, dtau) halvings
-CN_ORDER = 2
 
 
 @dataclass(frozen=True)
@@ -28,6 +28,13 @@ class ConvergenceStudy:
     reference: float  # Richardson extrapolation from the two finest grids
 
 
+def _price_once(model: ShortRateModel, tau: float, r: float, grid: FDGrid) -> float:
+    """The price at r of one march on grid, interpolated as fd_price_at does."""
+    profile = fdsolver._march_once(model, [tau], grid)[tau]
+    j, w = fdsolver._cell(grid, r)
+    return float((1.0 - w) * profile[j] + w * profile[j + 1])
+
+
 def convergence_study(model: ShortRateModel, tau: float, r: float, base: FDGrid,
                       levels: int) -> ConvergenceStudy:
     """Halve h and dtau `levels-1` times and report the empirical order.
@@ -35,20 +42,22 @@ def convergence_study(model: ShortRateModel, tau: float, r: float, base: FDGrid,
     The reference value is a Richardson extrapolation from the two finest
     grids, using the last order estimate (falling back on the scheme's order,
     2, when the differences are already at round-off).  Level i is the
-    base grid with h = base.h / 2^i and n_t = base.n_t * 2^i, marched once.
+    base grid with h = base.h / 2^i and n_t = base.n_t * 2^i, marched once
+    and interpolated linearly at r.
     """
     if levels < 2:
         raise ValueError(f"need at least 2 levels, got {levels}")
-    grids = [replace(base, n_r=base.n_r * 2 ** i, n_t=base.n_t * 2 ** i, richardson=False)
-             for i in range(levels)]
-    values = tuple(fd_price_at(fd_solve(model, tau, grid), r) for grid in grids)
+    check_maturity(tau)
+    values = tuple(_price_once(model, tau, r, replace(base, n_r=base.n_r * 2 ** i,
+                                                      n_t=base.n_t * 2 ** i))
+                   for i in range(levels))
 
     diffs = tuple(abs(values[i + 1] - values[i]) for i in range(levels - 1))
     orders = tuple(
         math.log2(diffs[i] / diffs[i + 1]) if diffs[i] > 0.0 and diffs[i + 1] > 0.0 else math.nan
         for i in range(levels - 2)
     )
-    p_ref = next((p for p in reversed(orders) if math.isfinite(p) and p > 0.1), CN_ORDER)
+    p_ref = next((p for p in reversed(orders) if math.isfinite(p) and p > 0.1), fdsolver._ORDER)
     # when the two finest values agree the correction is exactly 0
     reference = values[-1] + (values[-1] - values[-2]) / (2.0 ** p_ref - 1.0)
     return ConvergenceStudy(values, orders, reference)

@@ -4,7 +4,8 @@ Subcommands:
 
   coeffs     print the series coefficients c_k(r) as generalized polynomials
   price      evaluate price or log-price partial sums at given maturities
-  yield     yield curve in percent from the log-price series
+  yield      yield curve in percent from the log-price series, or from the
+             price series with --from-price
   exact-cir  closed-form CIR bond price
   fd         finite-difference PDE price on the default Richardson grid
              (oracle for models without a closed form)

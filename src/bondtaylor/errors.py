@@ -1,10 +1,11 @@
-"""Exception types shared across the package, and the one maturity rule.
+"""Exception types shared across the package, and the maturity rules.
 
 The CLI maps these onto exit codes: ConfigError -> 1, DomainError -> 2.
 
-A time to maturity tau must be nonnegative and finite.  check_maturity is the
-only place that rule is written; series, fdsolver and closedform call it.  A
-yield -ln(P)/tau needs a normal tau > 0 on top of that: check_yield_maturity.
+A time to maturity tau must be nonnegative and finite: check_maturity, which
+series, fdsolver and closedform call.  A yield -ln(P)/tau needs a normal tau > 0
+on top of that: check_yield_maturity.  fd_solve_path writes its own rule for
+checkpoints, 0 < t < inf, since a checkpoint at 0 lands on no step.
 """
 
 from math import inf

@@ -16,16 +16,15 @@ multipliers, and the solve returns exactly twice what A's factors would.  One
 march serves a single solve and a checkpointed path alike, and returns its
 profiles keyed by maturity.
 
-`default_grid` marks its grid for Richardson extrapolation: on such a grid the
-march runs twice, at (n_r, n_t) and at (2 n_r, 2 n_t), and returns on the
-coarse nodes fine + (fine - coarse) / (2^p - 1), p = 2 being the scheme's
-order, with |fine - coarse| / (2^p - 1) per node as its error estimate.
-fd_error_at(sol, r) adds to those of the nodes around r the stiff-step and
-interpolation errors they cannot see.  A grid built directly marches once.
-The default grid puts the query rate on a node at both levels, since linear
-interpolation between nodes adds an error that does not halve with the grid.
-The error left is spatial: 80 steps per unit maturity in place of 40 leave
-the CIR errors at tau = 5 and 10 unchanged.
+Every solve marches the grid it is given, then that grid halved (2 n_r, 2 n_t),
+and returns on the coarse nodes the extrapolation fine + (fine - coarse) / 3
+(Richardson's, the scheme being of order 2) with |fine - coarse| / 3 per node as
+its estimate.  fd_error_at(sol, r) adds the stiff-step and interpolation errors
+the nodes cannot see; outside the asymptotic range (one step per unit maturity,
+say) it can fall short.  default_grid puts the query rate on a node at both
+levels, since linear interpolation between nodes adds an error that does not
+halve with the grid.  The error left is spatial: 80 steps per unit maturity in
+place of 40 leave the CIR errors at tau = 5 and 10 unchanged.
 
 Boundaries:
   * r = 0.  The equation degenerates there for the models of interest
@@ -42,7 +41,7 @@ Boundaries:
 from __future__ import annotations
 
 import math
-from dataclasses import KW_ONLY, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import lapack
@@ -63,11 +62,11 @@ _ORDER = 2
 
 @dataclass(frozen=True)
 class FDGrid:
+    """A solve's coarse level, n_r cells and n_t steps; its fine level halves both."""
+
     r_max: float
     n_r: int
     n_t: int
-    _: KW_ONLY
-    richardson: bool = False  # extrapolate from this grid and its halving
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.r_max) and self.r_max > 0.0):
@@ -86,12 +85,12 @@ class FDGrid:
 class FDSolution:
     grid: FDGrid
     tau_final: float
-    values: np.ndarray  # P(tau_final, r_j), j = 0..n_r
-    error: np.ndarray | None = None  # per-node Richardson estimate, richardson grids only
+    values: np.ndarray  # extrapolated P(tau_final, r_j), j = 0..n_r
+    error: np.ndarray  # per-node Richardson estimate
 
 
 def default_grid(r_query: float, tau_final: float) -> FDGrid:
-    """Coarse Crank-Nicolson grid marked for Richardson extrapolation.
+    """The grid `fd` prices on; a solve extrapolates from it and its halving.
 
     r_max covers 10x the query rate, at least 0.5, in _BASE_CELLS cells.  When
     the query rate is at least half a cell, the cells stretch so that it falls
@@ -120,7 +119,7 @@ def default_grid(r_query: float, tau_final: float) -> FDGrid:
     except (OverflowError, ValueError):  # a product overflowed: round(inf) or round(nan)
         raise DomainError(f"the FD grid cannot stretch its cells to r={r_query!r}") from None
     n_t = max(1, round(min(_STEPS_PER_YEAR * tau_final, _MAX_STEPS)))
-    return FDGrid(r_max, n_r, n_t, richardson=True)
+    return FDGrid(r_max, n_r, n_t)
 
 
 def _richardson(coarse, fine):
@@ -181,15 +180,16 @@ def _operator(model: ShortRateModel, grid: FDGrid) -> np.ndarray:
 
 
 def _march(model: ShortRateModel, taus: list[float], grid: FDGrid) -> dict[float, FDSolution]:
+    """The coarse march to taus[-1], then the fine, and their extrapolation."""
+    coarse = _march_once(model, taus, grid)
+    fine = _march_once(model, taus, replace(grid, n_r=2 * grid.n_r, n_t=2 * grid.n_t))
+    return {tau: FDSolution(grid, tau, *_richardson(values, fine[tau][::2]))
+            for tau, values in coarse.items()}
+
+
+def _march_once(model: ShortRateModel, taus: list[float], grid: FDGrid) -> dict[float, np.ndarray]:
     """One march to taus[-1], step n_t, returning the profile at each of the
-    ascending, positive maturities taus (alignment as in fd_solve_path); on a
-    richardson grid, a coarse and a fine march and their extrapolation."""
-    if grid.richardson:
-        coarse_grid = replace(grid, richardson=False)
-        coarse = _march(model, taus, coarse_grid)
-        fine = _march(model, taus, replace(coarse_grid, n_r=2 * grid.n_r, n_t=2 * grid.n_t))
-        return {tau: FDSolution(grid, tau, *_richardson(sol.values, fine[tau].values[::2]))
-                for tau, sol in coarse.items()}
+    ascending, positive maturities taus (alignment as in fd_solve_path)."""
     dtau = taus[-1] / grid.n_t
     wanted: dict[int, list[float]] = {}
     for tau in taus[:-1]:
@@ -210,7 +210,7 @@ def _march(model: ShortRateModel, taus: list[float], grid: FDGrid) -> dict[float
 
     values = np.ones(grid.n_r + 1)
     zeros = np.zeros(grid.n_r + 1)
-    out: dict[float, FDSolution] = {}
+    out: dict[float, np.ndarray] = {}
     # a march that blows up overflows on the way; the finiteness check names the
     # step.  0 x is +-0 for a finite x and NaN for an inf or NaN one, so the dot
     # product with zeros is finite exactly when every node is.
@@ -221,16 +221,15 @@ def _march(model: ShortRateModel, taus: list[float], grid: FDGrid) -> dict[float
             if not math.isfinite(values.dot(zeros)):
                 raise DomainError(f"non-finite values at step {step} of {grid.n_t}")
             for tau in wanted.get(step, ()):
-                out[tau] = FDSolution(grid, tau, values)
+                out[tau] = values
     return out
 
 
 def fd_solve(model: ShortRateModel, tau_final: float, grid: FDGrid) -> FDSolution:
-    """Solve up to tau_final and return the final profile."""
+    """Solve up to tau_final and return the final profile and its estimate."""
     check_maturity(tau_final)
     if tau_final == 0.0:
-        n = grid.n_r + 1
-        return FDSolution(grid, 0.0, np.ones(n), np.zeros(n) if grid.richardson else None)
+        return FDSolution(grid, 0.0, np.ones(grid.n_r + 1), np.zeros(grid.n_r + 1))
     return _march(model, [tau_final], grid)[tau_final]
 
 
@@ -256,17 +255,17 @@ def _check_on_grid(r: float, r_max: float) -> None:
         raise DomainError(f"r={r} outside the grid [0, {r_max}]")
 
 
-def _cell(sol: FDSolution, r: float) -> tuple[int, float]:
+def _cell(grid: FDGrid, r: float) -> tuple[int, float]:
     """(j, w) with r = (j + w) h, 0 <= j < n_r and 0 <= w <= 1: r's cell and weight."""
-    _check_on_grid(r, sol.grid.r_max)
-    x = r / sol.grid.h
-    j = min(int(x), sol.grid.n_r - 1)
+    _check_on_grid(r, grid.r_max)
+    x = r / grid.h
+    j = min(int(x), grid.n_r - 1)
     return j, min(x - j, 1.0)
 
 
 def fd_price_at(sol: FDSolution, r: float) -> float:
     """Linear interpolation of the solved profile at the rate r."""
-    j, w = _cell(sol, r)
+    j, w = _cell(sol.grid, r)
     return float((1.0 - w) * sol.values[j] + w * sol.values[j + 1])
 
 
@@ -283,13 +282,11 @@ def _scalar_march_error(sol: FDSolution, r: float) -> float:
 
 
 def fd_error_at(sol: FDSolution, r: float) -> float:
-    """The error estimate of fd_price_at(sol, r) on a Richardson grid: the
-    larger estimate of the two nodes around r, the scalar march's, and linear
-    interpolation's w (1 - w) / 2 times the larger second difference at those
-    nodes (node 1's for node 0), which the node estimates do not see."""
-    j, w = _cell(sol, r)
-    if sol.error is None:
-        raise DomainError("a solution from a single march has no Richardson error estimate")
+    """The error estimate of fd_price_at(sol, r): the larger estimate of the
+    two nodes around r, the scalar march's, and linear interpolation's
+    w (1 - w) / 2 times the larger second difference at those nodes (node 1's
+    for node 0), which the node estimates do not see."""
+    j, w = _cell(sol.grid, r)
     v = sol.values
     curvature = max(abs(v[i - 1] - 2.0 * v[i] + v[i + 1])
                     for i in (max(j, 1), min(j + 1, sol.grid.n_r - 1)))

@@ -77,7 +77,7 @@ def test_negative_tau_rejected(cir_model):
 def test_fd_price_at_interpolation():
     grid = FDGrid(r_max=1.0, n_r=4, n_t=1)
     values = np.array([1.0, 0.8, 0.6, 0.4, 0.2])
-    sol = FDSolution(grid, 1.0, values)
+    sol = FDSolution(grid, 1.0, values, np.zeros(5))
     assert fd_price_at(sol, 0.25) == 0.8             # on node
     assert fd_price_at(sol, 0.375) == pytest.approx(0.7, abs=1e-15)
     assert fd_price_at(sol, 1.0) == 0.2              # top node
@@ -88,12 +88,12 @@ def test_fd_price_at_interpolation():
     # r_max / h rounds to just above n_r here: r_max is still the top node
     grid = FDGrid(r_max=1.0 / 3.0, n_r=15, n_t=1)
     assert grid.r_max / grid.h > grid.n_r
-    sol = FDSolution(grid, 1.0, np.linspace(1.0, 0.3, 16))
+    sol = FDSolution(grid, 1.0, np.linspace(1.0, 0.3, 16), np.zeros(16))
     assert fd_price_at(sol, grid.r_max) == sol.values[-1]
 
 
 def test_fd_error_at_adds_node_scalar_and_interpolation_terms():
-    grid = FDGrid(r_max=1.0, n_r=4, n_t=1, richardson=True)
+    grid = FDGrid(r_max=1.0, n_r=4, n_t=1)
     values = np.array([1.0, 0.8, 0.7, 0.4, 0.2])
     sol = FDSolution(grid, 2.0, values, np.array([1e-3, 2e-3, 3e-3, 4e-3, 5e-3]))
 
@@ -111,12 +111,21 @@ def test_fd_error_at_adds_node_scalar_and_interpolation_terms():
                                                     rel=1e-12), r
 
 
-def test_fd_error_at_refuses_a_single_march_and_a_rate_off_the_grid(cir_model):
-    single = fd_solve(cir_model, 1.0, FDGrid(r_max=0.5, n_r=10, n_t=4))
-    with pytest.raises(DomainError, match="single march has no Richardson error estimate"):
-        fd_error_at(single, 0.05)
+# r dtau > 2 on the coarse level: stiff steps, which Crank-Nicolson barely
+# damps.  A hand-built grid once marched once and gave -0.195 and 0.034 with
+# no estimate.
+# Measured: estimate 0.121 against error 0.0455, and 0.0228 against 0.0113
+@pytest.mark.parametrize("grid,r", [(FDGrid(10.0, 100, 1), 3.0), (FDGrid(100.0, 1000, 4), 20.0)])
+def test_fd_error_at_covers_a_stiff_hand_built_grid(cir_model, cir_params, grid, r):
+    sol = fd_solve(cir_model, 1.0, grid)
+    estimate = fd_error_at(sol, r)
+    assert math.isfinite(estimate)
+    assert estimate >= abs(fd_price_at(sol, r) - cir_exact_price(cir_params, 1.0, r))
+
+
+def test_fd_error_at_refuses_a_rate_off_the_grid(cir_model):
     # off the grid, the estimate refuses with fd_price_at's message
-    sol = fd_solve(cir_model, 1.0, FDGrid(r_max=0.5, n_r=10, n_t=4, richardson=True))
+    sol = fd_solve(cir_model, 1.0, FDGrid(r_max=0.5, n_r=10, n_t=4))
     for r in (0.51, -0.01, math.nan):
         with pytest.raises(DomainError) as price_refusal:
             fd_price_at(sol, r)
@@ -130,7 +139,6 @@ def test_fd_error_at_refuses_a_single_march_and_a_rate_off_the_grid(cir_model):
                                    (0.2, 1.0), (0.001, 0.3), (1.7, 1e-4), (0.05, 1e3)])
 def test_default_grid_choices(r, tau):
     g = default_grid(r, tau)
-    assert g.richardson
     assert g.r_max >= max(10.0 * r, 0.5)
     # the query rate is a node of the coarse grid, and so of its halving
     k = r / g.h
@@ -164,14 +172,13 @@ def test_default_grid_checkpoints_at_quarter_years(cir_model):
 @pytest.mark.parametrize("model_name", PATH_MODELS)
 def test_richardson_grid_extrapolates_two_single_marches(model_name):
     model = PATH_MODELS[model_name]
-    grid = FDGrid(r_max=0.5, n_r=20, n_t=8, richardson=True)
-    coarse = fd_solve(model, 2.0, replace(grid, richardson=False)).values
-    fine = fd_solve(model, 2.0, FDGrid(0.5, 40, 16)).values[::2]
+    grid = FDGrid(r_max=0.5, n_r=20, n_t=8)
+    coarse = fdsolver._march_once(model, [2.0], grid)[2.0]
+    fine = fdsolver._march_once(model, [2.0], FDGrid(0.5, 40, 16))[2.0][::2]
     sol = fd_solve(model, 2.0, grid)
     # Crank-Nicolson is second order: 2^2 - 1 = 3
     assert np.array_equal(sol.values, fine + (fine - coarse) / 3.0)
     assert np.array_equal(sol.error, np.abs(fine - coarse) / 3.0)
-    assert fd_solve(model, 2.0, replace(grid, richardson=False)).error is None
     assert np.array_equal(fd_solve(model, 0.0, grid).error, np.zeros(21))
 
 
@@ -209,11 +216,11 @@ def test_grid_validation(kwargs):
         FDGrid(**kwargs)
 
 
-def test_richardson_mark_is_keyword_only():
-    # a stale fourth positional argument (once theta) must not become the mark
+def test_grid_refuses_a_fourth_argument():
+    # a stale fourth positional argument (once theta, then the Richardson
+    # mark) must not be taken for a setting
     with pytest.raises(TypeError):
         FDGrid(0.5, 10, 10, 0.5)
-    assert FDGrid(0.5, 10, 10, richardson=True).richardson
 
 
 @pytest.mark.parametrize("config", ["cir", "dothan_s2_0.02"])
@@ -282,8 +289,8 @@ def test_march_matches_dense_crank_nicolson(model_name):
     values = np.ones(grid.n_r + 1)
     for _ in range(grid.n_t):
         values = np.linalg.solve(implicit, explicit @ values)
-    sol = fd_solve(model, 0.6, grid)
-    assert np.allclose(sol.values, values, rtol=1e-13, atol=1e-15)
+    march = fdsolver._march_once(model, [0.6], grid)[0.6]
+    assert np.allclose(march, values, rtol=1e-13, atol=1e-15)
 
 
 def _banded_solve_march(model, taus, grid):
@@ -311,12 +318,11 @@ def test_factored_march_is_bit_identical_to_banded_solves(model_name):
     grid = FDGrid(r_max=0.5, n_r=60, n_t=40)
     taus = [0.5, 1.25, 2.0]
     reference = _banded_solve_march(model, taus, grid)
-    sol = fd_solve(model, 2.0, grid)
-    assert np.array_equal(sol.values, reference[2.0])
-    path = fd_solve_path(model, taus, grid)
+    assert np.array_equal(fdsolver._march_once(model, [2.0], grid)[2.0], reference[2.0])
+    path = fdsolver._march_once(model, taus, grid)
     assert sorted(path) == taus
     for tau in taus:
-        assert np.array_equal(path[tau].values, reference[tau])
+        assert np.array_equal(path[tau], reference[tau])
 
 
 def _explicit_matvec_march(model, tau, grid):
@@ -337,7 +343,7 @@ def _explicit_matvec_march(model, tau, grid):
     return values
 
 
-_DEFAULT_COARSE = replace(default_grid(0.05, 1.0), richardson=False)
+_DEFAULT_COARSE = default_grid(0.05, 1.0)
 
 
 # a default grid marches at both levels; Richardson then combines the two
@@ -351,7 +357,7 @@ def test_march_matches_explicit_matvec_step(model_name, grid):
     # Measured: at most 7.8e-15 on 100 x 50, 4.3e-14 on the fine level (cir)
     model = PATH_MODELS[model_name]
     reference = _explicit_matvec_march(model, 1.0, grid)
-    assert np.max(np.abs(fd_solve(model, 1.0, grid).values - reference)) <= 5e-14
+    assert np.max(np.abs(fdsolver._march_once(model, [1.0], grid)[1.0] - reference)) <= 5e-14
 
 
 def _decimal_march(model, tau, grid):
@@ -391,7 +397,7 @@ def test_march_rounding_against_decimal_march(model_name):
     model = PATH_MODELS[model_name]
     grid = FDGrid(0.5, 100, 50)
     reference = _decimal_march(model, 1.0, grid)
-    assert np.max(np.abs(fd_solve(model, 1.0, grid).values - reference)) <= 5e-14
+    assert np.max(np.abs(fdsolver._march_once(model, [1.0], grid)[1.0] - reference)) <= 5e-14
 
 
 @pytest.mark.parametrize("tau", [math.inf, math.nan, -0.5])
@@ -420,7 +426,7 @@ def test_default_grid_caps_steps_at_any_finite_maturity(tau):
 @pytest.mark.parametrize("r,r_max", [(1e304, 1e305), (1.4e304, 1.4000000000000001e305),
                                      (1.6e304, 1.6e305), (1e305, 9.999999999999999e305)])
 def test_default_grid_at_a_huge_rate_keeps_its_grid(r, r_max):
-    assert default_grid(r, 0.0) == FDGrid(r_max, 600, 1, richardson=True)
+    assert default_grid(r, 0.0) == FDGrid(r_max, 600, 1)
 
 
 @pytest.mark.parametrize("r", [3e305, 1e306, 2e307, 1.7976931348623157e308])
@@ -484,9 +490,9 @@ def test_convergence_levels_march_the_halved_base_once(cir_model):
     base = FDGrid(r_max=0.1, n_r=10, n_t=20)
     study = convergence_study(cir_model, 1.0, 0.05, base, levels=3)
     finest = FDGrid(r_max=0.1, n_r=40, n_t=80)
-    assert study.values[-1] == fd_price_at(fd_solve(cir_model, 1.0, finest), 0.05)
-    # each level marches once, whether or not the base is marked for Richardson
-    assert convergence_study(cir_model, 1.0, 0.05, replace(base, richardson=True), 3) == study
+    # 0.05 is node 20 of the finest level, which marches once and is not extrapolated
+    assert study.values[-1] == fdsolver._march_once(cir_model, [1.0], finest)[1.0][20]
+    assert study.values[-1] != fd_price_at(fd_solve(cir_model, 1.0, finest), 0.05)
 
 
 def test_convergence_needs_two_levels(cir_model):

@@ -1,8 +1,10 @@
 """The public surface of the package, listed in full: a name added to or taken
-out of `bondtaylor.__all__`, or an option added to or taken out of a CLI
-subcommand, fails here until these lists say so."""
+out of `bondtaylor.__all__`, a field added to or taken out of a public record,
+or an option added to or taken out of a CLI subcommand, fails here until these
+lists say so."""
 
 import argparse
+import inspect
 
 import bondtaylor
 from bondtaylor import cli
@@ -18,6 +20,19 @@ PUBLIC = [
     "parse_model_config", "parse_model_text", "partial_sums",
     "price_coeffs", "to_text", "yield_from_price",
 ]
+
+# each public record's fields, the arguments its constructor takes, in order
+RECORD_FIELDS = {
+    "CIRParams": ["alpha", "beta", "sigma"],
+    "DothanParams": ["mu", "sigma"],
+    "FDGrid": ["r_max", "n_r", "n_t"],
+    "FDSolution": ["grid", "tau_final", "values", "error"],
+    "GenPoly": ["terms"],
+    "ShortRateModel": ["drift", "vol2"],
+    "TableCell": ["row", "column", "computed", "reference", "tolerance", "note"],
+    "TableReport": ["table_id", "decimals", "cells"],
+    "TaylorSeries": ["target", "coeffs", "model"],
+}
 
 # each subcommand's option strings, -h/--help aside
 CLI_OPTIONS = {
@@ -36,6 +51,12 @@ CLI_OPTIONS = {
 def test_public_names():
     assert len(PUBLIC) == 38
     assert sorted(bondtaylor.__all__) == PUBLIC
+
+
+def test_record_fields():
+    fields = {name: list(inspect.signature(getattr(bondtaylor, name)).parameters)
+              for name in RECORD_FIELDS}
+    assert fields == RECORD_FIELDS
 
 
 def test_cli_options():
