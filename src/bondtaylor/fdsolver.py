@@ -234,7 +234,7 @@ def fd_solve(model: ShortRateModel, tau_final: float, grid: FDGrid) -> FDSolutio
 
 
 def fd_solve_path(model: ShortRateModel, taus, grid: FDGrid) -> dict[float, FDSolution]:
-    """One march to max(taus), recording profiles at each requested maturity.
+    """Each level marches once to max(taus), recording each requested maturity.
 
     Each tau must land on a step boundary (tau / dtau within 1e-9 of a
     positive integer), so the recorded profiles equal what single solves with
