@@ -11,10 +11,13 @@ import argparse
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from bondtaylor import fdsolver
 from bondtaylor.closedform import cir_exact_price
 from bondtaylor.errors import check_maturity
-from bondtaylor.fdsolver import FDGrid, default_grid, fd_error_at, fd_price_at, fd_solve
+from bondtaylor.fdsolver import (FDGrid, FDSolution, default_grid, fd_error_at, fd_price_at,
+                                 fd_solve)
 from bondtaylor.model import CIRParams, ShortRateModel, make_cir
 
 PARAMS = CIRParams(alpha=0.00315, beta=-0.0555, sigma=0.0894)
@@ -29,10 +32,9 @@ class ConvergenceStudy:
 
 
 def _price_once(model: ShortRateModel, tau: float, r: float, grid: FDGrid) -> float:
-    """The price at r of one march on grid, interpolated as fd_price_at does."""
+    """The price at r of one march on grid, with no extrapolation."""
     profile = fdsolver._march_once(model, [tau], grid)[tau]
-    j, w = fdsolver._cell(grid, r)
-    return float((1.0 - w) * profile[j] + w * profile[j + 1])
+    return fd_price_at(FDSolution(grid, tau, profile, np.zeros_like(profile)), r)
 
 
 def convergence_study(model: ShortRateModel, tau: float, r: float, base: FDGrid,

@@ -20,20 +20,20 @@ from .genpoly import GenPoly, evaluate, from_text, to_text
 from .model import (CIRParams, DothanParams, ShortRateModel, make_cir,
                     make_ckls, make_custom, make_dothan, parse_model_config,
                     parse_model_text)
-from .series import (LOGPRICE, MAX_ORDER, PRICE, TaylorSeries, log_coeffs,
-                     partial_sums, price_coeffs, yield_from_price)
+from .series import (MAX_ORDER, TaylorSeries, log_coeffs, partial_sums,
+                     price_coeffs, yield_from_price)
 from .tables import TABLE_IDS, TableCell, TableReport, build_table
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CIRParams", "ConfigError", "DomainError", "DothanParams", "FDGrid",
-    "FDSolution", "GenPoly", "LOGPRICE", "MAX_ORDER", "PRICE",
-    "ShortRateModel", "TABLE_IDS", "TableCell", "TableReport",
-    "TaylorSeries", "TermLimitError", "build_table", "cir_exact_log_price",
-    "cir_exact_price", "cir_exact_yield", "default_grid", "evaluate",
-    "fd_error_at", "fd_price_at", "fd_solve", "fd_solve_path", "from_text",
-    "log_coeffs", "make_cir", "make_ckls", "make_custom", "make_dothan",
+    "FDSolution", "GenPoly", "MAX_ORDER", "ShortRateModel", "TABLE_IDS",
+    "TableCell", "TableReport", "TaylorSeries", "TermLimitError",
+    "build_table", "cir_exact_log_price", "cir_exact_price",
+    "cir_exact_yield", "default_grid", "evaluate", "fd_error_at",
+    "fd_price_at", "fd_solve", "fd_solve_path", "from_text", "log_coeffs",
+    "make_cir", "make_ckls", "make_custom", "make_dothan",
     "parse_model_config", "parse_model_text", "partial_sums",
     "price_coeffs", "to_text", "yield_from_price",
 ]

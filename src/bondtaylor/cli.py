@@ -20,11 +20,12 @@ Typical use:
   bondtaylor fd --model configs/dothan_s2_0.01.cfg --r 0.035 --tau 10
   bondtaylor table --id dothan-grid --format csv
 
-Exit codes: 0 success, 1 usage or config error, 2 numerical domain error (among
-them a series sum S_J whose error estimate e, the two terms past it, leaves a
-printed digit open, where S_J - e and S_J + e would print differently, and an
-fd price whose estimate exceeds half its last digit; price --converge prints
-every partial sum unchecked), 3 reference-table mismatch.
+Exit codes: 0 success, 1 usage or config error (among them an --order J outside
+[0, 30]: price and yield build to order J + 2, and series.MAX_ORDER is 32), 2
+numerical domain error (among them a series sum S_J whose error estimate e, the
+two terms past it, leaves a printed digit open, where S_J - e and S_J + e would
+print differently, and an fd price whose estimate exceeds half its last digit;
+price --converge prints every partial sum unchecked), 3 reference-table mismatch.
 Output goes to stdout or to --out; --format picks aligned text (default) or
 CSV with a header row.
 """
@@ -42,7 +43,7 @@ from .errors import ConfigError, DomainError, check_yield_maturity
 from .closedform import cir_exact_price
 from .genpoly import to_text
 from .model import CIRParams, parse_model_config
-from .series import log_coeffs, partial_sums, price_coeffs, yield_from_price
+from .series import MAX_ORDER, log_coeffs, partial_sums, price_coeffs, yield_from_price
 from .tables import TABLE_IDS, build_table
 
 
@@ -92,9 +93,16 @@ def _parse_taus(text: str) -> list[float]:
     return taus
 
 
-def _series_for(args, past: int = 0):
+# price and yield build two orders past the printed sum, whose terms estimate its error
+_PAST = 2
+
+
+def _series_for(args, extra: int = 0):
+    model = parse_model_config(args.model)  # a bad config is reported before a bad order
+    if not 0 <= args.order <= MAX_ORDER - _PAST:
+        raise ValueError(f"order must be in [0, {MAX_ORDER - _PAST}], got {args.order}")
     build = price_coeffs if args.target == "price" else log_coeffs
-    return build(parse_model_config(args.model), args.order, past=past)
+    return build(model, args.order + extra)
 
 
 def cmd_coeffs(args) -> tuple[str, int]:
@@ -106,25 +114,24 @@ def cmd_coeffs(args) -> tuple[str, int]:
     return "\n".join(lines) + "\n", 0
 
 
-# price and yield build two orders past the printed sum, whose terms estimate its error
-_PAST = 2
-
-
 def _series_sum(sums: list[float], decimals: int, show, tau: float, r: float) -> str:
-    """show(S_J) at fixed decimals, from the partial sums S_0..S_{J+2}, where
+    """show(S_J) at fixed decimals, from the partial sums S_0..S_{J+_PAST}, where
     S_J's error estimate e fixes every printed digit: show(S_J - e) and
-    show(S_J + e) print the same, else DomainError.  e is the size of the two
-    terms past J, |S_{J+1} - S_J| + |S_{J+2} - S_{J+1}|, plus the rounding
-    2^-53 max_{k<=J} |S_k|."""
-    s_j, s_j1, s_j2 = sums[-3:]
-    error = abs(s_j1 - s_j) + abs(s_j2 - s_j1) + 2.0 ** -53 * max(map(abs, sums[:-2]))
+    show(S_J + e) print the same, else DomainError.  e is the size of the
+    _PAST terms past J, |S_{J+1} - S_J| + |S_{J+2} - S_{J+1}|, plus the
+    rounding 2^-53 max_{k<=J} |S_k|."""
+    j = len(sums) - 1 - _PAST
+    error = 0.0  # added left to right, which sum() does not do from Python 3.12
+    for a, b in zip(sums[j:], sums[j + 1:]):
+        error += abs(b - a)
+    error += 2.0 ** -53 * max(map(abs, sums[:j + 1]))
     try:
-        low, value, high = (show(s) for s in (s_j - error, s_j, s_j + error))
-    except DomainError:  # an end show cannot take: a non-positive price has no yield
+        low, value, high = (show(s) for s in (sums[j] - error, sums[j], sums[j] + error))
+    except DomainError:  # an end show cannot take: a price not positive and finite has no yield
         low = value = high = math.nan
     text = _fixed(value, decimals)  # an end that is NaN or infinite prints no digits
     if not (math.isfinite(value) and _fixed(low, decimals) == text == _fixed(high, decimals)):
-        raise DomainError(f"cannot print the order-{len(sums) - 3} sum at tau={tau:g}, r={r:g}: "
+        raise DomainError(f"cannot print the order-{j} sum at tau={tau:g}, r={r:g}: "
                           f"its error estimate {error:.3g} does not fix its printed digits")
     return text
 

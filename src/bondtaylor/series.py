@@ -28,12 +28,14 @@ with each 2 c_i' formed once and reused (doubling is exact in binary).
 Each sum of products is one merge (genpoly.dot): a price order sums its
 operator's three, a log order first the convolution with c_k'', then the
 drift and vol2 products.  Every coefficient stays a GenPoly in r, so
-truncation is the only approximation made here.
+truncation is the only approximation made here.  A series is its coefficients
+and its model: c_0 is 1 for a price series and 0 for a log series.  A longer
+build leaves c_0..c_J as they were, so its order-J sum keeps its bits.
 """
 
 from __future__ import annotations
 
-from math import isfinite, log
+from math import inf, isfinite, log
 from typing import NamedTuple
 
 from . import genpoly as gp
@@ -42,20 +44,14 @@ from .errors import (DomainError, TermLimitError, check_maturity,
 from .genpoly import GenPoly
 from .model import ShortRateModel, check_vol2_at
 
-PRICE = "price"
-LOGPRICE = "logprice"
-
 # series beyond this order are never useful at desk precision and the
 # coefficient algebra starts to crawl
-MAX_ORDER = 30
-# at most this many orders are built past it, to estimate the order-J sum's error
-_MAX_PAST = 2
+MAX_ORDER = 32
 
 _NEG_R = gp.term(-1.0, 1.0)  # the polynomial -r
 
 
 class TaylorSeries(NamedTuple):
-    target: str  # PRICE or LOGPRICE
     coeffs: tuple[GenPoly, ...]  # c_0..c_order
     model: ShortRateModel
 
@@ -68,12 +64,11 @@ class TaylorSeries(NamedTuple):
 _last = None
 
 
-def _check_orders(order: int, past: int) -> None:
-    for name, value, top in (("order", order, MAX_ORDER), ("past", past, _MAX_PAST)):
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-        if value < 0 or value > top:
-            raise ValueError(f"{name} must be in [0, {top}], got {value}")
+def _check_order(order: int) -> None:
+    if not isinstance(order, int) or isinstance(order, bool):
+        raise ValueError(f"order must be an integer, got {order!r}")
+    if order < 0 or order > MAX_ORDER:
+        raise ValueError(f"order must be in [0, {MAX_ORDER}], got {order}")
 
 
 def _apply_operator(drift: GenPoly, half_vol2: GenPoly, c: GenPoly) -> GenPoly:
@@ -86,33 +81,28 @@ def _apply_operator(drift: GenPoly, half_vol2: GenPoly, c: GenPoly) -> GenPoly:
     return gp.dot([(drift, d1), (half_vol2, d2), (_NEG_R, c)])
 
 
-def price_coeffs(model: ShortRateModel, order: int, *, past: int = 0) -> TaylorSeries:
-    """Coefficients c_0..c_{order + past} of the bond-price series; order is at
-    most MAX_ORDER and past at most 2, and the past orders' terms estimate the
-    order-`order` sum's error."""
-    _check_orders(order, past)
+def price_coeffs(model: ShortRateModel, order: int) -> TaylorSeries:
+    """Coefficients c_0..c_order of the bond-price series, order <= MAX_ORDER."""
+    _check_order(order)
     half_vol2 = gp.scale(model.vol2, 0.5)
     coeffs = [gp.const(1.0)]
-    for k in range(order + past):
+    for k in range(order):
         try:
             raw = _apply_operator(model.drift, half_vol2, coeffs[k])
         except TermLimitError as exc:
             raise TermLimitError(f"price series order {k + 1}: {exc}") from None
         coeffs.append(gp.scale(raw, 1.0 / (k + 1)))
-    return TaylorSeries(PRICE, tuple(coeffs), model)
+    return TaylorSeries(tuple(coeffs), model)
 
 
-def log_coeffs(model: ShortRateModel, order: int, *, past: int = 0) -> TaylorSeries:
-    """Coefficients c_0..c_{order + past} of the log-price series; see price_coeffs."""
-    _check_orders(order, past)
-    coeffs = [GenPoly()]
-    derivs = [GenPoly()]
+def log_coeffs(model: ShortRateModel, order: int) -> TaylorSeries:
+    """Coefficients c_0..c_order of the log-price series, order <= MAX_ORDER."""
+    _check_order(order)
+    coeffs = [GenPoly(), _NEG_R][:order + 1]  # c_0 = 0 and c_1 = -r, as far as order
+    derivs = [GenPoly(), gp.derivative(_NEG_R)][:order + 1]
     twice = []  # twice[i] = 2 c_i' (exact), for each i < k - i
-    if order + past >= 1:
-        coeffs.append(_NEG_R)
-        derivs.append(gp.derivative(_NEG_R))
     half_vol2 = gp.scale(model.vol2, 0.5)  # exact, as in _apply_operator
-    for k in range(1, order + past):
+    for k in range(1, order):
         if k % 2:
             twice.append(gp.scale(derivs[k // 2], 2.0))
         try:
@@ -127,7 +117,7 @@ def log_coeffs(model: ShortRateModel, order: int, *, past: int = 0) -> TaylorSer
         nxt = gp.scale(raw, 1.0 / (k + 1))
         coeffs.append(nxt)
         derivs.append(gp.derivative(nxt))
-    return TaylorSeries(LOGPRICE, tuple(coeffs), model)
+    return TaylorSeries(tuple(coeffs), model)
 
 
 def partial_sums(s: TaylorSeries, tau: float, r: float) -> list[float]:
@@ -161,7 +151,7 @@ def partial_sums(s: TaylorSeries, tau: float, r: float) -> list[float]:
 def yield_from_price(price: float, tau: float) -> float:
     """Continuously compounded yield R = -ln(price) / tau."""
     check_yield_maturity(tau)
-    if price <= 0.0:
-        raise DomainError(f"yield needs a positive price, got {price}")
+    if not 0.0 < price < inf:  # NaN fails too
+        raise DomainError(f"yield needs a positive finite price, got {price}")
     return -log(price) / tau
 

@@ -10,7 +10,7 @@ compares two polynomials term by term.
 from fractions import Fraction
 
 from bondtaylor import genpoly as gp
-from bondtaylor.series import LOGPRICE, PRICE, TaylorSeries
+from bondtaylor.series import TaylorSeries
 
 
 def _exact(terms):
@@ -38,7 +38,7 @@ def pde_residual(s: TaylorSeries) -> list[float]:
 
         -f_tau + mu f_r + (1/2) s2 (f_rr + f_r^2) - r = 0,
 
-    in exact rationals.  Entry k is the largest |sum of the terms| / (sum of
+    in exact rationals; c_0 = 1 marks a price series and c_0 = 0 a log one.  Entry k is the largest |sum of the terms| / (sum of
     their magnitudes) over the powers r^p of the tau^k coefficient: 0 for
     exact coefficients, a few ulps for coefficients right to rounding, and
     up to 1 for wrong ones.  Exponents must match exactly (a lattice model),
@@ -52,7 +52,7 @@ def pde_residual(s: TaylorSeries) -> list[float]:
     for k in range(s.order):
         terms = (_times(mu, d1[k]) + _times(half_s2, _d(d1[k]))
                  + [(-(k + 1) * c, p) for c, p in cs[k + 1]])
-        if s.target == PRICE:
+        if s.coeffs[0]:  # a price series
             terms += [(-c, p + 1.0) for c, p in cs[k]]
         else:
             terms += _times(half_s2, [t for i in range(k + 1) for t in _times(d1[i], d1[k - i])])
@@ -71,14 +71,15 @@ def exp_compose(s: TaylorSeries) -> TaylorSeries:
 
     Uses b_0 = 1, n b_n = sum_{k=1}^{n} k c_k b_{n-k}, valid because c_0 = 0.
     """
-    if s.target != LOGPRICE:
-        raise ValueError(f"exp_compose expects a {LOGPRICE} series, got {s.target!r}")
+    if s.coeffs[0]:
+        raise ValueError(f"exp_compose expects a log-price series, whose c_0 is 0, "
+                         f"got c_0 = {s.coeffs[0]}")
     b = [gp.const(1.0)]
     for n in range(1, s.order + 1):
         acc = gp.add(*(gp.scale(gp.mul(s.coeffs[k], b[n - k]), float(k))
                        for k in range(1, n + 1)))
         b.append(gp.scale(acc, 1.0 / n))
-    return TaylorSeries(PRICE, tuple(b), s.model)
+    return TaylorSeries(tuple(b), s.model)
 
 
 def approx_equal(a: gp.GenPoly, b: gp.GenPoly, tol: float) -> bool:

@@ -491,10 +491,27 @@ def test_tau_and_taus_conflict(cfg, capsys):
     assert code == 1 and "--tau" in err
 
 
-def test_order_out_of_range_exits_1(cfg, capsys):
-    code, _, err = run(capsys, ["price", "--model", cfg(CIR_CFG), "--r", "0.05",
-                                "--tau", "1", "--order", "31"])
-    assert code == 1 and "order" in err
+SERIES_ROUTES = {
+    "coeffs": ["coeffs"],
+    "price": ["price", "--r", "0.05", "--tau", "1"],
+    "price --converge": ["price", "--r", "0.05", "--tau", "1", "--converge"],
+    "yield": ["yield", "--r", "0.05", "--taus", "1"],
+}
+
+
+@pytest.mark.parametrize("order", ["31", "-1"])
+@pytest.mark.parametrize("route", sorted(SERIES_ROUTES))
+def test_order_out_of_range_exits_1(cfg, capsys, tmp_path, route, order):
+    # every series route prints orders 0..30, whether or not it builds two past J
+    code, out, err = run(capsys, SERIES_ROUTES[route] + ["--model", cfg(CIR_CFG),
+                                                         "--order", order])
+    assert (code, out, err) == (1, "", f"error: order must be in [0, 30], got {order}\n")
+    # a config that cannot be read is reported before the order
+    missing = tmp_path / "missing.cfg"
+    code, out, err = run(capsys, SERIES_ROUTES[route] + ["--model", str(missing),
+                                                         "--order", order])
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: cannot read model config {missing}: ")
 
 
 def test_bad_taus_exits_1(cfg, capsys):

@@ -41,10 +41,10 @@ RECORDS = {
     "DothanParams": (lambda: DothanParams(mu=0.005, sigma=0.1), "mu",
                      "DothanParams(mu=0.005, sigma=0.1)"),
     "ShortRateModel": (_model, "vol2", _MODEL_REPR),
-    "TaylorSeries": (lambda: TaylorSeries("price", (GenPoly(((1.0, 0.0),)),
-                                                    GenPoly(((-1.0, 1.0),))), _model()),
+    "TaylorSeries": (lambda: TaylorSeries((GenPoly(((1.0, 0.0),)), GenPoly(((-1.0, 1.0),))),
+                                          _model()),
                      "coeffs",
-                     "TaylorSeries(target='price', coeffs=(GenPoly(terms=((1.0, 0.0),)), "
+                     "TaylorSeries(coeffs=(GenPoly(terms=((1.0, 0.0),)), "
                      f"GenPoly(terms=((-1.0, 1.0),))), model={_MODEL_REPR})"),
     "TableCell": (_cell, "computed",
                   "TableCell(row='tau=1', column='exact', computed=0.951115, "
@@ -97,8 +97,8 @@ def test_series_cache_stays_out_of_equality_and_cannot_be_deleted():
     assert s == fresh and hash(s) == hash(fresh) and repr(s) == repr(fresh)
     assert pickle.dumps(s) == pickled == pickle.dumps(fresh)
     with pytest.raises(AttributeError):
-        del s.target
-    assert s != TaylorSeries("logprice", s.coeffs, s.model)
+        del s.coeffs
+    assert s != TaylorSeries(s.coeffs[:1], s.model)
 
 
 # what uses a record's sigma, for each record

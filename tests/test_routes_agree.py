@@ -89,10 +89,10 @@ def test_series_prints_the_cir_closed_form_digits_or_refuses(cir_params, monkeyp
     build = cli._series_for
     built = {}
 
-    def series_for(args, past=0):
-        key = (args.target, args.order, past)
+    def series_for(args, extra=0):
+        key = (args.target, args.order, extra)
         if key not in built:
-            built[key] = build(args, past)
+            built[key] = build(args, extra)
         return built[key]
 
     monkeypatch.setattr(cli, "_series_for", series_for)

@@ -1,18 +1,19 @@
 import math
 import random
+import re
 import sys
 import threading
 from pathlib import Path
 
 import pytest
 
+from bondtaylor import cli
 from bondtaylor import genpoly as gp
 from bondtaylor.errors import DomainError, TermLimitError
 from bondtaylor.genpoly import GenPoly
 from bondtaylor.model import make_custom, parse_model_config
-from bondtaylor.series import (LOGPRICE, MAX_ORDER, PRICE, TaylorSeries,
-                               log_coeffs, partial_sums, price_coeffs,
-                               yield_from_price)
+from bondtaylor.series import (MAX_ORDER, TaylorSeries, log_coeffs,
+                               partial_sums, price_coeffs, yield_from_price)
 from reference import approx_equal, exp_compose, pde_residual
 
 ALPHA, BETA, SIGMA = 0.00315, -0.0555, 0.0894
@@ -23,10 +24,9 @@ TOL6 = 5e-7 + 1e-12
 
 
 def test_series_shape_and_anchors(cir_model):
-    for build, target, c0 in ((price_coeffs, PRICE, gp.const(1.0)),
-                              (log_coeffs, LOGPRICE, GenPoly())):
+    # c_0 alone tells a price series from a log series
+    for build, c0 in ((price_coeffs, gp.const(1.0)), (log_coeffs, GenPoly())):
         s = build(cir_model, 5)
-        assert s.target == target
         assert len(s.coeffs) == 6
         assert s.coeffs[0] == c0
         # both recursions share c_1 = -r, bit for bit
@@ -145,7 +145,7 @@ def test_non_finite_tau_rejected(cir_model, tau):
         partial_sums(price_coeffs(cir_model, 3), tau, 0.05)
 
 
-@pytest.mark.parametrize("order", [-1, 31, 2.5, True])
+@pytest.mark.parametrize("order", [-1, 33, 2.5, True])
 def test_order_guard(cir_model, order):
     with pytest.raises(ValueError):
         price_coeffs(cir_model, order)
@@ -153,8 +153,15 @@ def test_order_guard(cir_model, order):
         log_coeffs(cir_model, order)
 
 
-def test_max_order_is_30():
-    assert MAX_ORDER == 30
+def test_max_order_is_32_and_the_cli_prints_to_30(cir_model):
+    # the CLI prints S_J for J <= 30 and builds two orders past it
+    assert MAX_ORDER == 32 and MAX_ORDER - cli._PAST == 30
+    assert len(price_coeffs(cir_model, MAX_ORDER).coeffs) == 33
+    for build in (price_coeffs, log_coeffs):
+        for order, message in ((MAX_ORDER + 1, "order must be in [0, 32], got 33"),
+                               (2.0, "order must be an integer, got 2.0")):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                build(cir_model, order)
 
 
 @pytest.mark.parametrize("build", [price_coeffs, log_coeffs])
@@ -162,22 +169,10 @@ def test_past_orders_extend_the_series_and_leave_its_head(cir_model, build):
     # price and yield build two orders past the printed J; c_0..c_J are built
     # the same either way, so S_J keeps its bits
     for model in (cir_model, parse_model_config(CONFIGS / "ckls.cfg")):
-        for order in (0, 1, 2, 7, MAX_ORDER):
-            longer = build(model, order, past=2)
+        for order in (0, 1, 2, 7, MAX_ORDER - 2):
+            longer = build(model, order + 2)
             assert longer.order == order + 2
             assert longer.coeffs[:order + 1] == build(model, order).coeffs
-    with pytest.raises(ValueError):
-        build(cir_model, MAX_ORDER + 1, past=2)
-
-
-@pytest.mark.parametrize("past", [-1, 3, True, 2.0])
-def test_past_guard(cir_model, past):
-    # past=-2 built an order-0 log series for order 2, and past=40 an order-40
-    # price series where order 31 is refused
-    for build in (price_coeffs, log_coeffs):
-        with pytest.raises(ValueError, match="^past must be"):
-            build(cir_model, 2, past=past)
-    assert len(price_coeffs(cir_model, MAX_ORDER, past=2).coeffs) == 33
 
 
 def test_yield_from_price_examples():
@@ -188,7 +183,8 @@ def test_yield_from_price_examples():
     assert yield_from_price(math.exp(-0.1), 2.0) == pytest.approx(0.05, abs=1e-15)
 
 
-@pytest.mark.parametrize("price,tau", [(0.0, 1.0), (-0.5, 1.0), (0.9, 0.0), (0.9, -1.0)])
+@pytest.mark.parametrize("price,tau", [(0.0, 1.0), (-0.5, 1.0), (math.nan, 1.0),
+                                       (math.inf, 1.0), (0.9, 0.0), (0.9, -1.0)])
 def test_yield_from_price_domain(price, tau):
     with pytest.raises(DomainError):
         yield_from_price(price, tau)
@@ -205,7 +201,7 @@ def test_zero_model_log_series_gives_a_flat_yield():
 def test_exp_compose_matches_price_series(cir_model):
     price = price_coeffs(cir_model, 8)
     composed = exp_compose(log_coeffs(cir_model, 8))
-    assert composed.target == PRICE
+    assert composed.coeffs[0] == gp.const(1.0)
     for k in range(9):
         assert approx_equal(composed.coeffs[k], price.coeffs[k], 1e-9)
 
@@ -392,7 +388,7 @@ def test_evaluated_series_compares_hashes_and_prints_as_fresh(cir_model, evaluat
     partial_sums(s, 1.0, R1)
     assert s == fresh and hash(s) == hash(fresh)
     assert repr(s) == before == repr(fresh)
-    copy = TaylorSeries(s.target, s.coeffs, s.model)
+    copy = TaylorSeries(s.coeffs, s.model)
     assert copy == s
     evaluate_calls.clear()
     assert partial_sums(copy, 1.0, R1) == partial_sums(s, 1.0, R1)
