@@ -50,8 +50,9 @@ from .tables import TABLE_IDS, build_table
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # - and a digit or .digit start a value (-5e-05, -1,2); argparse reads only -1 and -.5
-        self._negative_number_matcher = re.compile(r"-\.?\d")
+        # - and a digit, .digit, inf or nan start a value (-5e-05, -1,2, -inf, -NaN), as
+        # float() reads them; argparse reads only -1 and -.5
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
 
     # usage errors must exit 1, not argparse's default 2
     def error(self, message):

@@ -3,9 +3,8 @@
 The CLI maps these onto exit codes: ConfigError -> 1, DomainError -> 2.
 
 A time to maturity tau must be nonnegative and finite: check_maturity, which
-series, fdsolver and closedform call.  A yield -ln(P)/tau needs a normal tau > 0
-on top of that: check_yield_maturity.  fd_solve_path writes its own rule for
-checkpoints, 0 < t < inf, since a checkpoint at 0 lands on no step.
+series, fdsolver and closedform call, fdsolver for every checkpoint too.  A
+yield -ln(P)/tau needs a normal tau > 0 on top of that: check_yield_maturity.
 """
 
 from math import inf

@@ -13,8 +13,8 @@ march factors A / 2 once with LAPACK dgttrf (LU with partial pivoting), and
 each step is one dgttrs solve with those factors, which returns 2 A^-1 P^n,
 and one subtraction.  Halving is exact in binary, so A / 2 has A's pivots and
 multipliers, and the solve returns exactly twice what A's factors would.  One
-march serves a single solve and a checkpointed path alike, and returns its
-profiles keyed by maturity.
+march serves a path of maturities, a single solve being a path of one, with
+tau = 0 its step 0; it returns its profiles keyed by maturity.
 
 Every solve marches the grid it is given, then that grid halved (2 n_r, 2 n_t),
 and returns on the coarse nodes the extrapolation fine + (fine - coarse) / 3
@@ -179,23 +179,28 @@ def _operator(model: ShortRateModel, grid: FDGrid) -> np.ndarray:
     return L
 
 
-def _march(model: ShortRateModel, taus: list[float], grid: FDGrid) -> dict[float, FDSolution]:
-    """The coarse march to taus[-1], then the fine, and their extrapolation."""
+def _march(model: ShortRateModel, taus, grid: FDGrid) -> dict[float, FDSolution]:
+    """Check the maturities, march both levels to the largest, and extrapolate."""
+    taus = sorted(set(map(float, taus)))  # read once: taus may be a generator
+    for tau in taus:
+        check_maturity(tau)
+    if not taus:
+        return {}
     coarse = _march_once(model, taus, grid)
     fine = _march_once(model, taus, replace(grid, n_r=2 * grid.n_r, n_t=2 * grid.n_t))
-    return {tau: FDSolution(grid, tau, *_richardson(values, fine[tau][::2]))
-            for tau, values in coarse.items()}
+    return {tau: FDSolution(grid, tau, *_richardson(coarse[tau], fine[tau][::2]))
+            for tau in taus}
 
 
 def _march_once(model: ShortRateModel, taus: list[float], grid: FDGrid) -> dict[float, np.ndarray]:
     """One march to taus[-1], step n_t, returning the profile at each of the
-    ascending, positive maturities taus (alignment as in fd_solve_path)."""
+    ascending maturities taus (alignment as in fd_solve_path), tau = 0 at step 0."""
     dtau = taus[-1] / grid.n_t
     wanted: dict[int, list[float]] = {}
     for tau in taus[:-1]:
-        steps = tau / dtau
+        steps = tau / taus[-1] * grid.n_t  # not tau / dtau, which may underflow to 0
         step = round(steps)
-        if step < 1 or abs(steps - step) > 1e-9:
+        if abs(steps - step) > 1e-9 or (step == 0 and tau > 0.0):
             raise DomainError(f"tau={tau} does not align with dtau={dtau}")
         wanted.setdefault(step, []).append(tau)
     wanted.setdefault(grid.n_t, []).append(taus[-1])
@@ -210,7 +215,7 @@ def _march_once(model: ShortRateModel, taus: list[float], grid: FDGrid) -> dict[
 
     values = np.ones(grid.n_r + 1)
     zeros = np.zeros(grid.n_r + 1)
-    out: dict[float, np.ndarray] = {}
+    out = {tau: values for tau in wanted.get(0, ())}  # tau = 0 is step 0, P(0, .) = 1
     # a march that blows up overflows on the way; the finiteness check names the
     # step.  0 x is +-0 for a finite x and NaN for an inf or NaN one, so the dot
     # product with zeros is finite exactly when every node is.
@@ -226,27 +231,19 @@ def _march_once(model: ShortRateModel, taus: list[float], grid: FDGrid) -> dict[
 
 
 def fd_solve(model: ShortRateModel, tau_final: float, grid: FDGrid) -> FDSolution:
-    """Solve up to tau_final and return the final profile and its estimate."""
-    check_maturity(tau_final)
-    if tau_final == 0.0:
-        return FDSolution(grid, 0.0, np.ones(grid.n_r + 1), np.zeros(grid.n_r + 1))
+    """The path of one maturity: fd_solve_path(model, [tau_final], grid)[tau_final]."""
     return _march(model, [tau_final], grid)[tau_final]
 
 
 def fd_solve_path(model: ShortRateModel, taus, grid: FDGrid) -> dict[float, FDSolution]:
     """Each level marches once to max(taus), recording each requested maturity.
 
-    Each tau must land on a step boundary (tau / dtau within 1e-9 of a
-    positive integer), so the recorded profiles equal what single solves with
-    the same dtau would produce.  Maturities on one step share its profile.
-    On a default_grid the step is 1/40 of a unit maturity when max(taus) is a
-    multiple of 1/40, so integer and quarter maturities align.
+    Every tau must pass check_maturity and land within 1e-9 of a step, step 0
+    only for tau = 0, the starting profile; the recorded profiles then equal
+    what single solves with the same dtau would produce.  Maturities on one
+    step share its profile.  On a default_grid the step is 1/40 of a unit
+    maturity when max(taus) is a multiple of 1/40, so quarter maturities align.
     """
-    taus = sorted(set(float(t) for t in taus))
-    if not taus:
-        return {}
-    if not all(0.0 < t < math.inf for t in taus):
-        raise DomainError(f"checkpoint maturities must be positive and finite, got {taus}")
     return _march(model, taus, grid)
 
 

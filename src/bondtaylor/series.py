@@ -39,8 +39,7 @@ from math import inf, isfinite, log
 from typing import NamedTuple
 
 from . import genpoly as gp
-from .errors import (DomainError, TermLimitError, check_maturity,
-                     check_yield_maturity)
+from .errors import DomainError, check_maturity, check_yield_maturity
 from .genpoly import GenPoly
 from .model import ShortRateModel, check_vol2_at
 
@@ -89,8 +88,8 @@ def price_coeffs(model: ShortRateModel, order: int) -> TaylorSeries:
     for k in range(order):
         try:
             raw = _apply_operator(model.drift, half_vol2, coeffs[k])
-        except TermLimitError as exc:
-            raise TermLimitError(f"price series order {k + 1}: {exc}") from None
+        except DomainError as exc:  # an overflow or a TermLimitError
+            raise type(exc)(f"price series order {k + 1}: {exc}") from None
         coeffs.append(gp.scale(raw, 1.0 / (k + 1)))
     return TaylorSeries(tuple(coeffs), model)
 
@@ -103,20 +102,20 @@ def log_coeffs(model: ShortRateModel, order: int) -> TaylorSeries:
     twice = []  # twice[i] = 2 c_i' (exact), for each i < k - i
     half_vol2 = gp.scale(model.vol2, 0.5)  # exact, as in _apply_operator
     for k in range(1, order):
-        if k % 2:
-            twice.append(gp.scale(derivs[k // 2], 2.0))
         try:
+            if k % 2:
+                twice.append(gp.scale(derivs[k // 2], 2.0))
             # sum_i c_i' c_{k-i}' + c_k'' in one merge, each mirrored pair
             # once; from i = 0, since that end vanishes only when c_0' does
             inner = gp.dot([(twice[i] if 2 * i < k else derivs[i], derivs[k - i])
                             for i in range(k // 2 + 1)],
                            gp.derivative(derivs[k]))
             raw = gp.dot([(model.drift, derivs[k]), (half_vol2, inner)])
-        except TermLimitError as exc:
-            raise TermLimitError(f"log series order {k + 1}: {exc}") from None
-        nxt = gp.scale(raw, 1.0 / (k + 1))
+            nxt = gp.scale(raw, 1.0 / (k + 1))
+            derivs.append(gp.derivative(nxt))
+        except DomainError as exc:  # an overflow or a TermLimitError
+            raise type(exc)(f"log series order {k + 1}: {exc}") from None
         coeffs.append(nxt)
-        derivs.append(gp.derivative(nxt))
     return TaylorSeries(tuple(coeffs), model)
 
 

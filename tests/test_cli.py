@@ -346,6 +346,16 @@ def test_fd_refuses_vol2_at_zero_rate(cfg, capsys):
     assert "vol2(0)=0.0001" in err and "drift(0)=0.01" in err
 
 
+def test_fd_at_tau_zero_refuses_the_model_it_refuses_elsewhere(capsys, monkeypatch):
+    # tau = 0 printed 1.000000 without marching, so without the r = 0 row's check
+    monkeypatch.chdir(ROOT)
+    code, out, err = run(capsys, ["fd", "--model", "configs/vasicek.cfg", "--r", "0.05",
+                                  "--tau", "0"])
+    assert (code, out) == (2, "")
+    assert err == ("error: the r=0 boundary row needs vol2(0) = 0 and drift(0) >= 0, "
+                   "got vol2(0)=0.0001, drift(0)=0.01\n")
+
+
 def test_fd_refuses_negative_vol2_on_grid(cfg, capsys):
     code, out, err = run(capsys, ["fd", "--model", cfg(NEG_VOL2_CFG),
                                   "--r", "0.2", "--tau", "1"])
@@ -437,6 +447,16 @@ def test_csv_output_is_byte_stable(cfg, capsys):
     _, first, _ = run(capsys, argv)
     _, second, _ = run(capsys, argv)
     assert first == second
+
+
+@pytest.mark.parametrize("target,message", [
+    ("price", "price series order 4: non-finite term (coeff=inf, exponent=0.0)"),
+    ("logprice", "log series order 4: non-finite term (coeff=inf, exponent=1.0)")])
+def test_coeffs_overflow_names_its_order_and_exits_2(cfg, capsys, target, message):
+    text = "model = custom\ndrift_terms = 1e300:0, 1:1\nvol2_terms = 1e300:2\n"
+    code, out, err = run(capsys, ["coeffs", "--model", cfg(text), "--order", "8",
+                                  "--target", target])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_coeffs_text_and_csv(cfg, capsys):
@@ -775,6 +795,28 @@ def test_negative_value_in_scientific_notation_is_a_value(capsys, beta):
 ], ids=["rate", "taus"])
 def test_negative_values_reach_the_domain_rules(cfg, capsys, when, message):
     code, out, err = run(capsys, ["price", "--model", cfg(CIR_CFG), *when])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+CIR_FLAGS = ["--alpha", "0.00315", "--beta", "-0.0555", "--sigma", "0.0894"]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["price", "--model", "configs/cir.cfg", "--r", "-inf", "--tau", "1"],
+     "evaluation point -inf is not finite"),
+    (["price", "--model", "configs/cir.cfg", "--r", "0.05", "--taus", "-inf,1"],
+     "time to maturity must be nonnegative and finite, got -inf"),
+    (["exact-cir", *CIR_FLAGS, "--r", "0.05", "--tau", "-inf"],
+     "time to maturity must be nonnegative and finite, got -inf"),
+    (["fd", "--model", "configs/cir.cfg", "--r", "-NaN", "--tau", "1"],
+     "the query rate must be finite, got nan"),
+    (["exact-cir", *CIR_FLAGS, "--r", "0.05", "--tau", "-.5"],
+     "time to maturity must be nonnegative and finite, got -0.5"),
+], ids=["price-r", "taus", "exact-cir-tau", "fd-r", "dot-digit"])
+def test_negative_inf_and_nan_are_values(capsys, monkeypatch, argv, message):
+    # argparse took -inf and -nan for options: a usage error naming no value, exit 1
+    monkeypatch.chdir(ROOT)
+    code, out, err = run(capsys, argv)
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 

@@ -69,6 +69,53 @@ def test_tau_zero_returns_par(cir_model):
     assert np.all(sol.values == 1.0)
 
 
+SOLVE_CONFIGS = sorted(p.name for p in CONFIGS.glob("*.cfg") if p.name != "vasicek.cfg")
+
+
+@pytest.mark.parametrize("config", SOLVE_CONFIGS)
+@pytest.mark.parametrize("tau", [0.0, 0.25, 3.0])
+@pytest.mark.parametrize("hand_built", [False, True])
+def test_fd_solve_is_a_path_of_one_maturity(config, tau, hand_built):
+    model = parse_model_config(CONFIGS / config)
+    grid = FDGrid(r_max=0.5, n_r=12, n_t=6) if hand_built else default_grid(0.05, tau)
+    single = fd_solve(model, tau, grid)
+    path = fd_solve_path(model, [tau], grid)[tau]
+    assert single.grid == path.grid and single.tau_final == path.tau_final == tau
+    assert np.array_equal(single.values, path.values)
+    assert np.array_equal(single.error, path.error)
+
+
+@pytest.mark.parametrize("model_name", PATH_MODELS)
+def test_tau_zero_checkpoint_is_par_among_others(model_name):
+    model = PATH_MODELS[model_name]
+    grid = FDGrid(r_max=0.5, n_r=10, n_t=40)
+    alone = fd_solve_path(model, [1.0, 2.0], grid)
+    # a generator is read once
+    sols = fd_solve_path(model, (t for t in [2.0, 0.0, 1.0]), grid)
+    assert sorted(sols) == [0.0, 1.0, 2.0]
+    assert np.array_equal(sols[0.0].values, np.ones(11))
+    assert np.array_equal(sols[0.0].error, np.zeros(11))
+    for tau in (1.0, 2.0):
+        assert np.array_equal(sols[tau].values, alone[tau].values)
+        assert np.array_equal(sols[tau].error, alone[tau].error)
+
+
+def test_tau_zero_refuses_a_model_the_grid_refuses():
+    # Vasicek's vol2(0) > 0 breaks the r = 0 boundary row at every maturity, 0 too
+    model = parse_model_config(CONFIGS / "vasicek.cfg")
+    for solve in (lambda: fd_solve(model, 0.0, default_grid(0.05, 0.0)),
+                  lambda: fd_solve_path(model, [0.0, 1.0], default_grid(0.05, 1.0))):
+        with pytest.raises(DomainError, match="r=0 boundary row"):
+            solve()
+
+
+def test_checkpoints_below_an_underflowing_step_do_not_divide_by_zero(zero_model):
+    # dtau = 1e-323 / 30 underflows to 0; each checkpoint is its fraction of n_t
+    sols = fd_solve_path(zero_model, [0.0, 5e-324, 1e-323], FDGrid(r_max=0.5, n_r=10, n_t=30))
+    assert sorted(sols) == [0.0, 5e-324, 1e-323]
+    assert all(np.array_equal(sol.values, np.ones(11)) for sol in sols.values())
+
+
 def test_negative_tau_rejected(cir_model):
     with pytest.raises(DomainError):
         fd_solve(cir_model, -1.0, FDGrid(r_max=0.5, n_r=10, n_t=4))
@@ -407,7 +454,7 @@ def test_non_finite_maturity_rejected(zero_model, tau):
         default_grid(0.05, tau)
     with pytest.raises(DomainError, match=msg):
         fd_solve(zero_model, tau, FDGrid(r_max=0.5, n_r=10, n_t=4))
-    with pytest.raises(DomainError, match="positive and finite"):
+    with pytest.raises(DomainError, match=msg):  # one rule for both entry points
         fd_solve_path(zero_model, [1.0, tau], FDGrid(r_max=0.5, n_r=10, n_t=4))
 
 
@@ -441,10 +488,14 @@ def test_fd_solve_path_alignment_guard(zero_model):
     grid = FDGrid(r_max=0.5, n_r=10, n_t=30)
     with pytest.raises(DomainError, match="align"):
         fd_solve_path(zero_model, [0.71, 1.0], grid)
-    with pytest.raises(DomainError):
-        fd_solve_path(zero_model, [0.0, 1.0], grid)
     with pytest.raises(DomainError, match="align"):   # rounds to step 0
         fd_solve_path(zero_model, [1e-12, 1.0], grid)
+    sols = fd_solve_path(zero_model, [0.0, 1.0], grid)   # tau = 0 is step 0
+    assert np.array_equal(sols[0.0].values, np.ones(11))
+    assert np.array_equal(sols[0.0].error, np.zeros(11))
+    single = fd_solve(zero_model, 1.0, grid)
+    assert np.array_equal(sols[1.0].values, single.values)
+    assert np.array_equal(sols[1.0].error, single.error)
     assert fd_solve_path(zero_model, [], grid) == {}
 
 
