@@ -232,7 +232,7 @@ def _march_once(model: ShortRateModel, taus: list[float], grid: FDGrid) -> dict[
 
 def fd_solve(model: ShortRateModel, tau_final: float, grid: FDGrid) -> FDSolution:
     """The path of one maturity: fd_solve_path(model, [tau_final], grid)[tau_final]."""
-    return _march(model, [tau_final], grid)[tau_final]
+    return _march(model, [tau_final], grid).popitem()[1]  # keyed by float(tau_final)
 
 
 def fd_solve_path(model: ShortRateModel, taus, grid: FDGrid) -> dict[float, FDSolution]:

@@ -435,12 +435,17 @@ def test_term_limit_names_the_series_order(monkeypatch, build, prefix):
     assert str(exc.value).startswith(prefix)
 
 
-@pytest.mark.parametrize("build,message", [
-    (price_coeffs, "price series order 4: non-finite term (coeff=inf, exponent=0.0)"),
-    (log_coeffs, "log series order 4: non-finite term (coeff=inf, exponent=1.0)")])
-def test_overflow_names_the_series_order(build, message):
+OVERFLOWING = make_custom([(1e300, 0.0), (1.0, 1.0)], [(1e300, 2.0)])
+
+
+@pytest.mark.parametrize("build,model,message", [
+    (price_coeffs, OVERFLOWING, "price series order 4: non-finite term (coeff=inf, exponent=0.0)"),
+    (log_coeffs, OVERFLOWING, "log series order 4: non-finite term (coeff=inf, exponent=1.0)"),
+    # c_2 = -5e307 r^5 is finite, its derivative is not
+    (log_coeffs, make_custom([(1e308, 5.0)], []),
+     "log series order 2: non-finite term (coeff=-inf, exponent=4.0)")])
+def test_overflow_names_the_series_order(build, model, message):
     # only a TermLimitError named its order; an overflow did not
-    model = make_custom([(1e300, 0.0), (1.0, 1.0)], [(1e300, 2.0)])
     with pytest.raises(DomainError) as exc:
         build(model, 8)
     assert type(exc.value) is DomainError and str(exc.value) == message
