@@ -17,14 +17,20 @@ BENCH_<N>.json at the root of this repository after every pair: every run's
 metrics and, per workload and end-to-end metric, each side's median and
 quartiles and how many pairs the change won (by the direction BENCHMARK.json
 gives the metric; ties count for neither side), and per workload each side's
-operations attempted and failed and runs not correct.  It reads BENCHMARK.json and
-runs perfbench/run.py as they are; it changes neither.
+operations attempted and failed and runs not correct; and under "environment"
+the Python version, the CPU count and sys.flags.dont_write_bytecode.  With
+bytecode caching off, as PYTHONDONTWRITEBYTECODE (which the runs inherit) sets
+it, every cold start compiles the source it loads, which multiplies setup_s.
+It reads BENCHMARK.json and runs
+perfbench/run.py as they are; it changes neither.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import statistics
 import subprocess
 import sys
@@ -55,6 +61,12 @@ def git_rev(tree: Path) -> str | None:
     done = subprocess.run(["git", "-C", str(tree), "rev-parse", "--short", "HEAD"],
                           capture_output=True, text=True)
     return done.stdout.strip() if done.returncode == 0 else None
+
+
+def environment() -> dict:
+    return {"python": platform.python_version(),
+            "dont_write_bytecode": bool(sys.flags.dont_write_bytecode),
+            "cpu_count": os.cpu_count()}
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: int) -> dict:
@@ -117,6 +129,7 @@ def main(argv=None) -> int:
     record = {"command": f"python3 perfbench/run.py --workload W --seed S "
                          f"--seconds {seconds} --trace 0",
               "revisions": {side: git_rev(tree) for side, tree in trees.items()},
+              "environment": environment(),
               "workloads": {}}
     for workload in args.workloads.split(","):
         runs = {side: [] for side in SIDES}

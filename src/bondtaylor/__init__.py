@@ -6,15 +6,19 @@ CIR closed form (`closedform`) and a Crank-Nicolson PDE solver (`fdsolver`)
 serve as independent cross-checks; `tables` rebuilds the embedded benchmark
 tables and `cli` exposes everything on the command line.
 
-Only `fdsolver` needs numpy and scipy, so it is imported on first use: the
-submodule `fdsolver` and its names FDGrid, FDSolution, default_grid,
-fd_error_at, fd_price_at, fd_solve and fd_solve_path resolve through the
-module `__getattr__` (PEP 562).  Series-only work never loads numpy or scipy.
+`import bondtaylor` loads the series core only: `errors`, `genpoly`, `model`
+and `series`.  The cross-checks load on first use: the submodules
+`closedform`, `tables` and `fdsolver`, and the public names each defines
+(cir_exact_log_price, cir_exact_price and cir_exact_yield; TABLE_IDS,
+TableCell, TableReport and build_table; FDGrid, FDSolution, default_grid,
+fd_error_at, fd_price_at, fd_solve and fd_solve_path), resolve through the
+module `__getattr__` (PEP 562).  A process pays for the source it loads, so
+series-only work never compiles the checks, and never loads numpy or scipy,
+which only `fdsolver` needs.
 """
 
 import importlib
 
-from .closedform import cir_exact_log_price, cir_exact_price, cir_exact_yield
 from .errors import ConfigError, DomainError, TermLimitError
 from .genpoly import GenPoly, evaluate, from_text, to_text
 from .model import (CIRParams, DothanParams, ShortRateModel, make_cir,
@@ -22,7 +26,6 @@ from .model import (CIRParams, DothanParams, ShortRateModel, make_cir,
                     parse_model_text)
 from .series import (MAX_ORDER, TaylorSeries, log_coeffs, partial_sums,
                      price_coeffs, yield_from_price)
-from .tables import TABLE_IDS, TableCell, TableReport, build_table
 
 __version__ = "0.1.0"
 
@@ -38,18 +41,27 @@ __all__ = [
     "price_coeffs", "to_text", "yield_from_price",
 ]
 
-# the public names the eager imports above leave undefined: fdsolver's
-_FD_NAMES = frozenset(__all__) - globals().keys()
+# each lazy submodule and each public name it defines -> that submodule
+_LAZY = {
+    **dict.fromkeys(("closedform", "cir_exact_log_price", "cir_exact_price",
+                     "cir_exact_yield"), "closedform"),
+    **dict.fromkeys(("tables", "TABLE_IDS", "TableCell", "TableReport",
+                     "build_table"), "tables"),
+    **dict.fromkeys(("fdsolver", "FDGrid", "FDSolution", "default_grid",
+                     "fd_error_at", "fd_price_at", "fd_solve", "fd_solve_path"),
+                    "fdsolver"),
+}
 
 
 def __getattr__(name):
-    if name != "fdsolver" and name not in _FD_NAMES:
+    home = _LAZY.get(name)
+    if home is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    # import_module, not `from . import fdsolver`: the latter asks this
-    # function for the attribute again and recurses
-    fdsolver = importlib.import_module(__name__ + ".fdsolver")
-    return fdsolver if name == "fdsolver" else getattr(fdsolver, name)
+    # import_module, not `from . import ...`: the latter asks this function
+    # for the attribute again and recurses
+    module = importlib.import_module(f"{__name__}.{home}")
+    return module if name == home else getattr(module, name)
 
 
 def __dir__():
-    return sorted(set(globals()) | _FD_NAMES | {"fdsolver"})
+    return sorted(globals().keys() | _LAZY.keys())

@@ -1,4 +1,8 @@
 import importlib.util
+import json
+import os
+import platform
+import sys
 from pathlib import Path
 
 import pytest
@@ -68,3 +72,22 @@ def test_summarize_records_run_health_per_side():
     assert out["health"] == {
         "parent": {"attempted": 30, "failed": 0, "incorrect_runs": 0},
         "change": {"attempted": 30, "failed": 3, "incorrect_runs": 1}}
+
+
+def test_main_records_the_environment_beside_the_runs(tmp_path, monkeypatch):
+    (tmp_path / "BENCHMARK.json").write_text(
+        (bench_record.ROOT / "BENCHMARK.json").read_text())
+    monkeypatch.setattr(bench_record, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_record, "git_rev", lambda tree: None)
+    bench = json.loads((tmp_path / "BENCHMARK.json").read_text())
+    metrics = {m["name"]: 1.0 for m in bench["end_to_end"]}
+    monkeypatch.setattr(bench_record, "run_once", lambda tree, workload, seed, seconds: {
+        "seed": seed, "correct": True, "attempted": 10, "failed": 0, "metrics": metrics})
+    assert bench_record.main(["--parent", str(tmp_path), "--change", str(tmp_path),
+                              "--record", "7", "--workloads", "quote", "--seeds", "1-2"]) == 0
+    record = json.loads((tmp_path / "BENCH_7.json").read_text())
+    assert record["environment"] == {
+        "python": platform.python_version(),
+        "dont_write_bytecode": bool(sys.flags.dont_write_bytecode),
+        "cpu_count": os.cpu_count()}
+    assert [r["seed"] for r in record["workloads"]["quote"]["runs"]["change"]] == [1, 2]

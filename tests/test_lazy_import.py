@@ -1,15 +1,19 @@
-"""The FD oracle, and with it numpy and scipy, is imported on first use only,
-and the series path loads neither dataclasses nor inspect (its records are
-NamedTuples; the import chain of dataclasses is about half of its cold start).
+"""`import bondtaylor` loads the series core only; the cross-checks
+(`closedform`, `tables`, and the FD oracle with numpy and scipy) are imported
+on first use.  The series path loads neither dataclasses nor inspect (its
+records are NamedTuples; the import chain of dataclasses is about half of its
+cold start).
 
 Each check runs in a fresh interpreter, since the test process has long
-since loaded all four.
+since loaded all of them.
 """
 
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -42,27 +46,47 @@ for argv in {commands!r}:
 print(codes, sorted(m for m in {heavy!r} if m in sys.modules))
 """
 
+CORE = ["bondtaylor", "bondtaylor.errors", "bondtaylor.genpoly", "bondtaylor.model",
+        "bondtaylor.series"]
+
+# the lazy submodules in an order in which each loads no later one: tables
+# imports closedform, and only fdsolver loads the HEAVY modules
 _API_PROBE = """
 import sys
 import bondtaylor
-loaded = lambda: [m for m in ("bondtaylor.fdsolver",) + {heavy!r} if m in sys.modules]
-assert loaded() == [], loaded()
-fdsolver = bondtaylor.fdsolver
-assert fdsolver is sys.modules["bondtaylor.fdsolver"]
-# the solver keeps its dataclasses, and scipy.linalg loads dataclasses and inspect anyway
-assert loaded() == ["bondtaylor.fdsolver", *{heavy!r}], loaded()
-assert bondtaylor.fd_solve is fdsolver.fd_solve
-from bondtaylor import FDGrid
-assert FDGrid is fdsolver.FDGrid
-for name in bondtaylor._FD_NAMES:
-    assert getattr(bondtaylor, name) is getattr(fdsolver, name), name
-assert set(bondtaylor.__all__) <= set(dir(bondtaylor))
+loaded = lambda: sorted(m for m in sys.modules
+                        if m.startswith("bondtaylor") or m in {heavy!r})
+assert loaded() == {core!r}, loaded()
 try:
     bondtaylor.no_such_name
 except AttributeError as exc:
     assert "no_such_name" in str(exc), exc
 else:
     raise AssertionError("bondtaylor.no_such_name resolved")
+assert loaded() == {core!r}, loaded()
+lazy = bondtaylor._LAZY
+homes = ["closedform", "tables", "fdsolver"]
+assert sorted(set(lazy.values())) == sorted(homes), lazy
+# __all__ is the one list of public names: each is eager or lazy, not both
+eager = set(vars(bondtaylor)) & set(bondtaylor.__all__)
+assert eager.isdisjoint(lazy) and eager | set(lazy) == set(bondtaylor.__all__) | set(homes)
+for home in homes:
+    name = "bondtaylor." + home
+    assert name not in sys.modules, name
+    first = next(n for n, h in lazy.items() if h == home and n != home)
+    getattr(bondtaylor, first)
+    module = sys.modules[name]
+    assert getattr(bondtaylor, home) is module, home
+    for n, h in lazy.items():
+        if h == home and n != home:
+            assert getattr(bondtaylor, n) is vars(module)[n], n
+    if home != "fdsolver":
+        assert not any(m in sys.modules for m in {heavy!r}), (home, loaded())
+# the solver keeps its dataclasses, and scipy.linalg loads dataclasses and inspect anyway
+assert all(m in sys.modules for m in {heavy!r}), loaded()
+from bondtaylor import FDGrid, build_table
+assert FDGrid is bondtaylor.fdsolver.FDGrid and build_table is bondtaylor.tables.build_table
+assert set(bondtaylor.__all__) <= set(dir(bondtaylor))
 print("ok")
 """
 
@@ -80,5 +104,30 @@ def test_series_commands_load_neither_numpy_nor_scipy():
     assert out == f"{[0] * len(SERIES_COMMANDS)} []"
 
 
-def test_fd_names_resolve_on_first_use():
-    assert _run(_API_PROBE.format(heavy=HEAVY)) == "ok"
+def test_lazy_names_resolve_on_first_use():
+    assert _run(_API_PROBE.format(heavy=HEAVY, core=CORE)) == "ok"
+
+
+_LOADED_PROBE = """
+import sys
+import {module}
+print(" ".join(sorted(m for m in sys.modules if m.startswith("bondtaylor"))))
+"""
+
+
+@pytest.mark.parametrize("module, needed", [
+    ("bondtaylor", {"bondtaylor.genpoly", "bondtaylor.model", "bondtaylor.series"}),
+    ("bondtaylor.cli", {"bondtaylor.series", "bondtaylor.tables"}),
+])
+def test_tracer_finds_the_modules_it_counts_loaded(module, needed):
+    """The benchmark's tracer wraps the functions of the bondtaylor modules
+    that are loaded when it installs, and only those (`Tracer.install` in
+    perfbench/tracing.py).  `perfbench/run.py` installs it right after
+    `import bondtaylor`, and `perfbench/cli_launcher.py` right after
+    `import bondtaylor.cli`.  A module that either import left to load on first
+    use would run untraced, and its per-layer counts and self times would read
+    0: the in-process workloads count `series`, `genpoly` and `model`, and the
+    CLI workload counts `tables.build_table` and `series.price_coeffs`.  So
+    these stay eager, while `closedform`, `tables` and `fdsolver` are lazy in
+    the package itself."""
+    assert needed <= set(_run(_LOADED_PROBE.format(module=module)).split())

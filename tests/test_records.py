@@ -1,4 +1,4 @@
-"""The seven records `import bondtaylor` builds are plain NamedTuples and keep
+"""The seven records of bondtaylor are plain NamedTuples and keep
 what frozen dataclasses gave them: fields cannot be assigned, equal fields
 compare and hash equal, and repr, field names, order and defaults read as they
 always have.  Each also compares equal to the plain tuple of its fields.  No
