@@ -6,15 +6,12 @@ CIR closed form (`closedform`) and a Crank-Nicolson PDE solver (`fdsolver`)
 serve as independent cross-checks; `tables` rebuilds the embedded benchmark
 tables and `cli` exposes everything on the command line.
 
-`import bondtaylor` loads the series core only: `errors`, `genpoly`, `model`
-and `series`.  The cross-checks load on first use: the submodules
-`closedform`, `tables` and `fdsolver`, and the public names each defines
-(cir_exact_log_price, cir_exact_price and cir_exact_yield; TABLE_IDS,
-TableCell, TableReport and build_table; FDGrid, FDSolution, default_grid,
-fd_error_at, fd_price_at, fd_solve and fd_solve_path), resolve through the
-module `__getattr__` (PEP 562).  A process pays for the source it loads, so
-series-only work never compiles the checks, and never loads numpy or scipy,
-which only `fdsolver` needs.
+`import bondtaylor` loads only the series core: `errors`, `genpoly`, `model`
+and `series`.  The cross-checks `closedform`, `tables` and `fdsolver` load on
+first use: each of them, and each public name it defines, resolves through
+the module `__getattr__` (PEP 562).  A cold start without bytecode caching
+compiles all the source it loads, and only `fdsolver` needs numpy and scipy,
+so series-only work pays for none of the three.
 """
 
 import importlib

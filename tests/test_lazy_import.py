@@ -49,8 +49,6 @@ print(codes, sorted(m for m in {heavy!r} if m in sys.modules))
 CORE = ["bondtaylor", "bondtaylor.errors", "bondtaylor.genpoly", "bondtaylor.model",
         "bondtaylor.series"]
 
-# the lazy submodules in an order in which each loads no later one: tables
-# imports closedform, and only fdsolver loads the HEAVY modules
 _API_PROBE = """
 import sys
 import bondtaylor
@@ -65,6 +63,8 @@ else:
     raise AssertionError("bondtaylor.no_such_name resolved")
 assert loaded() == {core!r}, loaded()
 lazy = bondtaylor._LAZY
+# in an order in which each loads no later one: tables imports closedform,
+# and only fdsolver loads the heavy modules
 homes = ["closedform", "tables", "fdsolver"]
 assert sorted(set(lazy.values())) == sorted(homes), lazy
 # __all__ is the one list of public names: each is eager or lazy, not both
