@@ -9,7 +9,7 @@ gates on (fd_error_at) and its true error.
 
 import argparse
 import math
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,8 +24,7 @@ PARAMS = CIRParams(alpha=0.00315, beta=-0.0555, sigma=0.0894)
 R = 0.05
 
 
-@dataclass(frozen=True)
-class ConvergenceStudy:
+class ConvergenceStudy(NamedTuple):
     values: tuple[float, ...]  # the price on the base grid halved 0, 1, ... times
     orders: tuple[float, ...]  # log2(d_k / d_{k+1}), d_k = |u_{k+1} - u_k|
     reference: float  # Richardson extrapolation from the two finest grids
@@ -50,8 +49,8 @@ def convergence_study(model: ShortRateModel, tau: float, r: float, base: FDGrid,
     if levels < 2:
         raise ValueError(f"need at least 2 levels, got {levels}")
     check_maturity(tau)
-    values = tuple(_price_once(model, tau, r, replace(base, n_r=base.n_r * 2 ** i,
-                                                      n_t=base.n_t * 2 ** i))
+    values = tuple(_price_once(model, tau, r, base._replace(n_r=base.n_r * 2 ** i,
+                                                           n_t=base.n_t * 2 ** i))
                    for i in range(levels))
 
     diffs = tuple(abs(values[i + 1] - values[i]) for i in range(levels - 1))

@@ -14,7 +14,8 @@ each step is one dgttrs solve with those factors, which returns 2 A^-1 P^n,
 and one subtraction.  Halving is exact in binary, so A / 2 has A's pivots and
 multipliers, and the solve returns exactly twice what A's factors would.  One
 march serves a path of maturities, a single solve being a path of one, with
-tau = 0 its step 0; it returns its profiles keyed by maturity.
+tau = 0 its step 0; it returns its profiles keyed by maturity.  A solve checks
+the grid, the maturities and their steps once, on the grid it is given.
 
 Every solve marches the grid it is given, then that grid halved (2 n_r, 2 n_t),
 and returns on the coarse nodes the extrapolation fine + (fine - coarse) / 3
@@ -41,7 +42,7 @@ Boundaries:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import lapack
@@ -60,29 +61,19 @@ _MAX_STEPS = 20000
 _ORDER = 2
 
 
-@dataclass(frozen=True)
-class FDGrid:
+class FDGrid(NamedTuple):
     """A solve's coarse level, n_r cells and n_t steps; its fine level halves both."""
 
     r_max: float
     n_r: int
     n_t: int
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.r_max) and self.r_max > 0.0):
-            raise ValueError(f"r_max must be positive, got {self.r_max}")
-        if self.n_r < 3:
-            raise ValueError(f"n_r must be at least 3, got {self.n_r}")
-        if self.n_t < 1:
-            raise ValueError(f"n_t must be at least 1, got {self.n_t}")
-
     @property
     def h(self) -> float:
         return self.r_max / self.n_r
 
 
-@dataclass(frozen=True)
-class FDSolution:
+class FDSolution(NamedTuple):
     grid: FDGrid
     tau_final: float
     values: np.ndarray  # extrapolated P(tau_final, r_j), j = 0..n_r
@@ -180,30 +171,35 @@ def _operator(model: ShortRateModel, grid: FDGrid) -> np.ndarray:
 
 
 def _march(model: ShortRateModel, taus, grid: FDGrid) -> dict[float, FDSolution]:
-    """Check the maturities, march both levels to the largest, and extrapolate."""
+    """Check grid, taus and their steps on grid, march both levels, extrapolate."""
+    if not (math.isfinite(grid.r_max) and grid.r_max > 0.0):
+        raise ValueError(f"r_max must be positive, got {grid.r_max}")
+    if grid.n_r < 3:
+        raise ValueError(f"n_r must be at least 3, got {grid.n_r}")
+    if grid.n_t < 1:
+        raise ValueError(f"n_t must be at least 1, got {grid.n_t}")
     taus = sorted(set(map(float, taus)))  # read once: taus may be a generator
     for tau in taus:
         check_maturity(tau)
     if not taus:
         return {}
+    for tau in taus[:-1]:
+        steps = tau / taus[-1] * grid.n_t  # not tau / dtau, which may underflow to 0
+        if abs(steps - round(steps)) > 1e-9 or (round(steps) == 0 and tau > 0.0):
+            raise DomainError(f"tau={tau} does not align with dtau={taus[-1] / grid.n_t}")
     coarse = _march_once(model, taus, grid)
-    fine = _march_once(model, taus, replace(grid, n_r=2 * grid.n_r, n_t=2 * grid.n_t))
+    fine = _march_once(model, taus, grid._replace(n_r=2 * grid.n_r, n_t=2 * grid.n_t))
     return {tau: FDSolution(grid, tau, *_richardson(coarse[tau], fine[tau][::2]))
             for tau in taus}
 
 
 def _march_once(model: ShortRateModel, taus: list[float], grid: FDGrid) -> dict[float, np.ndarray]:
     """One march to taus[-1], step n_t, returning the profile at each of the
-    ascending maturities taus (alignment as in fd_solve_path), tau = 0 at step 0."""
+    ascending maturities taus, each at its nearest step, tau = 0 at step 0."""
     dtau = taus[-1] / grid.n_t
     wanted: dict[int, list[float]] = {}
-    for tau in taus[:-1]:
-        steps = tau / taus[-1] * grid.n_t  # not tau / dtau, which may underflow to 0
-        step = round(steps)
-        if abs(steps - step) > 1e-9 or (step == 0 and tau > 0.0):
-            raise DomainError(f"tau={tau} does not align with dtau={dtau}")
-        wanted.setdefault(step, []).append(tau)
-    wanted.setdefault(grid.n_t, []).append(taus[-1])
+    for tau in taus:
+        wanted.setdefault(round(tau / taus[-1] * grid.n_t) if tau else 0, []).append(tau)
 
     L = _operator(model, grid)
     with np.errstate(over="ignore"):  # an overflow leaves step 1 non-finite, refused there
@@ -238,7 +234,8 @@ def fd_solve(model: ShortRateModel, tau_final: float, grid: FDGrid) -> FDSolutio
 def fd_solve_path(model: ShortRateModel, taus, grid: FDGrid) -> dict[float, FDSolution]:
     """Each level marches once to max(taus), recording each requested maturity.
 
-    Every tau must pass check_maturity and land within 1e-9 of a step, step 0
+    The grid is checked first (ValueError), then every tau must pass
+    check_maturity and land within 1e-9 of a step of grid, the caller's, step 0
     only for tau = 0, the starting profile; the recorded profiles then equal
     what single solves with the same dtau would produce.  Maturities on one
     step share its profile.  On a default_grid the step is 1/40 of a unit

@@ -1,6 +1,5 @@
 import importlib.util
 import math
-from dataclasses import replace
 from decimal import Decimal, localcontext
 from pathlib import Path
 
@@ -250,17 +249,25 @@ def test_default_grid_no_worse_than_single_fine_march(cir_model, cir_params):
         assert abs(fd_price_at(sol, r) - cir_exact_price(cir_params, tau, r)) <= bound
 
 
-@pytest.mark.parametrize("kwargs", [
-    dict(r_max=0.0, n_r=10, n_t=10),
-    dict(r_max=-1.0, n_r=10, n_t=10),
-    dict(r_max=0.5, n_r=2, n_t=10),
-    dict(r_max=0.5, n_r=10, n_t=0),
-    dict(r_max=math.inf, n_r=10, n_t=10),
-    dict(r_max=math.nan, n_r=10, n_t=10),
+@pytest.mark.parametrize("kwargs,message", [
+    (dict(r_max=0.0, n_r=10, n_t=10), "r_max must be positive, got 0.0"),
+    (dict(r_max=-1.0, n_r=10, n_t=10), "r_max must be positive, got -1.0"),
+    (dict(r_max=0.5, n_r=2, n_t=10), "n_r must be at least 3, got 2"),
+    (dict(r_max=0.5, n_r=10, n_t=0), "n_t must be at least 1, got 0"),
+    (dict(r_max=math.inf, n_r=10, n_t=10), "r_max must be positive, got inf"),
+    (dict(r_max=math.nan, n_r=10, n_t=10), "r_max must be positive, got nan"),
 ])
-def test_grid_validation(kwargs):
-    with pytest.raises(ValueError):
-        FDGrid(**kwargs)
+def test_grid_validation(zero_model, kwargs, message):
+    # a grid is a plain record: a bad one builds, and a solve refuses it first,
+    # before its maturities (a NaN one here) are read
+    grid = FDGrid(**kwargs)
+    for solve in (lambda: fd_solve(zero_model, 1.0, grid),
+                  lambda: fd_solve_path(zero_model, [0.5, 1.0], grid),
+                  lambda: fd_solve(zero_model, math.nan, grid),
+                  lambda: fd_solve_path(zero_model, [], grid)):
+        with pytest.raises(ValueError) as info:
+            solve()
+        assert str(info.value) == message
 
 
 def test_grid_refuses_a_fourth_argument():
@@ -278,7 +285,7 @@ def test_doubling_r_max_moves_price_under_half_ulp(config, r):
     # at most 1.54e-7 at tau = 30 (dothan, r = 0.05), 4.4e-9 at tau = 10
     model = parse_model_config(CONFIGS / f"{config}.cfg")
     grid = default_grid(r, 30.0)  # dtau = 1/40, so tau = 10 is a checkpoint
-    wide = replace(grid, r_max=2 * grid.r_max, n_r=2 * grid.n_r)
+    wide = grid._replace(r_max=2 * grid.r_max, n_r=2 * grid.n_r)
     assert wide.h == grid.h
     near = fd_solve_path(model, [10.0, 30.0], grid)
     far = fd_solve_path(model, [10.0, 30.0], wide)
@@ -294,12 +301,12 @@ def test_fd_solve_path_matches_single_solves(model_name):
     assert sorted(sols) == [1.0, 2.0, 4.0]
     for tau, sol in sols.items():
         # same dtau=0.1 march, so values agree bit for bit
-        single = fd_solve(model, tau, replace(grid, n_t=int(10 * tau)))
+        single = fd_solve(model, tau, grid._replace(n_t=int(10 * tau)))
         assert np.array_equal(sol.values, single.values)
     # two maturities on one step both come back, with that step's profile
     near = fd_solve_path(model, [1.0, 1.0 + 1e-12, 2.0], grid)
     assert sorted(near) == [1.0, 1.0 + 1e-12, 2.0]
-    single = fd_solve(model, 1.0, replace(grid, n_t=20))
+    single = fd_solve(model, 1.0, grid._replace(n_t=20))
     assert np.array_equal(near[1.0].values, single.values)
     assert np.array_equal(near[1.0 + 1e-12].values, single.values)
     assert near[1.0 + 1e-12].tau_final == 1.0 + 1e-12
@@ -396,7 +403,7 @@ _DEFAULT_COARSE = default_grid(0.05, 1.0)
 # a default grid marches at both levels; Richardson then combines the two
 @pytest.mark.parametrize("grid", [
     FDGrid(0.5, 100, 50), _DEFAULT_COARSE,
-    replace(_DEFAULT_COARSE, n_r=2 * _DEFAULT_COARSE.n_r, n_t=2 * _DEFAULT_COARSE.n_t),
+    _DEFAULT_COARSE._replace(n_r=2 * _DEFAULT_COARSE.n_r, n_t=2 * _DEFAULT_COARSE.n_t),
 ], ids=["100x50", "default-coarse", "default-fine"])
 @pytest.mark.parametrize("model_name", PATH_MODELS)
 def test_march_matches_explicit_matvec_step(model_name, grid):
@@ -482,6 +489,22 @@ def test_default_grid_refuses_a_rate_its_cells_cannot_reach(r):
     with pytest.raises(DomainError) as info:
         default_grid(r, 1.0)
     assert str(info.value) == f"the FD grid cannot stretch its cells to r={r!r}"
+
+
+def test_alignment_is_judged_once_on_the_callers_grid():
+    # 0.25 + 2e-11 is 8e-10 of a step of dtau = 0.025 off, inside the 1e-9
+    # rule; on the halved level (dtau = 0.0125) the same offset is 1.6e-9
+    # steps, which must not refuse it.  3e-11 off is 1.2e-9 steps: refused,
+    # naming the caller's dtau
+    cir_model = parse_model_config(CONFIGS / "cir.cfg")
+    grid = FDGrid(0.5, 50, 40)
+    near = fd_solve_path(cir_model, [0.25 + 2e-11, 1.0], grid)[0.25 + 2e-11]
+    exact = fd_solve_path(cir_model, [0.25, 1.0], grid)[0.25]
+    assert np.array_equal(near.values, exact.values)
+    assert np.array_equal(near.error, exact.error)
+    with pytest.raises(DomainError, match="align") as info:
+        fd_solve_path(cir_model, [0.25 + 3e-11, 1.0], grid)
+    assert "dtau=0.025" in str(info.value)
 
 
 def test_fd_solve_path_alignment_guard(zero_model):

@@ -82,7 +82,7 @@ for home in homes:
             assert getattr(bondtaylor, n) is vars(module)[n], n
     if home != "fdsolver":
         assert not any(m in sys.modules for m in {heavy!r}), (home, loaded())
-# the solver keeps its dataclasses, and scipy.linalg loads dataclasses and inspect anyway
+# scipy.linalg loads dataclasses and inspect, so the solver brings all four
 assert all(m in sys.modules for m in {heavy!r}), loaded()
 from bondtaylor import FDGrid, build_table
 assert FDGrid is bondtaylor.fdsolver.FDGrid and build_table is bondtaylor.tables.build_table

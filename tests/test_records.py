@@ -1,10 +1,11 @@
-"""The seven records of bondtaylor are plain NamedTuples and keep
+"""The nine records of bondtaylor are plain NamedTuples and keep
 what frozen dataclasses gave them: fields cannot be assigned, equal fields
 compare and hash equal, and repr, field names, order and defaults read as they
-always have.  Each also compares equal to the plain tuple of its fields.  No
-record checks its fields: CIRParams and DothanParams store any sigma, and the
-model constructors and the closed form, which use it, refuse a negative or NaN
-one."""
+always have.  Each also compares equal to the plain tuple of its fields, but
+FDSolution, which holds arrays, is only checked for assignment.  No record
+checks its fields: CIRParams and DothanParams store any sigma, and the model
+constructors and the closed form, which use it, refuse a negative or NaN one;
+an FDGrid is checked by the solve that marches it."""
 
 import math
 import pickle
@@ -12,7 +13,10 @@ import re
 
 import pytest
 
+import numpy as np
+
 from bondtaylor.closedform import cir_exact_log_price, cir_exact_price, cir_exact_yield
+from bondtaylor.fdsolver import FDGrid, FDSolution
 from bondtaylor.genpoly import GenPoly
 from bondtaylor.model import CIRParams, DothanParams, ShortRateModel, make_cir, make_dothan
 from bondtaylor.series import TaylorSeries, partial_sums
@@ -40,6 +44,7 @@ RECORDS = {
                   "CIRParams(alpha=0.00315, beta=-0.0555, sigma=0.0894)"),
     "DothanParams": (lambda: DothanParams(mu=0.005, sigma=0.1), "mu",
                      "DothanParams(mu=0.005, sigma=0.1)"),
+    "FDGrid": (lambda: FDGrid(0.5, 8, 2), "n_t", "FDGrid(r_max=0.5, n_r=8, n_t=2)"),
     "ShortRateModel": (_model, "vol2", _MODEL_REPR),
     "TaylorSeries": (lambda: TaylorSeries((GenPoly(((1.0, 0.0),)), GenPoly(((-1.0, 1.0),))),
                                           _model()),
@@ -65,6 +70,14 @@ def test_fields_cannot_be_assigned(name):
         with pytest.raises(AttributeError):
             setattr(rec, attr, None)
     assert getattr(rec, field) is before
+
+
+def test_fd_solution_fields_cannot_be_assigned():
+    sol = FDSolution(FDGrid(0.5, 8, 2), 1.0, np.ones(9), np.zeros(9))
+    for attr in (*FDSolution._fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(sol, attr, None)
+    assert sol.tau_final == 1.0 and np.array_equal(sol.values, np.ones(9))
 
 
 @pytest.mark.parametrize("name", sorted(RECORDS))
