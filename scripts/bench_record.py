@@ -17,7 +17,8 @@ BENCH_<N>.json at the root of this repository after every pair: every run's
 metrics and, per workload and end-to-end metric, each side's median and
 quartiles and how many pairs the change won (by the direction BENCHMARK.json
 gives the metric; ties count for neither side), and per workload each side's
-operations attempted and failed and runs not correct; and under "environment"
+operations attempted and failed and runs not correct; under "src_lines" each
+tree's line count of src/bondtaylor/*.py, as wc -l gives it; and under "environment"
 the Python version, the CPU count and sys.flags.dont_write_bytecode.  With
 bytecode caching off, as PYTHONDONTWRITEBYTECODE (which the runs inherit) sets
 it, every cold start compiles the source it loads, which multiplies setup_s.
@@ -61,6 +62,11 @@ def git_rev(tree: Path) -> str | None:
     done = subprocess.run(["git", "-C", str(tree), "rev-parse", "--short", "HEAD"],
                           capture_output=True, text=True)
     return done.stdout.strip() if done.returncode == 0 else None
+
+
+def src_lines(tree: Path) -> int:
+    """Lines of the package source in tree, src/bondtaylor/*.py, as wc -l counts them."""
+    return sum(path.read_bytes().count(b"\n") for path in (tree / "src" / "bondtaylor").glob("*.py"))
 
 
 def environment() -> dict:
@@ -129,6 +135,7 @@ def main(argv=None) -> int:
     record = {"command": f"python3 perfbench/run.py --workload W --seed S "
                          f"--seconds {seconds} --trace 0",
               "revisions": {side: git_rev(tree) for side, tree in trees.items()},
+              "src_lines": {side: src_lines(tree) for side, tree in trees.items()},
               "environment": environment(),
               "workloads": {}}
     for workload in args.workloads.split(","):

@@ -125,10 +125,10 @@ def _richardson(coarse, fine):
 def _eval_profile(poly: GenPoly, r_nodes: np.ndarray) -> np.ndarray:
     """Evaluate a GenPoly on the grid; r = 0 takes the limit 0**p = 0 for p > 0."""
     out = np.zeros(len(r_nodes))
-    for c, p in poly.terms:
-        if p < 0.0:
-            raise DomainError(f"exponent {p} cannot be evaluated at the r=0 boundary node")
-        out += c * np.power(r_nodes, p)
+    for c, n in poly.terms:
+        if n < 0:
+            raise DomainError(f"exponent {n / poly.den} cannot be evaluated at the r=0 boundary node")
+        out += c * np.power(r_nodes, n / poly.den)
     return out
 
 
@@ -174,10 +174,11 @@ def _march(model: ShortRateModel, taus, grid: FDGrid) -> dict[float, FDSolution]
     """Check grid, taus and their steps on grid, march both levels, extrapolate."""
     if not (math.isfinite(grid.r_max) and grid.r_max > 0.0):
         raise ValueError(f"r_max must be positive, got {grid.r_max}")
-    if grid.n_r < 3:
-        raise ValueError(f"n_r must be at least 3, got {grid.n_r}")
-    if grid.n_t < 1:
-        raise ValueError(f"n_t must be at least 1, got {grid.n_t}")
+    for name, count, least in (("n_r", grid.n_r, 3), ("n_t", grid.n_t, 1)):
+        if not isinstance(count, int) or isinstance(count, bool):
+            raise ValueError(f"{name} must be an integer, got {count!r}")
+        if count < least:
+            raise ValueError(f"{name} must be at least {least}, got {count}")
     taus = sorted(set(map(float, taus)))  # read once: taus may be a generator
     for tau in taus:
         check_maturity(tau)

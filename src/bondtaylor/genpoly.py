@@ -1,23 +1,19 @@
-"""Sparse univariate polynomials with real exponents.
+"""Sparse univariate polynomials with exact rational exponents.
 
-A generalized polynomial is a finite sum
+A generalized polynomial is a finite sum a(r) = sum_i c_i * r**(n_i / den) of
+double coefficients over integer numerators and one denominator.  Real
+exponents arise because constant-elasticity volatility functions contribute
+terms like sigma^2 * r**(2*gamma), and differentiation never pulls an exponent
+back onto the integers.  An exponent is read as the exact decimal of its
+shortest repr (2*gamma = 1.4 is 7/5) and stays exact: a product adds
+numerators over a common den, a derivative subtracts den.
 
-    a(r) = sum_i  c_i * r**p_i
-
-where coefficients c_i and exponents p_i are both doubles.  Real exponents are
-needed because constant-elasticity volatility functions contribute terms like
-sigma^2 * r**(2*gamma) for arbitrary gamma, and differentiation only ever
-multiplies a term by its exponent, so nothing pulls exponents back onto the
-integers.
-
-Canonical form: terms sorted by strictly ascending exponent, no two exponents
-within MERGE_TOL, no coefficient exactly 0.0; the zero polynomial is the empty
-term tuple.  Every operation sums the coefficients of each exact exponent in
-input order, then sorts only the distinct exponents, folds each run of them
-within MERGE_TOL of its smallest onto it and drops exact zeros, so identical
-inputs give bit-identical term tuples.  It rejects a non-finite merged term:
-a non-finite input, an inf or nan product or an overflowed sum always
-leaves one.
+Canonical form: terms (c, n) in strictly ascending n, no coefficient exactly
+0.0, den the least that serves; the zero polynomial is no terms over den 1.
+Every operation sums the coefficients of each exponent in input order, sorts
+and drops exact zeros, so identical inputs give bit-identical terms.  It
+rejects a non-finite term: a non-finite input, an inf or nan product, an
+overflowed sum, or a sum of exponents past the range of a double.
 
 A sum of products, dot(pairs, *polys) = sum_i a_i b_i + sum_j p_j, is merged
 once, not product by product: the raw products ca*cb of each pair (a's terms
@@ -28,80 +24,60 @@ the input of that one sum.  mul and add are its one-pair and no-pair cases.
 from __future__ import annotations
 
 import math
-from itertools import chain
 from typing import Iterable, NamedTuple
 
 from .errors import DomainError, TermLimitError
 
-MERGE_TOL = 1e-12
 MAX_TERMS = 100_000
 
 # dot forms every pairwise product before merging; cap their number so a
 # runaway sum of products fails before any of that work.
 _MAX_RAW_TERMS = 10 * MAX_TERMS
+_HUGE = 2 ** 1000  # a den below _HUGE is also a double
 
 
 class GenPoly(NamedTuple):
-    """Canonical term list ((coeff, exponent), ...) in ascending exponent order.
+    """Canonical terms ((coeff, n), ...), each c * r**(n / den); build through canonicalize."""
 
-    Build instances through canonicalize / const / term rather than directly,
-    so the canonical-form invariants hold.
-    """
-
-    terms: tuple[tuple[float, float], ...] = ()
+    terms: tuple[tuple[float, int], ...] = ()
+    den: int = 1
 
     def __bool__(self) -> bool:
         return bool(self.terms)
 
 
-def _merge(terms: Iterable[tuple[float, float]], acc: dict[float, float] | None = None) -> GenPoly:
-    """Add the terms to acc (exact exponent -> coefficient sum), then canonicalize."""
-    acc = {} if acc is None else acc
-    for c, p in terms:
-        acc[p] = acc.get(p, 0.0) + c
-    merged: list[list[float]] = []  # [representative exponent, coefficient sum]
-    for p in sorted(acc):
-        if merged and p - merged[-1][0] < MERGE_TOL:
-            merged[-1][1] += acc[p]
-        else:
-            merged.append([p, acc[p]])
-    for p, c in merged:
-        if not (math.isfinite(c) and math.isfinite(p)):
-            raise DomainError(f"non-finite term (coeff={c!r}, exponent={p!r})")
-    out = tuple((c, p) for p, c in merged if c != 0.0)
-    if len(out) > MAX_TERMS:
-        raise TermLimitError(f"result has {len(out)} terms, over the {MAX_TERMS}-term budget")
-    return GenPoly(out)
-
-
-def _merge_ascending(terms: list[tuple[float, float]]) -> GenPoly:
-    """_merge(terms), without its work where that work cannot change a bit.
-
-    With finite terms whose exponents ascend at least MERGE_TOL apart, _merge
-    sums each coefficient onto 0.0, which leaves it as it is or turns -0.0
-    into 0.0, sorts what is sorted and folds nothing: its result is the terms
-    without exact zeros.  Any other list, unsorted or with a gap that rounding
-    shrank, goes to _merge, which raises as it always does.
-    """
-    prev = -math.inf
-    for c, p in terms:
-        if not (p - prev >= MERGE_TOL and math.isfinite(c) and math.isfinite(p)):
-            return _merge(terms)
-        prev = p
-    out = tuple([t for t in terms if t[0] != 0.0])
-    if len(out) > MAX_TERMS:
-        raise TermLimitError(f"result has {len(out)} terms, over the {MAX_TERMS}-term budget")
-    return GenPoly(out)
+def _canonical(terms: list[tuple[float, int]], den: int) -> GenPoly:
+    """Terms (c, n) over den, in strictly ascending n, as a GenPoly."""
+    cs = [c for c, _ in terms]
+    if not math.isfinite(sum(cs)):  # so is any inf or nan term, or an overflow
+        for c, n in terms:
+            if not math.isfinite(c):
+                raise DomainError(f"non-finite term (coeff={c!r}, exponent={n / den!r})")
+    if 0.0 in cs:  # -0.0 too
+        terms = [t for t in terms if t[0]]
+    if len(terms) > MAX_TERMS:
+        raise TermLimitError(f"result has {len(terms)} terms, over the {MAX_TERMS}-term budget")
+    g = den
+    for _, n in terms:
+        g = math.gcd(g, n)
+        if g == 1:
+            return GenPoly(tuple(terms), den)
+    return GenPoly(tuple((c, n // g) for c, n in terms), den // g) if terms else GenPoly()
 
 
 def canonicalize(raw_terms: Iterable[tuple[float, float]]) -> GenPoly:
-    """Sort, merge near-equal exponents, drop exact-zero coefficients.
-
-    Exponents within MERGE_TOL of the first exponent of a merge run collapse
-    into that run.  Non-finite coefficients or exponents are rejected: one
-    leaves a non-finite merged term, which _merge checks before dropping zeros.
-    """
-    return _merge((float(c), float(p)) for c, p in raw_terms)
+    """Sum each exponent's coefficients, sort, drop zeros, refuse non-finite terms; an
+    exponent is the exact decimal of its shortest repr, so two meet where their doubles do."""
+    terms = []
+    for c, p in raw_terms:
+        c, p = float(c), float(p)
+        if not math.isfinite(p):
+            raise DomainError(f"non-finite term (coeff={c!r}, exponent={p!r})")
+        mantissa, _, power = repr(p).partition("e")
+        whole, _, frac = mantissa.partition(".")
+        e = int(power or 0) - len(frac)  # repr(p) = whole.frac * 10**e
+        terms.append(GenPoly(((c, int(whole + frac) * 10 ** max(e, 0)),), 10 ** max(-e, 0)))
+    return add(*terms)  # over their common den
 
 
 def const(c: float) -> GenPoly:
@@ -115,17 +91,35 @@ def term(c: float, p: float) -> GenPoly:
 def dot(pairs: Iterable[tuple[GenPoly, GenPoly]], *polys: GenPoly) -> GenPoly:
     """sum_i a_i * b_i over the pairs (a_i, b_i), plus the polys, in one merge."""
     pairs = tuple(pairs)
-    n_raw = sum(len(a.terms) * len(b.terms) for a, b in pairs)
+    n_raw, den = 0, 1
+    for a, b in pairs:
+        n_raw += len(a.terms) * len(b.terms)
+        if a.den != den or b.den != den:
+            den = math.lcm(den, a.den, b.den)
     if n_raw > _MAX_RAW_TERMS:
         raise TermLimitError(f"product needs {n_raw} raw terms, over the {_MAX_RAW_TERMS}-term budget")
-    acc: dict[float, float] = {}
+    for a in polys:
+        den = den if a.den == den else math.lcm(den, a.den)
+    acc: dict[int, float] = {}
     get = acc.get
-    for a, b in pairs:
-        for ca, pa in a.terms:
-            for cb, pb in b.terms:
-                p = pa + pb
-                acc[p] = get(p, 0.0) + ca * cb
-    return _merge(chain.from_iterable(a.terms for a in polys), acc)
+    for a, b in pairs:  # each factor over den: k = 1 but where an operand's den differs
+        ka, kb = den // a.den, den // b.den
+        b_terms = b.terms if kb == 1 else [(c, n * kb) for c, n in b.terms]
+        for ca, na in (a.terms if ka == 1 else [(c, n * ka) for c, n in a.terms]):
+            for cb, nb in b_terms:
+                n = na + nb
+                acc[n] = get(n, 0.0) + ca * cb
+    for a in polys:
+        for c, n in (a.terms if a.den == den else [(c, n * (den // a.den)) for c, n in a.terms]):
+            acc[n] = get(n, 0.0) + c
+    ns = sorted(acc)
+    try:  # only a sum of numerators leaves a double's range, at an end
+        ns and (ns[0] / den, ns[-1] / den)
+    except OverflowError:
+        n = max(ns[0], ns[-1], key=abs)
+        raise DomainError(f"non-finite term (coeff={acc[n]!r}, "
+                          f"exponent={math.inf if n > 0 else -math.inf!r})") from None
+    return _canonical(list(zip(map(acc.__getitem__, ns), ns)), den)
 
 
 def add(*polys: GenPoly) -> GenPoly:
@@ -137,30 +131,38 @@ def mul(a: GenPoly, b: GenPoly) -> GenPoly:
 
 
 def scale(a: GenPoly, s: float) -> GenPoly:
-    return _merge_ascending([(c * s, p) for c, p in a.terms])
+    return _canonical([(c * s, n) for c, n in a.terms], a.den)
 
 
 def derivative(a: GenPoly) -> GenPoly:
-    # c * r**p -> c*p * r**(p-1); constant terms get coefficient 0 and drop out
-    return _merge_ascending([(c * p, p - 1.0) for c, p in a.terms])
+    # c * r**p -> c*p * r**(p-1), constant terms dropping out.  n / float(den) is
+    # n / den to an ulp, bit for bit below 2**53, and far faster than two big ints divide
+    terms, den = a.terms, a.den
+    div = float(den) if den < _HUGE else den
+    return _canonical([(c * (n / div), n - den) for c, n in terms if n], den)
 
 
 def evaluate(a: GenPoly, r: float) -> float:
-    """Evaluate a at the point r.
-
-    r must be positive whenever a fractional or negative exponent is present;
-    otherwise any real r is admissible (0**0 counts as 1).
-    """
+    """Evaluate a at the point r, which must be positive where a fractional or
+    negative exponent is present, and may be any real otherwise (0**0 is 1)."""
     x = float(r)
     if not math.isfinite(x):
         raise DomainError(f"evaluation point {r!r} is not finite")
+    terms, den = a.terms, a.den
+    if x <= 0.0:
+        for _, n in terms:
+            if n < 0 or n % den:
+                raise DomainError(f"cannot evaluate exponent {n / den} at r={x}")
     total = 0.0
     try:
-        for c, p in a.terms:
-            if x <= 0.0 and (p < 0.0 or not p.is_integer()):
-                raise DomainError(f"cannot evaluate exponent {p} at r={x}")
-            total += c * math.pow(x, p)
-    except OverflowError:  # math.pow raises where x**p exceeds a double
+        if den == 1:  # a double to an int power needs no division
+            for c, n in terms:
+                total += c * x ** n
+        else:
+            div = float(den) if den < _HUGE else den  # as in derivative
+            for c, n in terms:
+                total += c * math.pow(x, n / div)
+    except OverflowError:  # raised where x**p exceeds a double
         total = math.inf
     if not math.isfinite(total):
         raise DomainError(f"evaluation overflowed at r={x}")
@@ -175,9 +177,7 @@ def _fmt_number(x: float) -> str:
 
 def to_text(a: GenPoly) -> str:
     """Render as 'c1:p1, c2:p2, ...' in ascending exponent order; zero is '0'."""
-    if not a.terms:
-        return "0"
-    return ", ".join(f"{_fmt_number(c)}:{_fmt_number(p)}" for c, p in a.terms)
+    return ", ".join(f"{_fmt_number(c)}:{_fmt_number(n / a.den)}" for c, n in a.terms) or "0"
 
 
 def from_text(text: str) -> GenPoly:
@@ -188,11 +188,9 @@ def from_text(text: str) -> GenPoly:
     raw = []
     for chunk in s.split(","):
         piece = chunk.strip()
-        parts = piece.split(":")
-        if len(parts) != 2:
-            raise DomainError(f"malformed term {piece!r}; expected coeff:exponent")
-        try:
-            raw.append((float(parts[0]), float(parts[1])))
+        try:  # exactly two numbers, or unpacking fails too
+            c, p = map(float, piece.split(":"))
         except ValueError:
             raise DomainError(f"malformed term {piece!r}; expected coeff:exponent") from None
+        raw.append((c, p))
     return canonicalize(raw)

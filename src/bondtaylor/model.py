@@ -82,7 +82,7 @@ def check_vol2_at(vol2: GenPoly, r: float) -> None:
 
 def check_vol2_nonnegative(vol2: GenPoly) -> None:
     """Sample vol2 on (0, 1] and reject if any value is negative."""
-    if all(c >= 0.0 and p >= 0.0 for c, p in vol2.terms):
+    if all(c >= 0.0 and n >= 0 for c, n in vol2.terms):
         try:  # nondecreasing on (0, 1], so all samples pass if the last does
             gp.evaluate(vol2, 1.0)
             return
@@ -112,12 +112,12 @@ def make_ckls(alpha: float, beta: float, sigma: float, gamma: float) -> ShortRat
 
 
 def make_custom(drift_terms, vol2_terms) -> ShortRateModel:
-    """Build a model from raw (coeff, exponent) term lists; the one constructor.
+    """Build a model from raw (coeff, exponent) term lists or GenPolys; the one constructor.
 
     vol2 must be nonnegative on (0, 1]; this is enforced by sampling.
     """
-    drift = gp.canonicalize(list(drift_terms))
-    vol2 = gp.canonicalize(list(vol2_terms))
+    drift, vol2 = (t if isinstance(t, GenPoly) else gp.canonicalize(list(t))
+                   for t in (drift_terms, vol2_terms))
     check_vol2_nonnegative(vol2)
     return ShortRateModel(drift, vol2)
 
@@ -180,8 +180,8 @@ def parse_model_text(text: str) -> ShortRateModel:
 
     v = {key: _parse_value(key, *entries[key]) for key in needed}
     try:
-        if kind == "custom":  # canonical terms canonicalize to themselves
-            return make_custom(v["drift_terms"].terms, v["vol2_terms"].terms)
+        if kind == "custom":
+            return make_custom(v["drift_terms"], v["vol2_terms"])
         if kind == "dothan":
             return make_dothan_sigma2(v["mu"], v["sigma2"])
         return make_ckls(v["alpha"], v["beta"], v["sigma"], v.get("gamma", 0.5))

@@ -44,7 +44,7 @@ def random_model_factory():
         q = gp.canonicalize([(rng.uniform(-1.0, 1.0), 0.0),
                              (rng.uniform(-1.0, 1.0), 1.0)])
         vol2 = gp.mul(q, q)
-        return make_custom(drift_terms, vol2.terms)
+        return make_custom(drift_terms, vol2)
     return make
 
 

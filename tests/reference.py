@@ -3,8 +3,9 @@
 `pde_residual` substitutes a truncated series into its PDE in exact rational
 arithmetic on the float terms, sharing no code with `series` or `genpoly`, so
 an error in the operator the recursions are built from cannot cancel out of
-it.  `exp_compose` is a second route to the price series, and `approx_equal`
-compares two polynomials term by term.
+it.  `exp_compose` is a second route to the price series, `approx_equal`
+compares two polynomials term by term, and `pairs` reads a polynomial's terms
+as (coefficient, exponent) doubles.
 """
 
 from fractions import Fraction
@@ -13,10 +14,15 @@ from bondtaylor import genpoly as gp
 from bondtaylor.series import TaylorSeries
 
 
-def _exact(terms):
+def pairs(a: gp.GenPoly) -> list[tuple[float, float]]:
+    """a's terms as (coefficient, exponent), the exponent n / den as a double."""
+    return [(c, n / a.den) for c, n in a.terms]
+
+
+def _exact(a):
     # exponents stay floats: on a lattice model their sums and differences
     # are exact, and a float hashes much faster than a Fraction
-    return [(Fraction(c), p) for c, p in terms]
+    return [(Fraction(c), p) for c, p in pairs(a)]
 
 
 def _d(terms):
@@ -41,12 +47,12 @@ def pde_residual(s: TaylorSeries) -> list[float]:
     in exact rationals; c_0 = 1 marks a price series and c_0 = 0 a log one.  Entry k is the largest |sum of the terms| / (sum of
     their magnitudes) over the powers r^p of the tau^k coefficient: 0 for
     exact coefficients, a few ulps for coefficients right to rounding, and
-    up to 1 for wrong ones.  Exponents must match exactly (a lattice model),
-    since nothing here folds exponents within genpoly.MERGE_TOL.
+    up to 1 for wrong ones.  Exponents meet only where their doubles are
+    equal, which on a lattice model is where they are equal.
     """
-    mu = _exact(s.model.drift.terms)
-    half_s2 = [(c / 2, p) for c, p in _exact(s.model.vol2.terms)]
-    cs = [_exact(c.terms) for c in s.coeffs]
+    mu = _exact(s.model.drift)
+    half_s2 = [(c / 2, p) for c, p in _exact(s.model.vol2)]
+    cs = [_exact(c) for c in s.coeffs]
     d1 = [_d(c) for c in cs]
     out = []
     for k in range(s.order):
@@ -85,8 +91,8 @@ def exp_compose(s: TaylorSeries) -> TaylorSeries:
 def approx_equal(a: gp.GenPoly, b: gp.GenPoly, tol: float) -> bool:
     """True iff every coefficient of the (merged) difference is within tol.
 
-    Terms of a and b whose exponents agree within MERGE_TOL cancel against
-    each other; a term with no counterpart must itself have magnitude <= tol.
+    Terms of a and b with equal exponents cancel against each other; a term
+    with no counterpart must itself have magnitude <= tol.
     """
     diff = gp.add(a, gp.scale(b, -1.0))
     return all(abs(c) <= tol for c, _ in diff.terms)

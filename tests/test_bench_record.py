@@ -91,3 +91,33 @@ def test_main_records_the_environment_beside_the_runs(tmp_path, monkeypatch):
         "dont_write_bytecode": bool(sys.flags.dont_write_bytecode),
         "cpu_count": os.cpu_count()}
     assert [r["seed"] for r in record["workloads"]["quote"]["runs"]["change"]] == [1, 2]
+
+
+def test_src_lines_counts_the_package_source_of_a_tree(tmp_path):
+    package = tmp_path / "src" / "bondtaylor"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text("x = 1\ny = 2\n\n")
+    (package / "b.py").write_text('"""doc"""\n')
+    (package / "notes.txt").write_text("not source\n")  # only *.py counts
+    assert bench_record.src_lines(tmp_path) == 4
+    assert bench_record.src_lines(bench_record.ROOT) == sum(
+        len(p.read_text().splitlines()) for p in (bench_record.ROOT / "src" / "bondtaylor").glob("*.py"))
+
+
+def test_main_records_each_trees_src_lines_beside_its_revision(tmp_path, monkeypatch):
+    (tmp_path / "BENCHMARK.json").write_text(
+        (bench_record.ROOT / "BENCHMARK.json").read_text())
+    for side, lines in (("p", 3), ("c", 2)):
+        (tmp_path / side / "src" / "bondtaylor").mkdir(parents=True)
+        (tmp_path / side / "src" / "bondtaylor" / "m.py").write_text("pass\n" * lines)
+    monkeypatch.setattr(bench_record, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_record, "git_rev", lambda tree: tree.name)
+    bench = json.loads((tmp_path / "BENCHMARK.json").read_text())
+    metrics = {m["name"]: 1.0 for m in bench["end_to_end"]}
+    monkeypatch.setattr(bench_record, "run_once", lambda tree, workload, seed, seconds: {
+        "seed": seed, "correct": True, "attempted": 10, "failed": 0, "metrics": metrics})
+    assert bench_record.main(["--parent", str(tmp_path / "p"), "--change", str(tmp_path / "c"),
+                              "--record", "8", "--workloads", "quote", "--seeds", "1"]) == 0
+    record = json.loads((tmp_path / "BENCH_8.json").read_text())
+    assert record["revisions"] == {"parent": "p", "change": "c"}
+    assert record["src_lines"] == {"parent": 3, "change": 2}

@@ -459,6 +459,17 @@ def test_coeffs_overflow_names_its_order_and_exits_2(cfg, capsys, target, messag
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+def test_exponent_overflow_names_its_order_and_exits_2(cfg, capsys):
+    # c_3 holds r**1.5e308; c_4's vol2 product adds the exact integers of two
+    # such exponents, whose sum is past a double and refused by name
+    text = "model = custom\ndrift_terms = 0\nvol2_terms = 1e-320:1.5e308\n"
+    code, out, err = run(capsys, ["price", "--model", cfg(text), "--r", "0.5", "--tau", "1",
+                                  "--order", "8"])
+    assert (code, out) == (2, "")
+    assert err == ("error: price series order 4: non-finite term "
+                   "(coeff=1.873105526621828e-25, exponent=inf)\n")
+
+
 def test_coeffs_text_and_csv(cfg, capsys):
     code, out, _ = run(capsys, ["coeffs", "--model", cfg(CIR_CFG),
                                 "--target", "logprice", "--order", "2"])

@@ -3,7 +3,8 @@
 Coefficients and exponents are Fractions, so the only rounding left is in the
 float series under test: each float c_k must lie within 1e-14 of the largest
 |coefficient| of the exact c_k, term by term.  The model's float drift and
-vol2 terms are the exact inputs of both.
+vol2 terms, each exponent the Fraction n / den, are the exact inputs of both,
+and the exponents of the two must match exactly.
 """
 
 from fractions import Fraction
@@ -43,8 +44,8 @@ def _scale(a, s):
 
 
 def _exact_coeffs(model, target, order):
-    mu = _poly((Fraction(c), Fraction(p)) for c, p in model.drift.terms)
-    half_s2 = _poly((Fraction(c) / 2, Fraction(p)) for c, p in model.vol2.terms)
+    mu = _poly((Fraction(c), Fraction(n, model.drift.den)) for c, n in model.drift.terms)
+    half_s2 = _poly((Fraction(c) / 2, Fraction(n, model.vol2.den)) for c, n in model.vol2.terms)
     neg_r = {Fraction(1): Fraction(-1)}
     if target == "price":
         cs = [{Fraction(0): Fraction(1)}]
@@ -80,7 +81,7 @@ def test_float_coefficients_match_exact_rationals(cfg, target):
     exact = _exact_coeffs(model, target, order)
     assert len(floats) == len(exact) == order + 1
     for k, (f, e) in enumerate(zip(floats, exact)):
-        got = {Fraction(p): Fraction(c) for c, p in f.terms}
+        got = {Fraction(n, f.den): Fraction(c) for c, n in f.terms}
         bound = REL_TOL * max(map(abs, e.values()), default=0)
         for p in got.keys() | e.keys():
             assert abs(got.get(p, 0) - e.get(p, 0)) <= bound, (k, float(p))

@@ -14,6 +14,7 @@ from bondtaylor.fdsolver import (FDGrid, FDSolution, default_grid, fd_error_at,
                                  fd_price_at, fd_solve, fd_solve_path)
 from bondtaylor.model import (CIRParams, DothanParams, make_cir, make_ckls,
                               make_custom, make_dothan, parse_model_config)
+from reference import pairs
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = ROOT / "configs"
@@ -256,6 +257,11 @@ def test_default_grid_no_worse_than_single_fine_march(cir_model, cir_params):
     (dict(r_max=0.5, n_r=10, n_t=0), "n_t must be at least 1, got 0"),
     (dict(r_max=math.inf, n_r=10, n_t=10), "r_max must be positive, got inf"),
     (dict(r_max=math.nan, n_r=10, n_t=10), "r_max must be positive, got nan"),
+    # counts of cells and steps are ints, as default_grid makes them
+    (dict(r_max=0.5, n_r=10, n_t=4.5), "n_t must be an integer, got 4.5"),
+    (dict(r_max=0.5, n_r=10.0, n_t=4), "n_r must be an integer, got 10.0"),
+    (dict(r_max=0.5, n_r=10, n_t=True), "n_t must be an integer, got True"),
+    (dict(r_max=0.5, n_r=False, n_t=4), "n_r must be an integer, got False"),
 ])
 def test_grid_validation(zero_model, kwargs, message):
     # a grid is a plain record: a bad one builds, and a solve refuses it first,
@@ -317,8 +323,8 @@ def _dense_operator(model, grid):
     n = grid.n_r + 1
     h = grid.h
     r = [j * h for j in range(n)]
-    mu = [sum(c * x ** p for c, p in model.drift.terms) for x in r]
-    s2 = [sum(c * x ** p for c, p in model.vol2.terms) for x in r]
+    mu = [sum(c * x ** p for c, p in pairs(model.drift)) for x in r]
+    s2 = [sum(c * x ** p for c, p in pairs(model.vol2)) for x in r]
     L = np.zeros((n, n))
     L[0, 0], L[0, 1] = -mu[0] / h, mu[0] / h
     for j in range(1, n - 1):

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from bondtaylor import genpoly as gp
 from bondtaylor.errors import DomainError, TermLimitError
 from bondtaylor.genpoly import GenPoly
-from reference import approx_equal
+from reference import approx_equal, pairs
 
 ALPHA, BETA = 0.00315, -0.0555
 
@@ -22,18 +22,19 @@ def test_canonicalize_drops_cancellations():
 
 def test_canonicalize_keeps_cir_drift_as_is():
     drift = gp.canonicalize([(ALPHA, 0.0), (BETA, 1.0)])
-    assert drift.terms == ((ALPHA, 0.0), (BETA, 1.0))
+    assert drift == GenPoly(((ALPHA, 0), (BETA, 1)), 1)
 
 
 def test_canonicalize_sorts_by_exponent():
     p = gp.canonicalize([(2.0, 3.0), (1.0, -1.0), (4.0, 0.5)])
-    assert [e for _, e in p.terms] == [-1.0, 0.5, 3.0]
+    assert [e for _, e in pairs(p)] == [-1.0, 0.5, 3.0]
 
 
-def test_canonicalize_merge_tolerance():
-    # exponents closer than 1e-12 collapse onto the first of the run
+def test_canonicalize_keeps_near_equal_exponents_apart():
+    # each exponent is the exact decimal of its repr: 1 and 1 + 1e-13 are two
     p = gp.canonicalize([(1.0, 1.0), (1.0, 1.0 + 1e-13)])
-    assert p.terms == ((2.0, 1.0),)
+    assert p == GenPoly(((1.0, 10 ** 13), (1.0, 10 ** 13 + 1)), 10 ** 13)
+    assert gp.canonicalize([(2.0, 1.4), (3.0, 0.0)]) == GenPoly(((3.0, 0), (2.0, 7)), 5)
 
 
 @pytest.mark.parametrize("bad", [(math.nan, 1.0), (1.0, math.inf), (-math.inf, 0.0)])
@@ -58,7 +59,7 @@ def test_add_gives_twice_cir_price_c2():
     # r^2 + (-alpha - beta r), one recursion step by hand
     minus_drift = gp.canonicalize([(-ALPHA, 0.0), (-BETA, 1.0)])
     out = gp.add(gp.term(1.0, 2.0), minus_drift)
-    assert out.terms == ((-ALPHA, 0.0), (-BETA, 1.0), (1.0, 2.0))
+    assert out == GenPoly(((-ALPHA, 0), (-BETA, 1), (1.0, 2)))
 
 
 def test_mul_examples():
@@ -108,11 +109,14 @@ def test_add_of_nothing_is_zero():
     assert gp.add(GenPoly(), GenPoly()) == GenPoly()
 
 
-def test_add_folds_near_equal_exponents_onto_the_smallest():
-    # distinct exponents within MERGE_TOL, given largest first
+def test_add_keeps_near_equal_exponents_apart():
+    # distinct exponents a few ulps apart, given largest first, sort and stay
     out = gp.add(gp.term(1.0, 1.0 + 8e-13), gp.term(2.0, 1.0 + 4e-13), gp.term(4.0, 1.0))
-    assert out.terms == ((7.0, 1.0),)
-    assert gp.add(gp.term(1.0, 2.0 + 5e-13), gp.term(1.0, 2.0)).terms == ((2.0, 2.0),)
+    assert pairs(out) == [(4.0, 1.0), (2.0, 1.0 + 4e-13), (1.0, 1.0 + 8e-13)]
+    assert len(gp.add(gp.term(1.0, 2.0 + 5e-13), gp.term(1.0, 2.0)).terms) == 2
+    # and a sum of products lands on the exponent it names, not near it
+    assert gp.mul(gp.term(1.0, 0.1), gp.term(1.0, 0.2)) == gp.term(1.0, 0.3)
+    assert gp.mul(gp.term(1.0, 0.5), gp.term(1.0, 0.5)) == gp.term(1.0, 1.0)
 
 
 def test_scale_examples():
@@ -122,7 +126,7 @@ def test_scale_examples():
     # Dothan price c2 = (r^2 - mu r)/2
     mu = 0.005
     base = gp.canonicalize([(1.0, 2.0), (-mu, 1.0)])
-    assert gp.scale(base, 0.5).terms == ((-mu / 2.0, 1.0), (0.5, 2.0))
+    assert gp.scale(base, 0.5) == GenPoly(((-mu / 2.0, 1), (0.5, 2)))
 
 
 def test_derivative_examples():
@@ -132,14 +136,16 @@ def test_derivative_examples():
     assert gp.derivative(half_c2) == gp.canonicalize([(-BETA / 2, 0.0), (1.0, 1.0)])
 
 
-def test_derivative_sums_exponents_that_round_together():
-    # two exponents 2 ulps apart (over MERGE_TOL) whose p - 1.0 round alike
+def test_derivative_subtracts_den_exactly():
+    # r**1.4 -> 1.4 r**0.4: the numerator 7 over 5 becomes 2, not 0.3999999999999999
+    assert gp.derivative(gp.term(1.0, 1.4)) == GenPoly(((1.4, 2),), 5)
+    assert gp.to_text(gp.derivative(gp.derivative(gp.term(1.0, 1.4)))) == "0.5599999999999999:-0.6"
+    # two exponents 2 ulps apart whose p - 1.0 round alike stay two terms
     p = -8191.499999999997
     q = math.nextafter(math.nextafter(p, 0.0), 0.0)
-    assert q - p >= gp.MERGE_TOL and p - 1.0 == q - 1.0
+    assert p - 1.0 == q - 1.0
     a = gp.canonicalize([(1.0, p), (2.0, q)])
-    assert len(a.terms) == 2
-    assert gp.derivative(a).terms == ((p + 2.0 * q, p - 1.0),)
+    assert [c for c, _ in gp.derivative(a).terms] == [p, 2.0 * q]
 
 
 def test_evaluate_examples():
@@ -181,7 +187,7 @@ def test_approx_equal_examples():
 
 def test_text_round_trip():
     p = gp.from_text("0.00315:0, -0.0555:1")
-    assert p.terms == ((0.00315, 0.0), (-0.0555, 1.0))
+    assert p == GenPoly(((0.00315, 0), (-0.0555, 1)))
     assert gp.to_text(p) == "0.00315:0, -0.0555:1"
     assert gp.to_text(GenPoly()) == "0"
     assert gp.from_text("0") == GenPoly()
@@ -253,7 +259,8 @@ def test_evaluate_is_ring_homomorphism(a, b):
 
 @given(polys)
 def test_canonicalize_idempotent(a):
-    assert gp.canonicalize(a.terms) == a
+    assert gp.canonicalize(pairs(a)) == a
+    assert gp.from_text(gp.to_text(a)) == a
 
 
 # Integer and half-integer exponents: every merge is of exactly equal

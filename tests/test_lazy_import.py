@@ -2,7 +2,7 @@
 (`closedform`, `tables`, and the FD oracle with numpy and scipy) are imported
 on first use.  The series path loads neither dataclasses nor inspect (its
 records are NamedTuples; the import chain of dataclasses is about half of its
-cold start).
+cold start), nor fractions and decimal (genpoly's exact exponents need neither).
 
 Each check runs in a fresh interpreter, since the test process has long
 since loaded all of them.
@@ -32,7 +32,10 @@ SERIES_COMMANDS = [
     ["table", "--id", "dothan-converge"],
 ]
 
-HEAVY = ("dataclasses", "inspect", "numpy", "scipy")
+# what the FD solver loads; fractions, decimal included, costs a cold start
+# about as much as the series core, and exact exponents need neither
+SOLVER = ("dataclasses", "inspect", "numpy", "scipy")
+HEAVY = SOLVER + ("decimal", "fractions")
 
 # runs each argv list through main with stdout discarded, then prints the exit
 # codes and which of the HEAVY modules are loaded
@@ -83,7 +86,7 @@ for home in homes:
     if home != "fdsolver":
         assert not any(m in sys.modules for m in {heavy!r}), (home, loaded())
 # scipy.linalg loads dataclasses and inspect, so the solver brings all four
-assert all(m in sys.modules for m in {heavy!r}), loaded()
+assert all(m in sys.modules for m in {solver!r}), loaded()
 from bondtaylor import FDGrid, build_table
 assert FDGrid is bondtaylor.fdsolver.FDGrid and build_table is bondtaylor.tables.build_table
 assert set(bondtaylor.__all__) <= set(dir(bondtaylor))
@@ -105,7 +108,7 @@ def test_series_commands_load_neither_numpy_nor_scipy():
 
 
 def test_lazy_names_resolve_on_first_use():
-    assert _run(_API_PROBE.format(heavy=HEAVY, core=CORE)) == "ok"
+    assert _run(_API_PROBE.format(heavy=HEAVY, solver=SOLVER, core=CORE)) == "ok"
 
 
 _LOADED_PROBE = """

@@ -12,7 +12,7 @@ from bondtaylor.genpoly import GenPoly
 from bondtaylor.model import (CIRParams, DothanParams, ShortRateModel, make_cir,
                               make_ckls, make_custom, make_dothan, make_dothan_sigma2,
                               parse_model_config, parse_model_text)
-from reference import approx_equal
+from reference import approx_equal, pairs
 
 
 def test_make_cir_benchmark_params(cir_model):
@@ -118,8 +118,9 @@ def test_ckls_fractional_elasticity():
 
 def test_make_custom_round_trips():
     cir = make_cir(CIRParams(0.00315, -0.0555, 0.0894))
-    m = make_custom(cir.drift.terms, cir.vol2.terms)
-    assert m.drift == cir.drift and m.vol2 == cir.vol2
+    for drift, vol2 in ((cir.drift, cir.vol2), (pairs(cir.drift), pairs(cir.vol2))):
+        m = make_custom(drift, vol2)  # GenPolys as they are, term lists canonicalized
+        assert m.drift == cir.drift and m.vol2 == cir.vol2
     z = make_custom([], [])
     assert z.drift == GenPoly() and z.vol2 == GenPoly()
 
@@ -149,7 +150,7 @@ def test_nondecreasing_vol2_costs_one_evaluation(monkeypatch, vol2_terms):
     monkeypatch.setattr(gp, "evaluate", counting)
     parse_model_text(_custom_text(vol2_terms))
     assert rates == [1.0]
-    make_custom([], gp.from_text(vol2_terms).terms)
+    make_custom([], gp.from_text(vol2_terms))
     assert rates == [1.0, 1.0]
 
 

@@ -27,7 +27,7 @@ RECORD_FIELDS = {
     "DothanParams": ["mu", "sigma"],
     "FDGrid": ["r_max", "n_r", "n_t"],
     "FDSolution": ["grid", "tau_final", "values", "error"],
-    "GenPoly": ["terms"],
+    "GenPoly": ["terms", "den"],
     "ShortRateModel": ["drift", "vol2"],
     "TableCell": ["row", "column", "computed", "reference", "tolerance", "note"],
     "TableReport": ["table_id", "decimals", "cells"],

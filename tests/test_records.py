@@ -22,14 +22,14 @@ from bondtaylor.model import CIRParams, DothanParams, ShortRateModel, make_cir, 
 from bondtaylor.series import TaylorSeries, partial_sums
 from bondtaylor.tables import TableCell, TableReport
 
-_POLY = ((0.5, 0.0), (-1.0, 1.0))
-_MODEL_REPR = ("ShortRateModel(drift=GenPoly(terms=((0.00315, 0.0), (-0.0555, 1.0))), "
-               "vol2=GenPoly(terms=((0.007992359999999999, 1.0),)))")
+_POLY = ((0.5, 0), (-1.0, 1))
+_MODEL_REPR = ("ShortRateModel(drift=GenPoly(terms=((0.00315, 0), (-0.0555, 1)), den=1), "
+               "vol2=GenPoly(terms=((0.007992359999999999, 1),), den=1))")
 
 
 def _model():
-    return ShortRateModel(GenPoly(((0.00315, 0.0), (-0.0555, 1.0))),
-                          GenPoly(((0.007992359999999999, 1.0),)))
+    return ShortRateModel(GenPoly(((0.00315, 0), (-0.0555, 1))),
+                          GenPoly(((0.007992359999999999, 1),)))
 
 
 def _cell():
@@ -38,19 +38,19 @@ def _cell():
 
 # name -> (build a fresh sample, a field to assign, the sample's repr)
 RECORDS = {
-    "GenPoly": (lambda: GenPoly(_POLY), "terms",
-                "GenPoly(terms=((0.5, 0.0), (-1.0, 1.0)))"),
+    "GenPoly": (lambda: GenPoly(_POLY, 2), "den",
+                "GenPoly(terms=((0.5, 0), (-1.0, 1)), den=2)"),
     "CIRParams": (lambda: CIRParams(0.00315, -0.0555, 0.0894), "sigma",
                   "CIRParams(alpha=0.00315, beta=-0.0555, sigma=0.0894)"),
     "DothanParams": (lambda: DothanParams(mu=0.005, sigma=0.1), "mu",
                      "DothanParams(mu=0.005, sigma=0.1)"),
     "FDGrid": (lambda: FDGrid(0.5, 8, 2), "n_t", "FDGrid(r_max=0.5, n_r=8, n_t=2)"),
     "ShortRateModel": (_model, "vol2", _MODEL_REPR),
-    "TaylorSeries": (lambda: TaylorSeries((GenPoly(((1.0, 0.0),)), GenPoly(((-1.0, 1.0),))),
+    "TaylorSeries": (lambda: TaylorSeries((GenPoly(((1.0, 0),)), GenPoly(((-1.0, 1),))),
                                           _model()),
                      "coeffs",
-                     "TaylorSeries(coeffs=(GenPoly(terms=((1.0, 0.0),)), "
-                     f"GenPoly(terms=((-1.0, 1.0),))), model={_MODEL_REPR})"),
+                     "TaylorSeries(coeffs=(GenPoly(terms=((1.0, 0),), den=1), "
+                     f"GenPoly(terms=((-1.0, 1),), den=1)), model={_MODEL_REPR})"),
     "TableCell": (_cell, "computed",
                   "TableCell(row='tau=1', column='exact', computed=0.951115, "
                   "reference=0.951115, tolerance=5e-07, note='')"),
@@ -98,7 +98,7 @@ def test_repr_reads_as_before(name):
 
 
 def test_defaults_and_truth_value():
-    assert repr(GenPoly()) == "GenPoly(terms=())"
+    assert repr(GenPoly()) == "GenPoly(terms=(), den=1)"
     assert not GenPoly() and GenPoly(_POLY)
     assert TableCell("r", "c", 1.0, None, 0.5).note == ""
 

@@ -14,7 +14,7 @@ from bondtaylor.genpoly import GenPoly
 from bondtaylor.model import make_custom, parse_model_config
 from bondtaylor.series import (MAX_ORDER, TaylorSeries, log_coeffs,
                                partial_sums, price_coeffs, yield_from_price)
-from reference import approx_equal, exp_compose, pde_residual
+from reference import approx_equal, exp_compose, pairs, pde_residual
 
 ALPHA, BETA, SIGMA = 0.00315, -0.0555, 0.0894
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -30,7 +30,7 @@ def test_series_shape_and_anchors(cir_model):
         assert len(s.coeffs) == 6
         assert s.coeffs[0] == c0
         # both recursions share c_1 = -r, bit for bit
-        assert s.coeffs[1].terms == ((-1.0, 1.0),)
+        assert s.coeffs[1] == gp.term(-1.0, 1.0)
 
 
 def test_cir_price_c2_by_hand(cir_model):
@@ -64,7 +64,7 @@ def test_zero_model_price_coeffs_exact(zero_model):
         if k == 0:
             assert c == gp.const(1.0)
         else:
-            (coeff, exp), = c.terms
+            (coeff, exp), = pairs(c)
             assert exp == float(k)
             assert abs(coeff - want) <= 1e-15
 
@@ -72,7 +72,7 @@ def test_zero_model_price_coeffs_exact(zero_model):
 def test_zero_model_log_coeffs_exact(zero_model):
     s = log_coeffs(zero_model, 6)
     assert s.coeffs[0] == GenPoly()
-    assert s.coeffs[1].terms == ((-1.0, 1.0),)
+    assert s.coeffs[1] == gp.term(-1.0, 1.0)
     assert all(c == GenPoly() for c in s.coeffs[2:])
 
 
@@ -240,7 +240,7 @@ def test_series_solves_its_pde_exactly(cfg, build):
 
 def test_residual_sees_a_flipped_drift(cir_model):
     # coefficients built with -mu in place of mu, checked against the model
-    flipped = make_custom([(-c, p) for c, p in cir_model.drift.terms], cir_model.vol2.terms)
+    flipped = make_custom([(-c, p) for c, p in pairs(cir_model.drift)], pairs(cir_model.vol2))
     for build in (price_coeffs, log_coeffs):
         wrong = build(flipped, 8)._replace(model=cir_model)
         assert max(pde_residual(wrong)) > 0.01
@@ -248,8 +248,8 @@ def test_residual_sees_a_flipped_drift(cir_model):
 
 def test_residual_sees_one_perturbed_coefficient(dothan02_model):
     s = price_coeffs(dothan02_model, 6)
-    (c, p), *rest = s.coeffs[4].terms
-    moved = s.coeffs[:4] + (GenPoly(((c * (1.0 + 1e-12), p), *rest)),) + s.coeffs[5:]
+    (c, n), *rest = s.coeffs[4].terms
+    moved = s.coeffs[:4] + (s.coeffs[4]._replace(terms=((c * (1.0 + 1e-12), n), *rest)),) + s.coeffs[5:]
     res = pde_residual(s._replace(coeffs=moved))
     assert max(pde_residual(s)) < RESIDUAL_TOL
     assert res[3] > 1e-13 and res[4] > 1e-13
@@ -277,7 +277,7 @@ def test_fractional_exponent_model_series(cir_model):
     from bondtaylor.model import make_ckls
     m = make_ckls(0.01, -0.2, 0.1, 0.75)
     s = price_coeffs(m, 4)
-    exps = {p for c in s.coeffs for _, p in c.terms}
+    exps = {p for c in s.coeffs for _, p in pairs(c)}
     assert any(abs(p - round(p)) > 1e-9 for p in exps)
     val = partial_sums(s, 0.5, 0.05)[-1]
     assert 0.9 < val < 1.0
@@ -443,7 +443,10 @@ OVERFLOWING = make_custom([(1e300, 0.0), (1.0, 1.0)], [(1e300, 2.0)])
     (log_coeffs, OVERFLOWING, "log series order 4: non-finite term (coeff=inf, exponent=1.0)"),
     # c_2 = -5e307 r^5 is finite, its derivative is not
     (log_coeffs, make_custom([(1e308, 5.0)], []),
-     "log series order 2: non-finite term (coeff=-inf, exponent=4.0)")])
+     "log series order 2: non-finite term (coeff=-inf, exponent=4.0)"),
+    # an exact sum of two exponents past a double, not an inf exponent
+    (price_coeffs, make_custom([], [(1e-320, 1.5e308)]),
+     "price series order 4: non-finite term (coeff=1.873105526621828e-25, exponent=inf)")])
 def test_overflow_names_the_series_order(build, model, message):
     # only a TermLimitError named its order; an overflow did not
     with pytest.raises(DomainError) as exc:
