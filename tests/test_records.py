@@ -1,7 +1,7 @@
 """The nine records of bondtaylor are plain NamedTuples and keep
 what frozen dataclasses gave them: fields cannot be assigned, equal fields
 compare and hash equal, and repr, field names, order and defaults read as they
-always have.  Each also compares equal to the plain tuple of its fields, but
+always have, GenPoly's with the den its exact exponents added.  Each also compares equal to the plain tuple of its fields, but
 FDSolution, which holds arrays, is only checked for assignment.  No record
 checks its fields: CIRParams and DothanParams store any sigma, and the model
 constructors and the closed form, which use it, refuse a negative or NaN one;
