@@ -18,7 +18,8 @@ metrics and, per workload and end-to-end metric, each side's median and
 quartiles and how many pairs the change won (by the direction BENCHMARK.json
 gives the metric; ties count for neither side), and per workload each side's
 operations attempted and failed and runs not correct; under "src_lines" each
-tree's line count of src/bondtaylor/*.py, as wc -l gives it; and under "environment"
+tree's line count of src/bondtaylor/*.py, as wc -l gives it; under
+"public_names" the length of each tree's bondtaylor.__all__; and under "environment"
 the Python version, the CPU count and sys.flags.dont_write_bytecode.  With
 bytecode caching off, as PYTHONDONTWRITEBYTECODE (which the runs inherit) sets
 it, every cold start compiles the source it loads, which multiplies setup_s.
@@ -29,6 +30,7 @@ perfbench/run.py as they are; it changes neither.
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import os
 import platform
@@ -67,6 +69,22 @@ def git_rev(tree: Path) -> str | None:
 def src_lines(tree: Path) -> int:
     """Lines of the package source in tree, src/bondtaylor/*.py, as wc -l counts them."""
     return sum(path.read_bytes().count(b"\n") for path in (tree / "src" / "bondtaylor").glob("*.py"))
+
+
+def public_names(tree: Path) -> int | None:
+    """Length of the __all__ list in tree's src/bondtaylor/__init__.py, read with
+    ast and not imported, so a tree that fails to import is counted too.  None
+    if the file is missing, does not parse or assigns __all__ no list."""
+    try:
+        module = ast.parse((tree / "src" / "bondtaylor" / "__init__.py").read_bytes())
+    except (OSError, SyntaxError):
+        return None
+    count = None
+    for node in module.body:
+        if (isinstance(node, ast.Assign) and isinstance(node.value, ast.List)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            count = len(node.value.elts)
+    return count
 
 
 def environment() -> dict:
@@ -136,6 +154,7 @@ def main(argv=None) -> int:
                          f"--seconds {seconds} --trace 0",
               "revisions": {side: git_rev(tree) for side, tree in trees.items()},
               "src_lines": {side: src_lines(tree) for side, tree in trees.items()},
+              "public_names": {side: public_names(tree) for side, tree in trees.items()},
               "environment": environment(),
               "workloads": {}}
     for workload in args.workloads.split(","):

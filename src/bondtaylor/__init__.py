@@ -16,7 +16,7 @@ so series-only work pays for none of the three.
 
 import importlib
 
-from .errors import ConfigError, DomainError, TermLimitError
+from .errors import ConfigError, DomainError
 from .genpoly import GenPoly, evaluate, from_text, to_text
 from .model import (CIRParams, DothanParams, ShortRateModel, make_cir,
                     make_ckls, make_custom, make_dothan, parse_model_config,
@@ -29,13 +29,12 @@ __version__ = "0.1.0"
 __all__ = [
     "CIRParams", "ConfigError", "DomainError", "DothanParams", "FDGrid",
     "FDSolution", "GenPoly", "MAX_ORDER", "ShortRateModel", "TABLE_IDS",
-    "TableCell", "TableReport", "TaylorSeries", "TermLimitError",
-    "build_table", "cir_exact_log_price", "cir_exact_price",
-    "cir_exact_yield", "default_grid", "evaluate", "fd_error_at",
-    "fd_price_at", "fd_solve", "fd_solve_path", "from_text", "log_coeffs",
-    "make_cir", "make_ckls", "make_custom", "make_dothan",
-    "parse_model_config", "parse_model_text", "partial_sums",
-    "price_coeffs", "to_text", "yield_from_price",
+    "TableCell", "TableReport", "TaylorSeries", "build_table",
+    "cir_exact_log_price", "cir_exact_price", "cir_exact_yield",
+    "default_grid", "evaluate", "fd_error_at", "fd_price_at", "fd_solve",
+    "fd_solve_path", "from_text", "log_coeffs", "make_cir", "make_ckls",
+    "make_custom", "make_dothan", "parse_model_config", "parse_model_text",
+    "partial_sums", "price_coeffs", "to_text", "yield_from_price",
 ]
 
 # each lazy submodule and each public name it defines -> that submodule

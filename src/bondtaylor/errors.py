@@ -1,6 +1,7 @@
 """Exception types shared across the package, and the maturity rules.
 
-The CLI maps these onto exit codes: ConfigError -> 1, DomainError -> 2.
+Each type has one CLI exit code: ConfigError exits 1, as a plain ValueError
+does, and DomainError, a series build past a genpoly term budget too, exits 2.
 
 A time to maturity tau must be nonnegative and finite: check_maturity, which
 series, fdsolver and closedform call, fdsolver for every checkpoint too.  A
@@ -14,10 +15,6 @@ from sys import float_info
 class DomainError(ValueError):
     """Numerical or domain violation: bad evaluation point, non-finite
     intermediate, unusable grid, and the like."""
-
-
-class TermLimitError(DomainError):
-    """A polynomial operation would produce more terms than the budget allows."""
 
 
 class ConfigError(ValueError):

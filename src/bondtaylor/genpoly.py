@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, NamedTuple
 
-from .errors import DomainError, TermLimitError
+from .errors import DomainError
 
 MAX_TERMS = 100_000
 
@@ -56,7 +56,7 @@ def _canonical(terms: list[tuple[float, int]], den: int) -> GenPoly:
     if 0.0 in cs:  # -0.0 too
         terms = [t for t in terms if t[0]]
     if len(terms) > MAX_TERMS:
-        raise TermLimitError(f"result has {len(terms)} terms, over the {MAX_TERMS}-term budget")
+        raise DomainError(f"result has {len(terms)} terms, over the {MAX_TERMS}-term budget")
     g = den
     for _, n in terms:
         g = math.gcd(g, n)
@@ -97,7 +97,7 @@ def dot(pairs: Iterable[tuple[GenPoly, GenPoly]], *polys: GenPoly) -> GenPoly:
         if a.den != den or b.den != den:
             den = math.lcm(den, a.den, b.den)
     if n_raw > _MAX_RAW_TERMS:
-        raise TermLimitError(f"product needs {n_raw} raw terms, over the {_MAX_RAW_TERMS}-term budget")
+        raise DomainError(f"product needs {n_raw} raw terms, over the {_MAX_RAW_TERMS}-term budget")
     for a in polys:
         den = den if a.den == den else math.lcm(den, a.den)
     acc: dict[int, float] = {}

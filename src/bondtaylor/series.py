@@ -88,8 +88,8 @@ def price_coeffs(model: ShortRateModel, order: int) -> TaylorSeries:
     for k in range(order):
         try:
             raw = _apply_operator(model.drift, half_vol2, coeffs[k])
-        except DomainError as exc:  # an overflow or a TermLimitError
-            raise type(exc)(f"price series order {k + 1}: {exc}") from None
+        except DomainError as exc:  # an overflow or a term budget
+            raise DomainError(f"price series order {k + 1}: {exc}") from None
         coeffs.append(gp.scale(raw, 1.0 / (k + 1)))
     return TaylorSeries(tuple(coeffs), model)
 
@@ -113,8 +113,8 @@ def log_coeffs(model: ShortRateModel, order: int) -> TaylorSeries:
             raw = gp.dot([(model.drift, derivs[k]), (half_vol2, inner)])
             nxt = gp.scale(raw, 1.0 / (k + 1))
             derivs.append(gp.derivative(nxt))
-        except DomainError as exc:  # an overflow or a TermLimitError
-            raise type(exc)(f"log series order {k + 1}: {exc}") from None
+        except DomainError as exc:  # an overflow or a term budget
+            raise DomainError(f"log series order {k + 1}: {exc}") from None
         coeffs.append(nxt)
     return TaylorSeries(tuple(coeffs), model)
 

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+import bondtaylor
+
 _PATH = Path(__file__).resolve().parents[1] / "scripts" / "bench_record.py"
 _SPEC = importlib.util.spec_from_file_location("bench_record", _PATH)
 bench_record = importlib.util.module_from_spec(_SPEC)
@@ -104,12 +106,30 @@ def test_src_lines_counts_the_package_source_of_a_tree(tmp_path):
         len(p.read_text().splitlines()) for p in (bench_record.ROOT / "src" / "bondtaylor").glob("*.py"))
 
 
+def test_public_names_reads_all_without_importing_the_tree(tmp_path):
+    package = tmp_path / "src" / "bondtaylor"
+    package.mkdir(parents=True)
+    assert bench_record.public_names(tmp_path) is None  # no __init__.py
+    init = package / "__init__.py"
+    # a tree that cannot be imported is still counted; the last __all__ holds
+    init.write_text('raise ImportError("broken tree")\n__all__ = ["a"]\n'
+                    '__all__ = [\n    "a", "b",\n    "c",\n]\n')
+    assert bench_record.public_names(tmp_path) == 3
+    init.write_text("__all__ = [\n")  # does not parse
+    assert bench_record.public_names(tmp_path) is None
+    init.write_text("names = ['a']\n")  # no __all__
+    assert bench_record.public_names(tmp_path) is None
+    assert bench_record.public_names(bench_record.ROOT) == len(bondtaylor.__all__)
+
+
 def test_main_records_each_trees_src_lines_beside_its_revision(tmp_path, monkeypatch):
     (tmp_path / "BENCHMARK.json").write_text(
         (bench_record.ROOT / "BENCHMARK.json").read_text())
     for side, lines in (("p", 3), ("c", 2)):
         (tmp_path / side / "src" / "bondtaylor").mkdir(parents=True)
         (tmp_path / side / "src" / "bondtaylor" / "m.py").write_text("pass\n" * lines)
+    # the parent's package has a public name, the change's has no __init__.py
+    (tmp_path / "p" / "src" / "bondtaylor" / "__init__.py").write_text('__all__ = ["x"]\n')
     monkeypatch.setattr(bench_record, "ROOT", tmp_path)
     monkeypatch.setattr(bench_record, "git_rev", lambda tree: tree.name)
     bench = json.loads((tmp_path / "BENCHMARK.json").read_text())
@@ -120,4 +140,5 @@ def test_main_records_each_trees_src_lines_beside_its_revision(tmp_path, monkeyp
                               "--record", "8", "--workloads", "quote", "--seeds", "1"]) == 0
     record = json.loads((tmp_path / "BENCH_8.json").read_text())
     assert record["revisions"] == {"parent": "p", "change": "c"}
-    assert record["src_lines"] == {"parent": 3, "change": 2}
+    assert record["src_lines"] == {"parent": 4, "change": 2}
+    assert record["public_names"] == {"parent": 1, "change": None}

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from bondtaylor import cli, fdsolver, tables
+from bondtaylor import genpoly as gp
 from bondtaylor.cli import main
 from bondtaylor.closedform import cir_exact_yield
 from bondtaylor.model import CIRParams, parse_model_text
@@ -469,6 +470,18 @@ def test_exponent_overflow_names_its_order_and_exits_2(cfg, capsys):
     assert err == ("error: price series order 4: non-finite term "
                    "(coeff=1.873105526621828e-25, exponent=inf)\n")
 
+
+
+@pytest.mark.parametrize("target,message", [
+    ("price", "price series order 7: product needs 56 raw terms, over the 40-term budget"),
+    ("logprice", "log series order 10: product needs 51 raw terms, over the 40-term budget")])
+def test_term_budget_names_its_order_and_exits_2(capsys, monkeypatch, target, message):
+    # a refused build is one error line, no traceback, and exit 2, as any other DomainError
+    monkeypatch.setattr(gp, "_MAX_RAW_TERMS", 40)
+    code, out, err = run(capsys, ["price", "--model", str(ROOT / "configs" / "ckls.cfg"),
+                                  "--r", "0.05", "--tau", "1", "--order", "20",
+                                  "--target", target])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 def test_coeffs_text_and_csv(cfg, capsys):
     code, out, _ = run(capsys, ["coeffs", "--model", cfg(CIR_CFG),

@@ -24,7 +24,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from bondtaylor import genpoly as gp
 from bondtaylor.cli import main
-from bondtaylor.errors import DomainError, TermLimitError
+from bondtaylor.errors import DomainError
 from bondtaylor.genpoly import GenPoly
 from bondtaylor.model import CIRParams, make_cir, make_ckls, parse_model_config
 from bondtaylor.series import log_coeffs, price_coeffs
@@ -264,7 +264,7 @@ def test_each_step_is_one_dot(monkeypatch):
 def _outcome(op, *args):
     try:
         return [(c.hex(), Fraction(n, r.den)) for r in [op(*args)] for c, n in r.terms]
-    except (DomainError, TermLimitError) as exc:
+    except DomainError as exc:
         return type(exc), str(exc)
 
 
@@ -273,8 +273,8 @@ def _rule(pairs, *polys):
     # exponent, each exponent summed in input order, and the checks of the merge
     n_raw = sum(len(a.terms) * len(b.terms) for a, b in pairs)
     if n_raw > gp._MAX_RAW_TERMS:
-        raise TermLimitError(f"product needs {n_raw} raw terms, over the "
-                             f"{gp._MAX_RAW_TERMS}-term budget")
+        raise DomainError(f"product needs {n_raw} raw terms, over the "
+                          f"{gp._MAX_RAW_TERMS}-term budget")
     raw = [(ca * cb, pa + pb) for a, b in pairs for ca, pa in _exact(a) for cb, pb in _exact(b)]
     raw += [t for q in polys for t in _exact(q)]
     sums = []
@@ -288,7 +288,7 @@ def _rule(pairs, *polys):
             raise DomainError(f"non-finite term (coeff={c!r}, exponent={float(p)!r})")
     out = [(c, p) for c, p in sums if c != 0.0]
     if len(out) > gp.MAX_TERMS:
-        raise TermLimitError(f"result has {len(out)} terms, over the {gp.MAX_TERMS}-term budget")
+        raise DomainError(f"result has {len(out)} terms, over the {gp.MAX_TERMS}-term budget")
     return _poly(out) if out else GenPoly()
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from bondtaylor import cli
 from bondtaylor import genpoly as gp
-from bondtaylor.errors import DomainError, TermLimitError
+from bondtaylor.errors import DomainError
 from bondtaylor.genpoly import GenPoly
 from bondtaylor.model import make_custom, parse_model_config
 from bondtaylor.series import (MAX_ORDER, TaylorSeries, log_coeffs,
@@ -425,14 +425,15 @@ def test_threads_sharing_a_series_never_mix_rates(cir_model):
     assert bad == []
 
 
-@pytest.mark.parametrize("build,prefix", [(price_coeffs, "price series order "),
-                                          (log_coeffs, "log series order ")])
-def test_term_limit_names_the_series_order(monkeypatch, build, prefix):
+@pytest.mark.parametrize("build,message", [
+    (price_coeffs, "price series order 7: product needs 56 raw terms, over the 40-term budget"),
+    (log_coeffs, "log series order 10: product needs 51 raw terms, over the 40-term budget")])
+def test_term_limit_names_the_series_order(monkeypatch, build, message):
     # a 40-pair cap trips inside the log convolution, not only in its operator
     monkeypatch.setattr(gp, "_MAX_RAW_TERMS", 40)
-    with pytest.raises(TermLimitError) as exc:
+    with pytest.raises(DomainError) as exc:
         build(parse_model_config(CONFIGS / "ckls.cfg"), 30)
-    assert str(exc.value).startswith(prefix)
+    assert type(exc.value) is DomainError and str(exc.value) == message
 
 
 OVERFLOWING = make_custom([(1e300, 0.0), (1.0, 1.0)], [(1e300, 2.0)])
@@ -448,7 +449,7 @@ OVERFLOWING = make_custom([(1e300, 0.0), (1.0, 1.0)], [(1e300, 2.0)])
     (price_coeffs, make_custom([], [(1e-320, 1.5e308)]),
      "price series order 4: non-finite term (coeff=1.873105526621828e-25, exponent=inf)")])
 def test_overflow_names_the_series_order(build, model, message):
-    # only a TermLimitError named its order; an overflow did not
+    # an overflow names its order as a term budget does
     with pytest.raises(DomainError) as exc:
         build(model, 8)
     assert type(exc.value) is DomainError and str(exc.value) == message
