@@ -471,7 +471,6 @@ def test_exponent_overflow_names_its_order_and_exits_2(cfg, capsys):
                    "(coeff=1.873105526621828e-25, exponent=inf)\n")
 
 
-
 @pytest.mark.parametrize("target,message", [
     ("price", "price series order 7: product needs 56 raw terms, over the 40-term budget"),
     ("logprice", "log series order 10: product needs 51 raw terms, over the 40-term budget")])
@@ -482,6 +481,7 @@ def test_term_budget_names_its_order_and_exits_2(capsys, monkeypatch, target, me
                                   "--r", "0.05", "--tau", "1", "--order", "20",
                                   "--target", target])
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
 
 def test_coeffs_text_and_csv(cfg, capsys):
     code, out, _ = run(capsys, ["coeffs", "--model", cfg(CIR_CFG),

@@ -449,7 +449,6 @@ OVERFLOWING = make_custom([(1e300, 0.0), (1.0, 1.0)], [(1e300, 2.0)])
     (price_coeffs, make_custom([], [(1e-320, 1.5e308)]),
      "price series order 4: non-finite term (coeff=1.873105526621828e-25, exponent=inf)")])
 def test_overflow_names_the_series_order(build, model, message):
-    # an overflow names its order as a term budget does
     with pytest.raises(DomainError) as exc:
         build(model, 8)
     assert type(exc.value) is DomainError and str(exc.value) == message
