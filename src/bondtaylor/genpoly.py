@@ -33,7 +33,6 @@ MAX_TERMS = 100_000
 # dot forms every pairwise product before merging; cap their number so a
 # runaway sum of products fails before any of that work.
 _MAX_RAW_TERMS = 10 * MAX_TERMS
-_HUGE = 2 ** 1000  # a den below _HUGE is also a double
 
 
 class GenPoly(NamedTuple):
@@ -138,7 +137,7 @@ def derivative(a: GenPoly) -> GenPoly:
     # c * r**p -> c*p * r**(p-1), constant terms dropping out.  n / float(den) is
     # n / den to an ulp, bit for bit below 2**53, and far faster than two big ints divide
     terms, den = a.terms, a.den
-    div = float(den) if den < _HUGE else den
+    div = float(den) if den < 2 ** 1000 else den  # a den below 2**1000 is also a double
     return _canonical([(c * (n / div), n - den) for c, n in terms if n], den)
 
 
@@ -155,13 +154,8 @@ def evaluate(a: GenPoly, r: float) -> float:
                 raise DomainError(f"cannot evaluate exponent {n / den} at r={x}")
     total = 0.0
     try:
-        if den == 1:  # a double to an int power needs no division
-            for c, n in terms:
-                total += c * x ** n
-        else:
-            div = float(den) if den < _HUGE else den  # as in derivative
-            for c, n in terms:
-                total += c * math.pow(x, n / div)
+        for c, n in terms:  # n / den correctly rounded, the exponent to_text prints
+            total += c * x ** (n / den)
     except OverflowError:  # raised where x**p exceeds a double
         total = math.inf
     if not math.isfinite(total):

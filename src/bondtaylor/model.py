@@ -74,9 +74,9 @@ class ShortRateModel(NamedTuple):
     vol2: GenPoly
 
 
-def check_vol2_at(vol2: GenPoly, r: float) -> None:
-    """Reject the rate r if vol2(r) is negative (beyond float noise)."""
-    if gp.evaluate(vol2, r) < _VOL2_SLACK:
+def check_vol2_at(v: float, r: float) -> None:
+    """Reject the rate r if the model's vol2 there, v, is negative (beyond float noise)."""
+    if v < _VOL2_SLACK:
         raise DomainError(f"vol2 is negative at r={r:.6g}")
 
 
@@ -88,8 +88,8 @@ def check_vol2_nonnegative(vol2: GenPoly) -> None:
             return
         except DomainError:
             pass  # it overflows: the loop names the first sample that does
-    for i in range(1, _VOL2_SAMPLES + 1):
-        check_vol2_at(vol2, i / _VOL2_SAMPLES)
+    for x in (i / _VOL2_SAMPLES for i in range(1, _VOL2_SAMPLES + 1)):
+        check_vol2_at(gp.evaluate(vol2, x), x)
 
 
 def make_cir(p: CIRParams) -> ShortRateModel:

@@ -31,6 +31,8 @@ drift and vol2 products.  Every coefficient stays a GenPoly in r, so
 truncation is the only approximation made here.  A series is its coefficients
 and its model: c_0 is 1 for a price series and 0 for a log series.  A longer
 build leaves c_0..c_J as they were, so its order-J sum keeps its bits.
+partial_sums divides each distinct exponent n / den once per series, c_k's
+and vol2's alike, and raises r to each once per rate.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ class TaylorSeries(NamedTuple):
         return len(self.coeffs) - 1
 
 
-# (series, r, (c_0(r), ..., c_order(r))) last evaluated; only partial_sums uses it
+# (series, r, [c_0(r), ..., c_order(r)], _table(series)) last evaluated, for partial_sums
 _last = None
 
 
@@ -119,25 +121,54 @@ def log_coeffs(model: ShortRateModel, order: int) -> TaylorSeries:
     return TaylorSeries(tuple(coeffs), model)
 
 
+def _table(s: TaylorSeries) -> tuple:
+    """s's distinct exponents, each n / den, and c_0..c_order and vol2 as (c, its index) rows."""
+    polys = (*s.coeffs, s.model.vol2)
+    index = {}
+    rows = [[(c, index.setdefault(n / a.den, len(index))) for c, n in a.terms] for a in polys]
+    return tuple(index), rows, polys
+
+
+def _values(table: tuple, r: float) -> list[float]:
+    """c_0(r), ..., c_order(r) and vol2(r), row by row in term order as gp.evaluate sums."""
+    exps, rows, polys = table
+    x = float(r)
+    try:
+        if 0.0 < x < inf:
+            powers = [x ** p for p in exps]
+            out = []
+            for row in rows:
+                v = 0.0
+                for c, i in row:
+                    v += c * powers[i]
+                out.append(v)
+            if all(map(isfinite, out)):
+                return out
+    except OverflowError:  # a power past a double's range
+        pass
+    # r <= 0, r not finite or a value that overflows: gp.evaluate refuses as it does
+    return [gp.evaluate(a, r) for a in polys]
+
+
 def partial_sums(s: TaylorSeries, tau: float, r: float) -> list[float]:
     """Running partial sums sum_{k<=J} c_k(r) tau^k for J = 0..order.
 
     A rate where the model's vol2 is negative is refused, and so is a sum
-    that overflows.  The c_k(r) of the last series object and rate are kept,
-    so consecutive calls on one series at one r evaluate each coefficient
-    once: evaluate a surface rate-outer, maturity-inner.  Another series, an
-    equal copy too, evaluates afresh and takes the slot.
+    that overflows.  The last series object keeps its table and its c_k(r) at
+    the last rate, so one series at one r evaluates once (evaluate a surface
+    rate-outer, maturity-inner) and at a new r takes one power per distinct
+    exponent.  Another series, an equal copy too, builds its own table.
     """
     global _last
     check_maturity(tau)
     last = _last  # one load, so a rate is never paired with another's values
     if last is None or last[0] is not s or last[1] != r:  # a NaN r never hits
-        last = (s, r, tuple(gp.evaluate(c, r) for c in s.coeffs))
-        check_vol2_at(s.model.vol2, r)  # after c_k(r), whose messages come first
+        table = last[3] if last and last[0] is s else _table(s)
+        *values, vol2 = _values(table, r)
+        check_vol2_at(vol2, r)  # after c_k(r), whose messages come first
+        last = (s, r, values, table)
         _last = last  # only after the rate passed every check
-    out = []
-    acc = 0.0
-    tau_pow = 1.0
+    out, acc, tau_pow = [], 0.0, 1.0
     for v in last[2]:
         acc += v * tau_pow
         tau_pow *= tau

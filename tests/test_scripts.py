@@ -41,3 +41,22 @@ def test_reproduce_tables_script(monkeypatch, capsys):
     assert code == 0
     ids = ["cir-price", "cir-yield", "cir-converge", "dothan-converge", "dothan-grid"]
     assert [line.split()[:2] for line in lines] == [[i, "ok"] for i in ids]
+
+
+def test_hex_sweep_script(monkeypatch, capsys):
+    code, lines = run_script(monkeypatch, capsys, "hex_sweep.py")
+    assert code == 0
+    # 7 configs x 2 targets x 8 rates x 5 maturities, in a fixed order; the
+    # hex digits themselves depend on the platform's libm, so none is pinned
+    assert len(lines) == 560
+    fields = [line.split(" ", 4) for line in lines]
+    assert len({tuple(f[:4]) for f in fields}) == 560
+    assert {f[1] for f in fields} == {"price", "log"}
+    refused = [f for f in fields if f[4].startswith("DomainError: ")]
+    # the shipped CKLS config (gamma = 3/4) has exponent 3/2, which r = 0 does not admit
+    assert [f[:3] for f in refused] == [["ckls.cfg", t, "r=0.0"] for t in ("price", "log")
+                                        for _ in range(5)]
+    assert {f[4] for f in refused} == {"DomainError: cannot evaluate exponent 1.5 at r=0.0"}
+    for f in fields:
+        if f not in refused:
+            float.fromhex(f[4])  # each other line is one float in hex

@@ -9,9 +9,10 @@ import pytest
 
 from bondtaylor import cli
 from bondtaylor import genpoly as gp
+from bondtaylor import series as series_module
 from bondtaylor.errors import DomainError
 from bondtaylor.genpoly import GenPoly
-from bondtaylor.model import make_custom, parse_model_config
+from bondtaylor.model import make_ckls, make_custom, parse_model_config
 from bondtaylor.series import (MAX_ORDER, TaylorSeries, log_coeffs,
                                partial_sums, price_coeffs, yield_from_price)
 from reference import approx_equal, exp_compose, pairs, pde_residual
@@ -302,16 +303,30 @@ def _uncached_sums(s, tau, r):
 
 
 @pytest.fixture
-def evaluate_calls(monkeypatch):
-    """Count gp.evaluate calls made from here on."""
-    calls = []
-    real = gp.evaluate
+def evaluations(monkeypatch):
+    """Log what partial_sums evaluates from here on: ("table", series) for each
+    exponent table built, (r, number of values) for each rate evaluated from
+    one, and ("evaluate", r) for each gp.evaluate call."""
+    log = []
+    real_table, real_values, real_evaluate = (series_module._table, series_module._values,
+                                              gp.evaluate)
 
-    def counting(a, r):
-        calls.append(r)
-        return real(a, r)
-    monkeypatch.setattr(gp, "evaluate", counting)
-    return calls
+    def table(s):
+        log.append(("table", s))
+        return real_table(s)
+
+    def values(tab, r):
+        out = real_values(tab, r)
+        log.append((r, len(out)))
+        return out
+
+    def evaluate(a, r):
+        log.append(("evaluate", r))
+        return real_evaluate(a, r)
+    monkeypatch.setattr(series_module, "_table", table)
+    monkeypatch.setattr(series_module, "_values", values)
+    monkeypatch.setattr(gp, "evaluate", evaluate)
+    return log
 
 
 @pytest.mark.parametrize("build", [price_coeffs, log_coeffs])
@@ -323,13 +338,15 @@ def test_partial_sums_with_reuse_equal_uncached_loop(cfg, build):
             assert partial_sums(s, tau, r) == _uncached_sums(s, tau, r)
 
 
-def test_partial_sums_evaluates_once_per_rate_change(cir_model, evaluate_calls):
+def test_partial_sums_evaluates_once_per_rate_change(cir_model, evaluations):
     s = log_coeffs(cir_model, 10)
     for r in (R1, R1, R2, R1, R2):
         for tau in CACHE_TAUS:
             partial_sums(s, tau, r)
-    # four rate changes (r1, r2, r1, r2), eleven coefficients and vol2 each
-    assert evaluate_calls == [R1] * 12 + [R2] * 12 + [R1] * 12 + [R2] * 12
+    # one table for the series object, then four rate changes (r1, r2, r1,
+    # r2), eleven coefficients and vol2 each, and no gp.evaluate call
+    assert evaluations == [("table", s), (R1, 12), (R2, 12), (R1, 12), (R2, 12)]
+    assert evaluations[0][1] is s
 
 
 @pytest.mark.parametrize("build", [price_coeffs, log_coeffs])
@@ -381,7 +398,7 @@ def test_maturity_checked_first_when_rate_is_kept(cir_model):
         partial_sums(s, math.inf, R1)
 
 
-def test_evaluated_series_compares_hashes_and_prints_as_fresh(cir_model, evaluate_calls):
+def test_evaluated_series_compares_hashes_and_prints_as_fresh(cir_model, evaluations):
     s = price_coeffs(cir_model, 6)
     fresh = price_coeffs(cir_model, 6)
     before = repr(s)
@@ -390,13 +407,61 @@ def test_evaluated_series_compares_hashes_and_prints_as_fresh(cir_model, evaluat
     assert repr(s) == before == repr(fresh)
     copy = TaylorSeries(s.coeffs, s.model)
     assert copy == s
-    evaluate_calls.clear()
+    evaluations.clear()
     assert partial_sums(copy, 1.0, R1) == partial_sums(s, 1.0, R1)
-    # an equal copy misses the slot s holds, then s misses the slot the copy
-    # took: c_0..c_6 and vol2 are evaluated each time
-    assert evaluate_calls == [R1] * 16
+    # an equal copy misses the slot s holds and builds its own table, then s
+    # misses the slot the copy took and builds one again: c_0..c_6 and vol2
+    # are evaluated each time
+    assert evaluations == [("table", copy), (R1, 8), ("table", s), (R1, 8)]
+    assert evaluations[0][1] is copy and evaluations[2][1] is s
     partial_sums(s, 2.0, R1)
-    assert len(evaluate_calls) == 16  # s holds the slot again
+    assert len(evaluations) == 4  # s holds the slot again
+
+
+def test_every_exponent_source_uses_the_correctly_rounded_double():
+    # 17-digit gammas put numerators past 2**53, where dividing by float(den)
+    # rounds twice; the exponent table, gp.evaluate, to_text and the FD
+    # profile must all raise r to the one double n / den.  R = 2**64 turns an
+    # ulp of an exponent near 1 into tens of ulps of R**p.  The FD profile
+    # refuses a negative exponent, and names the one it would use.
+    from bondtaylor.fdsolver import _eval_profile
+    np = pytest.importorskip("numpy")
+    R = 2.0 ** 64
+
+    def fd_power(one):
+        try:
+            return _eval_profile(one, np.array([R]))[0]
+        except DomainError as exc:
+            return np.power(R, float(str(exc).split()[1]))
+    rng = random.Random(3)
+    seen, mismatched = 0, []
+    for _ in range(200):
+        gamma = rng.uniform(0.7, 0.9)
+        s = log_coeffs(make_ckls(0.01, -0.2, 0.08, gamma), 6)
+        exps, rows, polys = series_module._table(s)
+        assert polys == (*s.coeffs, s.model.vol2)
+        for row, a in zip(rows, polys, strict=True):
+            for (c, i), (c_a, n) in zip(row, a.terms, strict=True):
+                p, one = exps[i], GenPoly(((1.0, n),), a.den)
+                seen += 1
+                if (c != c_a or p != n / a.den or gp.evaluate(one, R) != R ** p
+                        or float(gp.to_text(one).partition(":")[2]) != p
+                        or fd_power(one) != np.power(R, p)):
+                    mismatched.append((gamma, n, a.den))
+    assert seen == 7000 and mismatched == []
+
+
+@pytest.mark.parametrize("build", [price_coeffs, log_coeffs])
+def test_table_sums_are_evaluate_sums_at_a_17_digit_gamma(build):
+    # 2 gamma = 16176916901183807 / 10**16: an exponent divided by float(den)
+    # moves c_k(r) and vol2(r) by ulps, too few to reach a sum at these
+    # rates, so the values themselves are compared too
+    s = build(make_ckls(0.01, -0.2, 0.08, 0.8088458450591903), 10)
+    for r in (0.04, 0.05, 0.1):
+        for tau in CACHE_TAUS:
+            assert partial_sums(s, tau, r) == _uncached_sums(s, tau, r)
+        table = series_module._last[3]
+        assert series_module._values(table, r) == [gp.evaluate(a, r) for a in table[2]]
 
 
 def test_threads_sharing_a_series_never_mix_rates(cir_model):
