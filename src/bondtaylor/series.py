@@ -146,7 +146,7 @@ def _values(table: tuple, r: float) -> list[float]:
                 return out
     except OverflowError:  # a power past a double's range
         pass
-    # r <= 0, r not finite or a value that overflows: gp.evaluate refuses as it does
+    # r <= 0, r not finite or a value that overflows: gp.evaluate answers or refuses
     return [gp.evaluate(a, r) for a in polys]
 
 

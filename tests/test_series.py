@@ -424,8 +424,9 @@ def test_every_exponent_source_uses_the_correctly_rounded_double():
     # profile must all raise r to the one double n / den.  R = 2**64 turns an
     # ulp of an exponent near 1 into tens of ulps of R**p.  The FD profile
     # refuses a negative exponent, and names the one it would use.
+    import numpy as np
+
     from bondtaylor.fdsolver import _eval_profile
-    np = pytest.importorskip("numpy")
     R = 2.0 ** 64
 
     def fd_power(one):
@@ -433,6 +434,7 @@ def test_every_exponent_source_uses_the_correctly_rounded_double():
             return _eval_profile(one, np.array([R]))[0]
         except DomainError as exc:
             return np.power(R, float(str(exc).split()[1]))
+
     rng = random.Random(3)
     seen, mismatched = 0, []
     for _ in range(200):
@@ -452,10 +454,10 @@ def test_every_exponent_source_uses_the_correctly_rounded_double():
 
 
 @pytest.mark.parametrize("build", [price_coeffs, log_coeffs])
-def test_table_sums_are_evaluate_sums_at_a_17_digit_gamma(build):
-    # 2 gamma = 16176916901183807 / 10**16: an exponent divided by float(den)
-    # moves c_k(r) and vol2(r) by ulps, too few to reach a sum at these
-    # rates, so the values themselves are compared too
+def test_table_sums_are_evaluate_sums_where_numerators_pass_2_53(build):
+    # 2 gamma = 16176916901183807 / 10**16, a 17-digit numerator: an exponent
+    # divided by float(den) moves c_k(r) and vol2(r) by ulps, too few to
+    # reach a sum at these rates, so the values themselves are compared too
     s = build(make_ckls(0.01, -0.2, 0.08, 0.8088458450591903), 10)
     for r in (0.04, 0.05, 0.1):
         for tau in CACHE_TAUS:
