@@ -27,6 +27,11 @@ levels, since linear interpolation between nodes adds an error that does not
 halve with the grid.  The error left is spatial: 80 steps per unit maturity in
 place of 40 leave the CIR errors at tau = 5 and 10 unchanged.
 
+dgttrf and dgttrs come from scipy's f2py LAPACK extension, loaded from its file
+in scipy/linalg: the scipy.linalg package import would double an `fd` command's
+start.  A later `import scipy.linalg` reuses it.  Only where scipy/linalg holds
+no such file (an editable scipy) does `from scipy.linalg import lapack` load it.
+
 Boundaries:
   * r = 0.  The equation degenerates there for the models of interest
     (s2(0) = 0, mu(0) >= 0, and the reaction term -r P vanishes), so the row
@@ -41,11 +46,15 @@ Boundaries:
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import numbers
+import os
+import sys
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .errors import DomainError, check_maturity
 from .genpoly import GenPoly
@@ -59,6 +68,25 @@ _STEPS_PER_YEAR = 40
 _MAX_STEPS = 20000
 # Crank-Nicolson's order in (h, dtau) halvings
 _ORDER = 2
+
+
+def _lapack():
+    """scipy.linalg._flapack, without the scipy.linalg import (see above)."""
+    import scipy  # light; on Windows it adds the folder of scipy's BLAS DLLs
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(scipy.__path__[0], "linalg", "_flapack" + suffix)
+        if os.path.isfile(path):
+            spec = importlib.util.spec_from_file_location(name, path)
+            module = importlib.util.module_from_spec(spec)  # single-phase init:
+            spec.loader.exec_module(module)  # now in sys.modules under name
+            return module
+    return importlib.import_module("scipy.linalg.lapack")
+
+
+lapack = _lapack()
 
 
 class FDGrid(NamedTuple):
@@ -172,6 +200,8 @@ def _operator(model: ShortRateModel, grid: FDGrid) -> np.ndarray:
 
 def _march(model: ShortRateModel, taus, grid: FDGrid) -> dict[float, FDSolution]:
     """Check grid, taus and their steps on grid, march both levels, extrapolate."""
+    if not isinstance(grid.r_max, numbers.Real) or isinstance(grid.r_max, bool):
+        raise ValueError(f"r_max must be a real number, got {grid.r_max!r}")
     if not (math.isfinite(grid.r_max) and grid.r_max > 0.0):
         raise ValueError(f"r_max must be positive, got {grid.r_max}")
     for name, count, least in (("n_r", grid.n_r, 3), ("n_t", grid.n_t, 1)):

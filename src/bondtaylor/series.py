@@ -129,10 +129,9 @@ def _table(s: TaylorSeries) -> tuple:
     return tuple(index), rows, polys
 
 
-def _values(table: tuple, r: float) -> list[float]:
-    """c_0(r), ..., c_order(r) and vol2(r), row by row in term order as gp.evaluate sums."""
+def _values(table: tuple, x: float) -> list[float]:
+    """c_0(x), ..., c_order(x) and vol2(x), row by row in term order as gp.evaluate sums."""
     exps, rows, polys = table
-    x = float(r)
     try:
         if 0.0 < x < inf:
             powers = [x ** p for p in exps]
@@ -146,8 +145,8 @@ def _values(table: tuple, r: float) -> list[float]:
                 return out
     except OverflowError:  # a power past a double's range
         pass
-    # r <= 0, r not finite or a value that overflows: gp.evaluate answers or refuses
-    return [gp.evaluate(a, r) for a in polys]
+    # x <= 0, x not finite or a value that overflows: gp.evaluate answers or refuses
+    return [gp.evaluate(a, x) for a in polys]
 
 
 def partial_sums(s: TaylorSeries, tau: float, r: float) -> list[float]:
@@ -164,8 +163,9 @@ def partial_sums(s: TaylorSeries, tau: float, r: float) -> list[float]:
     last = _last  # one load, so a rate is never paired with another's values
     if last is None or last[0] is not s or last[1] != r:  # a NaN r never hits
         table = last[3] if last and last[0] is s else _table(s)
-        *values, vol2 = _values(table, r)
-        check_vol2_at(vol2, r)  # after c_k(r), whose messages come first
+        x = float(r)  # read once, so a rate given as a str is refused as a number
+        *values, vol2 = _values(table, x)
+        check_vol2_at(vol2, x)  # after c_k(r), whose messages come first
         last = (s, r, values, table)
         _last = last  # only after the rate passed every check
     out, acc, tau_pow = [], 0.0, 1.0

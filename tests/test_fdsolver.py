@@ -262,6 +262,10 @@ def test_default_grid_no_worse_than_single_fine_march(cir_model, cir_params):
     (dict(r_max=0.5, n_r=10.0, n_t=4), "n_r must be an integer, got 10.0"),
     (dict(r_max=0.5, n_r=10, n_t=True), "n_t must be an integer, got True"),
     (dict(r_max=0.5, n_r=False, n_t=4), "n_r must be an integer, got False"),
+    # r_max is a real number: a str, None or a bool is refused by name
+    (dict(r_max="0.5", n_r=10, n_t=4), "r_max must be a real number, got '0.5'"),
+    (dict(r_max=None, n_r=10, n_t=4), "r_max must be a real number, got None"),
+    (dict(r_max=True, n_r=10, n_t=4), "r_max must be a real number, got True"),
 ])
 def test_grid_validation(zero_model, kwargs, message):
     # a grid is a plain record: a bad one builds, and a solve refuses it first,

@@ -3,11 +3,14 @@
 on first use.  The series path loads neither dataclasses nor inspect (its
 records are NamedTuples; the import chain of dataclasses is about half of its
 cold start), nor fractions and decimal (genpoly's exact exponents need neither).
+The FD oracle loads scipy's LAPACK extension from its file, not the
+scipy.linalg package, whose import would double an `fd` command's start.
 
 Each check runs in a fresh interpreter, since the test process has long
 since loaded all of them.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -34,8 +37,8 @@ SERIES_COMMANDS = [
 
 # what the FD solver loads; fractions, decimal included, costs a cold start
 # about as much as the series core, and exact exponents need neither
-SOLVER = ("dataclasses", "inspect", "numpy", "scipy")
-HEAVY = SOLVER + ("decimal", "fractions")
+SOLVER = ("numpy", "scipy", "scipy.linalg._flapack")
+HEAVY = SOLVER + ("dataclasses", "decimal", "fractions", "inspect", "scipy.linalg")
 
 # runs each argv list through main with stdout discarded, then prints the exit
 # codes and which of the HEAVY modules are loaded
@@ -85,8 +88,9 @@ for home in homes:
             assert getattr(bondtaylor, n) is vars(module)[n], n
     if home != "fdsolver":
         assert not any(m in sys.modules for m in {heavy!r}), (home, loaded())
-# scipy.linalg loads dataclasses and inspect, so the solver brings all four
+# the solver loads numpy, scipy and scipy's LAPACK extension, not scipy.linalg
 assert all(m in sys.modules for m in {solver!r}), loaded()
+assert "scipy.linalg" not in sys.modules, loaded()
 from bondtaylor import FDGrid, build_table
 assert FDGrid is bondtaylor.fdsolver.FDGrid and build_table is bondtaylor.tables.build_table
 assert set(bondtaylor.__all__) <= set(dir(bondtaylor))
@@ -109,6 +113,73 @@ def test_series_commands_load_neither_numpy_nor_scipy():
 
 def test_lazy_names_resolve_on_first_use():
     assert _run(_API_PROBE.format(heavy=HEAVY, solver=SOLVER, core=CORE)) == "ok"
+
+
+FD_COMMANDS = [
+    ["fd", "--model", CIR, "--r", "0.05", "--tau", "1"],
+    ["table", "--id", "dothan-grid"],
+]
+
+
+def test_fd_commands_load_lapack_but_not_scipy_linalg():
+    out = _run(_CLI_PROBE.format(commands=FD_COMMANDS, heavy=HEAVY))
+    codes = f"{[0] * len(FD_COMMANDS)} "
+    assert out.startswith(codes), out
+    loaded = set(ast.literal_eval(out[len(codes):]))
+    assert set(SOLVER) <= loaded and not loaded & {"scipy.linalg", "dataclasses"}, loaded
+
+
+# factors and solves one random tridiagonal system with the solver's LAPACK,
+# then with scipy.linalg.lapack imported after it, and prints both in hex
+_LAPACK_PROBE = """
+import sys
+import numpy as np
+from bondtaylor import fdsolver
+assert "scipy.linalg" not in sys.modules
+rng = np.random.default_rng(7)
+dl, d, du, b = rng.random(5), rng.random(6) + 2.0, rng.random(5), rng.random(6)
+
+def solve(lapack):
+    dl2, d2, du2, du3, ipiv, info = lapack.dgttrf(dl, d, du)
+    x, info2 = lapack.dgttrs(dl2, d2, du2, du3, ipiv, b)
+    assert info == info2 == 0
+    return [a.tobytes().hex() for a in (dl2, d2, du2, du3, ipiv, x)]
+
+ours = solve(fdsolver.lapack)
+from scipy.linalg import lapack
+assert lapack.dgttrs is fdsolver.lapack.dgttrs
+assert solve(lapack) == ours
+print("ok")
+"""
+
+
+def test_scipy_linalg_imported_later_reuses_the_solvers_lapack():
+    assert _run(_LAPACK_PROBE) == "ok"
+
+
+# one FD price and its estimate in hex; {hide} makes the extension file
+# unfindable, so the loader falls back to the scipy.linalg import
+_FALLBACK_PROBE = """
+import importlib.machinery, sys
+{hide}
+from bondtaylor import fdsolver
+from bondtaylor.model import parse_model_config
+print(fdsolver.lapack.__name__, "scipy.linalg" in sys.modules)
+sol = fdsolver.fd_solve(parse_model_config("configs/dothan_s2_0.02.cfg"), 2.0,
+                        fdsolver.default_grid(0.05, 2.0))
+print(fdsolver.fd_price_at(sol, 0.05).hex(), fdsolver.fd_error_at(sol, 0.05).hex())
+"""
+
+
+def test_fallback_to_scipy_linalg_gives_the_same_fd_bits():
+    direct = _run(_FALLBACK_PROBE.format(hide="")).splitlines()
+    # the import system keeps its own copy of the suffix list, so only the
+    # loader sees this one
+    fallback = _run(_FALLBACK_PROBE.format(
+        hide="importlib.machinery.EXTENSION_SUFFIXES = []")).splitlines()
+    assert direct[0] == "scipy.linalg._flapack False"
+    assert fallback[0] == "scipy.linalg.lapack True"
+    assert fallback[1] == direct[1]
 
 
 _LOADED_PROBE = """

@@ -379,6 +379,18 @@ def test_negative_rate_kept_where_vol2_is_nonnegative(build):
     assert partial_sums(s, 1.0, -0.01) == _uncached_sums(s, 1.0, -0.01)
 
 
+@pytest.mark.parametrize("build", [price_coeffs, log_coeffs])
+def test_a_rate_given_as_a_str_is_read_as_its_float(build):
+    # the rate is read once with float(): "-0.05" is refused with -0.05's
+    # message, and "0.05" sums as 0.05 does, bit for bit
+    s = build(parse_model_config(CONFIGS / "cir.cfg"), 4)
+    for r in ("-0.05", -0.05):
+        with pytest.raises(DomainError, match=r"^vol2 is negative at r=-0\.05$"):
+            partial_sums(s, 1.0, r)
+    from_str = partial_sums(s, 1.0, "0.05")
+    assert [x.hex() for x in from_str] == [x.hex() for x in partial_sums(s, 1.0, 0.05)]
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_domain_error_at_non_finite_r_is_not_kept(cir_model, bad):
     s = price_coeffs(cir_model, 10)
