@@ -10,8 +10,8 @@ tables and `cli` exposes everything on the command line.
 and `series`.  The cross-checks `closedform`, `tables` and `fdsolver` load on
 first use: each of them, and each public name it defines, resolves through
 the module `__getattr__` (PEP 562).  A cold start without bytecode caching
-compiles all the source it loads, and only `fdsolver` needs numpy and scipy,
-so series-only work pays for none of the three.
+compiles all the source it loads; only `fdsolver` needs numpy and scipy's
+LAPACK extension (loaded without `scipy.linalg`), and series work loads neither.
 """
 
 import importlib
