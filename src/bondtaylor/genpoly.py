@@ -19,6 +19,12 @@ A sum of products, dot(pairs, *polys) = sum_i a_i b_i + sum_j p_j, is merged
 once, not product by product: the raw products ca*cb of each pair (a's terms
 outer, b's inner), pair after pair, then the terms of the p_j in turn, are
 the input of that one sum.  mul and add are its one-pair and no-pair cases.
+
+Evaluation reads polys through one table(polys): each distinct exponent once, as
+n / den divided int by int, and each poly a row.  values(table, r) raises r to
+each exponent once and sums each row in term order.  It refuses a non-finite r,
+then row by row a fractional or negative exponent at r <= 0 (0**0 is 1) and a
+sum past a double's range.  evaluate is its one-row case.
 """
 
 from __future__ import annotations
@@ -134,33 +140,53 @@ def scale(a: GenPoly, s: float) -> GenPoly:
 
 
 def derivative(a: GenPoly) -> GenPoly:
-    # c * r**p -> c*p * r**(p-1), constant terms dropping out.  n / float(den) is
-    # n / den to an ulp, bit for bit below 2**53, and far faster than two big ints divide
-    terms, den = a.terms, a.den
-    div = float(den) if den < 2 ** 1000 else den  # a den below 2**1000 is also a double
-    return _canonical([(c * (n / div), n - den) for c, n in terms if n], den)
+    # c * r**p -> c*p * r**(p-1), constants dropping out; p = n / den correctly rounded
+    den = a.den
+    return _canonical([(c * (n / den), n - den) for c, n in a.terms if n], den)
 
 
-def evaluate(a: GenPoly, r: float) -> float:
-    """Evaluate a at the point r, which must be positive where a fractional or
-    negative exponent is present, and may be any real otherwise (0**0 is 1)."""
+def table(polys: Iterable[GenPoly]) -> tuple:
+    """The polys' distinct exponents, each n / den, their rows of (c, exponent index), the polys."""
+    polys, index = tuple(polys), {}
+    rows = [[(c, index.setdefault(n / a.den, len(index))) for c, n in a.terms] for a in polys]
+    return tuple(index), rows, polys
+
+
+def _power(x: float, p: float) -> float:
+    try:  # x <= 0: nan for an exponent x does not admit, inf past a double's range
+        return x ** p if p >= 0.0 and p.is_integer() else math.nan
+    except OverflowError:  # a row that holds either is refused, in row order
+        return math.inf
+
+
+def values(tab: tuple, r: float) -> list[float]:
+    """Each row of a table evaluated at r, in order; see the module docstring."""
+    exps, rows, polys = tab
     x = float(r)
     if not math.isfinite(x):
         raise DomainError(f"evaluation point {r!r} is not finite")
-    terms, den = a.terms, a.den
-    if x <= 0.0:
-        for _, n in terms:
-            if n < 0 or n % den:
-                raise DomainError(f"cannot evaluate exponent {n / den} at r={x}")
-    total = 0.0
-    try:
-        for c, n in terms:  # n / den correctly rounded, the exponent to_text prints
-            total += c * x ** (n / den)
-    except OverflowError:  # raised where x**p exceeds a double
-        total = math.inf
-    if not math.isfinite(total):
-        raise DomainError(f"evaluation overflowed at r={x}")
-    return total
+    try:  # x > 0 admits every exponent: a new rate takes this one comprehension
+        powers = [x ** p for p in exps] if x > 0.0 else [_power(x, p) for p in exps]
+    except OverflowError:  # at x > 0 the first row it enters is refused, as any would be
+        raise DomainError(f"evaluation overflowed at r={x}") from None
+    out = []
+    for row, a in zip(rows, polys):
+        if x <= 0.0:
+            for _, n in a.terms:
+                if n < 0 or n % a.den:
+                    raise DomainError(f"cannot evaluate exponent {n / a.den} at r={x}")
+        v = 0.0
+        for c, i in row:
+            v += c * powers[i]
+        if not math.isfinite(v):
+            raise DomainError(f"evaluation overflowed at r={x}")
+        out.append(v)
+    return out
+
+
+def evaluate(a: GenPoly, r: float) -> float:
+    """a(r), refused where values refuses; values' one-row case."""
+    return values(table((a,)), r)[0]
 
 
 def _fmt_number(x: float) -> str:

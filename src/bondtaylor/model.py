@@ -88,8 +88,9 @@ def check_vol2_nonnegative(vol2: GenPoly) -> None:
             return
         except DomainError:
             pass  # it overflows: the loop names the first sample that does
+    table = gp.table((vol2,))
     for x in (i / _VOL2_SAMPLES for i in range(1, _VOL2_SAMPLES + 1)):
-        check_vol2_at(gp.evaluate(vol2, x), x)
+        check_vol2_at(gp.values(table, x)[0], x)
 
 
 def make_cir(p: CIRParams) -> ShortRateModel:

@@ -31,8 +31,8 @@ drift and vol2 products.  Every coefficient stays a GenPoly in r, so
 truncation is the only approximation made here.  A series is its coefficients
 and its model: c_0 is 1 for a price series and 0 for a log series.  A longer
 build leaves c_0..c_J as they were, so its order-J sum keeps its bits.
-partial_sums divides each distinct exponent n / den once per series, c_k's
-and vol2's alike, and raises r to each once per rate.
+partial_sums reads c_k and vol2 through one genpoly.table per series, so each
+distinct exponent is divided once per series and r raised to it once per rate.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ class TaylorSeries(NamedTuple):
         return len(self.coeffs) - 1
 
 
-# (series, r, [c_0(r), ..., c_order(r)], _table(series)) last evaluated, for partial_sums
+# (series, r, [c_0(r), ..., c_order(r)], its gp.table) last evaluated, for partial_sums
 _last = None
 
 
@@ -121,34 +121,6 @@ def log_coeffs(model: ShortRateModel, order: int) -> TaylorSeries:
     return TaylorSeries(tuple(coeffs), model)
 
 
-def _table(s: TaylorSeries) -> tuple:
-    """s's distinct exponents, each n / den, and c_0..c_order and vol2 as (c, its index) rows."""
-    polys = (*s.coeffs, s.model.vol2)
-    index = {}
-    rows = [[(c, index.setdefault(n / a.den, len(index))) for c, n in a.terms] for a in polys]
-    return tuple(index), rows, polys
-
-
-def _values(table: tuple, x: float) -> list[float]:
-    """c_0(x), ..., c_order(x) and vol2(x), row by row in term order as gp.evaluate sums."""
-    exps, rows, polys = table
-    try:
-        if 0.0 < x < inf:
-            powers = [x ** p for p in exps]
-            out = []
-            for row in rows:
-                v = 0.0
-                for c, i in row:
-                    v += c * powers[i]
-                out.append(v)
-            if all(map(isfinite, out)):
-                return out
-    except OverflowError:  # a power past a double's range
-        pass
-    # x <= 0, x not finite or a value that overflows: gp.evaluate answers or refuses
-    return [gp.evaluate(a, x) for a in polys]
-
-
 def partial_sums(s: TaylorSeries, tau: float, r: float) -> list[float]:
     """Running partial sums sum_{k<=J} c_k(r) tau^k for J = 0..order.
 
@@ -162,9 +134,9 @@ def partial_sums(s: TaylorSeries, tau: float, r: float) -> list[float]:
     check_maturity(tau)
     last = _last  # one load, so a rate is never paired with another's values
     if last is None or last[0] is not s or last[1] != r:  # a NaN r never hits
-        table = last[3] if last and last[0] is s else _table(s)
+        table = last[3] if last and last[0] is s else gp.table((*s.coeffs, s.model.vol2))
         x = float(r)  # read once, so a rate given as a str is refused as a number
-        *values, vol2 = _values(table, x)
+        *values, vol2 = gp.values(table, x)
         check_vol2_at(vol2, x)  # after c_k(r), whose messages come first
         last = (s, r, values, table)
         _last = last  # only after the rate passed every check

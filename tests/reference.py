@@ -4,13 +4,16 @@
 arithmetic on the float terms, sharing no code with `series` or `genpoly`, so
 an error in the operator the recursions are built from cannot cancel out of
 it.  `exp_compose` is a second route to the price series, `approx_equal`
-compares two polynomials term by term, and `pairs` reads a polynomial's terms
-as (coefficient, exponent) doubles.
+compares two polynomials term by term, `pairs` reads a polynomial's terms
+as (coefficient, exponent) doubles, and `evaluate` is the one-polynomial
+scalar evaluator that `genpoly.values` replaced, kept to check it against.
 """
 
+import math
 from fractions import Fraction
 
 from bondtaylor import genpoly as gp
+from bondtaylor.errors import DomainError
 from bondtaylor.series import TaylorSeries
 
 
@@ -96,3 +99,25 @@ def approx_equal(a: gp.GenPoly, b: gp.GenPoly, tol: float) -> bool:
     """
     diff = gp.add(a, gp.scale(b, -1.0))
     return all(abs(c) <= tol for c, _ in diff.terms)
+
+
+def evaluate(a: gp.GenPoly, r: float) -> float:
+    """Evaluate a at the point r, which must be positive where a fractional or
+    negative exponent is present, and may be any real otherwise (0**0 is 1)."""
+    x = float(r)
+    if not math.isfinite(x):
+        raise DomainError(f"evaluation point {r!r} is not finite")
+    terms, den = a.terms, a.den
+    if x <= 0.0:
+        for _, n in terms:
+            if n < 0 or n % den:
+                raise DomainError(f"cannot evaluate exponent {n / den} at r={x}")
+    total = 0.0
+    try:
+        for c, n in terms:  # n / den correctly rounded, the exponent to_text prints
+            total += c * x ** (n / den)
+    except OverflowError:  # raised where x**p exceeds a double
+        total = math.inf
+    if not math.isfinite(total):
+        raise DomainError(f"evaluation overflowed at r={x}")
+    return total

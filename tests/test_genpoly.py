@@ -2,12 +2,13 @@ import functools
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from bondtaylor import genpoly as gp
 from bondtaylor.errors import DomainError
 from bondtaylor.genpoly import GenPoly
 from reference import approx_equal, pairs
+from reference import evaluate as reference_evaluate
 
 ALPHA, BETA = 0.00315, -0.0555
 
@@ -175,6 +176,54 @@ def test_evaluate_power_overflow_is_domain_error():
     # math.pow raises OverflowError where r**p exceeds a double
     with pytest.raises(DomainError, match="evaluation overflowed at r=1e\\+200"):
         gp.evaluate(gp.term(1.0, 2.0), 1e200)
+
+
+# exponents negative, fractional, of 17 digits (their sums put numerators past
+# 2**53) and large; coefficients that overflow at moderate rates
+_EXPONENTS = st.one_of(
+    st.integers(-3, 6).map(float), st.sampled_from([0.5, 1.5, -0.5, 2.5]),
+    st.floats(1.0, 2.0), st.floats(-3.0, 2.0),
+    st.sampled_from([400.0, 1000.0, 2.0 ** 60, 1e17]))
+_COEFFS = st.one_of(st.floats(-5.0, 5.0), st.sampled_from([1e300, -1e300, -1e-300]))
+_RAW = st.lists(st.tuples(_COEFFS, _EXPONENTS), max_size=5)
+_RATES = (0.0, -0.0, -0.01, 1e200, -1e200, math.inf, -math.inf, math.nan,
+          0.05, 0.7, 1.0, 3.0, 1e-300, -2.0)
+
+
+@st.composite
+def _polys(draw):
+    """Up to five polys, some of them products, none refused on the way."""
+    out = []
+    for raw, other in draw(st.lists(st.tuples(_RAW, st.none() | _RAW), min_size=1, max_size=5)):
+        try:
+            a = gp.canonicalize(raw)
+            out.append(a if other is None else gp.mul(a, gp.canonicalize(other)))
+        except DomainError:  # a product past a double's range
+            pass
+    return out
+
+
+def _outcome(f):
+    try:
+        return [v.hex() for v in f()]
+    except DomainError as exc:
+        return type(exc), str(exc)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_polys())
+# at r <= 0: a row that overflows before a row with exponent 1/2, and a
+# fractional exponent whose double is an integer, 2**60 + 2 gamma
+@example([gp.term(1e300, 2.0), gp.term(1.0, 0.5)])
+@example([gp.mul(gp.term(1.0, 2.0 ** 60), gp.term(1.0, 1.6176916901183807))])
+def test_values_are_the_reference_evaluator_row_by_row(polys):
+    # each row's value bit for bit, or the first refusal of the rows in order;
+    # a table of no rows refuses a non-finite r all the same
+    assume(polys)
+    table = gp.table(polys)
+    for r in _RATES:
+        assert (_outcome(lambda: gp.values(table, r))
+                == _outcome(lambda: [reference_evaluate(a, r) for a in polys]))
 
 
 def test_approx_equal_examples():

@@ -43,20 +43,57 @@ def test_reproduce_tables_script(monkeypatch, capsys):
     assert [line.split()[:2] for line in lines] == [[i, "ok"] for i in ids]
 
 
+# the hex sweep's refused (config, target, rate, message), each at all five
+# maturities: the first refusal the rate meets.  The shipped CKLS config
+# (gamma = 3/4) has exponent 3/2, which r <= 0 does not admit, CIR's vol2 is
+# negative at r < 0, and a coefficient that overflows comes first where it
+# comes before either
+HEX_SWEEP_REFUSED = [
+    ("cir.cfg", "price", "r=-1e+200", "evaluation overflowed at r=-1e+200"),
+    ("cir.cfg", "price", "r=-0.01", "vol2 is negative at r=-0.01"),
+    ("cir.cfg", "price", "r=1e+200", "evaluation overflowed at r=1e+200"),
+    ("cir.cfg", "log", "r=-1e+200", "vol2 is negative at r=-1e+200"),
+    ("cir.cfg", "log", "r=-0.01", "vol2 is negative at r=-0.01"),
+    ("ckls.cfg", "price", "r=-1e+200", "evaluation overflowed at r=-1e+200"),
+    ("ckls.cfg", "price", "r=-0.01", "cannot evaluate exponent 1.5 at r=-0.01"),
+    ("ckls.cfg", "price", "r=0.0", "cannot evaluate exponent 1.5 at r=0.0"),
+    ("ckls.cfg", "price", "r=1e+200", "evaluation overflowed at r=1e+200"),
+    ("ckls.cfg", "log", "r=-1e+200", "cannot evaluate exponent 1.5 at r=-1e+200"),
+    ("ckls.cfg", "log", "r=-0.01", "cannot evaluate exponent 1.5 at r=-0.01"),
+    ("ckls.cfg", "log", "r=0.0", "cannot evaluate exponent 1.5 at r=0.0"),
+    ("ckls.cfg", "log", "r=1e+200", "evaluation overflowed at r=1e+200"),
+    ("dothan_s2_0.01.cfg", "price", "r=-1e+200", "evaluation overflowed at r=-1e+200"),
+    ("dothan_s2_0.01.cfg", "price", "r=1e+200", "evaluation overflowed at r=1e+200"),
+    ("dothan_s2_0.01.cfg", "log", "r=-1e+200", "evaluation overflowed at r=-1e+200"),
+    ("dothan_s2_0.01.cfg", "log", "r=1e+200", "evaluation overflowed at r=1e+200"),
+    ("dothan_s2_0.02.cfg", "price", "r=-1e+200", "evaluation overflowed at r=-1e+200"),
+    ("dothan_s2_0.02.cfg", "price", "r=1e+200", "evaluation overflowed at r=1e+200"),
+    ("dothan_s2_0.02.cfg", "log", "r=-1e+200", "evaluation overflowed at r=-1e+200"),
+    ("dothan_s2_0.02.cfg", "log", "r=1e+200", "evaluation overflowed at r=1e+200"),
+    ("dothan_s2_0.03.cfg", "price", "r=-1e+200", "evaluation overflowed at r=-1e+200"),
+    ("dothan_s2_0.03.cfg", "price", "r=1e+200", "evaluation overflowed at r=1e+200"),
+    ("dothan_s2_0.03.cfg", "log", "r=-1e+200", "evaluation overflowed at r=-1e+200"),
+    ("dothan_s2_0.03.cfg", "log", "r=1e+200", "evaluation overflowed at r=1e+200"),
+    ("vasicek.cfg", "price", "r=-1e+200", "evaluation overflowed at r=-1e+200"),
+    ("vasicek.cfg", "price", "r=1e+200", "evaluation overflowed at r=1e+200"),
+    ("zero.cfg", "price", "r=-1e+200", "evaluation overflowed at r=-1e+200"),
+    ("zero.cfg", "price", "r=1e+200", "evaluation overflowed at r=1e+200"),
+]
+
+
 def test_hex_sweep_script(monkeypatch, capsys):
     code, lines = run_script(monkeypatch, capsys, "hex_sweep.py")
     assert code == 0
-    # 7 configs x 2 targets x 8 rates x 5 maturities, in a fixed order; the
+    # 7 configs x 2 targets x 11 rates x 5 maturities, in a fixed order; the
     # hex digits themselves depend on the platform's libm, so none is pinned
-    assert len(lines) == 560
+    assert len(lines) == 770
     fields = [line.split(" ", 4) for line in lines]
-    assert len({tuple(f[:4]) for f in fields}) == 560
+    assert len({tuple(f[:4]) for f in fields}) == 770
     assert {f[1] for f in fields} == {"price", "log"}
     refused = [f for f in fields if f[4].startswith("DomainError: ")]
-    # the shipped CKLS config (gamma = 3/4) has exponent 3/2, which r = 0 does not admit
-    assert [f[:3] for f in refused] == [["ckls.cfg", t, "r=0.0"] for t in ("price", "log")
-                                        for _ in range(5)]
-    assert {f[4] for f in refused} == {"DomainError: cannot evaluate exponent 1.5 at r=0.0"}
+    assert sorted((f[0], f[1], f[2], f[4]) for f in refused) == sorted(
+        (cfg, target, rate, "DomainError: " + message)
+        for cfg, target, rate, message in HEX_SWEEP_REFUSED for _ in range(5))
     for f in fields:
         if f not in refused:
             float.fromhex(f[4])  # each other line is one float in hex

@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 import re
 import sys
@@ -16,6 +17,7 @@ from bondtaylor.model import make_ckls, make_custom, parse_model_config
 from bondtaylor.series import (MAX_ORDER, TaylorSeries, log_coeffs,
                                partial_sums, price_coeffs, yield_from_price)
 from reference import approx_equal, exp_compose, pairs, pde_residual
+from reference import evaluate as reference_evaluate
 
 ALPHA, BETA, SIGMA = 0.00315, -0.0555, 0.0894
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -304,16 +306,16 @@ def _uncached_sums(s, tau, r):
 
 @pytest.fixture
 def evaluations(monkeypatch):
-    """Log what partial_sums evaluates from here on: ("table", series) for each
+    """Log what partial_sums evaluates from here on: ("table", polys) for each
     exponent table built, (r, number of values) for each rate evaluated from
     one, and ("evaluate", r) for each gp.evaluate call."""
     log = []
-    real_table, real_values, real_evaluate = (series_module._table, series_module._values,
-                                              gp.evaluate)
+    real_table, real_values, real_evaluate = gp.table, gp.values, gp.evaluate
 
-    def table(s):
-        log.append(("table", s))
-        return real_table(s)
+    def table(polys):
+        polys = tuple(polys)
+        log.append(("table", polys))
+        return real_table(polys)
 
     def values(tab, r):
         out = real_values(tab, r)
@@ -323,8 +325,8 @@ def evaluations(monkeypatch):
     def evaluate(a, r):
         log.append(("evaluate", r))
         return real_evaluate(a, r)
-    monkeypatch.setattr(series_module, "_table", table)
-    monkeypatch.setattr(series_module, "_values", values)
+    monkeypatch.setattr(gp, "table", table)
+    monkeypatch.setattr(gp, "values", values)
     monkeypatch.setattr(gp, "evaluate", evaluate)
     return log
 
@@ -343,10 +345,11 @@ def test_partial_sums_evaluates_once_per_rate_change(cir_model, evaluations):
     for r in (R1, R1, R2, R1, R2):
         for tau in CACHE_TAUS:
             partial_sums(s, tau, r)
-    # one table for the series object, then four rate changes (r1, r2, r1,
-    # r2), eleven coefficients and vol2 each, and no gp.evaluate call
-    assert evaluations == [("table", s), (R1, 12), (R2, 12), (R1, 12), (R2, 12)]
-    assert evaluations[0][1] is s
+    # one table of the series' own c_0..c_10 and vol2, then four rate changes
+    # (r1, r2, r1, r2), eleven coefficients and vol2 each, and no gp.evaluate call
+    polys = (*s.coeffs, s.model.vol2)
+    assert evaluations == [("table", polys), (R1, 12), (R2, 12), (R1, 12), (R2, 12)]
+    assert all(map(operator.is_, evaluations[0][1], polys))
 
 
 @pytest.mark.parametrize("build", [price_coeffs, log_coeffs])
@@ -420,12 +423,15 @@ def test_evaluated_series_compares_hashes_and_prints_as_fresh(cir_model, evaluat
     copy = TaylorSeries(s.coeffs, s.model)
     assert copy == s
     evaluations.clear()
-    assert partial_sums(copy, 1.0, R1) == partial_sums(s, 1.0, R1)
+    from_copy = partial_sums(copy, 1.0, R1)
+    assert series_module._last[0] is copy
+    assert partial_sums(s, 1.0, R1) == from_copy
+    assert series_module._last[0] is s
     # an equal copy misses the slot s holds and builds its own table, then s
     # misses the slot the copy took and builds one again: c_0..c_6 and vol2
     # are evaluated each time
-    assert evaluations == [("table", copy), (R1, 8), ("table", s), (R1, 8)]
-    assert evaluations[0][1] is copy and evaluations[2][1] is s
+    polys = (*s.coeffs, s.model.vol2)
+    assert evaluations == [("table", polys), (R1, 8), ("table", polys), (R1, 8)]
     partial_sums(s, 2.0, R1)
     assert len(evaluations) == 4  # s holds the slot again
 
@@ -433,9 +439,10 @@ def test_evaluated_series_compares_hashes_and_prints_as_fresh(cir_model, evaluat
 def test_every_exponent_source_uses_the_correctly_rounded_double():
     # 17-digit gammas put numerators past 2**53, where dividing by float(den)
     # rounds twice; the exponent table, gp.evaluate, to_text and the FD
-    # profile must all raise r to the one double n / den.  R = 2**64 turns an
-    # ulp of an exponent near 1 into tens of ulps of R**p.  The FD profile
-    # refuses a negative exponent, and names the one it would use.
+    # profile must all raise r to the one double n / den, and a derivative
+    # must scale c by it.  R = 2**64 turns an ulp of an exponent near 1 into
+    # tens of ulps of R**p.  The FD profile refuses a negative exponent, and
+    # names the one it would use.
     import numpy as np
 
     from bondtaylor.fdsolver import _eval_profile
@@ -448,12 +455,13 @@ def test_every_exponent_source_uses_the_correctly_rounded_double():
             return np.power(R, float(str(exc).split()[1]))
 
     rng = random.Random(3)
-    seen, mismatched = 0, []
+    seen, factors, mismatched = 0, 0, []
     for _ in range(200):
         gamma = rng.uniform(0.7, 0.9)
         s = log_coeffs(make_ckls(0.01, -0.2, 0.08, gamma), 6)
-        exps, rows, polys = series_module._table(s)
-        assert polys == (*s.coeffs, s.model.vol2)
+        polys = (*s.coeffs, s.model.vol2)
+        exps, rows, table_polys = gp.table(polys)
+        assert table_polys == polys
         for row, a in zip(rows, polys, strict=True):
             for (c, i), (c_a, n) in zip(row, a.terms, strict=True):
                 p, one = exps[i], GenPoly(((1.0, n),), a.den)
@@ -462,20 +470,25 @@ def test_every_exponent_source_uses_the_correctly_rounded_double():
                         or float(gp.to_text(one).partition(":")[2]) != p
                         or fd_power(one) != np.power(R, p)):
                     mismatched.append((gamma, n, a.den))
-    assert seen == 7000 and mismatched == []
+                if n:  # the derivative of c_a r**p has the coefficient c_a * p
+                    factors += 1
+                    if gp.derivative(GenPoly(((c_a, n),), a.den)).terms[0][0] != c_a * p:
+                        mismatched.append((gamma, n, a.den, "derivative"))
+    assert seen == 7000 and factors == 6000 and mismatched == []
 
 
 @pytest.mark.parametrize("build", [price_coeffs, log_coeffs])
 def test_table_sums_are_evaluate_sums_where_numerators_pass_2_53(build):
     # 2 gamma = 16176916901183807 / 10**16, a 17-digit numerator: an exponent
     # divided by float(den) moves c_k(r) and vol2(r) by ulps, too few to
-    # reach a sum at these rates, so the values themselves are compared too
+    # reach a sum at these rates, so the values themselves are compared too,
+    # with the series' table and with the reference evaluator's loop
     s = build(make_ckls(0.01, -0.2, 0.08, 0.8088458450591903), 10)
     for r in (0.04, 0.05, 0.1):
         for tau in CACHE_TAUS:
             assert partial_sums(s, tau, r) == _uncached_sums(s, tau, r)
         table = series_module._last[3]
-        assert series_module._values(table, r) == [gp.evaluate(a, r) for a in table[2]]
+        assert gp.values(table, r) == [reference_evaluate(a, r) for a in table[2]]
 
 
 def test_threads_sharing_a_series_never_mix_rates(cir_model):
