@@ -11,7 +11,8 @@ and `series`.  The cross-checks `closedform`, `tables` and `fdsolver` load on
 first use: each of them, and each public name it defines, resolves through
 the module `__getattr__` (PEP 562).  A cold start without bytecode caching
 compiles all the source it loads; only `fdsolver` needs numpy and scipy's
-LAPACK extension (loaded without `scipy.linalg`), and series work loads neither.
+LAPACK extension (loaded without `scipy.linalg`, and except on Windows without
+the `scipy` package), and series work loads neither.
 """
 
 import importlib

@@ -28,9 +28,12 @@ halve with the grid.  The error left is spatial: 80 steps per unit maturity in
 place of 40 leave the CIR errors at tau = 5 and 10 unchanged.
 
 dgttrf and dgttrs come from scipy's f2py LAPACK extension, loaded from its file
-in scipy/linalg: the scipy.linalg package import would double an `fd` command's
-start.  A later `import scipy.linalg` reuses it.  Only where scipy/linalg holds
-no such file (an editable scipy) does `from scipy.linalg import lapack` load it.
+in scipy/linalg, which importlib finds without importing scipy: the scipy.linalg
+package import would double an `fd` command's start, and the scipy package's
+own import adds about a tenth.  Only on Windows is scipy imported first, since
+its __init__ adds the folder of the BLAS DLLs.  A later `import scipy.linalg` reuses the
+extension.  Only where scipy/linalg holds no such file (an editable scipy) does
+`from scipy.linalg import lapack` load it.
 
 Boundaries:
   * r = 0.  The equation degenerates there for the models of interest
@@ -71,18 +74,23 @@ _ORDER = 2
 
 
 def _lapack():
-    """scipy.linalg._flapack, without the scipy.linalg import (see above)."""
-    import scipy  # light; on Windows it adds the folder of scipy's BLAS DLLs
+    """scipy.linalg._flapack, without the scipy or scipy.linalg import (see above)."""
     name = "scipy.linalg._flapack"
     if name in sys.modules:
         return sys.modules[name]
-    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-        path = os.path.join(scipy.__path__[0], "linalg", "_flapack" + suffix)
-        if os.path.isfile(path):
-            spec = importlib.util.spec_from_file_location(name, path)
-            module = importlib.util.module_from_spec(spec)  # single-phase init:
-            spec.loader.exec_module(module)  # now in sys.modules under name
-            return module
+    if os.name == "nt":  # scipy's __init__ adds the folder of its BLAS DLLs
+        import scipy  # noqa: F401
+    home = importlib.util.find_spec("scipy")  # its folder; runs no __init__
+    if home is not None and home.submodule_search_locations:
+        folder = os.path.join(home.submodule_search_locations[0], "linalg")
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(folder, "_flapack" + suffix)
+            if os.path.isfile(path):
+                spec = importlib.util.spec_from_file_location(name, path)
+                module = importlib.util.module_from_spec(spec)  # single-phase init:
+                spec.loader.exec_module(module)  # now in sys.modules under name
+                return module
+    # no _flapack file (an editable scipy), or no scipy, which this import names
     return importlib.import_module("scipy.linalg.lapack")
 
 

@@ -114,7 +114,8 @@ def log_coeffs(model: ShortRateModel, order: int) -> TaylorSeries:
                            gp.derivative(derivs[k]))
             raw = gp.dot([(model.drift, derivs[k]), (half_vol2, inner)])
             nxt = gp.scale(raw, 1.0 / (k + 1))
-            derivs.append(gp.derivative(nxt))
+            if k + 1 < order:  # c_order' is never read
+                derivs.append(gp.derivative(nxt))
         except DomainError as exc:  # an overflow or a term budget
             raise DomainError(f"log series order {k + 1}: {exc}") from None
         coeffs.append(nxt)

@@ -239,6 +239,9 @@ def test_text_round_trip():
     assert p == GenPoly(((0.00315, 0), (-0.0555, 1)))
     assert gp.to_text(p) == "0.00315:0, -0.0555:1"
     assert gp.to_text(GenPoly()) == "0"
+    # an integral coefficient prints as an int below 1e16 and as its repr from it
+    assert gp.to_text(gp.const(9999999999999998.0)) == "9999999999999998:0"
+    assert gp.to_text(gp.const(1e16)) == "1e+16:0"
     assert gp.from_text("0") == GenPoly()
     assert gp.from_text("") == GenPoly()
     assert gp.from_text(gp.to_text(gp.term(2.5, -0.75))) == gp.term(2.5, -0.75)

@@ -3,8 +3,9 @@
 on first use.  The series path loads neither dataclasses nor inspect (its
 records are NamedTuples; the import chain of dataclasses is about half of its
 cold start), nor fractions and decimal (genpoly's exact exponents need neither).
-The FD oracle loads scipy's LAPACK extension from its file, not the
-scipy.linalg package, whose import would double an `fd` command's start.
+The FD oracle loads numpy and scipy's LAPACK extension, read from its file:
+neither the scipy.linalg package, whose import would double an `fd` command's
+start, nor, except on Windows, the top-level scipy package.
 
 Each check runs in a fresh interpreter, since the test process has long
 since loaded all of them.
@@ -37,8 +38,11 @@ SERIES_COMMANDS = [
 
 # what the FD solver loads; fractions, decimal included, costs a cold start
 # about as much as the series core, and exact exponents need neither
-SOLVER = ("numpy", "scipy", "scipy.linalg._flapack")
-HEAVY = SOLVER + ("dataclasses", "decimal", "fractions", "inspect", "scipy.linalg")
+SOLVER = ("numpy", "scipy.linalg._flapack")
+HEAVY = SOLVER + ("dataclasses", "decimal", "fractions", "inspect", "scipy", "scipy.linalg")
+# what it does not load: the scipy package runs its __init__ only on Windows,
+# where that adds the folder of scipy's BLAS DLLs
+NOT_SOLVER = ("scipy.linalg",) if os.name == "nt" else ("scipy", "scipy.linalg")
 
 # runs each argv list through main with stdout discarded, then prints the exit
 # codes and which of the HEAVY modules are loaded
@@ -88,9 +92,10 @@ for home in homes:
             assert getattr(bondtaylor, n) is vars(module)[n], n
     if home != "fdsolver":
         assert not any(m in sys.modules for m in {heavy!r}), (home, loaded())
-# the solver loads numpy, scipy and scipy's LAPACK extension, not scipy.linalg
+# the solver loads numpy and scipy's LAPACK extension, not scipy.linalg and,
+# except on Windows, not scipy
 assert all(m in sys.modules for m in {solver!r}), loaded()
-assert "scipy.linalg" not in sys.modules, loaded()
+assert not any(m in sys.modules for m in {not_solver!r}), loaded()
 from bondtaylor import FDGrid, build_table
 assert FDGrid is bondtaylor.fdsolver.FDGrid and build_table is bondtaylor.tables.build_table
 assert set(bondtaylor.__all__) <= set(dir(bondtaylor))
@@ -112,7 +117,8 @@ def test_series_commands_load_neither_numpy_nor_scipy():
 
 
 def test_lazy_names_resolve_on_first_use():
-    assert _run(_API_PROBE.format(heavy=HEAVY, solver=SOLVER, core=CORE)) == "ok"
+    assert _run(_API_PROBE.format(heavy=HEAVY, solver=SOLVER, not_solver=NOT_SOLVER,
+                                  core=CORE)) == "ok"
 
 
 FD_COMMANDS = [
@@ -126,16 +132,17 @@ def test_fd_commands_load_lapack_but_not_scipy_linalg():
     codes = f"{[0] * len(FD_COMMANDS)} "
     assert out.startswith(codes), out
     loaded = set(ast.literal_eval(out[len(codes):]))
-    assert set(SOLVER) <= loaded and not loaded & {"scipy.linalg", "dataclasses"}, loaded
+    assert set(SOLVER) <= loaded and not loaded & {*NOT_SOLVER, "dataclasses"}, loaded
 
 
 # factors and solves one random tridiagonal system with the solver's LAPACK,
 # then with scipy.linalg.lapack imported after it, and prints both in hex
 _LAPACK_PROBE = """
-import sys
+import os, sys
 import numpy as np
 from bondtaylor import fdsolver
 assert "scipy.linalg" not in sys.modules
+assert os.name == "nt" or "scipy" not in sys.modules
 rng = np.random.default_rng(7)
 dl, d, du, b = rng.random(5), rng.random(6) + 2.0, rng.random(5), rng.random(6)
 
@@ -180,6 +187,30 @@ def test_fallback_to_scipy_linalg_gives_the_same_fd_bits():
     assert direct[0] == "scipy.linalg._flapack False"
     assert fallback[0] == "scipy.linalg.lapack True"
     assert fallback[1] == direct[1]
+
+
+# every finder made blind to scipy, as if it were not installed
+_NO_SCIPY_PROBE = """
+import sys
+
+class Blind:
+    def __init__(self, finder):
+        self.finder = finder
+
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] != "scipy":
+            return self.finder.find_spec(name, path, target)
+
+sys.meta_path[:] = map(Blind, sys.meta_path)
+try:
+    from bondtaylor import fdsolver
+except ModuleNotFoundError as exc:
+    print(exc.name)
+"""
+
+
+def test_without_scipy_the_solver_import_names_scipy():
+    assert _run(_NO_SCIPY_PROBE) == "scipy"
 
 
 _LOADED_PROBE = """

@@ -546,6 +546,13 @@ def test_overflow_names_the_series_order(build, model, message):
     assert type(exc.value) is DomainError and str(exc.value) == message
 
 
+def test_log_series_does_not_differentiate_its_last_coefficient():
+    # the order-8 build above refuses c_2's derivative; an order-2 build never
+    # reads it, and returns its finite c_2
+    s = log_coeffs(make_custom([(1e308, 5.0)], []), 2)
+    assert s.coeffs[2] == gp.term(-5e307, 5.0)
+
+
 def test_log_convolution_forms_each_mirrored_pair_once(monkeypatch):
     calls = []
     real = gp.dot
