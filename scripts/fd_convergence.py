@@ -32,7 +32,7 @@ class ConvergenceStudy(NamedTuple):
 
 def _price_once(model: ShortRateModel, tau: float, r: float, grid: FDGrid) -> float:
     """The price at r of one march on grid, with no extrapolation."""
-    profile = fdsolver._march_once(model, [tau], grid)[tau]
+    [profile] = fdsolver._march_once(model, grid, tau, [grid.n_t])
     return fd_price_at(FDSolution(grid, tau, profile, np.zeros_like(profile)), r)
 
 

@@ -6,16 +6,17 @@ dtau = tau_final / n_t:
 
     (I - (dtau / 2) L) P^{n+1} = (I + (dtau / 2) L) P^n.
 
-The operator is frozen in time and stored once, as one 3 x (n_r + 1) banded
-array L.  With A = I - (dtau / 2) L the explicit matrix is 2 I - A, so the
-step is P^{n+1} = 2 A^-1 P^n - P^n and needs no matvec.  A is constant: each
-march factors A / 2 once with LAPACK dgttrf (LU with partial pivoting), and
-each step is one dgttrs solve with those factors, which returns 2 A^-1 P^n,
+The operator is frozen in time and stored once, as its three diagonals, the
+tridiagonal L.  With A = I - (dtau / 2) L the explicit matrix is 2 I - A, so
+the step is P^{n+1} = 2 A^-1 P^n - P^n and needs no matvec.  A is constant:
+each march factors A / 2 once with LAPACK dgttrf (LU with partial pivoting),
+and each step is one dgttrs solve with those factors, which returns 2 A^-1 P^n,
 and one subtraction.  Halving is exact in binary, so A / 2 has A's pivots and
 multipliers, and the solve returns exactly twice what A's factors would.  One
 march serves a path of maturities, a single solve being a path of one, with
-tau = 0 its step 0; it returns its profiles keyed by maturity.  A solve checks
-the grid, the maturities and their steps once, on the grid it is given.
+tau = 0 its step 0.  A solve checks the grid, the maturities and their steps
+once, on the grid it is given; each maturity's solution carries the grid of its
+own steps, whose single solve it equals.
 
 Every solve marches the grid it is given, then that grid halved (2 n_r, 2 n_t),
 and returns on the coarse nodes the extrapolation fine + (fine - coarse) / 3
@@ -168,10 +169,10 @@ def _eval_profile(poly: GenPoly, r_nodes: np.ndarray) -> np.ndarray:
     return out
 
 
-def _operator(model: ShortRateModel, grid: FDGrid) -> np.ndarray:
-    """The spatial operator L in LAPACK band layout: row 0 couples node j to
-    j+1 (column j+1), row 1 is the diagonal, row 2 couples node j to j-1
-    (column j-1)."""
+def _operator(model: ShortRateModel, grid: FDGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The spatial operator L as its three diagonals (lower, diag, upper), the
+    dl, d, du of dgttrf: row j of L is lower[j-1] P[j-1] + diag[j] P[j] +
+    upper[j] P[j+1]."""
     n = grid.n_r + 1
     h = grid.h
     r_nodes = np.linspace(0.0, grid.r_max, n)
@@ -189,21 +190,14 @@ def _operator(model: ShortRateModel, grid: FDGrid) -> np.ndarray:
         raise DomainError(f"the r=0 boundary row needs vol2(0) = 0 and drift(0) >= 0, "
                           f"got vol2(0)={s2[0]:g}, drift(0)={mu[0]:g}")
 
-    L = np.zeros((3, n))
     diff = 0.5 * s2[1:-1] / (h * h)
     adv = mu[1:-1] / (2.0 * h)
-    L[0, 2:] = diff + adv
-    L[1, 1:-1] = -2.0 * diff - r_nodes[1:-1]
-    L[2, :-2] = diff - adv
-
-    # r = 0: degenerate row, one-sided first derivative, no reaction term
-    L[1, 0] = -mu[0] / h
-    L[0, 1] = mu[0] / h
-
-    # r = r_max: P_rr = 0, one-sided first derivative
-    L[2, -2] = -mu[-1] / h
-    L[1, -1] = mu[-1] / h - r_nodes[-1]
-    return L
+    # first row, r = 0: degenerate, one-sided first derivative, no reaction term;
+    # last row, r = r_max: P_rr = 0, one-sided first derivative
+    lower = np.concatenate((diff - adv, [-mu[-1] / h]))
+    diag = np.concatenate(([-mu[0] / h], -2.0 * diff - r_nodes[1:-1], [mu[-1] / h - r_nodes[-1]]))
+    upper = np.concatenate(([mu[0] / h], diff + adv))
+    return lower, diag, upper
 
 
 def _march(model: ShortRateModel, taus, grid: FDGrid) -> dict[float, FDSolution]:
@@ -222,46 +216,44 @@ def _march(model: ShortRateModel, taus, grid: FDGrid) -> dict[float, FDSolution]
         check_maturity(tau)
     if not taus:
         return {}
-    for tau in taus[:-1]:
-        steps = tau / taus[-1] * grid.n_t  # not tau / dtau, which may underflow to 0
-        if abs(steps - round(steps)) > 1e-9 or (round(steps) == 0 and tau > 0.0):
-            raise DomainError(f"tau={tau} does not align with dtau={taus[-1] / grid.n_t}")
-    coarse = _march_once(model, taus, grid)
-    fine = _march_once(model, taus, grid._replace(n_r=2 * grid.n_r, n_t=2 * grid.n_t))
-    return {tau: FDSolution(grid, tau, *_richardson(coarse[tau], fine[tau][::2]))
-            for tau in taus}
-
-
-def _march_once(model: ShortRateModel, taus: list[float], grid: FDGrid) -> dict[float, np.ndarray]:
-    """One march to taus[-1], step n_t, returning the profile at each of the
-    ascending maturities taus, each at its nearest step, tau = 0 at step 0."""
-    dtau = taus[-1] / grid.n_t
-    wanted: dict[int, list[float]] = {}
+    steps = []
     for tau in taus:
-        wanted.setdefault(round(tau / taus[-1] * grid.n_t) if tau else 0, []).append(tau)
+        exact = tau / taus[-1] * grid.n_t if tau else 0.0  # not tau / dtau: dtau may underflow
+        steps.append(round(exact))
+        if abs(exact - steps[-1]) > 1e-9 or (steps[-1] == 0 and tau > 0.0):
+            raise DomainError(f"tau={tau} does not align with dtau={taus[-1] / grid.n_t}")
+    coarse = _march_once(model, grid, taus[-1], steps)
+    fine = _march_once(model, grid._replace(n_r=2 * grid.n_r, n_t=2 * grid.n_t), taus[-1],
+                       [2 * step for step in steps])
+    return {tau: FDSolution(grid._replace(n_t=step or grid.n_t), tau, *_richardson(c, f[::2]))
+            for tau, step, c, f in zip(taus, steps, coarse, fine)}
 
-    L = _operator(model, grid)
+
+def _march_once(model: ShortRateModel, grid: FDGrid, tau_final: float,
+                steps: list[int]) -> list[np.ndarray]:
+    """March steps of tau_final / grid.n_t from P(0, .) = 1, step 0, to the last
+    of the ascending steps, returning the profile at each of them."""
+    lower, diag, upper = _operator(model, grid)
     with np.errstate(over="ignore"):  # an overflow leaves step 1 non-finite, refused there
-        ab = -0.25 * dtau * L  # A / 2, with A = I - (dtau / 2) L the implicit matrix
-    ab[1] += 0.5
-    dl, d, du, du2, ipiv, info = lapack.dgttrf(ab[2, :-1], ab[1], ab[0, 1:])
+        s = -0.25 * (tau_final / grid.n_t)  # A / 2 = s L + I / 2, A = I - (dtau / 2) L
+        dl, d, du, du2, ipiv, info = lapack.dgttrf(s * lower, s * diag + 0.5, s * upper)
     if info > 0:
         raise DomainError(f"singular tridiagonal matrix: zero pivot at row {info}")
 
     values = np.ones(grid.n_r + 1)
     zeros = np.zeros(grid.n_r + 1)
-    out = {tau: values for tau in wanted.get(0, ())}  # tau = 0 is step 0, P(0, .) = 1
+    out, done = [], 0
     # a march that blows up overflows on the way; the finiteness check names the
     # step.  0 x is +-0 for a finite x and NaN for an inf or NaN one, so the dot
     # product with zeros is finite exactly when every node is.
     with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(1, grid.n_t + 1):
-            doubled, _ = lapack.dgttrs(dl, d, du, du2, ipiv, values)  # 2 A^-1 P
-            values = np.subtract(doubled, values, out=doubled)
-            if not math.isfinite(values.dot(zeros)):
-                raise DomainError(f"non-finite values at step {step} of {grid.n_t}")
-            for tau in wanted.get(step, ()):
-                out[tau] = values
+        for step in steps:
+            for done in range(done + 1, step + 1):  # done ends at step
+                doubled, _ = lapack.dgttrs(dl, d, du, du2, ipiv, values)  # 2 A^-1 P
+                values = np.subtract(doubled, values, out=doubled)
+                if not math.isfinite(values.dot(zeros)):
+                    raise DomainError(f"non-finite values at step {done} of {grid.n_t}")
+            out.append(values)
     return out
 
 
@@ -275,10 +267,11 @@ def fd_solve_path(model: ShortRateModel, taus, grid: FDGrid) -> dict[float, FDSo
 
     The grid is checked first (ValueError), then every tau must pass
     check_maturity and land within 1e-9 of a step of grid, the caller's, step 0
-    only for tau = 0, the starting profile; the recorded profiles then equal
-    what single solves with the same dtau would produce.  Maturities on one
-    step share its profile.  On a default_grid the step is 1/40 of a unit
-    maturity when max(taus) is a multiple of 1/40, so quarter maturities align.
+    only for tau = 0, the starting profile.  The solution at tau on step k
+    carries grid._replace(n_t=k) (tau = 0 keeps grid) and, where tau / k is the
+    path's dtau in floats, equals fd_solve(model, tau, sol.grid) field for field.
+    Maturities on one step share its profile.  On a default_grid the step is 1/40
+    of a unit maturity when max(taus) is a multiple of 1/40, so quarters align.
     """
     return _march(model, taus, grid)
 

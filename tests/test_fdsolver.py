@@ -220,8 +220,9 @@ def test_default_grid_checkpoints_at_quarter_years(cir_model):
 def test_richardson_grid_extrapolates_two_single_marches(model_name):
     model = PATH_MODELS[model_name]
     grid = FDGrid(r_max=0.5, n_r=20, n_t=8)
-    coarse = fdsolver._march_once(model, [2.0], grid)[2.0]
-    fine = fdsolver._march_once(model, [2.0], FDGrid(0.5, 40, 16))[2.0][::2]
+    [coarse] = fdsolver._march_once(model, grid, 2.0, [grid.n_t])
+    [fine] = fdsolver._march_once(model, FDGrid(0.5, 40, 16), 2.0, [16])
+    fine = fine[::2]
     sol = fd_solve(model, 2.0, grid)
     # Crank-Nicolson is second order: 2^2 - 1 = 3
     assert np.array_equal(sol.values, fine + (fine - coarse) / 3.0)
@@ -310,9 +311,12 @@ def test_fd_solve_path_matches_single_solves(model_name):
     sols = fd_solve_path(model, [1.0, 2.0, 4.0], grid)
     assert sorted(sols) == [1.0, 2.0, 4.0]
     for tau, sol in sols.items():
-        # same dtau=0.1 march, so values agree bit for bit
+        # same dtau=0.1 march: the checkpoint is the single solve, field for field
         single = fd_solve(model, tau, grid._replace(n_t=int(10 * tau)))
+        assert sol.grid == single.grid == grid._replace(n_t=int(10 * tau))
         assert np.array_equal(sol.values, single.values)
+        assert np.array_equal(sol.error, single.error)
+        assert fd_error_at(sol, 0.05) == fd_error_at(single, 0.05)
     # two maturities on one step both come back, with that step's profile
     near = fd_solve_path(model, [1.0, 1.0 + 1e-12, 2.0], grid)
     assert sorted(near) == [1.0, 1.0 + 1e-12, 2.0]
@@ -320,6 +324,20 @@ def test_fd_solve_path_matches_single_solves(model_name):
     assert np.array_equal(near[1.0].values, single.values)
     assert np.array_equal(near[1.0 + 1e-12].values, single.values)
     assert near[1.0 + 1e-12].tau_final == 1.0 + 1e-12
+
+
+def test_stiff_checkpoint_estimates_its_own_steps(cir_model, cir_params):
+    # at r = 80 each step's factor is near -1, which the scalar march term
+    # models from the solution's grid: 5 steps to tau = 0.125, not the path's 40
+    grid = default_grid(80.0, 1.0)
+    sols = fd_solve_path(cir_model, [0.0, 0.125, 1.0], grid)
+    single = fd_solve(cir_model, 0.125, grid._replace(n_t=5))
+    assert sols[0.125].grid == single.grid
+    estimate = fd_error_at(sols[0.125], 80.0)
+    assert estimate == fd_error_at(single, 80.0) == pytest.approx(2.88e-5, rel=1e-2)
+    error = abs(fd_price_at(sols[0.125], 80.0) - cir_exact_price(cir_params, 0.125, 80.0))
+    assert error == pytest.approx(2.31e-5, rel=1e-2) and error <= estimate
+    assert sols[0.0].grid == grid and fd_error_at(sols[0.0], 80.0) == 0.0
 
 
 def _dense_operator(model, grid):
@@ -353,15 +371,25 @@ def test_march_matches_dense_crank_nicolson(model_name):
     values = np.ones(grid.n_r + 1)
     for _ in range(grid.n_t):
         values = np.linalg.solve(implicit, explicit @ values)
-    march = fdsolver._march_once(model, [0.6], grid)[0.6]
+    [march] = fdsolver._march_once(model, grid, 0.6, [grid.n_t])
     assert np.allclose(march, values, rtol=1e-13, atol=1e-15)
+
+
+def _band(model, grid):
+    """L from its three diagonals in solve_banded's 3 x (n_r + 1) layout: row 0
+    couples node j to j+1 (column j+1), row 1 is the diagonal, row 2 couples
+    node j to j-1 (column j-1)."""
+    lower, diag, upper = fdsolver._operator(model, grid)
+    L = np.zeros((3, grid.n_r + 1))
+    L[0, 1:], L[1], L[2, :-1] = upper, diag, lower
+    return L
 
 
 def _banded_solve_march(model, taus, grid):
     """The march with one scipy solve_banded (LAPACK dgtsv) call per step,
     which refactors the halved implicit matrix every time."""
     dtau = taus[-1] / grid.n_t
-    L = fdsolver._operator(model, grid)
+    L = _band(model, grid)
     ab = -0.25 * dtau * L
     ab[1] += 0.5
     wanted = {round(tau / dtau): tau for tau in taus}
@@ -382,18 +410,18 @@ def test_factored_march_is_bit_identical_to_banded_solves(model_name):
     grid = FDGrid(r_max=0.5, n_r=60, n_t=40)
     taus = [0.5, 1.25, 2.0]
     reference = _banded_solve_march(model, taus, grid)
-    assert np.array_equal(fdsolver._march_once(model, [2.0], grid)[2.0], reference[2.0])
-    path = fdsolver._march_once(model, taus, grid)
-    assert sorted(path) == taus
-    for tau in taus:
-        assert np.array_equal(path[tau], reference[tau])
+    [alone] = fdsolver._march_once(model, grid, 2.0, [grid.n_t])
+    assert np.array_equal(alone, reference[2.0])
+    path = fdsolver._march_once(model, grid, 2.0, [10, 25, 40])
+    for tau, profile in zip(taus, path, strict=True):
+        assert np.array_equal(profile, reference[tau])
 
 
 def _explicit_matvec_march(model, tau, grid):
     """Crank-Nicolson as written, (I - (dtau / 2) L) P' = (I + (dtau / 2) L) P:
     a banded matvec for the right-hand side, then a solve_banded solve."""
     dtau = tau / grid.n_t
-    L = fdsolver._operator(model, grid)
+    L = _band(model, grid)
     ab = -0.5 * dtau * L
     ab[1] += 1.0
     ex = 0.5 * dtau * L
@@ -421,7 +449,8 @@ def test_march_matches_explicit_matvec_step(model_name, grid):
     # Measured: at most 7.8e-15 on 100 x 50, 4.3e-14 on the fine level (cir)
     model = PATH_MODELS[model_name]
     reference = _explicit_matvec_march(model, 1.0, grid)
-    assert np.max(np.abs(fdsolver._march_once(model, [1.0], grid)[1.0] - reference)) <= 5e-14
+    [march] = fdsolver._march_once(model, grid, 1.0, [grid.n_t])
+    assert np.max(np.abs(march - reference)) <= 5e-14
 
 
 def _decimal_march(model, tau, grid):
@@ -431,10 +460,10 @@ def _decimal_march(model, tau, grid):
     with localcontext() as ctx:
         ctx.prec = 40
         half = Decimal(tau / grid.n_t) / 2
-        bands = fdsolver._operator(model, grid).tolist()
-        up, dia, lo = ([half * Decimal(x) for x in band] for band in bands)
+        lo, dia, up = ([half * Decimal(x) for x in band.tolist()]
+                       for band in fdsolver._operator(model, grid))
         # row i of (dtau / 2) L: sub[i] P[i-1] + dia[i] P[i] + sup[i] P[i+1]
-        sub, sup = [Decimal(0)] + lo[:-1], up[1:] + [Decimal(0)]
+        sub, sup = [Decimal(0)] + lo, up + [Decimal(0)]
         n = len(dia)
         mult, piv = [Decimal(0)], [1 - dia[0]]
         for i in range(1, n):
@@ -461,7 +490,8 @@ def test_march_rounding_against_decimal_march(model_name):
     model = PATH_MODELS[model_name]
     grid = FDGrid(0.5, 100, 50)
     reference = _decimal_march(model, 1.0, grid)
-    assert np.max(np.abs(fdsolver._march_once(model, [1.0], grid)[1.0] - reference)) <= 5e-14
+    [march] = fdsolver._march_once(model, grid, 1.0, [grid.n_t])
+    assert np.max(np.abs(march - reference)) <= 5e-14
 
 
 @pytest.mark.parametrize("tau", [math.inf, math.nan, -0.5])
@@ -575,7 +605,7 @@ def test_convergence_levels_march_the_halved_base_once(cir_model):
     study = convergence_study(cir_model, 1.0, 0.05, base, levels=3)
     finest = FDGrid(r_max=0.1, n_r=40, n_t=80)
     # 0.05 is node 20 of the finest level, which marches once and is not extrapolated
-    assert study.values[-1] == fdsolver._march_once(cir_model, [1.0], finest)[1.0][20]
+    assert study.values[-1] == fdsolver._march_once(cir_model, finest, 1.0, [80])[0][20]
     assert study.values[-1] != fd_price_at(fd_solve(cir_model, 1.0, finest), 0.05)
 
 
