@@ -19,7 +19,8 @@ quartiles and how many pairs the change won (by the direction BENCHMARK.json
 gives the metric; ties count for neither side), and per workload each side's
 operations attempted and failed and runs not correct; under "src_lines" each
 tree's line count of src/bondtaylor/*.py, as wc -l gives it; under
-"public_names" the length of each tree's bondtaylor.__all__; and under "environment"
+"public_names" the length of each tree's bondtaylor.__all__; under "cli_options"
+the option strings of each tree's CLI subcommands; and under "environment"
 the Python version, the CPU count and sys.flags.dont_write_bytecode.  With
 bytecode caching off, as PYTHONDONTWRITEBYTECODE (which the runs inherit) sets
 it, every cold start compiles the source it loads, which multiplies setup_s.
@@ -85,6 +86,30 @@ def public_names(tree: Path) -> int | None:
                 and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
             count = len(node.value.elts)
     return count
+
+
+# run as python -B -c with the tree's src as argv[1]; prints the option count
+_COUNT_OPTIONS = """
+import argparse, pathlib, sys
+from bondtaylor import cli
+if pathlib.Path(cli.__file__).parents[1] != pathlib.Path(sys.argv[1]):
+    sys.exit(f"imported {cli.__file__}, not the tree's")  # an installed bondtaylor
+sub, = (a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+print(sum(flag not in ("-h", "--help") for parser in sub.choices.values()
+          for action in parser._actions for flag in action.option_strings))
+"""
+
+
+def cli_options(tree: Path) -> int | None:
+    """Option strings summed over the subcommands of tree's build_parser(),
+    -h/--help aside, counted in a child interpreter with tree's src on
+    PYTHONPATH (and writing no bytecode into it).  None if that fails, or if
+    the bondtaylor it imports is not tree's."""
+    src = tree.resolve() / "src"
+    done = subprocess.run([sys.executable, "-B", "-c", _COUNT_OPTIONS, str(src)],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True)
+    return int(done.stdout) if done.returncode == 0 else None
 
 
 def environment() -> dict:
@@ -155,6 +180,7 @@ def main(argv=None) -> int:
               "revisions": {side: git_rev(tree) for side, tree in trees.items()},
               "src_lines": {side: src_lines(tree) for side, tree in trees.items()},
               "public_names": {side: public_names(tree) for side, tree in trees.items()},
+              "cli_options": {side: cli_options(tree) for side, tree in trees.items()},
               "environment": environment(),
               "workloads": {}}
     for workload in args.workloads.split(","):

@@ -26,8 +26,8 @@ numerical domain error (among them a series sum S_J whose error estimate e, the
 two terms past it, leaves a printed digit open, where S_J - e and S_J + e would
 print differently, and an fd price whose estimate exceeds half its last digit;
 price --converge prints every partial sum unchecked), 3 reference-table mismatch.
-Output goes to stdout or to --out; --format picks aligned text (default) or
-CSV with a header row.
+Output goes to stdout (write a file with the shell's >); --format picks aligned
+text (default) or CSV with a header row.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ import io
 import math
 import re
 import sys
-from pathlib import Path
 
 from .errors import ConfigError, DomainError, check_yield_maturity
 from .closedform import cir_exact_price
@@ -214,8 +213,6 @@ def build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--format", choices=("csv", "text"), default="text",
                         help="output format (default text)")
-    common.add_argument("--out", default=None, metavar="FILE",
-                        help="write output to FILE instead of stdout")
     with_model = _Parser(add_help=False)
     with_model.add_argument("--model", required=True, metavar="FILE",
                             help="model config file")
@@ -286,14 +283,7 @@ def main(argv=None) -> int:
     except ValueError as exc:  # DomainError is a ValueError, ConfigError too
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, DomainError) else 1
-    if args.out is not None:
-        try:
-            Path(args.out).write_text(text, encoding="utf-8")
-        except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-            return 1
-    else:
-        sys.stdout.write(text)
+    sys.stdout.write(text)
     return code
 
 

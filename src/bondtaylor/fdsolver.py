@@ -33,8 +33,10 @@ in scipy/linalg, which importlib finds without importing scipy: the scipy.linalg
 package import would double an `fd` command's start, and the scipy package's
 own import adds about a tenth.  Only on Windows is scipy imported first, since
 its __init__ adds the folder of the BLAS DLLs.  A later `import scipy.linalg`
-reuses the extension.  Only where scipy/linalg holds no such file (an editable
-scipy) does `from scipy.linalg import lapack` load it.
+reuses the extension but binds no attribute scipy.linalg._flapack; scipy, and
+any `from scipy.linalg import _flapack`, finds it in sys.modules.  Only where
+scipy/linalg holds no such file (an editable scipy) does
+`from scipy.linalg import lapack` load it.
 
 Boundaries:
   * r = 0.  The equation degenerates there for the models of interest

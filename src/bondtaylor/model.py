@@ -123,11 +123,14 @@ def make_custom(drift_terms, vol2_terms) -> ShortRateModel:
     return ShortRateModel(drift, vol2)
 
 
-_REQUIRED_KEYS = {
-    "cir": ("alpha", "beta", "sigma"),
-    "dothan": ("mu", "sigma2"),
-    "ckls": ("alpha", "beta", "sigma", "gamma"),
-    "custom": ("drift_terms", "vol2_terms"),
+# each config kind: its keys in constructor order, the key that sets vol2 (whose
+# line a constructor refusal names), and the constructor
+_KINDS = {
+    "cir": (("alpha", "beta", "sigma"), "sigma",
+            lambda alpha, beta, sigma: make_ckls(alpha, beta, sigma, 0.5)),
+    "dothan": (("mu", "sigma2"), "sigma2", make_dothan_sigma2),
+    "ckls": (("alpha", "beta", "sigma", "gamma"), "sigma", make_ckls),
+    "custom": (("drift_terms", "vol2_terms"), "vol2_terms", make_custom),
 }
 
 
@@ -168,27 +171,21 @@ def parse_model_text(text: str) -> ShortRateModel:
     if "model" not in entries:
         raise ConfigError("missing required key 'model'")
     kind, model_line = entries.pop("model")
-    if kind not in _REQUIRED_KEYS:
-        raise ConfigError(
-            f"line {model_line}: unknown model {kind!r}; expected one of cir, dothan, ckls, custom"
-        )
-    needed = _REQUIRED_KEYS[kind]
+    if kind not in _KINDS:
+        raise ConfigError(f"line {model_line}: unknown model {kind!r}; "
+                          f"expected one of {', '.join(_KINDS)}")
+    needed, vol2_key, build = _KINDS[kind]
     for key in needed:
         if key not in entries:
             raise ConfigError(f"missing required key {key!r} for model {kind!r}")
     for key in sorted(set(entries) - set(needed)):
         raise ConfigError(f"line {entries[key][1]}: unknown key {key!r} for model {kind!r}")
 
-    v = {key: _parse_value(key, *entries[key]) for key in needed}
+    values = [_parse_value(key, *entries[key]) for key in needed]
     try:
-        if kind == "custom":
-            return make_custom(v["drift_terms"], v["vol2_terms"])
-        if kind == "dothan":
-            return make_dothan_sigma2(v["mu"], v["sigma2"])
-        return make_ckls(v["alpha"], v["beta"], v["sigma"], v.get("gamma", 0.5))
+        return build(*values)
     except ValueError as exc:  # a sign, a term canonicalize refuses, or the vol2 check
-        key = {"dothan": "sigma2", "custom": "vol2_terms"}.get(kind, "sigma")  # sets vol2
-        raise ConfigError(f"line {entries[key][1]}: {exc}") from None
+        raise ConfigError(f"line {entries[vol2_key][1]}: {exc}") from None
 
 
 def parse_model_config(path) -> ShortRateModel:

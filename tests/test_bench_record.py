@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import bondtaylor
+from test_public_api import CLI_OPTIONS
 
 _PATH = Path(__file__).resolve().parents[1] / "scripts" / "bench_record.py"
 _SPEC = importlib.util.spec_from_file_location("bench_record", _PATH)
@@ -122,6 +123,12 @@ def test_public_names_reads_all_without_importing_the_tree(tmp_path):
     assert bench_record.public_names(bench_record.ROOT) == len(bondtaylor.__all__)
 
 
+def test_cli_options_counts_the_option_strings_of_a_trees_cli(tmp_path):
+    assert bench_record.cli_options(bench_record.ROOT) == sum(
+        len(options) for options in CLI_OPTIONS.values()) == 30
+    assert bench_record.cli_options(tmp_path) is None  # no package
+
+
 def test_main_records_each_trees_src_lines_beside_its_revision(tmp_path, monkeypatch):
     (tmp_path / "BENCHMARK.json").write_text(
         (bench_record.ROOT / "BENCHMARK.json").read_text())
@@ -142,3 +149,4 @@ def test_main_records_each_trees_src_lines_beside_its_revision(tmp_path, monkeyp
     assert record["revisions"] == {"parent": "p", "change": "c"}
     assert record["src_lines"] == {"parent": 4, "change": 2}
     assert record["public_names"] == {"parent": 1, "change": None}
+    assert record["cli_options"] == {"parent": None, "change": None}  # neither has a cli

@@ -500,24 +500,6 @@ def test_coeffs_text_and_csv(cfg, capsys):
     assert rows[2] == ["1", "-1:1"]
 
 
-def test_out_flag_writes_file(cfg, capsys, tmp_path):
-    target = tmp_path / "out.csv"
-    code, out, _ = run(capsys, ["yield", "--model", cfg(CIR_CFG), "--r", "0.05",
-                                "--taus", "1,2", "--format", "csv",
-                                "--out", str(target)])
-    assert code == 0
-    assert out == ""
-    content = target.read_text(encoding="utf-8")
-    assert content.startswith("tau,yield_pct\n")
-
-
-def test_out_unwritable_exits_1(cfg, capsys, tmp_path):
-    code, _, err = run(capsys, ["yield", "--model", cfg(CIR_CFG), "--r", "0.05",
-                                "--taus", "1", "--out",
-                                str(tmp_path / "no" / "dir" / "f.csv")])
-    assert code == 1 and "cannot write" in err
-
-
 def test_usage_errors_exit_1(cfg, capsys):
     assert run(capsys, ["price", "--model", cfg(CIR_CFG)])[0] == 1   # no --r
     assert run(capsys, ["table", "--id", "bogus"])[0] == 1

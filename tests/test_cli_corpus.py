@@ -63,6 +63,14 @@ def _commands() -> list[list[str]]:
     # the oracle has one scheme on one grid; its former knobs are usage errors
     cmds.append(["fd", "--model", "configs/cir.cfg", "--r", "0.05", "--tau", "2",
                  "--theta", "1", "--upper-boundary", "dirichlet0"])
+    # output goes to stdout alone; the former --out is a usage error everywhere
+    for argv in (["coeffs", "--model", "configs/cir.cfg"],
+                 ["price", "--model", "configs/cir.cfg", "--r", "0.05", "--tau", "1"],
+                 ["yield", "--model", "configs/cir.cfg", "--r", "0.05", "--taus", "1"],
+                 ["exact-cir"] + CIR_ARGS + ["--r", "0.05", "--tau", "1"],
+                 ["fd", "--model", "configs/cir.cfg", "--r", "0.05", "--tau", "1"],
+                 ["table", "--id", TABLE_IDS[0]]):
+        cmds.append(argv + ["--out", "x"])
     cmds.append(["fd", "--model", "configs/dothan_s2_0.01.cfg", "--r", "0.035",
                  "--tau", "1"])
     cmds.append(["fd", "--model", "configs/vasicek.cfg", "--r", "0.05", "--tau", "1"])

@@ -225,6 +225,29 @@ def test_parse_unknown_model_and_keys():
         parse_model_text("alpha = 0\n")
 
 
+# a config body of each kind, and the model it must build
+KIND_CONFIGS = {
+    "cir": ("alpha = 0.00315\nbeta = -0.0555\nsigma = 0.0894\n",
+            make_cir(CIRParams(0.00315, -0.0555, 0.0894))),
+    "dothan": ("mu = 0.005\nsigma2 = 0.01\n", make_dothan_sigma2(0.005, 0.01)),
+    "ckls": ("alpha = 0.01\nbeta = -0.2\nsigma = 0.1\ngamma = 0.75\n",
+             make_ckls(0.01, -0.2, 0.1, 0.75)),
+    "custom": ("drift_terms = 0.01:0, -0.1:1\nvol2_terms = 0.0001:0\n",
+               make_custom([(0.01, 0.0), (-0.1, 1.0)], [(0.0001, 0.0)])),
+}
+
+
+def test_unknown_model_message_lists_each_kind_that_parses():
+    message = "line 2: unknown model 'vasicek'; expected one of cir, dothan, ckls, custom"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        parse_model_text("# no such preset\nmodel = vasicek\n")
+    kinds = message.rpartition("expected one of ")[2].split(", ")
+    assert sorted(kinds) == sorted(KIND_CONFIGS)
+    for kind in kinds:
+        body, want = KIND_CONFIGS[kind]
+        assert parse_model_text(f"model = {kind}\n{body}") == want
+
+
 def test_parse_duplicate_key_rejected():
     with pytest.raises(ConfigError, match="duplicate"):
         parse_model_text("model = cir\nalpha = 1\nalpha = 2\nbeta = 0\nsigma = 0\n")

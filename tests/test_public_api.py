@@ -35,15 +35,13 @@ RECORD_FIELDS = {
 
 # each subcommand's option strings, -h/--help aside
 CLI_OPTIONS = {
-    "coeffs": ["--format", "--model", "--order", "--out", "--target"],
-    "price": ["--converge", "--format", "--model", "--order", "--out", "--r",
-              "--target", "--tau", "--taus"],
-    "yield": ["--format", "--from-price", "--model", "--order", "--out", "--r",
-              "--taus"],
-    "exact-cir": ["--alpha", "--beta", "--format", "--out", "--r", "--sigma",
-                  "--tau"],
-    "fd": ["--format", "--model", "--out", "--r", "--tau"],
-    "table": ["--format", "--id", "--out"],
+    "coeffs": ["--format", "--model", "--order", "--target"],
+    "price": ["--converge", "--format", "--model", "--order", "--r", "--target",
+              "--tau", "--taus"],
+    "yield": ["--format", "--from-price", "--model", "--order", "--r", "--taus"],
+    "exact-cir": ["--alpha", "--beta", "--format", "--r", "--sigma", "--tau"],
+    "fd": ["--format", "--model", "--r", "--tau"],
+    "table": ["--format", "--id"],
 }
 
 
