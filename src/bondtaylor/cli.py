@@ -47,8 +47,9 @@ from .tables import TABLE_IDS, build_table
 
 
 class _Parser(argparse.ArgumentParser):
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+    def __init__(self, *args, allow_abbrev=False, **kwargs):
+        # one spelling per option, no prefix: in subparsers too, built as this class
+        super().__init__(*args, allow_abbrev=allow_abbrev, **kwargs)
         # - and a digit, .digit, inf or nan start a value (-5e-05, -1,2, -inf, -NaN), as
         # float() reads them; argparse reads only -1 and -.5
         self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)

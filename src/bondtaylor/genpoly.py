@@ -19,6 +19,9 @@ A sum of products, dot(pairs, *polys) = sum_i a_i b_i + sum_j p_j, is merged
 once, not product by product: the raw products ca*cb of each pair (a's terms
 outer, b's inner), pair after pair, then the terms of the p_j in turn, are
 the input of that one sum.  mul and add are its one-pair and no-pair cases.
+With factor=s, dot multiplies each exponent's sum by s before the checks, so
+it gives the terms, den and refusals of scale(dot(pairs, *polys), s); only a
+sum that underflows to zero is dropped before the term budget counts it.
 
 Evaluation reads polys through one table(polys): each distinct exponent once, as
 n / den divided int by int, and each poly a row.  values(table, r) raises r to
@@ -93,8 +96,8 @@ def term(c: float, p: float) -> GenPoly:
     return canonicalize([(c, p)])
 
 
-def dot(pairs: Iterable[tuple[GenPoly, GenPoly]], *polys: GenPoly) -> GenPoly:
-    """sum_i a_i * b_i over the pairs (a_i, b_i), plus the polys, in one merge."""
+def dot(pairs: Iterable[tuple[GenPoly, GenPoly]], *polys: GenPoly, factor: float = 1.0) -> GenPoly:
+    """factor * (sum_i a_i * b_i over the pairs (a_i, b_i), plus the polys), in one merge."""
     pairs = tuple(pairs)
     n_raw, den = 0, 1
     for a, b in pairs:
@@ -124,7 +127,7 @@ def dot(pairs: Iterable[tuple[GenPoly, GenPoly]], *polys: GenPoly) -> GenPoly:
         n = max(ns[0], ns[-1], key=abs)
         raise DomainError(f"non-finite term (coeff={acc[n]!r}, "
                           f"exponent={math.inf if n > 0 else -math.inf!r})") from None
-    return _canonical(list(zip(map(acc.__getitem__, ns), ns)), den)
+    return _canonical([(acc[n] * factor, n) for n in ns], den)
 
 
 def add(*polys: GenPoly) -> GenPoly:

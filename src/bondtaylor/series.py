@@ -27,10 +27,11 @@ The sum is symmetric in i <-> k-i and is formed with each mirrored pair once:
 with each 2 c_i' formed once and reused (doubling is exact in binary).
 Each sum of products is one merge (genpoly.dot): a price order sums its
 operator's three, a log order first the convolution with c_k'', then the
-drift and vol2 products.  Every coefficient stays a GenPoly in r, so
-truncation is the only approximation made here.  A series is its coefficients
-and its model: c_0 is 1 for a price series and 0 for a log series.  A longer
-build leaves c_0..c_J as they were, so its order-J sum keeps its bits.
+drift and vol2 products; each order's 1/(k+1) rides on its last merge, as
+dot's factor.  Every coefficient stays a GenPoly in r, so truncation is the
+only approximation made here.  A series is its coefficients and its model:
+c_0 is 1 for a price series and 0 for a log series.  A longer build leaves
+c_0..c_J as they were, so its order-J sum keeps its bits.
 partial_sums reads c_k and vol2 through one genpoly.table per series, so each
 distinct exponent is divided once per series and r raised to it once per rate.
 """
@@ -72,14 +73,14 @@ def _check_order(order: int) -> None:
         raise ValueError(f"order must be in [0, {MAX_ORDER}], got {order}")
 
 
-def _apply_operator(drift: GenPoly, half_vol2: GenPoly, c: GenPoly) -> GenPoly:
-    """The pricing operator mu c' + (1/2) s2 c'' - r c, given mu and s2/2."""
+def _apply_operator(drift: GenPoly, half_vol2: GenPoly, c: GenPoly, factor: float) -> GenPoly:
+    """factor times the pricing operator mu c' + (1/2) s2 c'' - r c, given mu and s2/2."""
     # halving and negating are exact in binary (short of underflow), so scaling
     # the short factor once per series gives the bits of scaling each raw
-    # product, and the three products are summed in one merge
+    # product, and the three products are summed and scaled in one merge
     d1 = gp.derivative(c)
     d2 = gp.derivative(d1)
-    return gp.dot([(drift, d1), (half_vol2, d2), (_NEG_R, c)])
+    return gp.dot([(drift, d1), (half_vol2, d2), (_NEG_R, c)], factor=factor)
 
 
 def price_coeffs(model: ShortRateModel, order: int) -> TaylorSeries:
@@ -89,10 +90,9 @@ def price_coeffs(model: ShortRateModel, order: int) -> TaylorSeries:
     coeffs = [gp.const(1.0)]
     for k in range(order):
         try:
-            raw = _apply_operator(model.drift, half_vol2, coeffs[k])
+            coeffs.append(_apply_operator(model.drift, half_vol2, coeffs[k], 1.0 / (k + 1)))
         except DomainError as exc:  # an overflow or a term budget
             raise DomainError(f"price series order {k + 1}: {exc}") from None
-        coeffs.append(gp.scale(raw, 1.0 / (k + 1)))
     return TaylorSeries(tuple(coeffs), model)
 
 
@@ -112,8 +112,7 @@ def log_coeffs(model: ShortRateModel, order: int) -> TaylorSeries:
             inner = gp.dot([(twice[i] if 2 * i < k else derivs[i], derivs[k - i])
                             for i in range(k // 2 + 1)],
                            gp.derivative(derivs[k]))
-            raw = gp.dot([(model.drift, derivs[k]), (half_vol2, inner)])
-            nxt = gp.scale(raw, 1.0 / (k + 1))
+            nxt = gp.dot([(model.drift, derivs[k]), (half_vol2, inner)], factor=1.0 / (k + 1))
             if k + 1 < order:  # c_order' is never read
                 derivs.append(gp.derivative(nxt))
         except DomainError as exc:  # an overflow or a term budget

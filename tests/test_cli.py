@@ -290,6 +290,20 @@ def test_fd_refuses_removed_scheme_flags(cfg, capsys, flag, value):
     assert (code, out) == (1, "") and flag in err
 
 
+@pytest.mark.parametrize("command,extra", [
+    ("price", ["--o", "3"]), ("price", ["--ord", "8"]), ("price", ["--form", "csv"]),
+    ("price", ["--conv"]), ("yield", ["--from"]),
+], ids=["o", "ord", "form", "conv", "from"])
+def test_an_option_prefix_is_unrecognized(cfg, capsys, command, extra):
+    # argparse takes any unique prefix by default, so --o ran as --order 3 once
+    # --out had gone, and --ord 8 --form csv printed csv
+    when = ["--tau", "1"] if command == "price" else ["--taus", "1"]
+    code, out, err = run(capsys, [command, "--model", cfg(CIR_CFG), "--r", "0.05",
+                                  *when, *extra])
+    assert (code, out) == (1, "")
+    assert f"unrecognized arguments: {' '.join(extra)}" in err
+
+
 FD_UNCERTIFIED = [(CIR_CFG, "1000", "1"), (CIR_CFG, "1e6", "1"), (CIR_CFG, "0.013", "30"),
                   (CIR_CFG, "0", "5"), (CIR_CFG, "1e12", "1"), (CIR_CFG, "1e10", "0.5"),
                   (CIR_CFG, "1e300", "1"), (ZERO_CFG, "1e12", "1")]

@@ -71,6 +71,11 @@ def _commands() -> list[list[str]]:
                  ["fd", "--model", "configs/cir.cfg", "--r", "0.05", "--tau", "1"],
                  ["table", "--id", TABLE_IDS[0]]):
         cmds.append(argv + ["--out", "x"])
+    # an option's prefix is no second spelling of it
+    cmds.append(["price", "--model", "configs/cir.cfg", "--r", "0.05", "--tau", "1",
+                 "--o", "3"])
+    cmds.append(["price", "--model", "configs/cir.cfg", "--r", "0.05", "--tau", "1",
+                 "--ord", "8", "--form", "csv"])
     cmds.append(["fd", "--model", "configs/dothan_s2_0.01.cfg", "--r", "0.035",
                  "--tau", "1"])
     cmds.append(["fd", "--model", "configs/vasicek.cfg", "--r", "0.05", "--tau", "1"])

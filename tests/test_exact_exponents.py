@@ -27,7 +27,7 @@ from bondtaylor.cli import main
 from bondtaylor.errors import DomainError
 from bondtaylor.genpoly import GenPoly
 from bondtaylor.model import CIRParams, make_cir, make_ckls, parse_model_config
-from bondtaylor.series import log_coeffs, price_coeffs
+from bondtaylor.series import MAX_ORDER, log_coeffs, price_coeffs
 from reference import exp_compose
 
 CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))
@@ -244,10 +244,10 @@ def test_each_step_is_one_dot(monkeypatch):
     calls = 0
     dot = gp.dot
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         nonlocal calls
         calls += 1
-        return dot(*args)
+        return dot(*args, **kwargs)
 
     model = parse_model_config(CONFIGS[0].parent / "cir.cfg")
     monkeypatch.setattr(gp, "dot", counted)
@@ -256,8 +256,9 @@ def test_each_step_is_one_dot(monkeypatch):
         calls = 0
         build(model, ORDER)
         counts.append(calls)
-    # one merge per price order and two per log order, none in scale or
-    # derivative; c_0 = 1 of the price series is one more
+    # one merge per price order and two per log order, each order's 1/(k+1)
+    # riding on its last, none in scale or derivative; c_0 = 1 of the price
+    # series is one more
     assert counts == [31, 58]
 
 
@@ -320,6 +321,37 @@ _POLY = st.lists(st.tuples(_draw_one_in_30([0.0, -0.0, 1e200, -1e200]), _EXP),
 def test_dot_is_one_merge_of_every_raw_term(pairs, polys):
     with patch.object(gp, "MAX_TERMS", 10), patch.object(gp, "_MAX_RAW_TERMS", 30):
         assert _outcome(gp.dot, pairs, *polys) == _outcome(_rule, pairs, *polys)
+
+
+def _bits(build):
+    try:
+        a = build()
+        return [(c.hex(), n) for c, n in a.terms], a.den
+    except DomainError as exc:
+        return type(exc), str(exc)
+
+
+_UNDERFLOWS = gp.canonicalize([(1.0, 0.0), (5e-324, 0.5)])  # over den 2; halved, 5e-324 is 0
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(pairs=st.lists(st.tuples(_POLY, _POLY), max_size=3), polys=st.lists(_POLY, max_size=3))
+@example(pairs=[(gp.term(1.0, 0.1), gp.term(1.0, 0.2))], polys=[gp.term(-1.0, 0.3)])  # exact zero
+@example(pairs=[], polys=[gp.term(1e308, 1.0), gp.term(1e308, 1.0)])  # inf sum
+@example(pairs=[(gp.term(1e200, 0.0), gp.term(1e200, 1.0))], polys=[])  # inf product
+@example(pairs=[(_UNDERFLOWS, gp.const(1.0))], polys=[])  # den 2 reduces to 1
+def test_dot_factor_is_scale_of_dot(pairs, polys):
+    # the series' 1/(k+1) for every order k: the factor scales each merged sum
+    # before the checks, which then see the terms and den scale would
+    for k in range(MAX_ORDER):
+        s = 1.0 / (k + 1)
+        assert (_bits(lambda: gp.dot(pairs, *polys, factor=s))
+                == _bits(lambda: gp.scale(gp.dot(pairs, *polys), s)))
+
+
+def test_a_factor_that_underflows_a_term_reduces_den():
+    assert _UNDERFLOWS.den == 2
+    assert gp.dot([(_UNDERFLOWS, gp.const(1.0))], factor=0.5) == GenPoly(((0.5, 0),), 1)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)

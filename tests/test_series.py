@@ -557,10 +557,10 @@ def test_log_convolution_forms_each_mirrored_pair_once(monkeypatch):
     calls = []
     real = gp.dot
 
-    def counting(pairs, *polys):
+    def counting(pairs, *polys, **kwargs):
         pairs = list(pairs)
         calls.extend(pairs)
-        return real(pairs, *polys)
+        return real(pairs, *polys, **kwargs)
     monkeypatch.setattr(gp, "dot", counting)
     log_coeffs(parse_model_config(CONFIGS / "ckls.cfg"), 30)
     # steps k = 1..29: k // 2 + 1 products in the sum, plus drift and vol2;
