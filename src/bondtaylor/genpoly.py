@@ -18,16 +18,20 @@ overflowed sum, or a sum of exponents past the range of a double.
 A sum of products, dot(pairs, *polys) = sum_i a_i b_i + sum_j p_j, is merged
 once, not product by product: the raw products ca*cb of each pair (a's terms
 outer, b's inner), pair after pair, then the terms of the p_j in turn, are
-the input of that one sum.  mul and add are its one-pair and no-pair cases.
-With factor=s, dot multiplies each exponent's sum by s before the checks, so
-it gives the terms, den and refusals of scale(dot(pairs, *polys), s); only a
-sum that underflows to zero is dropped before the term budget counts it.
+the input of that one sum.  A raw term hashes its numerator once, for the slot
+of its exponent's running sum; a new exponent's sum starts from 0.0.  mul and
+add are its one-pair and no-pair cases.  With factor=s, dot multiplies each
+exponent's sum by s before the checks, so it gives the terms, den and refusals
+of scale(dot(pairs, *polys), s); only a sum that underflows to zero is dropped
+before the term budget counts it.
 
-Evaluation reads polys through one table(polys): each distinct exponent once, as
-n / den divided int by int, and each poly a row.  values(table, r) raises r to
-each exponent once and sums each row in term order.  It refuses a non-finite r,
-then row by row a fractional or negative exponent at r <= 0 (0**0 is 1) and a
-sum past a double's range.  evaluate is its one-row case.
+Evaluation reads polys through one table(polys): each distinct exponent once,
+as n / den divided int by int once per distinct numerator and den in the
+table, not once per term (numerators whose doubles are equal share one
+exponent), and each poly a row.  values(table, r) raises r to each exponent
+once and sums each row in term order.  It refuses a non-finite r, then row by
+row a fractional or negative exponent at r <= 0 (0**0 is 1) and a sum past a
+double's range.  evaluate is its one-row case.
 """
 
 from __future__ import annotations
@@ -79,13 +83,18 @@ def canonicalize(raw_terms: Iterable[tuple[float, float]]) -> GenPoly:
     terms = []
     for c, p in raw_terms:
         c, p = float(c), float(p)
-        if not math.isfinite(p):
-            raise DomainError(f"non-finite term (coeff={c!r}, exponent={p!r})")
-        mantissa, _, power = repr(p).partition("e")
-        whole, _, frac = mantissa.partition(".")
-        e = int(power or 0) - len(frac)  # repr(p) = whole.frac * 10**e
-        terms.append(GenPoly(((c, int(whole + frac) * 10 ** max(e, 0)),), 10 ** max(-e, 0)))
+        terms.append(_exact_term(c, p, repr(p)))
     return add(*terms)  # over their common den
+
+
+def _exact_term(c: float, p: float, text: str) -> GenPoly:
+    """c * r**(the exact value of text), a decimal whose double is p."""
+    if not math.isfinite(p):
+        raise DomainError(f"non-finite term (coeff={c!r}, exponent={p!r})")
+    mantissa, _, power = text.partition("e")
+    whole, _, frac = mantissa.partition(".")
+    e = int(power or 0) - len(frac)  # text = whole.frac * 10**e
+    return GenPoly(((c, int(whole + frac) * 10 ** max(e, 0)),), 10 ** max(-e, 0))
 
 
 def const(c: float) -> GenPoly:
@@ -108,26 +117,41 @@ def dot(pairs: Iterable[tuple[GenPoly, GenPoly]], *polys: GenPoly, factor: float
         raise DomainError(f"product needs {n_raw} raw terms, over the {_MAX_RAW_TERMS}-term budget")
     for a in polys:
         den = den if a.den == den else math.lcm(den, a.den)
-    acc: dict[int, float] = {}
-    get = acc.get
-    for a, b in pairs:  # each factor over den: k = 1 but where an operand's den differs
+    # each numerator's running sum in sums, its slot found with one hash per
+    # raw term; a new numerator's sum starts from 0.0, as each always has
+    slot: dict[int, int] = {}
+    sums: list[float] = []
+    find, grow, k = slot.get, sums.append, 0
+    for a, b in pairs:  # each factor over den: ka = kb = 1 but where an operand's den differs
         ka, kb = den // a.den, den // b.den
         b_terms = b.terms if kb == 1 else [(c, n * kb) for c, n in b.terms]
         for ca, na in (a.terms if ka == 1 else [(c, n * ka) for c, n in a.terms]):
             for cb, nb in b_terms:
                 n = na + nb
-                acc[n] = get(n, 0.0) + ca * cb
+                i = find(n)
+                if i is None:
+                    slot[n] = k
+                    k += 1
+                    grow(0.0 + ca * cb)
+                else:
+                    sums[i] += ca * cb
     for a in polys:
         for c, n in (a.terms if a.den == den else [(c, n * (den // a.den)) for c, n in a.terms]):
-            acc[n] = get(n, 0.0) + c
-    ns = sorted(acc)
+            i = find(n)
+            if i is None:
+                slot[n] = k
+                k += 1
+                grow(0.0 + c)
+            else:
+                sums[i] += c
+    ns = sorted(slot)
     try:  # only a sum of numerators leaves a double's range, at an end
         ns and (ns[0] / den, ns[-1] / den)
     except OverflowError:
         n = max(ns[0], ns[-1], key=abs)
-        raise DomainError(f"non-finite term (coeff={acc[n]!r}, "
+        raise DomainError(f"non-finite term (coeff={sums[slot[n]]!r}, "
                           f"exponent={math.inf if n > 0 else -math.inf!r})") from None
-    return _canonical([(acc[n] * factor, n) for n in ns], den)
+    return _canonical([(sums[slot[n]] * factor, n) for n in ns], den)
 
 
 def add(*polys: GenPoly) -> GenPoly:
@@ -150,8 +174,16 @@ def derivative(a: GenPoly) -> GenPoly:
 
 def table(polys: Iterable[GenPoly]) -> tuple:
     """The polys' distinct exponents, each n / den, their rows of (c, exponent index), the polys."""
-    polys, index = tuple(polys), {}
-    rows = [[(c, index.setdefault(n / a.den, len(index))) for c, n in a.terms] for a in polys]
+    polys, index, rows = tuple(polys), {}, []
+    known: dict[int, dict[int, int]] = {}  # per den, each numerator's index
+    for a in polys:
+        seen, den, row = known.setdefault(a.den, {}), a.den, []
+        for c, n in a.terms:
+            i = seen.get(n)
+            if i is None:  # a new numerator is divided once; equal doubles share an index
+                i = seen[n] = index.setdefault(n / den, len(index))
+            row.append((c, i))
+        rows.append(row)
     return tuple(index), rows, polys
 
 
@@ -198,22 +230,45 @@ def _fmt_number(x: float) -> str:
     return repr(x)
 
 
+def _fmt_exponent(n: int, den: int) -> str:
+    """n / den written out exactly, laid out as repr lays out a double, or as
+    _fmt_number writes an integer; where den divides no power of ten, the double."""
+    k = den.bit_length()  # den = 2**a * 5**b divides 10**k
+    scaled, rest = divmod(abs(n) * 10 ** k, den)
+    if rest:  # a den no genpoly operation builds
+        return _fmt_number(n / den)
+    if not n % den and abs(n // den) < 10 ** 16:
+        return str(n // den)
+    digits = str(scaled)
+    point = len(digits) - k  # n / den = +-0.digits * 10**point
+    digits, sign = digits.rstrip("0"), "-" if n < 0 else ""
+    if point <= -4 or point > 16:
+        return f"{sign}{digits[0]}{'.' if digits[1:] else ''}{digits[1:]}e{point - 1:+03d}"
+    if point <= 0:
+        return f"{sign}0.{'0' * -point}{digits}"
+    return f"{sign}{digits[:point]}.{digits[point:]}"
+
+
 def to_text(a: GenPoly) -> str:
-    """Render as 'c1:p1, c2:p2, ...' in ascending exponent order; zero is '0'."""
-    return ", ".join(f"{_fmt_number(c)}:{_fmt_number(n / a.den)}" for c, n in a.terms) or "0"
+    """Render as 'c1:p1, c2:p2, ...' in ascending exponent order; zero is '0'.
+    Each exponent is its exact decimal, so from_text gives the polynomial back."""
+    return ", ".join(f"{_fmt_number(c)}:{_fmt_exponent(n, a.den)}" for c, n in a.terms) or "0"
 
 
 def from_text(text: str) -> GenPoly:
-    """Parse the to_text format.  Empty string and '0' both give the zero polynomial."""
+    """Parse the to_text format.  Empty string and '0' both give the zero polynomial.
+    An exponent is the exact decimal of its text, more digits than a double
+    holds too; one whose double is 0 (past the bottom of its range too) is 0."""
     s = text.strip()
     if s in ("", "0"):
         return GenPoly()
-    raw = []
+    terms = []
     for chunk in s.split(","):
         piece = chunk.strip()
         try:  # exactly two numbers, or unpacking fails too
-            c, p = map(float, piece.split(":"))
+            c_text, p_text = piece.split(":")
+            c, p = float(c_text), float(p_text)
         except ValueError:
             raise DomainError(f"malformed term {piece!r}; expected coeff:exponent") from None
-        raw.append((c, p))
-    return canonicalize(raw)
+        terms.append(_exact_term(c, p, p_text.strip().lower().replace("_", "") if p else "0"))
+    return add(*terms)

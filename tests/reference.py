@@ -114,7 +114,7 @@ def evaluate(a: gp.GenPoly, r: float) -> float:
                 raise DomainError(f"cannot evaluate exponent {n / den} at r={x}")
     total = 0.0
     try:
-        for c, n in terms:  # n / den correctly rounded, the exponent to_text prints
+        for c, n in terms:  # n / den correctly rounded, the double of what to_text prints
             total += c * x ** (n / den)
     except OverflowError:  # raised where x**p exceeds a double
         total = math.inf

@@ -14,6 +14,7 @@ recursion that forms all k + 1 products of its convolution, unpaired.
 """
 
 import math
+import random
 from fractions import Fraction
 from itertools import groupby
 from pathlib import Path
@@ -231,10 +232,11 @@ def test_coeffs_print_exact_exponents(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("model", [make_cir(CIRParams(0.00315, -0.0555, 0.0894)),
-                                   *map(_ckls, (0.7, 0.75, 0.5 + 1e-13))])
+                                   *map(_ckls, (0.7, 0.75, 0.5 + 1e-13, 0.78341234567891234))])
 def test_text_round_trip_is_exact(model):
-    # every exponent here is the shortest repr of its double, so to_text
-    # writes it out exactly and from_text reads back the same polynomial
+    # to_text writes each exponent's exact decimal and from_text reads it
+    # exactly, so the text gives back the polynomial; at the 17-digit gamma most
+    # of these exponents are not the shortest repr of their double
     for build in (price_coeffs, log_coeffs):
         for c in build(model, 12).coeffs:
             assert gp.from_text(gp.to_text(c)) == c
@@ -321,6 +323,60 @@ _POLY = st.lists(st.tuples(_draw_one_in_30([0.0, -0.0, 1e200, -1e200]), _EXP),
 def test_dot_is_one_merge_of_every_raw_term(pairs, polys):
     with patch.object(gp, "MAX_TERMS", 10), patch.object(gp, "_MAX_RAW_TERMS", 30):
         assert _outcome(gp.dot, pairs, *polys) == _outcome(_rule, pairs, *polys)
+
+
+# 2 gamma of a 17-digit gamma, as the benchmark draws: its numerator and den are
+# multi-digit ints, and so is every sum of them a merge hashes
+_G2 = Fraction(repr(2 * 0.78341234567891234))
+_EXP17 = st.sampled_from([_G2, _G2 - 1, _G2 - 2, *map(Fraction, (-1, 0, 1, 2))])
+_POLY17 = st.lists(st.tuples(_draw_one_in_30([0.0, -0.0, 1e200, -1e200]), _EXP17),
+                   max_size=4).map(_canon)
+
+
+def _t17(c, p):
+    return _poly([(c, p)])
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(pairs=st.lists(st.tuples(_POLY17, _POLY17), max_size=3), polys=st.lists(_POLY17, max_size=3))
+@example(pairs=[(_t17(-1e-200, _G2), _t17(1e-200, 0)), (_t17(1.0, _G2 - 1), _t17(3.0, 1))],
+         polys=[])  # a first product of -0.0, then a nonzero one
+@example(pairs=[(_t17(1.0, _G2 - 2), _t17(2.0, 2))], polys=[_t17(-2.0, _G2)])  # exact zero
+@example(pairs=[(_t17(1e200, _G2), _t17(1e200, _G2 - 1))], polys=[])  # inf product
+def test_dot_merges_multi_digit_numerators(pairs, polys):
+    assert _G2.denominator > 2 ** 30 and _G2.numerator > 2 ** 30
+    with patch.object(gp, "MAX_TERMS", 10), patch.object(gp, "_MAX_RAW_TERMS", 30):
+        assert _outcome(gp.dot, pairs, *polys) == _outcome(_rule, pairs, *polys)
+
+
+def _one_line_table(polys):
+    # table restated: each term's n / den divided, equal doubles one index
+    index = {}
+    rows = [[(c, index.setdefault(n / a.den, len(index))) for c, n in a.terms] for a in polys]
+    return tuple(index), rows
+
+
+def test_table_gives_each_distinct_double_one_index():
+    # 1/2 = 5/10 over two dens, where 1/10 is not 1/2; and two numerators over
+    # 10**20 whose doubles are 1.0
+    halves = (GenPoly(((1.0, 1),), 2), GenPoly(((2.0, 1), (3.0, 5), (4.0, 7)), 10))
+    assert gp.table(halves) == ((0.5, 0.1, 0.7), [[(1.0, 0)], [(2.0, 1), (3.0, 0), (4.0, 2)]],
+                                halves)
+    ones = (GenPoly(((1.0, 10 ** 20), (2.0, 10 ** 20 + 1)), 10 ** 20),)
+    assert (10 ** 20 + 1) / 10 ** 20 == 1.0
+    assert gp.table(ones) == ((1.0,), [[(1.0, 0), (2.0, 0)]], ones)
+
+
+def test_table_is_the_one_line_table_on_17_digit_gammas():
+    rng = random.Random(1)
+    for _ in range(100):
+        m = make_ckls(rng.uniform(0.005, 0.015), rng.uniform(-0.3, -0.1),
+                      rng.uniform(0.05, 0.1), rng.uniform(0.7, 0.9))
+        for build in (price_coeffs, log_coeffs):
+            polys = (*build(m, 12).coeffs, m.vol2)
+            exps, rows, same = gp.table(polys)
+            assert same == polys
+            assert (exps, rows) == _one_line_table(polys)
 
 
 def _bits(build):

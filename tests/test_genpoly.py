@@ -247,6 +247,39 @@ def test_text_round_trip():
     assert gp.from_text(gp.to_text(gp.term(2.5, -0.75))) == gp.term(2.5, -0.75)
 
 
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(p=st.floats(allow_nan=False, allow_infinity=False))
+@example(p=1e-05)
+@example(p=1e-4)
+@example(p=-2.5e-300)
+@example(p=5e-324)
+@example(p=9999999999999998.0)
+@example(p=1e16)
+@example(p=1.2345678901234567e16)
+@example(p=1234567890123456.8)
+@example(p=1.7976931348623157e308)
+def test_an_exponent_read_from_a_double_prints_as_its_repr(p):
+    # the exact decimal of a double's shortest repr is that repr, laid out alike
+    a = gp.term(1.0, p)
+    want = str(int(p)) if p.is_integer() and abs(p) < 1e16 else repr(p)
+    assert gp.to_text(a) == f"1:{want}"
+    assert gp.from_text(gp.to_text(a)) == a
+
+
+def test_from_text_keeps_every_digit_of_an_exponent():
+    # more digits than a double holds: 1 + 1e-20 is 1.0 as a double
+    p = gp.from_text("2:1.00000000000000000001, 3:1")
+    assert p == GenPoly(((3.0, 10 ** 20), (2.0, 10 ** 20 + 1)), 10 ** 20)
+    assert gp.to_text(p) == "3:1, 2:1.00000000000000000001"
+    # any text float() reads; one whose double is 0 is the exponent 0
+    assert gp.from_text(" 1 : +.5E1_0 , 1:-0.25e-2") == GenPoly(((1.0, -1), (1.0, 5 * 10 ** 9 * 400)), 400)
+    assert gp.from_text("1:1e-400, 2:0") == gp.const(3.0)
+    with pytest.raises(DomainError, match=r"non-finite term \(coeff=1.0, exponent=inf\)"):
+        gp.from_text("1:1e400")
+    # a den that divides no power of ten prints the nearest double
+    assert gp.to_text(GenPoly(((1.0, 1),), 3)) == "1:0.3333333333333333"
+
+
 @pytest.mark.parametrize("text", ["1:", "1:2:3", "a:1", "1;2"])
 def test_from_text_rejects_malformed(text):
     with pytest.raises(DomainError):

@@ -197,6 +197,14 @@ def test_parse_ckls_and_custom():
     assert gp.to_text(c.drift) == "0.00315:0, -0.0555:1"
 
 
+def test_custom_config_keeps_every_digit_of_an_exponent():
+    # 1.50000000000000000001 is 1.5 as a double; the config keeps all 21 digits
+    c = parse_model_text("model = custom\ndrift_terms = 0.01:0\n"
+                         "vol2_terms = 0.0001:1.50000000000000000001\n")
+    assert c.vol2 == GenPoly(((0.0001, 150000000000000000001),), 10 ** 20)
+    assert gp.to_text(c.vol2) == "0.0001:1.50000000000000000001"
+
+
 def test_parse_errors_name_the_line():
     with pytest.raises(ConfigError, match="line 2"):
         parse_model_text("model = cir\nthis is garbage\n")

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+CONFIGS = SCRIPTS.parent / "configs"
 
 
 def run_script(monkeypatch, capsys, name, *args):
@@ -43,11 +44,12 @@ def test_reproduce_tables_script(monkeypatch, capsys):
     assert [line.split()[:2] for line in lines] == [[i, "ok"] for i in ids]
 
 
-# the hex sweep's refused (config, target, rate, message), each at all five
+# the hex sweep's refused (model, target, rate, message), each at all five
 # maturities: the first refusal the rate meets.  The shipped CKLS config
-# (gamma = 3/4) has exponent 3/2, which r <= 0 does not admit, CIR's vol2 is
-# negative at r < 0, and a coefficient that overflows comes first where it
-# comes before either
+# (gamma = 3/4) has exponent 3/2, which r <= 0 does not admit, and so has the
+# sweep's own CKLS model its 2 gamma; CIR's vol2 is negative at r < 0, and a
+# coefficient that overflows comes first where it comes before either
+CKLS_17 = "ckls_gamma_0.78341234567891234"
 HEX_SWEEP_REFUSED = [
     ("cir.cfg", "price", "r=-1e+200", "evaluation overflowed at r=-1e+200"),
     ("cir.cfg", "price", "r=-0.01", "vol2 is negative at r=-0.01"),
@@ -78,17 +80,27 @@ HEX_SWEEP_REFUSED = [
     ("vasicek.cfg", "price", "r=1e+200", "evaluation overflowed at r=1e+200"),
     ("zero.cfg", "price", "r=-1e+200", "evaluation overflowed at r=-1e+200"),
     ("zero.cfg", "price", "r=1e+200", "evaluation overflowed at r=1e+200"),
+    (CKLS_17, "price", "r=-1e+200", "evaluation overflowed at r=-1e+200"),
+    (CKLS_17, "price", "r=-0.01", "cannot evaluate exponent 1.5668246913578248 at r=-0.01"),
+    (CKLS_17, "price", "r=0.0", "cannot evaluate exponent 1.5668246913578248 at r=0.0"),
+    (CKLS_17, "price", "r=1e+200", "evaluation overflowed at r=1e+200"),
+    (CKLS_17, "log", "r=-1e+200", "cannot evaluate exponent 1.5668246913578248 at r=-1e+200"),
+    (CKLS_17, "log", "r=-0.01", "cannot evaluate exponent 1.5668246913578248 at r=-0.01"),
+    (CKLS_17, "log", "r=0.0", "cannot evaluate exponent 1.5668246913578248 at r=0.0"),
+    (CKLS_17, "log", "r=1e+200", "evaluation overflowed at r=1e+200"),
 ]
 
 
 def test_hex_sweep_script(monkeypatch, capsys):
     code, lines = run_script(monkeypatch, capsys, "hex_sweep.py")
     assert code == 0
-    # 7 configs x 2 targets x 11 rates x 5 maturities, in a fixed order; the
-    # hex digits themselves depend on the platform's libm, so none is pinned
-    assert len(lines) == 770
+    # 7 configs and one built CKLS model x 2 targets x 11 rates x 5 maturities,
+    # in a fixed order; the hex digits themselves depend on the platform's
+    # libm, so none is pinned
+    assert len(lines) == 880
     fields = [line.split(" ", 4) for line in lines]
-    assert len({tuple(f[:4]) for f in fields}) == 770
+    assert len({tuple(f[:4]) for f in fields}) == 880
+    assert [f[0] for f in fields[::110]] == [*(p.name for p in sorted(CONFIGS.glob("*.cfg"))), CKLS_17]
     assert {f[1] for f in fields} == {"price", "log"}
     refused = [f for f in fields if f[4].startswith("DomainError: ")]
     assert sorted((f[0], f[1], f[2], f[4]) for f in refused) == sorted(
