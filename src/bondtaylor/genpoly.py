@@ -118,7 +118,7 @@ def dot(pairs: Iterable[tuple[GenPoly, GenPoly]], *polys: GenPoly, factor: float
     for a in polys:
         den = den if a.den == den else math.lcm(den, a.den)
     # each numerator's running sum in sums, its slot found with one hash per
-    # raw term; a new numerator's sum starts from 0.0, as each always has
+    # raw term; a new numerator's sum starts from 0.0, so a lone -0.0 sums to 0.0
     slot: dict[int, int] = {}
     sums: list[float] = []
     find, grow, k = slot.get, sums.append, 0
